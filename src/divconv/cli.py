@@ -17,33 +17,37 @@ import click
 
 from . import convolution, eta, modforms, representations
 from .cache import SeriesCache
-from .modforms import Basis, Inconsistent, NotIndependent, SingularSystem, WrongCount
-
-MIN_TRUNCATION = 64  # solver + verification headroom at level 26
+from .modforms import BasisIncomplete, Inconsistent, NotIndependent, SingularSystem, WrongCount
 
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
 
-
-class BasisIncomplete(RuntimeError):
-    """Eta search could not span the weight-4 cusp space at this level."""
+# NotIndependent and WrongCount subclass ValueError, so the handler tests these first
+SOLVER_ERRORS = (BasisIncomplete, NotIndependent, WrongCount, SingularSystem, Inconsistent)
+INPUT_ERRORS = (ValueError, OSError, KeyError)
 
 
 @dataclass(frozen=True)
 class RunConfig:
     truncation: int = 1000
     cache_dir: str | None = None
-    output_format: str = "json"
     search_bound: int = 9
-
-    def __post_init__(self):
-        if self.truncation < MIN_TRUNCATION:
-            raise ValueError(f"truncation must be >= {MIN_TRUNCATION}")
 
     @property
     def cache(self) -> SeriesCache | None:
         return SeriesCache(self.cache_dir) if self.cache_dir else None
+
+
+class DivconvGroup(click.Group):
+    """Maps pipeline exceptions to exit codes for every subcommand."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except SOLVER_ERRORS + INPUT_ERRORS as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(EXIT_SOLVER if isinstance(exc, SOLVER_ERRORS) else EXIT_INPUT)
 
 
 def _parse_quotient(text: str) -> eta.EtaQuotient:
@@ -53,37 +57,24 @@ def _parse_quotient(text: str) -> eta.EtaQuotient:
     return eta.EtaQuotient.from_json_dict(json.loads(text))
 
 
-def _basis_for_level(level: int, config: RunConfig) -> Basis:
-    if level in modforms.REGISTERED_CUSP_EXPONENTS:
-        quotients = modforms.registered_cusp_quotients(level)
-    else:
-        candidates = eta.search_eta_quotients(level, 4, config.search_bound)
-        quotients = modforms.select_independent(candidates, level, config.truncation)
-        needed = modforms.dim_S4(level)
-        if len(quotients) < needed:
-            raise BasisIncomplete(
-                f"level {level}: search found {len(quotients)} independent cusp "
-                f"quotients, need {needed}"
-            )
-    return modforms.build_basis(level, quotients, config.truncation)
-
-
 def _emit_json(data) -> None:
     click.echo(json.dumps(data, indent=2))
 
 
-@click.group()
-@click.option("--truncation", default=1000, show_default=True, help="Working series truncation.")
+@click.group(cls=DivconvGroup)
+@click.option(
+    "--truncation",
+    default=1000,
+    show_default=True,
+    type=click.IntRange(min=1),
+    help="Series length for expand, basis and verify; formulas are proved at the Sturm bound.",
+)
 @click.option("--cache-dir", default=None, type=click.Path(), help="Directory for the q-expansion cache.")
-@click.option("--format", "output_format", type=click.Choice(["json", "csv"]), default="json", show_default=True)
 @click.option("--bound", "search_bound", default=9, show_default=True, help="Exponent bound for eta searches.")
 @click.pass_context
-def main(ctx, truncation, cache_dir, output_format, search_bound):
+def main(ctx, truncation, cache_dir, search_bound):
     """Exact evaluation of divisor-sum convolution identities."""
-    try:
-        ctx.obj = RunConfig(truncation, cache_dir, output_format, search_bound)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    ctx.obj = RunConfig(truncation, cache_dir, search_bound)
 
 
 @main.command()
@@ -91,11 +82,7 @@ def main(ctx, truncation, cache_dir, output_format, search_bound):
 @click.pass_obj
 def expand(config: RunConfig, quotient_json):
     """Expand an eta quotient (JSON, inline or @file) to a q-series."""
-    try:
-        quotient = _parse_quotient(quotient_json)
-    except (ValueError, OSError, KeyError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+    quotient = _parse_quotient(quotient_json)
     params = {
         "kind": "eta",
         "level": quotient.level,
@@ -108,11 +95,7 @@ def expand(config: RunConfig, quotient_json):
         if cached is not None:
             click.echo(cached.decode().rstrip("\n"))
             return
-    try:
-        series = eta.expand_eta_quotient(quotient, config.truncation)
-    except (eta.FractionalLeadingExponent, eta.NegativeLeadingExponent) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+    series = eta.expand_eta_quotient(quotient, config.truncation)
     if cache is not None:
         payload = cache.put(params, series)
         click.echo(payload.decode().rstrip("\n"))
@@ -124,12 +107,7 @@ def expand(config: RunConfig, quotient_json):
 @click.argument("quotient_json")
 def ligozat(quotient_json):
     """Print the admissibility report for an eta quotient as JSON."""
-    try:
-        quotient = _parse_quotient(quotient_json)
-    except (ValueError, OSError, KeyError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
-    _emit_json(eta.check_admissibility(quotient).to_json_dict())
+    _emit_json(eta.check_admissibility(_parse_quotient(quotient_json)).to_json_dict())
 
 
 @main.command()
@@ -139,11 +117,7 @@ def ligozat(quotient_json):
 @click.pass_obj
 def search(config: RunConfig, level, weight, strict):
     """Exhaustive eta-quotient search at a level and weight."""
-    try:
-        found = eta.search_eta_quotients(level, weight, config.search_bound, strict=strict)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+    found = eta.search_eta_quotients(level, weight, config.search_bound, strict=strict)
     _emit_json([q.to_json_dict() for q in found])
 
 
@@ -152,11 +126,8 @@ def search(config: RunConfig, level, weight, strict):
 @click.pass_obj
 def basis(config: RunConfig, level):
     """Emit the weight-4 basis at a level: ids, exponents, leading coefficients."""
-    try:
-        b = _basis_for_level(level, config)
-    except (BasisIncomplete, NotIndependent, WrongCount) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_SOLVER)
+    quotients = modforms.cusp_quotients_for_level(level, config.search_bound)
+    b = modforms.build_basis(level, quotients, config.truncation)
     _emit_json(
         {
             "level": b.level,
@@ -175,49 +146,28 @@ def basis(config: RunConfig, level):
     )
 
 
-def _derive(config: RunConfig, alpha: int, beta: int):
-    if alpha >= beta or alpha < 1:
-        raise ValueError(f"need 1 <= alpha < beta, got ({alpha}, {beta})")
-    b = _basis_for_level(alpha * beta, config)
-    return convolution.derive_convolution_formula(alpha, beta, b), b
-
-
 @main.command()
 @click.option("--alpha", required=True, type=int)
 @click.option("--beta", required=True, type=int)
 @click.pass_obj
 def derive(config: RunConfig, alpha, beta):
     """Derive the closed convolution-sum formula for (alpha, beta)."""
-    try:
-        formula, _ = _derive(config, alpha, beta)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
-    except (BasisIncomplete, NotIndependent, WrongCount, SingularSystem, Inconsistent) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_SOLVER)
+    formula, _ = convolution.derive_formula(alpha, beta, config.search_bound)
     _emit_json(formula.to_json_dict())
 
 
 @main.command()
 @click.option("--alpha", required=True, type=int)
 @click.option("--beta", required=True, type=int)
-@click.option("--nmax", required=True, type=int)
+@click.option("--nmax", required=True, type=click.IntRange(min=1))
 @click.pass_obj
 def verify(config: RunConfig, alpha, beta, nmax):
     """Derive and check the formula against brute force on 1..nmax."""
     if nmax > config.truncation:
-        click.echo(f"error: nmax {nmax} exceeds truncation {config.truncation}", err=True)
-        sys.exit(EXIT_INPUT)
-    try:
-        formula, b = _derive(config, alpha, beta)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
-    except (BasisIncomplete, NotIndependent, WrongCount, SingularSystem, Inconsistent) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_SOLVER)
-    report = convolution.verify_formula(formula, b.cusp_series, nmax)
+        raise ValueError(f"nmax {nmax} exceeds truncation {config.truncation}")
+    formula, b = convolution.derive_formula(alpha, beta, config.search_bound)
+    cusp_series = [eta.expand_eta_quotient(e.eta, nmax) for e in b.cusp_elements]
+    report = convolution.verify_formula(formula, cusp_series, nmax)
     _emit_json(report.to_json_dict())
     if not report.ok:
         sys.exit(EXIT_MISMATCH)
@@ -233,16 +183,12 @@ def rep(a, b, nmax):
     writer = csv.writer(out)
     writer.writerow(["n", "formula_value", "oracle_value", "match"])
     any_mismatch = False
-    try:
-        for n in range(1, nmax + 1):
-            formula_value = representations.octonary_formula(a, b, n)
-            oracle_value = representations.octonary_convolution(a, b, n)
-            match = formula_value == oracle_value
-            any_mismatch |= not match
-            writer.writerow([n, formula_value, oracle_value, str(match).lower()])
-    except representations.UnsupportedPair as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+    for n in range(1, nmax + 1):
+        formula_value = representations.octonary_formula(a, b, n)
+        oracle_value = representations.octonary_convolution(a, b, n)
+        match = formula_value == oracle_value
+        any_mismatch |= not match
+        writer.writerow([n, formula_value, oracle_value, str(match).lower()])
     click.echo(out.getvalue().rstrip("\n"))
     if any_mismatch:
         sys.exit(EXIT_MISMATCH)
@@ -259,27 +205,14 @@ def table(config: RunConfig, pairs):
     if pairs is None:
         pair_list = DEFAULT_TABLE_PAIRS
     else:
-        try:
-            pair_list = tuple(
-                tuple(int(x) for x in chunk.split(",")) for chunk in pairs.split(";")
-            )
-            if any(len(p) != 2 for p in pair_list):
-                raise ValueError("each pair needs exactly two entries")
-        except ValueError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_INPUT)
+        pair_list = tuple(tuple(int(x) for x in chunk.split(",")) for chunk in pairs.split(";"))
+        if any(len(p) != 2 for p in pair_list):
+            raise ValueError("each pair needs exactly two entries")
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["alpha", "beta", "term", "coefficient"])
     for alpha, beta in pair_list:
-        try:
-            formula, _ = _derive(config, alpha, beta)
-        except ValueError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_INPUT)
-        except (BasisIncomplete, NotIndependent, WrongCount, SingularSystem, Inconsistent) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_SOLVER)
+        formula, _ = convolution.derive_formula(alpha, beta, config.search_bound)
         for d, c in formula.sigma3_terms.items():
             writer.writerow([alpha, beta, f"sigma3(n/{d})", f"{c.numerator}/{c.denominator}"])
         for d, (c0, c1) in formula.sigma_terms.items():

@@ -9,7 +9,14 @@ from fractions import Fraction
 from math import gcd
 
 from .arith import divisors, rational_to_str, sigma_at, sigma_table
-from .modforms import Basis, eisenstein_L, express_in_basis
+from .modforms import (
+    Basis,
+    build_basis,
+    cusp_quotients_for_level,
+    eisenstein_L,
+    express_in_basis,
+    sturm_bound,
+)
 from .qseries import QSeries
 
 
@@ -46,12 +53,9 @@ def target_series(alpha: int, beta: int, truncation: int) -> QSeries:
     l = eisenstein_L(truncation)
 
     def at(t: int) -> QSeries:
-        s = l.substitute(t, cap=truncation)
-        if s.truncation < truncation:
-            s = QSeries(s.coeffs, truncation)
-        return s.truncate(truncation)
+        return l.substitute(t, cap=truncation).scale(t)
 
-    diff = at(alpha).scale(alpha) - at(beta).scale(beta)
+    diff = at(alpha) - at(beta)
     return diff * diff
 
 
@@ -85,6 +89,7 @@ class ConvolutionFormula:
             "alpha": self.alpha,
             "beta": self.beta,
             "level": self.level,
+            "sturm_bound": sturm_bound(self.level),
             "sigma3": {str(d): rational_to_str(c) for d, c in self.sigma3_terms.items()},
             "sigma": {
                 str(d): [rational_to_str(c0), rational_to_str(c1)]
@@ -102,10 +107,7 @@ def derive_convolution_formula(alpha: int, beta: int, basis: Basis) -> Convoluti
     - 240 x_t) / (1152 alpha beta); cusp coefficients pick up -1/(1152
     alpha beta); the sigma terms come straight from the weight-2 algebra.
     """
-    if gcd(alpha, beta) != 1:
-        raise ValueError(f"alpha and beta must be coprime, got ({alpha}, {beta})")
-    if alpha >= beta:
-        raise ValueError(f"derivation requires alpha < beta, got ({alpha}, {beta})")
+    _check_pair(alpha, beta)
     level = alpha * beta
     if basis.level != level:
         raise ValueError(f"basis level {basis.level} != alpha*beta = {level}")
@@ -135,6 +137,25 @@ def derive_convolution_formula(alpha: int, beta: int, basis: Basis) -> Convoluti
         sigma_terms=dict(sorted(sigma_terms.items())),
         cusp_terms=tuple(cusp_terms),
     )
+
+
+def derive_formula(alpha: int, beta: int, search_bound: int) -> tuple[ConvolutionFormula, Basis]:
+    """The formula for W(alpha,beta) and the basis it was solved in.
+
+    The basis stops at the level's Sturm bound, which proves the identity
+    for every n; evaluating the formula past that needs longer cusp series.
+    """
+    _check_pair(alpha, beta)
+    level = alpha * beta
+    basis = build_basis(level, cusp_quotients_for_level(level, search_bound), sturm_bound(level))
+    return derive_convolution_formula(alpha, beta, basis), basis
+
+
+def _check_pair(alpha: int, beta: int) -> None:
+    if not 1 <= alpha < beta:
+        raise ValueError(f"derivation requires 1 <= alpha < beta, got ({alpha}, {beta})")
+    if gcd(alpha, beta) != 1:
+        raise ValueError(f"alpha and beta must be coprime, got ({alpha}, {beta})")
 
 
 def evaluate_formula(

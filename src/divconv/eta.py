@@ -184,8 +184,6 @@ def expand_eta_quotient(f: EtaQuotient, truncation: int) -> QSeries:
     result = QSeries.one(truncation)
     for d, r in f.exponents:
         base = euler_F((truncation + d - 1) // d).substitute(d, cap=truncation)
-        if base.truncation < truncation:
-            base = QSeries(base.coeffs, truncation)
         result = result * (base**r)
     return result.shift(e0)
 

@@ -12,8 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import divisors, euler_phi, prime_factorization, sigma_table
-from .eta import EtaQuotient, check_admissibility, expand_eta_quotient
+from .eta import EtaQuotient, check_admissibility, expand_eta_quotient, search_eta_quotients
 from .qseries import QSeries
+
+
+class BasisIncomplete(RuntimeError):
+    """Eta search could not span the weight-4 cusp space at this level."""
 
 
 class WrongCount(ValueError):
@@ -57,6 +61,12 @@ def gamma0_index(n: int) -> int:
     for p in prime_factorization(n):
         mu += mu // p
     return mu
+
+
+def sturm_bound(level: int) -> int:
+    """Weight-4 Sturm bound on Gamma_0(N): two forms whose coefficients agree
+    on q^0..q^(this) are equal."""
+    return 4 * gamma0_index(level) // 12
 
 
 def elliptic_points_order2(n: int) -> int:
@@ -163,6 +173,23 @@ def registered_cusp_quotients(level: int) -> list[EtaQuotient]:
     return [EtaQuotient.from_dict(level, exps) for exps in family]
 
 
+def cusp_quotients_for_level(level: int, search_bound: int) -> list[EtaQuotient]:
+    """The registered family at this level, else the first dim S4(level)
+    independent quotients of an eta search with exponents in
+    [-search_bound, search_bound]."""
+    if level in REGISTERED_CUSP_EXPONENTS:
+        return registered_cusp_quotients(level)
+    candidates = search_eta_quotients(level, 4, search_bound)
+    quotients = select_independent(candidates, level, sturm_bound(level))
+    needed = dim_S4(level)
+    if len(quotients) < needed:
+        raise BasisIncomplete(
+            f"level {level}: search found {len(quotients)} independent cusp "
+            f"quotients, need {needed}"
+        )
+    return quotients
+
+
 # -- basis types -----------------------------------------------------------
 
 
@@ -219,12 +246,19 @@ def rank(series_list, max_index: int) -> int:
 def build_basis(level: int, cusp_quotients, truncation: int) -> Basis:
     """Assemble Eisenstein block + cusp block and certify independence.
 
+    The truncation must reach the level's Sturm bound, so that the rank
+    check and every identity solved in the basis hold for the modular forms
+    themselves, not just their truncated series.
+
     Cusp quotients must be admissible modular forms with vanishing
     constant term (positive leading exponent); two of the registered
     level-22 quotients have cusp-order sum exactly 0 at d = 1, so the
     strict all-orders-positive condition is deliberately not required
     here.
     """
+    bound = sturm_bound(level)
+    if truncation < bound:
+        raise ValueError(f"truncation {truncation} is below the level-{level} Sturm bound {bound}")
     cusp_quotients = list(cusp_quotients)
     expected = dim_S4(level)
     if len(cusp_quotients) != expected:
@@ -232,14 +266,10 @@ def build_basis(level: int, cusp_quotients, truncation: int) -> Basis:
             f"level {level} needs {expected} cusp quotients, got {len(cusp_quotients)}"
         )
     m = eisenstein_M(truncation)
-    elements: list[BasisElement] = []
-    for t in divisors(level):
-        series = m.substitute(t, cap=truncation)
-        if series.truncation < truncation:
-            series = QSeries(series.coeffs, truncation)
-        else:
-            series = series.truncate(truncation)
-        elements.append(BasisElement("eisenstein", f"E{t}", series, t=t))
+    elements = [
+        BasisElement("eisenstein", f"E{t}", m.substitute(t, cap=truncation), t=t)
+        for t in divisors(level)
+    ]
     for i, quotient in enumerate(cusp_quotients, start=1):
         if quotient.level != level:
             raise ValueError(f"cusp quotient level {quotient.level} != {level}")

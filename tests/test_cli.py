@@ -109,7 +109,15 @@ def test_table_csv():
 
 
 def test_truncation_floor_is_enforced():
-    assert run("--truncation", "32", "basis", "--level", "14").exit_code == 2
+    assert run("--truncation", "7", "basis", "--level", "14").exit_code == 2
+
+
+def test_refusal_exits_3_without_standalone_mode(capsys):
+    # level 21 has no eta-quotient cusp basis in the bound-4 search box
+    args = ["--bound", "4", "verify", "--alpha", "3", "--beta", "7", "--nmax", "10"]
+    assert main(args, standalone_mode=False) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: level 21")
 
 
 def test_outputs_are_deterministic():

@@ -11,7 +11,7 @@ from divconv.convolution import (
     target_series,
     verify_formula,
 )
-from divconv.modforms import standard_basis
+from divconv.modforms import build_basis, cusp_quotients_for_level, standard_basis, sturm_bound
 
 TRUNC = 80
 
@@ -128,3 +128,16 @@ def test_formula_json_schema(formula27):
     assert data["sigma3"]["1"] == "1/600"
     assert data["sigma"]["2"] == ["1/24", "-1/28"]
     assert data["cusp"][3] == ["S14.4", "-1/42"]
+
+
+@pytest.mark.parametrize("alpha,beta", [(2, 7), (1, 22), (2, 11), (1, 26), (2, 13), (1, 14)])
+def test_formula_at_sturm_bound_matches_truncation_1000(full_bases, alpha, beta):
+    level = alpha * beta
+    basis = build_basis(level, cusp_quotients_for_level(level, 9), sturm_bound(level))
+    assert derive_convolution_formula(alpha, beta, basis) == derive_convolution_formula(
+        alpha, beta, full_bases[level]
+    )
+
+
+def test_formula_json_carries_sturm_bound(formula27):
+    assert formula27.to_json_dict()["sturm_bound"] == 8

@@ -21,6 +21,7 @@ from divconv.modforms import (
     registered_cusp_quotients,
     select_independent,
     standard_basis,
+    sturm_bound,
 )
 from divconv.qseries import QSeries
 
@@ -165,3 +166,13 @@ def test_select_independent_prefers_early_candidates():
     padded = [family[0], family[0]] + family[1:]
     chosen = select_independent(padded, 14, TRUNC)
     assert chosen == family
+
+
+def test_sturm_bounds_of_registered_levels():
+    assert [sturm_bound(n) for n in (14, 22, 26)] == [8, 12, 14]
+
+
+def test_build_basis_below_sturm_bound_is_input_error():
+    with pytest.raises(ValueError) as info:
+        build_basis(14, registered_cusp_quotients(14), sturm_bound(14) - 1)
+    assert type(info.value) is ValueError
