@@ -70,7 +70,14 @@ def _emit_json(data) -> None:
     help="Series length for expand, basis and verify; formulas are proved at the Sturm bound.",
 )
 @click.option("--cache-dir", default=None, type=click.Path(), help="Directory for the q-expansion cache.")
-@click.option("--bound", "search_bound", default=9, show_default=True, help="Exponent bound for eta searches.")
+@click.option(
+    "--bound",
+    "search_bound",
+    default=9,
+    show_default=True,
+    type=click.IntRange(min=1),
+    help="Exponent bound for eta searches.",
+)
 @click.pass_context
 def main(ctx, truncation, cache_dir, search_bound):
     """Exact evaluation of divisor-sum convolution identities."""
@@ -176,7 +183,7 @@ def verify(config: RunConfig, alpha, beta, nmax):
 @main.command()
 @click.option("--a", "a", required=True, type=int)
 @click.option("--b", "b", required=True, type=int)
-@click.option("--nmax", required=True, type=int)
+@click.option("--nmax", required=True, type=click.IntRange(min=1))
 def rep(a, b, nmax):
     """Octonary representation counts: formula vs oracle as CSV."""
     out = io.StringIO()

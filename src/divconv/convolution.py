@@ -37,13 +37,17 @@ def brute_force_W(alpha: int, beta: int, n: int) -> int:
     positive alpha, beta (no coprimality requirement)."""
     if alpha < 1 or beta < 1 or n < 1:
         raise ValueError("brute_force_W requires alpha, beta, n >= 1")
+    # alpha*l = n (mod beta) is solvable iff g | n, and then exactly on one
+    # residue class l = l0 (mod beta/g); every other l contributes nothing
+    g = gcd(alpha, beta)
+    if n % g:
+        return 0
+    step = beta // g
+    l0 = (n // g) * pow(alpha // g, -1, step) % step or step
     table = _sigma1(n)
-    total = 0
-    for l in range(1, n // alpha + 1):
-        rest = n - alpha * l
-        if rest % beta == 0 and rest:
-            total += table[l] * table[rest // beta]
-    return total
+    return sum(
+        table[l] * table[(n - alpha * l) // beta] for l in range(l0, (n - 1) // alpha + 1, step)
+    )
 
 
 def target_series(alpha: int, beta: int, truncation: int) -> QSeries:

@@ -165,11 +165,51 @@ def check_admissibility(f: EtaQuotient) -> AdmissibilityReport:
     )
 
 
+def jacobi_cube_terms(truncation: int) -> list[tuple[int, int]]:
+    """Nonzero terms (n, c_n), n >= 1, of F^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2),
+    Jacobi's identity, up to the truncation; the constant term 1 is implied."""
+    terms = []
+    k = 1
+    while (e := k * (k + 1) // 2) <= truncation:
+        terms.append((e, -(2 * k + 1) if k % 2 else 2 * k + 1))
+        k += 1
+    return terms
+
+
+def _multiply_pass(g: list[int], terms: list[tuple[int, int]]) -> list[int]:
+    """g * (1 + sum c q^k) truncated to len(g); every k >= 1."""
+    out = list(g)
+    for k, c in terms:
+        out[k:] = [a + c * b for a, b in zip(out[k:], g)]
+    return out
+
+
+def _divide_pass(g: list[int], terms: list[tuple[int, int]]) -> list[int]:
+    """g / (1 + sum c q^k) truncated to len(g), by the forward recurrence
+    over the sparse tail; terms sorted by k >= 1."""
+    h = list(g)
+    for n in range(1, len(h)):
+        acc = h[n]
+        for k, c in terms:
+            if k > n:
+                break
+            acc -= c * h[n - k]
+        h[n] = acc
+    return h
+
+
 def expand_eta_quotient(f: EtaQuotient, truncation: int) -> QSeries:
     """q-expansion of the quotient up to the given truncation.
 
     Requires the q-prefactor exponent (sum of d*r_d)/24 to be a
     non-negative integer, which holds for every cusp candidate.
+
+    Method: prod F(q^d)^(r_d) is built on a plain integer list by sparse
+    passes. Each (d, r) applies |r| // 3 passes with F(q^d)^3 (Jacobi's
+    identity, about sqrt(2t/d) terms) and |r| % 3 passes with F(q^d)
+    (pentagonal, about sqrt(8t/3d) terms). A pass multiplies for r > 0 and
+    divides by the forward recurrence for r < 0, so no dense series product
+    is ever formed and every coefficient is an exact Python int.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
@@ -181,11 +221,22 @@ def expand_eta_quotient(f: EtaQuotient, truncation: int) -> QSeries:
     e0 = num // 24
     if e0 < 0:
         raise NegativeLeadingExponent(f"leading exponent {e0} is negative")
-    result = QSeries.one(truncation)
+    if e0 > truncation:
+        return QSeries.zero(truncation)
+    top = truncation - e0
+    g = [1] + [0] * top
     for d, r in f.exponents:
-        base = euler_F((truncation + d - 1) // d).substitute(d, cap=truncation)
-        result = result * (base**r)
-    return result.shift(e0)
+        m = top // d
+        if m == 0:
+            continue
+        pentagonal = [(d * k, c) for k, c in enumerate(euler_F(m).coeffs) if c and k]
+        cube = [(d * k, c) for k, c in jacobi_cube_terms(m)]
+        apply = _multiply_pass if r > 0 else _divide_pass
+        for _ in range(abs(r) // 3):
+            g = apply(g, cube)
+        for _ in range(abs(r) % 3):
+            g = apply(g, pentagonal)
+    return QSeries([0] * e0 + g, truncation)
 
 
 def search_eta_quotients(

@@ -1,9 +1,11 @@
 """Truncated formal power series in q with exact rational coefficients.
 
 Coefficients are exact (int or Fraction); no floating point anywhere.
-Binary operations truncate to the shorter operand. Multiplication skips
-zero coefficients of the sparser operand, which matters a lot for
-substituted series like F(q^26) whose density is 1/26.
+Binary operations truncate to the shorter operand. Multiplication runs over
+the nonzero coefficients of the sparser operand, and reciprocal over the
+nonzero tail only. Eta quotients are not expanded through these operations
+(eta.expand_eta_quotient applies sparse passes to a plain list); the tests
+use the dense QSeries product as the oracle for that kernel.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ a(x1^2+..+x4^2) + b(x5^2+..+x8^2), with independent lattice-count oracles."""
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt
 
 from .arith import sigma, sigma_at
@@ -25,9 +26,14 @@ class UnsupportedPair(ValueError):
     """No closed formula is implemented for this (a, b)."""
 
 
+@lru_cache(maxsize=None)
 def r4(n: int) -> int:
     """Number of ways to write n as a sum of four integer squares:
-    1 for n = 0, else 8 sigma(n) - 32 sigma(n/4)."""
+    1 for n = 0, else 8 sigma(n) - 32 sigma(n/4).
+
+    Memoised, because octonary_convolution asks for the same r4(l) at every
+    n >= l. Trial-division sigma is kept on purpose: this oracle shares no
+    sieve with brute_force_W and octonary_formula."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:

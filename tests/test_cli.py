@@ -124,3 +124,11 @@ def test_outputs_are_deterministic():
     a = run("--truncation", "64", "derive", "--alpha", "2", "--beta", "7")
     b = run("--truncation", "64", "derive", "--alpha", "2", "--beta", "7")
     assert a.output == b.output
+
+
+def test_rep_nmax_must_be_positive():
+    assert run("rep", "--a", "1", "--b", "1", "--nmax", "0").exit_code == 2
+
+
+def test_search_bound_must_be_positive():
+    assert run("--bound", "0", "derive", "--alpha", "2", "--beta", "3").exit_code == 2

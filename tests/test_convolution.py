@@ -141,3 +141,18 @@ def test_formula_at_sturm_bound_matches_truncation_1000(full_bases, alpha, beta)
 
 def test_formula_json_carries_sturm_bound(formula27):
     assert formula27.to_json_dict()["sturm_bound"] == 8
+
+
+@pytest.mark.parametrize("alpha,beta", [(1, 1), (2, 7), (7, 2), (1, 26), (6, 4), (2, 12), (4, 6), (3, 8)])
+def test_brute_force_matches_naive_double_loop(alpha, beta):
+    def sigma1(m):
+        return sum(d for d in range(1, m + 1) if m % d == 0)
+
+    for n in range(1, 90):
+        naive = sum(
+            sigma1(l) * sigma1(m)
+            for l in range(1, n + 1)
+            for m in range(1, n + 1)
+            if alpha * l + beta * m == n
+        )
+        assert brute_force_W(alpha, beta, n) == naive, n

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from divconv.eta import (
     EtaQuotient,
@@ -8,6 +10,7 @@ from divconv.eta import (
     check_admissibility,
     euler_F,
     expand_eta_quotient,
+    jacobi_cube_terms,
     search_eta_quotients,
 )
 from divconv.modforms import REGISTERED_CUSP_EXPONENTS, registered_cusp_quotients
@@ -135,3 +138,42 @@ def test_strict_search_subset_of_default():
 def test_json_round_trip():
     q = EtaQuotient.from_dict(26, {1: 1, 2: 5, 13: 3, 26: -1})
     assert EtaQuotient.from_json_dict(q.to_json_dict()) == q
+
+
+def dense_eta_product(quotient, truncation):
+    """Oracle for the sparse-pass kernel: dense QSeries powers and products."""
+    result = QSeries.one(truncation)
+    for d, r in quotient.exponents:
+        result = result * euler_F((truncation + d - 1) // d).substitute(d, cap=truncation) ** r
+    return result.shift(quotient.leading_exponent_numerator // 24)
+
+
+@pytest.mark.parametrize("level", [14, 22, 26])
+def test_kernel_matches_dense_product_on_registered_families(level):
+    for quotient in registered_cusp_quotients(level):
+        assert expand_eta_quotient(quotient, 300) == dense_eta_product(quotient, 300)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=5, max_size=5), st.integers(1, 80))
+@example([6, 6, 6, 6, 6], 3)  # starts at q^7, past the truncation
+@example([0, 0, 0, 0, 26], 12)  # eta(12z)^26 starts at q^13
+@example([0, 0, 0, 0, 26], 13)
+def test_kernel_matches_dense_product_on_random_level12_quotients(tail, truncation):
+    # r_1 is the one value in [-6, 17] that makes sum d*r_d a multiple of 24
+    rest = sum(d * r for d, r in zip((2, 3, 4, 6, 12), tail))
+    r1 = (6 - rest) % 24 - 6
+    assume(r1 <= 6 and rest + r1 >= 0 and (r1 or any(tail)))
+    quotient = EtaQuotient.from_dict(12, dict(zip((1, 2, 3, 4, 6, 12), [r1, *tail])))
+    got = expand_eta_quotient(quotient, truncation)
+    assert got == dense_eta_product(quotient, truncation)
+    if (rest + r1) // 24 > truncation:
+        assert got.is_zero()
+
+
+def test_jacobi_cube_terms_equal_cubed_euler_F():
+    for t in range(1, 201):
+        dense = [1] + [0] * t
+        for n, c in jacobi_cube_terms(t):
+            dense[n] = c
+        assert dense == (euler_F(t) ** 3).coeffs
