@@ -1,9 +1,10 @@
 """Weight-4 modular form spaces on Gamma_0(N): Eisenstein series, dimension
 formulas, basis assembly, and exact expression of a series in a basis.
 
-All linear algebra is exact Gaussian elimination over the rationals with
-first-nonzero pivoting; there is no floating point and therefore no
-stability concern, only reproducibility.
+All linear algebra is one exact elimination over the rationals, _insert,
+which adds a row to an incremental echelon if it is independent of it:
+rank, select_independent and express_in_basis all build on it. There is
+no floating point and therefore no stability concern, only reproducibility.
 """
 
 from __future__ import annotations
@@ -223,24 +224,25 @@ class Basis:
         return [e.series for e in self.cusp_elements]
 
 
+def _insert(echelon: list[tuple[list, int]], row: list, width: int) -> bool:
+    """Reduce row against the (row, pivot column) pairs kept so far; if it is
+    nonzero in its first width entries, append it, pivoting on the first
+    nonzero one. Rows are not normalised, so int rows stay int until reduced."""
+    for erow, p in echelon:
+        if row[p]:
+            factor = Fraction(row[p]) / erow[p]
+            row = [a - factor * b for a, b in zip(row, erow)]
+    pivot = next((j for j in range(width) if row[j]), None)
+    if pivot is None:
+        return False
+    echelon.append((row, pivot))
+    return True
+
+
 def rank(series_list, max_index: int) -> int:
     """Rank over Q of the matrix rows = series coefficients q^0..q^max_index."""
-    rows = [list(s.coeffs[: max_index + 1]) for s in series_list]
-    r = 0
-    for col in range(max_index + 1):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1, 1) / rows[r][col]
-        for i in range(r + 1, len(rows)):
-            if rows[i][col]:
-                factor = rows[i][col] * inv
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+    echelon: list[tuple[list, int]] = []
+    return sum(_insert(echelon, s.coeffs[: max_index + 1], max_index + 1) for s in series_list)
 
 
 def build_basis(level: int, cusp_quotients, truncation: int) -> Basis:
@@ -298,23 +300,26 @@ def select_independent(quotients, level: int, truncation: int) -> list[EtaQuotie
     candidate list."""
     needed = dim_S4(level)
     chosen: list[EtaQuotient] = []
-    chosen_series: list[QSeries] = []
+    echelon: list[tuple[list, int]] = []
     for quotient in quotients:
         if len(chosen) == needed:
             break
         series = expand_eta_quotient(quotient, truncation)
-        if rank(chosen_series + [series], truncation) == len(chosen) + 1:
+        if _insert(echelon, series.coeffs[: truncation + 1], truncation + 1):
             chosen.append(quotient)
-            chosen_series.append(series)
     return chosen
 
 
 def express_in_basis(target: QSeries, basis: Basis) -> list[Fraction]:
     """The unique rational vector x with target = sum x_i * element_i.
 
-    Solves on coefficient rows 0..(size-1), augmenting with later rows if
-    the square system is singular, then verifies the solution on every
-    remaining coefficient up to the basis truncation.
+    Coefficient index n = 0, 1, ... gives the augmented row (q^n coefficients
+    of the elements, q^n coefficient of the target). Rows go into one
+    echelon, pivoting only among the first size entries, until size of them
+    are independent. Each echelon row is zero at the pivots of the rows
+    inserted before it, so back-substitution in reverse insertion order
+    gives x. x is then verified on every coefficient up to the basis
+    truncation.
     """
     if target.truncation < basis.truncation:
         raise ValueError(
@@ -323,33 +328,18 @@ def express_in_basis(target: QSeries, basis: Basis) -> list[Fraction]:
     size = len(basis.elements)
     t = basis.truncation
     columns = [e.series.coeffs for e in basis.elements]
-    # greedily collect coefficient rows (starting at index 0) until they
-    # form an invertible square system; this realizes "rows 0..size-1,
-    # augmented with further rows when singular"
-    chosen_rows: list[list] = []
-    chosen_rhs: list = []
-    echelon: list[tuple[list, int]] = []  # (normalized reduced row, pivot col)
+    echelon: list[tuple[list, int]] = []
     for n in range(t + 1):
-        if len(chosen_rows) == size:
+        if len(echelon) == size:
             break
-        row = [col[n] for col in columns]
-        red = list(row)
-        for erow, pcol in echelon:
-            if red[pcol]:
-                factor = red[pcol]
-                red = [a - factor * b for a, b in zip(red, erow)]
-        pcol = next((j for j in range(size) if red[j]), None)
-        if pcol is None:
-            continue
-        inv = Fraction(1, 1) / red[pcol]
-        echelon.append(([a * inv for a in red], pcol))
-        chosen_rows.append(row)
-        chosen_rhs.append(target.coeffs[n])
-    if len(chosen_rows) < size:
+        _insert(echelon, [col[n] for col in columns] + [target.coeffs[n]], size)
+    if len(echelon) < size:
         raise SingularSystem(
-            f"only {len(chosen_rows)} independent rows up to truncation {t}, need {size}"
+            f"only {len(echelon)} independent rows up to truncation {t}, need {size}"
         )
-    x = _solve_square(chosen_rows, chosen_rhs)
+    x = [Fraction(0)] * size
+    for row, p in reversed(echelon):
+        x[p] = (row[size] - sum(row[j] * x[j] for j in range(size) if j != p)) / Fraction(row[p])
     # full verification: every coefficient index must agree exactly
     for n in range(t + 1):
         acc = sum(x[j] * columns[j][n] for j in range(size))
@@ -358,19 +348,3 @@ def express_in_basis(target: QSeries, basis: Basis) -> list[Fraction]:
                 f"expansion fails at q^{n}: got {acc}, target {target.coeffs[n]}"
             )
     return x
-
-
-def _solve_square(matrix, rhs) -> list[Fraction]:
-    """Solve a small invertible square system exactly (first-nonzero pivot)."""
-    size = len(matrix)
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    for col in range(size):
-        pivot = next(i for i in range(col, size) if aug[i][col])
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1, 1) / aug[col][col]
-        aug[col] = [a * inv for a in aug[col]]
-        for i in range(size):
-            if i != col and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[col])]
-    return [Fraction(aug[i][size]) for i in range(size)]

@@ -102,52 +102,26 @@ def octonary_formula(a: int, b: int, n: int) -> int:
     """Closed formula for the octonary count, with every convolution sum it
     consumes computed by the brute-force oracle.
 
-    Note the (2, 3) case: scaling the quaternary convolution indices gives
-    W(2,3) and W(2,12) terms, not the W(1,3)/W(1,12) of the (1, 3) case.
+    Substituting r4(m) = 8 sigma(m) - 32 sigma(m/4) (m >= 1) into
+    octonary_convolution gives, for n >= 1,
+
+        8 sigma(n/a) - 32 sigma(n/4a) + 8 sigma(n/b) - 32 sigma(n/4b)
+        + 64 W(a,b)(n) + 1024 W(a,b)(n/4) - 256 [W(4a,b)(n) + W(a,4b)(n)]
+
+    with sigma and W zero at non-integer arguments. So (2, 3) needs W(2,3),
+    W(3,8) and W(2,12), not the W(1,3)/W(1,12) of the (1, 3) case.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if (a, b) == (1, 1):
-        value = (
-            16 * sigma(1, n)
-            - 64 * sigma_at(1, n, 4)
-            + 64 * _w_at(1, 1, n)
-            + 1024 * _w_at(1, 1, n, 4)
-            - 512 * _w_at(1, 4, n)
-        )
-    elif (a, b) == (1, 3):
-        value = (
-            8 * sigma(1, n)
-            - 32 * sigma_at(1, n, 4)
-            + 8 * sigma_at(1, n, 3)
-            - 32 * sigma_at(1, n, 12)
-            + 64 * _w_at(1, 3, n)
-            + 1024 * _w_at(1, 3, n, 4)
-            - 256 * (_w_at(3, 4, n) + _w_at(1, 12, n))
-        )
-    elif (a, b) == (2, 3):
-        value = (
-            8 * sigma_at(1, n, 2)
-            - 32 * sigma_at(1, n, 8)
-            + 8 * sigma_at(1, n, 3)
-            - 32 * sigma_at(1, n, 12)
-            + 64 * _w_at(2, 3, n)
-            + 1024 * _w_at(2, 3, n, 4)
-            - 256 * (_w_at(3, 8, n) + _w_at(2, 12, n))
-        )
-    elif (a, b) == (1, 9):
-        value = (
-            8 * sigma(1, n)
-            - 32 * sigma_at(1, n, 4)
-            + 8 * sigma_at(1, n, 9)
-            - 32 * sigma_at(1, n, 36)
-            + 64 * _w_at(1, 9, n)
-            + 1024 * _w_at(1, 9, n, 4)
-            - 256 * (_w_at(4, 9, n) + _w_at(1, 36, n))
-        )
-    else:
+    if (a, b) not in SUPPORTED_PAIRS:
         raise UnsupportedPair(f"no formula for (a, b) = ({a}, {b})")
-    return value
+    return (
+        8 * (sigma_at(1, n, a) + sigma_at(1, n, b))
+        - 32 * (sigma_at(1, n, 4 * a) + sigma_at(1, n, 4 * b))
+        + 64 * _w_at(a, b, n)
+        + 1024 * _w_at(a, b, n, 4)
+        - 256 * (_w_at(4 * a, b, n) + _w_at(a, 4 * b, n))
+    )
 
 
 def octonary_1_1_closed_form(n: int) -> int:

@@ -82,9 +82,11 @@ def test_verify_clean_run():
     assert data["checked"] == 64 and data["mismatches"] == []
 
 
-def test_verify_nmax_above_truncation_is_input_error():
+def test_verify_nmax_is_independent_of_truncation():
     result = run("--truncation", "64", "verify", "--alpha", "2", "--beta", "7", "--nmax", "100")
-    assert result.exit_code == 2
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    assert data["checked"] == 100 and data["mismatches"] == []
 
 
 def test_rep_csv():

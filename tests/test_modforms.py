@@ -2,11 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from divconv.arith import divisors, sigma
+from divconv.eta import expand_eta_quotient
 from divconv.modforms import (
+    Basis,
     Inconsistent,
     NotIndependent,
+    SingularSystem,
     WrongCount,
     build_basis,
     cusp_count,
@@ -26,6 +31,27 @@ from divconv.modforms import (
 from divconv.qseries import QSeries
 
 TRUNC = 80
+
+
+def reference_rank(series_list, max_index: int) -> int:
+    """Column-pivot Gaussian elimination over Q, kept as an independent
+    reference for modforms.rank."""
+    rows = [list(s.coeffs[: max_index + 1]) for s in series_list]
+    r = 0
+    for col in range(max_index + 1):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = Fraction(1, 1) / rows[r][col]
+        for i in range(r + 1, len(rows)):
+            if rows[i][col]:
+                factor = rows[i][col] * inv
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return r
 
 
 @pytest.fixture(scope="module")
@@ -176,3 +202,57 @@ def test_build_basis_below_sturm_bound_is_input_error():
     with pytest.raises(ValueError) as info:
         build_basis(14, registered_cusp_quotients(14), sturm_bound(14) - 1)
     assert type(info.value) is ValueError
+
+
+@st.composite
+def small_matrices(draw):
+    """1-6 rows of width 1-8, entries in -3..3, where each row after the
+    first may be replaced by a zero row, a copy of an earlier row or the
+    sum of two earlier rows."""
+    width = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=width, max_size=width),
+                         min_size=1, max_size=6))
+    for i in range(1, len(rows)):
+        kind = draw(st.sampled_from(("free", "zero", "duplicate", "sum")))
+        if kind == "zero":
+            rows[i] = [0] * width
+        elif kind == "duplicate":
+            rows[i] = list(rows[draw(st.integers(0, i - 1))])
+        elif kind == "sum":
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            rows[i] = [a + b for a, b in zip(rows[j], rows[k])]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices())
+@example([[0, 0, 0]])
+@example([[1, 2], [2, 4], [0, 0]])
+@example([[1, -1, 3], [0, 2, 1], [1, 1, 4], [1, -1, 3]])
+@example([[0, 0, 1, 2], [0, 3, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [1, 3, 1, 2]])
+def test_rank_matches_reference_on_small_matrices(rows):
+    series = [QSeries(row) for row in rows]
+    max_index = len(rows[0]) - 1
+    assert rank(series, max_index) == reference_rank(series, max_index)
+
+
+def test_select_independent_matches_reference_greedy_prefix():
+    level, truncation = 22, sturm_bound(22)
+    family = registered_cusp_quotients(level)
+    padded = [family[0], family[0], family[1], family[0], family[2], family[1]]
+    padded += [q for q in family[3:] for _ in range(2)] + family[:3]
+    expected, series = [], []
+    for quotient in padded:
+        s = expand_eta_quotient(quotient, truncation)
+        if reference_rank(series + [s], truncation) == len(series) + 1 and len(expected) < len(family):
+            expected.append(quotient)
+            series.append(s)
+    assert expected == family
+    assert select_independent(padded, level, truncation) == expected
+
+
+def test_express_rejects_singular_system(basis14):
+    elements = basis14.elements[:-1] + (basis14.elements[0],)
+    singular = Basis(14, elements, TRUNC)
+    with pytest.raises(SingularSystem):
+        express_in_basis(QSeries.zero(TRUNC), singular)
