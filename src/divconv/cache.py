@@ -28,14 +28,14 @@ class SeriesCache:
         return self.directory / f"{key}.json"
 
     def get(self, params: dict) -> QSeries | None:
+        """The stored series or None; a corrupt entry raises ValueError."""
         path = self.path_for(cache_key(params))
         if not path.exists():
             return None
-        return QSeries.from_json_dict(json.loads(path.read_text()))
-
-    def get_bytes(self, params: dict) -> bytes | None:
-        path = self.path_for(cache_key(params))
-        return path.read_bytes() if path.exists() else None
+        try:
+            return QSeries.from_json_dict(json.loads(path.read_text()))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"corrupt cache entry {path}: {exc}") from None
 
     def put(self, params: dict, series: QSeries) -> bytes:
         """Write atomically (temp file + rename); returns the stored bytes."""

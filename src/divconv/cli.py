@@ -69,7 +69,7 @@ def _emit_json(data) -> None:
     type=click.IntRange(min=1),
     help="Series length for expand and basis; formulas are proved at the Sturm bound.",
 )
-@click.option("--cache-dir", default=None, type=click.Path(), help="Directory for the q-expansion cache.")
+@click.option("--cache-dir", default=None, type=click.Path(), help="q-expansion cache directory for expand.")
 @click.option(
     "--bound",
     "search_bound",
@@ -97,17 +97,12 @@ def expand(config: RunConfig, quotient_json):
         "truncation": config.truncation,
     }
     cache = config.cache
-    if cache is not None:
-        cached = cache.get_bytes(params)
-        if cached is not None:
-            click.echo(cached.decode().rstrip("\n"))
-            return
-    series = eta.expand_eta_quotient(quotient, config.truncation)
-    if cache is not None:
-        payload = cache.put(params, series)
-        click.echo(payload.decode().rstrip("\n"))
-    else:
-        click.echo(json.dumps(series.to_json_dict()))
+    series = cache.get(params) if cache is not None else None
+    if series is None:
+        series = eta.expand_eta_quotient(quotient, config.truncation)
+        if cache is not None:
+            cache.put(params, series)
+    click.echo(json.dumps(series.to_json_dict()))
 
 
 @main.command()
@@ -159,7 +154,7 @@ def basis(config: RunConfig, level):
 @click.pass_obj
 def derive(config: RunConfig, alpha, beta):
     """Derive the closed convolution-sum formula for (alpha, beta)."""
-    formula, _ = convolution.derive_formula(alpha, beta, config.search_bound)
+    formula = convolution.derive_formula(alpha, beta, config.search_bound)
     _emit_json(formula.to_json_dict())
 
 
@@ -170,9 +165,7 @@ def derive(config: RunConfig, alpha, beta):
 @click.pass_obj
 def verify(config: RunConfig, alpha, beta, nmax):
     """Derive and check the formula against brute force on 1..nmax."""
-    formula, b = convolution.derive_formula(alpha, beta, config.search_bound)
-    cusp_series = [eta.expand_eta_quotient(e.eta, nmax) for e in b.cusp_elements]
-    report = convolution.verify_formula(formula, cusp_series, nmax)
+    report = convolution.verify_formula(convolution.derive_formula(alpha, beta, config.search_bound), nmax)
     _emit_json(report.to_json_dict())
     if not report.ok:
         sys.exit(EXIT_MISMATCH)
@@ -217,7 +210,7 @@ def table(config: RunConfig, pairs):
     writer = csv.writer(out)
     writer.writerow(["alpha", "beta", "term", "coefficient"])
     for alpha, beta in pair_list:
-        formula, _ = convolution.derive_formula(alpha, beta, config.search_bound)
+        formula = convolution.derive_formula(alpha, beta, config.search_bound)
         for d, c in formula.sigma3_terms.items():
             writer.writerow([alpha, beta, f"sigma3(n/{d})", f"{c.numerator}/{c.denominator}"])
         for d, (c0, c1) in formula.sigma_terms.items():

@@ -1,6 +1,8 @@
 """Convolution sums of sigma over al + bm = n: brute-force oracle, the
 squared Eisenstein difference target series, closed-formula derivation by
-solving in a weight-4 basis, and exact range verification."""
+solving in a weight-4 basis at the Sturm bound, and exact range
+verification. A formula carries the eta quotients of its cusp terms, so
+evaluate_formula and verify_formula reach any n_max on their own."""
 
 from __future__ import annotations
 
@@ -8,7 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import divisors, rational_to_str, sigma_at, sigma_table
+from .arith import rational_to_str, sigma_at, sigma_table
+from .eta import EtaQuotient, expand_eta_quotient
 from .modforms import (
     Basis,
     build_basis,
@@ -18,10 +21,6 @@ from .modforms import (
     sturm_bound,
 )
 from .qseries import QSeries
-
-
-class TruncationExceeded(IndexError):
-    """Formula evaluated beyond the truncation of a supplied cusp series."""
 
 
 def _sigma1(n_max: int) -> tuple[int, ...]:
@@ -79,7 +78,8 @@ def target_coefficient_via_sums(alpha: int, beta: int, n: int) -> int:
 @dataclass(frozen=True)
 class ConvolutionFormula:
     """Closed form for W(alpha,beta)(n): rational coefficients on
-    sigma_3(n/d), (c0 + c1 n) sigma(n/d), and registered cusp series."""
+    sigma_3(n/d), (c0 + c1 n) sigma(n/d), and the q^n coefficients of cusp
+    quotients; cusp_quotients[i] is the quotient of cusp_terms[i]."""
 
     alpha: int
     beta: int
@@ -87,6 +87,7 @@ class ConvolutionFormula:
     sigma3_terms: dict[int, Fraction]
     sigma_terms: dict[int, tuple[Fraction, Fraction]]
     cusp_terms: tuple[tuple[str, Fraction], ...]
+    cusp_quotients: tuple[EtaQuotient, ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -120,6 +121,7 @@ def derive_convolution_formula(alpha: int, beta: int, basis: Basis) -> Convoluti
     denom = 1152 * alpha * beta
     sigma3_terms: dict[int, Fraction] = {}
     cusp_terms: list[tuple[str, Fraction]] = []
+    cusp_quotients: list[EtaQuotient] = []
     for coeff, element in zip(x, basis.elements):
         if element.kind == "eisenstein":
             t = element.t
@@ -129,6 +131,7 @@ def derive_convolution_formula(alpha: int, beta: int, basis: Basis) -> Convoluti
             sigma3_terms[t] = Fraction(direct - 240 * coeff, denom)
         else:
             cusp_terms.append((element.element_id, Fraction(-coeff, denom)))
+            cusp_quotients.append(element.eta)
     sigma_terms = {
         alpha: (Fraction(48 * alpha * beta, denom), Fraction(-288 * alpha, denom)),
         beta: (Fraction(48 * alpha * beta, denom), Fraction(-288 * beta, denom)),
@@ -140,19 +143,17 @@ def derive_convolution_formula(alpha: int, beta: int, basis: Basis) -> Convoluti
         sigma3_terms=sigma3_terms,
         sigma_terms=dict(sorted(sigma_terms.items())),
         cusp_terms=tuple(cusp_terms),
+        cusp_quotients=tuple(cusp_quotients),
     )
 
 
-def derive_formula(alpha: int, beta: int, search_bound: int) -> tuple[ConvolutionFormula, Basis]:
-    """The formula for W(alpha,beta) and the basis it was solved in.
-
-    The basis stops at the level's Sturm bound, which proves the identity
-    for every n; evaluating the formula past that needs longer cusp series.
-    """
+def derive_formula(alpha: int, beta: int, search_bound: int) -> ConvolutionFormula:
+    """The formula for W(alpha,beta), solved in a basis that stops at the
+    level's Sturm bound, which proves the identity for every n."""
     _check_pair(alpha, beta)
     level = alpha * beta
     basis = build_basis(level, cusp_quotients_for_level(level, search_bound), sturm_bound(level))
-    return derive_convolution_formula(alpha, beta, basis), basis
+    return derive_convolution_formula(alpha, beta, basis)
 
 
 def _check_pair(alpha: int, beta: int) -> None:
@@ -162,27 +163,28 @@ def _check_pair(alpha: int, beta: int) -> None:
         raise ValueError(f"alpha and beta must be coprime, got ({alpha}, {beta})")
 
 
-def evaluate_formula(
-    formula: ConvolutionFormula, n: int, cusp_series: list[QSeries]
-) -> Fraction:
-    """Evaluate the closed form at n; cusp_series aligned with cusp_terms."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if len(cusp_series) != len(formula.cusp_terms):
-        raise ValueError("cusp_series must align with the formula's cusp terms")
-    for series in cusp_series:
-        if n > series.truncation:
-            raise TruncationExceeded(
-                f"n = {n} exceeds cusp series truncation {series.truncation}"
-            )
-    total = Fraction(0)
-    for d, c in formula.sigma3_terms.items():
-        total += c * sigma_at(3, n, d)
-    for d, (c0, c1) in formula.sigma_terms.items():
-        total += (c0 + c1 * n) * sigma_at(1, n, d)
-    for (eid, c), series in zip(formula.cusp_terms, cusp_series):
-        total += c * series.coeffs[n]
-    return total
+def evaluate_formula(formula: ConvolutionFormula, n_max: int) -> list[Fraction]:
+    """The closed form at n = 0..n_max (index 0 holds 0).
+
+    Each cusp quotient is expanded to n_max once. sigma is evaluated by
+    trial division, so the formula shares no sieve with brute_force_W."""
+    if n_max < 1:
+        raise ValueError("n_max must be positive")
+    cusp = [
+        (c, expand_eta_quotient(quotient, n_max).coeffs)
+        for (_, c), quotient in zip(formula.cusp_terms, formula.cusp_quotients)
+    ]
+    values = [Fraction(0)]
+    for n in range(1, n_max + 1):
+        total = Fraction(0)
+        for d, c in formula.sigma3_terms.items():
+            total += c * sigma_at(3, n, d)
+        for d, (c0, c1) in formula.sigma_terms.items():
+            total += (c0 + c1 * n) * sigma_at(1, n, d)
+        for c, coeffs in cusp:
+            total += c * coeffs[n]
+        values.append(total)
+    return values
 
 
 @dataclass(frozen=True)
@@ -205,15 +207,14 @@ class VerificationReport:
         }
 
 
-def verify_formula(
-    formula: ConvolutionFormula, cusp_series: list[QSeries], n_max: int
-) -> VerificationReport:
+def verify_formula(formula: ConvolutionFormula, n_max: int) -> VerificationReport:
     """Check formula == brute force (and integrality) for 1 <= n <= n_max.
 
     Mismatches are collected in the report, never raised."""
+    values = evaluate_formula(formula, n_max)
     mismatches: list[tuple[int, str, int]] = []
     for n in range(1, n_max + 1):
-        value = evaluate_formula(formula, n, cusp_series)
+        value = values[n]
         oracle = brute_force_W(formula.alpha, formula.beta, n)
         if value != oracle or value.denominator != 1 or value < 0:
             mismatches.append((n, rational_to_str(value), oracle))

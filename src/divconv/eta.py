@@ -67,8 +67,16 @@ class EtaQuotient:
         return {"level": self.level, "exponents": {str(d): r for d, r in self.exponents}}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "EtaQuotient":
-        return cls.from_dict(data["level"], data["exponents"])
+    def from_json_dict(cls, data) -> "EtaQuotient":
+        """Quotient from outside JSON; a malformed document raises ValueError."""
+        exponents = data.get("exponents") if isinstance(data, dict) else None
+        if (
+            not isinstance(exponents, dict)
+            or type(data.get("level")) is not int
+            or not all(d.isdecimal() and int(d) > 0 and type(r) is int for d, r in exponents.items())
+        ):
+            raise ValueError('quotient JSON must be {"level": int, "exponents": {divisor: int, ...}}')
+        return cls.from_dict(data["level"], exponents)
 
 
 @dataclass(frozen=True)

@@ -219,10 +219,6 @@ class Basis:
     def cusp_elements(self) -> list[BasisElement]:
         return [e for e in self.elements if e.kind == "cusp"]
 
-    @property
-    def cusp_series(self) -> list[QSeries]:
-        return [e.series for e in self.cusp_elements]
-
 
 def _insert(echelon: list[tuple[list, int]], row: list, width: int) -> bool:
     """Reduce row against the (row, pivot column) pairs kept so far; if it is

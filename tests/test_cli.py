@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from divconv.cli import main
@@ -36,6 +37,44 @@ def test_expand_rejects_bad_congruence():
 def test_expand_rejects_malformed_json():
     result = run("expand", "{not json")
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "garbage",
+    ['{"version": 1, "kind": "qseries", "truncation": 64, "coeffs": ["0/1"', "garbage", "[1, 2]"],
+    ids=["truncated", "not-json", "not-a-series"],
+)
+def test_expand_rejects_corrupt_cache_entry(tmp_path, garbage):
+    cache = tmp_path / "cache"
+    assert run("--truncation", "64", "--cache-dir", str(cache), "expand", A2_QUOTIENT).exit_code == 0
+    (entry,) = [p for p in cache.iterdir() if p.name != "manifest.json"]
+    entry.write_text(garbage)
+    result = run("--truncation", "64", "--cache-dir", str(cache), "expand", A2_QUOTIENT)
+    assert result.exit_code == 2
+    assert result.stdout == "" and entry.name in result.stderr
+
+
+@pytest.mark.parametrize("command", ["expand", "ligozat"])
+@pytest.mark.parametrize(
+    "quotient",
+    [
+        "[]",
+        "7",
+        '{"level": 14, "exponents": [1, 2]}',
+        '{"level": "14", "exponents": {"1": 2, "2": 2, "7": 2, "14": 2}}',
+        '{"level": 14, "exponents": null}',
+        '{"level": 14, "exponents": {"1": 2.5, "2": 2, "7": 2, "14": 2}}',
+        '{"level": 14, "exponents": {"0": 8}}',
+    ],
+    ids=[
+        "array", "number", "exponents-array", "level-string", "exponents-null", "fractional-exponent",
+        "divisor-zero",
+    ],
+)
+def test_malformed_quotient_is_input_error(capsys, command, quotient):
+    assert main(["--truncation", "64", command, quotient], standalone_mode=False) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
 
 
 def test_ligozat_report():

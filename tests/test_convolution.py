@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from divconv.convolution import (
-    TruncationExceeded,
     brute_force_W,
     derive_convolution_formula,
+    derive_formula,
     evaluate_formula,
     target_coefficient_via_sums,
     target_series,
@@ -88,28 +88,34 @@ def test_derived_formula_27_matches_known_coefficients(formula27):
     ]
 
 
-def test_evaluate_formula_against_oracle(formula27, basis14):
-    cusp = basis14.cusp_series
-    assert evaluate_formula(formula27, 9, cusp) == 1
-    assert evaluate_formula(formula27, 8, cusp) == 0
-    assert evaluate_formula(formula27, 1, cusp) == 0
+def test_evaluate_formula_against_oracle(formula27):
+    values = evaluate_formula(formula27, TRUNC)
+    assert len(values) == TRUNC + 1 and values[0] == 0
+    assert values[9] == 1 and values[8] == 0 and values[1] == 0
     for n in range(1, TRUNC + 1):
-        assert evaluate_formula(formula27, n, cusp) == brute_force_W(2, 7, n)
+        assert values[n] == brute_force_W(2, 7, n)
 
 
-def test_evaluate_formula_truncation_guard(formula27, basis14):
-    with pytest.raises(TruncationExceeded):
-        evaluate_formula(formula27, TRUNC + 1, basis14.cusp_series)
+def test_evaluate_formula_past_basis_truncation(formula27):
+    # the formula expands its own cusp quotients, so it is not tied to the
+    # truncation of the basis it was solved in
+    values = evaluate_formula(formula27, 2 * TRUNC)
+    assert values[1:] == [brute_force_W(2, 7, n) for n in range(1, 2 * TRUNC + 1)]
 
 
-def test_verify_formula_report(formula27, basis14):
-    report = verify_formula(formula27, basis14.cusp_series, TRUNC)
+def test_formula_carries_cusp_quotients(formula27, basis14):
+    assert formula27.cusp_quotients == tuple(e.eta for e in basis14.cusp_elements)
+    assert len(formula27.cusp_quotients) == len(formula27.cusp_terms)
+
+
+def test_verify_formula_report(formula27):
+    report = verify_formula(formula27, TRUNC)
     assert report.ok and report.checked == TRUNC
     data = report.to_json_dict()
     assert data["mismatches"] == [] and data["checked"] == TRUNC
 
 
-def test_verify_detects_corruption(formula27, basis14):
+def test_verify_detects_corruption(formula27):
     broken = formula27.__class__(
         alpha=formula27.alpha,
         beta=formula27.beta,
@@ -117,9 +123,19 @@ def test_verify_detects_corruption(formula27, basis14):
         sigma3_terms={**formula27.sigma3_terms, 1: Fraction(1, 599)},
         sigma_terms=formula27.sigma_terms,
         cusp_terms=formula27.cusp_terms,
+        cusp_quotients=formula27.cusp_quotients,
     )
-    report = verify_formula(broken, basis14.cusp_series, 30)
+    report = verify_formula(broken, 30)
     assert not report.ok
+
+
+@pytest.mark.parametrize("alpha,beta", [(2, 3), (2, 5)])
+def test_searched_level_formula_holds_past_sturm_bound(alpha, beta):
+    # levels 6 and 10 have no registered family: the cusp quotients come
+    # from the eta search through select_independent
+    formula = derive_formula(alpha, beta, 4)
+    assert 200 > sturm_bound(alpha * beta)
+    assert verify_formula(formula, 200).ok
 
 
 def test_formula_json_schema(formula27):
