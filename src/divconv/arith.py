@@ -64,6 +64,14 @@ def euler_phi(n: int) -> int:
     return phi
 
 
+def gamma0_index(n: int) -> int:
+    """Index of Gamma_0(N) in SL_2(Z): N * prod (1 + 1/p)."""
+    mu = n
+    for p in prime_factorization(n):
+        mu += mu // p
+    return mu
+
+
 def sigma(k: int, n: int) -> int:
     """Sum of k-th powers of the positive divisors of n; 0 when n <= 0.
 

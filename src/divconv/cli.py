@@ -118,7 +118,10 @@ def ligozat(quotient_json):
 @click.option("--strict/--no-strict", default=False, help="Require all cusp-order sums strictly positive.")
 @click.pass_obj
 def search(config: RunConfig, level, weight, strict):
-    """Exhaustive eta-quotient search at a level and weight."""
+    """Admissible eta quotients vanishing at infinity, all |r_d| <= --bound.
+
+    Built from cusp-order vectors, so complete within that bound; a level
+    where weight*mu/12 is not an integer has none."""
     found = eta.search_eta_quotients(level, weight, config.search_bound, strict=strict)
     _emit_json([q.to_json_dict() for q in found])
 

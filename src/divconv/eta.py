@@ -1,9 +1,12 @@
-"""Dedekind eta quotients: expansion, admissibility checks, exhaustive search.
+"""Dedekind eta quotients: expansion, admissibility checks, search.
 
 An eta quotient at level N is a product over divisors d | N of powers of
 eta(d z). The admissibility checker evaluates the classical congruence,
 square, weight and cusp-order conditions under which such a product is a
-modular (resp. cusp) form on Gamma_0(N).
+modular (resp. cusp) form on Gamma_0(N). The search builds quotients from
+their orders at the cusps, which must be non-negative integers summing to
+weight*mu(N)/12, so it is complete within its exponent bound without
+scanning the exponent box.
 """
 
 from __future__ import annotations
@@ -11,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import gcd
+from math import gcd, lcm
 
-from .arith import divisors, prime_factorization
+from .arith import divisors, euler_phi, gamma0_index, prime_factorization
 from .qseries import QSeries
 
 
@@ -155,12 +157,11 @@ def check_admissibility(f: EtaQuotient) -> AdmissibilityReport:
         for p, e in prime_factorization(d).items():
             prime_exps[p] = prime_exps.get(p, 0) + e * r
     weight = f.weight
-    orders: dict[int, Fraction] = {}
-    for d in divisors(n):
-        orders[d] = sum(
-            (Fraction(gcd(delta, d) ** 2 * r, delta) for delta, r in exps.items()),
-            Fraction(0),
-        )
+    # every delta divides n, so n * (order sum) is an integer
+    orders = {
+        d: Fraction(sum(gcd(delta, d) ** 2 * r * (n // delta) for delta, r in exps.items()), n)
+        for d in divisors(n)
+    }
     return AdmissibilityReport(
         cond_i=sum_d_r % 24 == 0,
         cond_ii=sum_nd_r % 24 == 0,
@@ -247,41 +248,135 @@ def expand_eta_quotient(f: EtaQuotient, truncation: int) -> QSeries:
     return QSeries([0] * e0 + g, truncation)
 
 
+def _inverse(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Exact inverse of a nonsingular square matrix, by Gauss-Jordan over Q."""
+    n = len(matrix)
+    rows = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if rows[i][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return [row[n:] for row in rows]
+
+
+def _lower_triangular_basis(rows: list[list[int]], n: int) -> list[list[int]]:
+    """Basis of the full-rank lattice spanned by the integer rows: row j of
+    the result ends in a positive entry at column j. Euclid on each column,
+    last column first."""
+    pool = [row for row in rows if any(row)]
+    basis = [[] for _ in range(n)]
+    for j in reversed(range(n)):
+        while len(live := [row for row in pool if row[j]]) > 1:
+            pivot = min(live, key=lambda row: abs(row[j]))
+            pool = [
+                row if row is pivot or not row[j] else [a - row[j] // pivot[j] * b for a, b in zip(row, pivot)]
+                for row in pool
+            ]
+        (row,) = live
+        basis[j] = row if row[j] > 0 else [-a for a in row]
+        pool = [other for other in pool if other is not row and any(other)]
+    return basis
+
+
 def search_eta_quotients(
     level: int, weight: int, bound: int, strict: bool = False
 ) -> list[EtaQuotient]:
-    """All admissible cusp candidates at the level and weight, exponents in
-    [-bound, bound], in lexicographic exponent order over sorted divisors.
+    """All admissible quotients at the level and weight with every exponent
+    in [-bound, bound], in lexicographic exponent order over sorted divisors.
 
-    The last exponent is determined by the weight constraint, so the scan
-    is over a box of dimension (number of divisors - 1).
-
-    By default a candidate qualifies when it is an admissible modular form
+    By default a quotient qualifies when it is an admissible modular form
     whose expansion vanishes at infinity (positive leading exponent). With
     strict=True the all-cusp-orders-strictly-positive condition is required
     instead; that stricter filter provably misses two of the known level-22
     basis elements, whose order sum at d = 1 is exactly 0.
+
+    Method (Rouse & Webb; Kilford): the quotient is built from its cusp
+    orders, not found by scanning the exponent box. The order at the cusps
+    of denominator d is v_d = sum_delta A[d][delta] r_delta with
+    A[d][delta] = N gcd(d,delta)^2 / (24 gcd(d,N/d) d delta). An eta
+    quotient has no zeros in the upper half-plane, so the v_d, counted
+    phi(gcd(d,N/d)) times each, sum to T = weight*mu(N)/12; for a modular
+    form they are non-negative integers. The search walks those vectors v,
+    with v_N >= 1 (v_d >= 1 for all d when strict), one coordinate at a
+    time, and keeps r = A^-1 v. Two things keep the walk small: v stays on
+    the lattice of vectors whose r is integral, through a triangular basis
+    of it, and a branch is cut as soon as some r_delta must leave
+    [-bound, bound] whatever the remaining coordinates are. Conditions
+    (i), (ii), (iv) and (v) then hold by construction; every survivor
+    still goes through check_admissibility, which also decides (iii).
+    Every admissible quotient in the box has such a v, so none is missed.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if weight < 2 or weight % 2:
         raise ValueError("weight must be a positive even integer")
+    total = Fraction(weight * gamma0_index(level), 12)
+    if total.denominator != 1:
+        return []
     divs = divisors(level)
-    target_sum = 2 * weight
-    found: list[EtaQuotient] = []
-    for head in product(range(-bound, bound + 1), repeat=len(divs) - 1):
-        r_last = target_sum - sum(head)
-        if not -bound <= r_last <= bound:
-            continue
-        exps = dict(zip(divs, head + (r_last,)))
-        if not any(exps.values()):
-            continue
-        candidate = EtaQuotient.from_dict(level, exps)
-        report = check_admissibility(candidate)
-        if strict:
-            ok = report.is_cusp_form
-        else:
-            ok = report.is_modular_form and candidate.leading_exponent_numerator > 0
-        if ok:
-            found.append(candidate)
-    return found
+    n = len(divs)
+    orders = [[Fraction(level * gcd(d, e) ** 2, 24 * gcd(d, level // d) * d * e) for e in divs] for d in divs]
+    inverse = _inverse(orders)
+    den = lcm(*(x.denominator for row in inverse for x in row))
+    scaled = [[int(x * den) for x in row] for row in inverse]  # den * A^-1
+    columns = [list(col) for col in zip(*scaled)]
+    # r is integral iff v lies on the lattice {v : scaled v = 0 mod den}.
+    # Its dual, times den, is spanned by the rows of scaled and den*I; the
+    # lattice then has the basis den * dual^-T, whose row i starts at
+    # column i, so lattice[j][j] is the step of v_j once v_0..v_{j-1} are set
+    dual = _lower_triangular_basis(scaled + [[den * (i == j) for j in range(n)] for i in range(n)], n)
+    dual_inverse = _inverse([[Fraction(x) for x in row] for row in dual])
+    lattice = [[int(dual_inverse[j][i] * den) for j in range(n)] for i in range(n)]
+    phi = [euler_phi(gcd(d, level // d)) for d in divs]
+    low = [1 if strict or d == level else 0 for d in divs]
+    # A has positive entries, so |r| <= bound caps v_d at bound * (row sum)
+    top = [int(bound * sum(row)) for row in orders]
+    # spend on coordinates j..: at least reserved[j], at most room[j]
+    reserved = [sum(phi[i] * low[i] for i in range(j, n)) for j in range(n + 1)]
+    room = [sum(phi[i] * top[i] for i in range(j, n)) for j in range(n + 1)]
+    # with slack = rem - reserved[j] still free, den * r_k moves by
+    # floor[j][k] + slack * [least[j][k], most[j][k]] / common
+    common = lcm(*phi)
+    cap = common * bound * den
+    least = [[min(common * columns[i][k] // phi[i] for i in range(j, n)) for k in range(n)] for j in range(n)]
+    most = [[max(common * columns[i][k] // phi[i] for i in range(j, n)) for k in range(n)] for j in range(n)]
+    floor = [[sum(columns[i][k] * low[i] for i in range(j, n)) for k in range(n)] for j in range(n)]
+    found: list[tuple[list[int], EtaQuotient]] = []
+
+    def walk(j: int, partial: list[int], offset: list[int], rem: int) -> None:
+        # partial = den * (r of v_0..v_{j-1}); offset = the lattice point
+        # fixed so far, which pins v_j modulo lattice[j][j]
+        if j == n:
+            r = [a // den for a in partial]
+            quotient = EtaQuotient.from_dict(level, dict(zip(divs, r)))
+            report = check_admissibility(quotient)
+            if report.is_cusp_form if strict else report.is_modular_form:
+                found.append((r, quotient))
+            return
+        step, cost, column, basis_row = lattice[j][j], phi[j], columns[j], lattice[j]
+        first = max(low[j], -((room[j + 1] - rem) // cost))
+        last = min(top[j], (rem - reserved[j + 1]) // cost)
+        v = first + (offset[j] - first) % step
+        if v > last:
+            return
+        slack = rem - reserved[j]
+        for k in range(n):
+            base = common * (partial[k] + floor[j][k])
+            if base + slack * least[j][k] > cap or base + slack * most[j][k] < -cap:
+                return
+        c = (v - offset[j]) // step
+        offset = [a + c * b for a, b in zip(offset, basis_row)]
+        partial = [a + v * b for a, b in zip(partial, column)]
+        jump = [step * b for b in column]
+        while v <= last:
+            walk(j + 1, partial, offset, rem - v * cost)
+            v += step
+            offset = [a + b for a, b in zip(offset, basis_row)]
+            partial = [a + b for a, b in zip(partial, jump)]
+
+    walk(0, [0] * n, [0] * n, int(total))
+    return [quotient for _, quotient in sorted(found, key=lambda item: item[0])]

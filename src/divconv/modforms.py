@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import divisors, euler_phi, prime_factorization, sigma_table
+from .arith import divisors, euler_phi, gamma0_index, prime_factorization, sigma_table
 from .eta import EtaQuotient, check_admissibility, expand_eta_quotient, search_eta_quotients
 from .qseries import QSeries
 
 
 class BasisIncomplete(RuntimeError):
-    """Eta search could not span the weight-4 cusp space at this level."""
+    """Eta quotients could not span the weight-4 cusp space at this level."""
 
 
 class WrongCount(ValueError):
@@ -53,15 +53,13 @@ def eisenstein_M(truncation: int) -> QSeries:
     return QSeries([1] + [240 * table[n] for n in range(1, truncation + 1)], truncation)
 
 
+def eisenstein_block(level: int, truncation: int) -> list[QSeries]:
+    """E4(q^t) for every t | level, in divisor order, to the truncation."""
+    m = eisenstein_M(truncation)
+    return [m.substitute(t, cap=truncation) for t in divisors(level)]
+
+
 # -- Gamma_0(N) invariants and weight-4 dimensions -------------------------
-
-
-def gamma0_index(n: int) -> int:
-    """Index of Gamma_0(N) in SL_2(Z): N * prod (1 + 1/p)."""
-    mu = n
-    for p in prime_factorization(n):
-        mu += mu // p
-    return mu
 
 
 def sturm_bound(level: int) -> int:
@@ -176,17 +174,24 @@ def registered_cusp_quotients(level: int) -> list[EtaQuotient]:
 
 def cusp_quotients_for_level(level: int, search_bound: int) -> list[EtaQuotient]:
     """The registered family at this level, else the first dim S4(level)
-    independent quotients of an eta search with exponents in
-    [-search_bound, search_bound]."""
+    quotients of the eta search with exponents in [-search_bound,
+    search_bound] that are independent of the Eisenstein block and of each
+    other."""
     if level in REGISTERED_CUSP_EXPONENTS:
         return registered_cusp_quotients(level)
+    total = Fraction(4 * gamma0_index(level), 12)
+    if total.denominator != 1:
+        raise BasisIncomplete(
+            f"level {level}: no weight-4 eta quotient exists "
+            f"(4*mu/12 = {total} is not an integer)"
+        )
     candidates = search_eta_quotients(level, 4, search_bound)
     quotients = select_independent(candidates, level, sturm_bound(level))
     needed = dim_S4(level)
     if len(quotients) < needed:
         raise BasisIncomplete(
-            f"level {level}: search found {len(quotients)} independent cusp "
-            f"quotients, need {needed}"
+            f"level {level}: eta quotients with exponents in [-{search_bound}, {search_bound}] "
+            f"(--bound {search_bound}) reach rank {len(quotients)} of dim S4 = {needed}"
         )
     return quotients
 
@@ -263,10 +268,9 @@ def build_basis(level: int, cusp_quotients, truncation: int) -> Basis:
         raise WrongCount(
             f"level {level} needs {expected} cusp quotients, got {len(cusp_quotients)}"
         )
-    m = eisenstein_M(truncation)
     elements = [
-        BasisElement("eisenstein", f"E{t}", m.substitute(t, cap=truncation), t=t)
-        for t in divisors(level)
+        BasisElement("eisenstein", f"E{t}", series, t=t)
+        for t, series in zip(divisors(level), eisenstein_block(level, truncation))
     ]
     for i, quotient in enumerate(cusp_quotients, start=1):
         if quotient.level != level:
@@ -291,12 +295,16 @@ def standard_basis(level: int, truncation: int) -> Basis:
 
 
 def select_independent(quotients, level: int, truncation: int) -> list[EtaQuotient]:
-    """Greedy prefix of quotients whose expansions are linearly independent,
-    stopping at dim S4(level). Used when a search returns an over-complete
-    candidate list."""
+    """Greedy prefix of quotients whose expansions are independent of the
+    Eisenstein block E4(q^t), t | level, and of the quotients picked before
+    them, stopping at dim S4(level). Used when a search returns an
+    over-complete candidate list; build_basis accepts the picks with that
+    block whenever there are dim S4(level) of them."""
     needed = dim_S4(level)
     chosen: list[EtaQuotient] = []
     echelon: list[tuple[list, int]] = []
+    for series in eisenstein_block(level, truncation):
+        _insert(echelon, series.coeffs[: truncation + 1], truncation + 1)
     for quotient in quotients:
         if len(chosen) == needed:
             break

@@ -154,11 +154,20 @@ def test_truncation_floor_is_enforced():
 
 
 def test_refusal_exits_3_without_standalone_mode(capsys):
-    # level 21 has no eta-quotient cusp basis in the bound-4 search box
+    # level 21 has no weight-4 eta quotient at all
     args = ["--bound", "4", "verify", "--alpha", "3", "--beta", "7", "--nmax", "10"]
     assert main(args, standalone_mode=False) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: level 21")
+
+
+def test_refusal_says_why():
+    no_quotient = run("verify", "--alpha", "1", "--beta", "21", "--nmax", "10")
+    assert no_quotient.exit_code == 3
+    assert "level 21: no weight-4 eta quotient exists (4*mu/12 = 32/3 is not an integer)" in no_quotient.output
+    short = run("--bound", "4", "derive", "--alpha", "3", "--beta", "5")
+    assert short.exit_code == 3
+    assert "level 15:" in short.output and "(--bound 4) reach rank 3 of dim S4 = 4" in short.output
 
 
 def test_outputs_are_deterministic():

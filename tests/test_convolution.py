@@ -138,6 +138,39 @@ def test_searched_level_formula_holds_past_sturm_bound(alpha, beta):
     assert verify_formula(formula, 200).ok
 
 
+def test_level16_formula_needs_eisenstein_seeded_selection():
+    # at --bound 4 the first independent quotients included one in the span
+    # of E4(q^t) and the earlier picks, so build_basis refused level 16
+    formula = derive_formula(1, 16, 4)
+    assert verify_formula(formula, 200).ok
+
+
+# picks of the box search before selection was seeded with E4(q^t)
+SEARCHED_PICKS_AT_BOUND_4 = {
+    6: [{1: 2, 2: 2, 3: 2, 6: 2}],
+    10: [{2: 4, 10: 4}, {1: 1, 2: 1, 5: 3, 10: 3}, {1: 3, 2: 3, 5: 1, 10: 1}],
+    12: [
+        {1: -4, 2: 4, 3: 4, 4: 2, 12: 2},
+        {1: -2, 2: 2, 3: -2, 4: 4, 6: 2, 12: 4},
+        {1: -1, 2: -3, 3: 3, 4: 4, 6: 1, 12: 4},
+    ],
+    20: [
+        {1: -3, 2: 4, 4: 3, 5: -1, 10: 4, 20: 1},
+        {1: -2, 2: 1, 4: 3, 5: 2, 10: 3, 20: 1},
+        {1: -2, 2: 4, 4: 2, 5: 2, 10: 4, 20: -2},
+        {1: -2, 2: 4, 4: 4, 5: 2, 10: -4, 20: 4},
+        {1: -1, 2: 4, 4: 1, 5: -3, 10: 4, 20: 3},
+        {4: 4, 20: 4},
+    ],
+}
+
+
+@pytest.mark.parametrize("level", sorted(SEARCHED_PICKS_AT_BOUND_4))
+def test_searched_picks_are_unchanged_where_derive_succeeded(level):
+    picks = [q.as_dict() for q in cusp_quotients_for_level(level, 4)]
+    assert picks == SEARCHED_PICKS_AT_BOUND_4[level]
+
+
 def test_formula_json_schema(formula27):
     data = formula27.to_json_dict()
     assert data["alpha"] == 2 and data["beta"] == 7

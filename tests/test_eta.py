@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from divconv.arith import divisors
 from divconv.eta import (
     EtaQuotient,
     FractionalLeadingExponent,
@@ -107,6 +109,60 @@ def test_expansion_multiplicative_in_exponents():
     )
     t = 40
     assert expand_eta_quotient(summed, t) == expand_eta_quotient(a, t) * expand_eta_quotient(b, t)
+
+
+def reference_box_search(level, weight, bound, strict=False):
+    """The scan the cusp-order enumeration replaced, kept as its reference:
+    every exponent vector in [-bound, bound]^(#divisors), the last exponent
+    fixed by the weight, in lexicographic order, filtered by
+    check_admissibility. Skipping vectors that fail condition (i) first
+    changes nothing, since both filters require it."""
+    divs = divisors(level)
+    found = []
+    for head in product(range(-bound, bound + 1), repeat=len(divs) - 1):
+        r_last = 2 * weight - sum(head)
+        if not -bound <= r_last <= bound:
+            continue
+        exps = dict(zip(divs, head + (r_last,)))
+        if sum(d * r for d, r in exps.items()) % 24:
+            continue
+        candidate = EtaQuotient.from_dict(level, exps)
+        report = check_admissibility(candidate)
+        if strict:
+            ok = report.is_cusp_form
+        else:
+            ok = report.is_modular_form and candidate.leading_exponent_numerator > 0
+        if ok:
+            found.append(candidate)
+    return found
+
+
+REFERENCE_BOX = 3000  # largest (2*bound + 1)^(#divisors - 1) compared
+
+
+@pytest.mark.parametrize("level", range(1, 41))
+def test_search_equals_box_scan_on_small_boxes(level):
+    dims = len(divisors(level)) - 1
+    bounds = [b for b in range(1, 10) if (2 * b + 1) ** dims <= REFERENCE_BOX]
+    for bound, weight, strict in product(bounds, (2, 4, 6), (False, True)):
+        expected = reference_box_search(level, weight, bound, strict)
+        assert search_eta_quotients(level, weight, bound, strict) == expected, (bound, weight, strict)
+
+
+@pytest.mark.parametrize("level", [12, 20])
+@pytest.mark.parametrize("strict", [False, True])
+def test_search_equals_box_scan_at_bound_3(level, strict):
+    assert search_eta_quotients(level, 4, 3, strict) == reference_box_search(level, 4, 3, strict)
+
+
+def test_search_without_integral_order_sum_is_empty():
+    # 4 * mu(21) / 12 = 32/3: cusp orders of a weight-4 quotient cannot sum to it
+    assert search_eta_quotients(21, 4, 50) == []
+
+
+def test_search_level12_bound9_count():
+    # the box scan needs 19^5 admissibility checks for this
+    assert len(search_eta_quotients(12, 4, 9)) == 223
 
 
 def test_search_rediscovers_level14_family():
