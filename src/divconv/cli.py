@@ -17,14 +17,13 @@ import click
 
 from . import convolution, eta, modforms, representations
 from .cache import SeriesCache
-from .modforms import BasisIncomplete, Inconsistent, NotIndependent, SingularSystem, WrongCount
+from .modforms import BasisIncomplete, Inconsistent, SingularSystem
 
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
 
-# NotIndependent and WrongCount subclass ValueError, so the handler tests these first
-SOLVER_ERRORS = (BasisIncomplete, NotIndependent, WrongCount, SingularSystem, Inconsistent)
+SOLVER_ERRORS = (BasisIncomplete, SingularSystem, Inconsistent)
 INPUT_ERRORS = (ValueError, OSError, KeyError)
 
 

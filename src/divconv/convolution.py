@@ -14,8 +14,11 @@ from .arith import rational_to_str, sigma_at, sigma_table
 from .eta import EtaQuotient, expand_eta_quotient
 from .modforms import (
     Basis,
+    BasisIncomplete,
+    Inconsistent,
     build_basis,
     cusp_quotients_for_level,
+    dim_M4,
     eisenstein_L,
     express_in_basis,
     sturm_bound,
@@ -95,6 +98,8 @@ class ConvolutionFormula:
             "beta": self.beta,
             "level": self.level,
             "sturm_bound": sturm_bound(self.level),
+            "basis_rank": len(self.sigma3_terms) + len(self.cusp_terms),
+            "dim_M4": dim_M4(self.level),
             "sigma3": {str(d): rational_to_str(c) for d, c in self.sigma3_terms.items()},
             "sigma": {
                 str(d): [rational_to_str(c0), rational_to_str(c1)]
@@ -149,11 +154,23 @@ def derive_convolution_formula(alpha: int, beta: int, basis: Basis) -> Convoluti
 
 def derive_formula(alpha: int, beta: int, search_bound: int) -> ConvolutionFormula:
     """The formula for W(alpha,beta), solved in a basis that stops at the
-    level's Sturm bound, which proves the identity for every n."""
+    level's Sturm bound, which proves the identity for every n. A basis
+    short of dim M4 whose span misses the target is refused with the rank
+    it reached."""
     _check_pair(alpha, beta)
     level = alpha * beta
     basis = build_basis(level, cusp_quotients_for_level(level, search_bound), sturm_bound(level))
-    return derive_convolution_formula(alpha, beta, basis)
+    try:
+        return derive_convolution_formula(alpha, beta, basis)
+    except Inconsistent as exc:
+        size, needed = len(basis.elements), dim_M4(level)
+        if size == needed:
+            raise
+        raise BasisIncomplete(
+            f"level {level}: E4(q^t) and the eta quotients with exponents in "
+            f"[-{search_bound}, {search_bound}] reach rank {size} of dim M4 = {needed} "
+            f"(--bound {search_bound}), and the W({alpha},{beta}) target is not in their span"
+        ) from exc
 
 
 def _check_pair(alpha: int, beta: int) -> None:

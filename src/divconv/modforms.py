@@ -1,10 +1,17 @@
 """Weight-4 modular form spaces on Gamma_0(N): Eisenstein series, dimension
 formulas, basis assembly, and exact expression of a series in a basis.
 
+A basis is the block E4(q^t), t | N, followed by eta quotients taken
+greedily, in the order given, while they are independent of everything
+kept so far, until it has dim M4(Gamma_0(N)) elements. Independence is
+decided at the Sturm bound, where it is independence of the modular forms
+themselves. A candidate list that runs out first leaves a shorter basis,
+which still proves every identity it can solve (see build_basis).
+
 All linear algebra is one exact elimination over the rationals, _insert,
 which adds a row to an incremental echelon if it is independent of it:
-rank, select_independent and express_in_basis all build on it. There is
-no floating point and therefore no stability concern, only reproducibility.
+rank, build_basis and express_in_basis all build on it. There is no
+floating point and therefore no stability concern, only reproducibility.
 """
 
 from __future__ import annotations
@@ -18,15 +25,8 @@ from .qseries import QSeries
 
 
 class BasisIncomplete(RuntimeError):
-    """Eta quotients could not span the weight-4 cusp space at this level."""
-
-
-class WrongCount(ValueError):
-    """Cusp quotient list does not have dim S4(Gamma_0(N)) elements."""
-
-
-class NotIndependent(ValueError):
-    """Proposed basis elements are linearly dependent."""
+    """No basis at this level reaches far enough: no weight-4 eta quotient
+    exists, or the target lies outside the span of a basis short of dim M4."""
 
 
 class SingularSystem(ArithmeticError):
@@ -51,12 +51,6 @@ def eisenstein_M(truncation: int) -> QSeries:
         raise ValueError("truncation must be >= 1")
     table = sigma_table(3, truncation)
     return QSeries([1] + [240 * table[n] for n in range(1, truncation + 1)], truncation)
-
-
-def eisenstein_block(level: int, truncation: int) -> list[QSeries]:
-    """E4(q^t) for every t | level, in divisor order, to the truncation."""
-    m = eisenstein_M(truncation)
-    return [m.substitute(t, cap=truncation) for t in divisors(level)]
 
 
 # -- Gamma_0(N) invariants and weight-4 dimensions -------------------------
@@ -120,6 +114,9 @@ def dim_M4(n: int) -> int:
 
 
 def dim_E4(n: int) -> int:
+    """dim of the weight-4 Eisenstein space: one series per cusp. This
+    exceeds the #divisors(N) series E4(q^t) that build_basis starts with
+    whenever some gcd(d, N/d) > 2, which gives d phi(gcd(d, N/d)) cusps."""
     return cusp_count(n)
 
 
@@ -173,10 +170,9 @@ def registered_cusp_quotients(level: int) -> list[EtaQuotient]:
 
 
 def cusp_quotients_for_level(level: int, search_bound: int) -> list[EtaQuotient]:
-    """The registered family at this level, else the first dim S4(level)
-    quotients of the eta search with exponents in [-search_bound,
-    search_bound] that are independent of the Eisenstein block and of each
-    other."""
+    """Basis candidates at this level: the registered family, else every
+    weight-4 eta quotient of the search with exponents in [-search_bound,
+    search_bound], in search order. build_basis picks among them."""
     if level in REGISTERED_CUSP_EXPONENTS:
         return registered_cusp_quotients(level)
     total = Fraction(4 * gamma0_index(level), 12)
@@ -185,15 +181,7 @@ def cusp_quotients_for_level(level: int, search_bound: int) -> list[EtaQuotient]
             f"level {level}: no weight-4 eta quotient exists "
             f"(4*mu/12 = {total} is not an integer)"
         )
-    candidates = search_eta_quotients(level, 4, search_bound)
-    quotients = select_independent(candidates, level, sturm_bound(level))
-    needed = dim_S4(level)
-    if len(quotients) < needed:
-        raise BasisIncomplete(
-            f"level {level}: eta quotients with exponents in [-{search_bound}, {search_bound}] "
-            f"(--bound {search_bound}) reach rank {len(quotients)} of dim S4 = {needed}"
-        )
-    return quotients
+    return search_eta_quotients(level, 4, search_bound)
 
 
 # -- basis types -----------------------------------------------------------
@@ -246,33 +234,43 @@ def rank(series_list, max_index: int) -> int:
     return sum(_insert(echelon, s.coeffs[: max_index + 1], max_index + 1) for s in series_list)
 
 
-def build_basis(level: int, cusp_quotients, truncation: int) -> Basis:
-    """Assemble Eisenstein block + cusp block and certify independence.
+def build_basis(level: int, quotients, truncation: int) -> Basis:
+    """The block E4(q^t), t | level, then the quotients in the order given,
+    each kept if it is independent of the elements kept before it, until
+    the basis has dim M4(level) elements or the quotients run out.
 
-    The truncation must reach the level's Sturm bound, so that the rank
-    check and every identity solved in the basis hold for the modular forms
-    themselves, not just their truncated series.
+    Independence is tested on q^0..q^B, B the Sturm bound: a combination of
+    weight-4 forms on Gamma_0(level) that vanishes there is zero, so these
+    elements are independent as modular forms. The truncation (at least B)
+    only sets how far each element is expanded.
 
-    Cusp quotients must be admissible modular forms with vanishing
-    constant term (positive leading exponent); two of the registered
-    level-22 quotients have cusp-order sum exactly 0 at d = 1, so the
-    strict all-orders-positive condition is deliberately not required
-    here.
+    A basis short of dim M4 still proves what it solves: the target and
+    every element lie in M4(Gamma_0(level)), so a combination that agrees
+    with the target on q^0..q^B equals it. express_in_basis refuses a
+    target outside the span.
+
+    Every quotient looked at must be an admissible weight-4 modular form
+    with vanishing constant term (positive leading exponent); two of the
+    registered level-22 quotients have cusp-order sum exactly 0 at d = 1,
+    so the strict all-orders-positive condition is deliberately not
+    required here.
     """
     bound = sturm_bound(level)
     if truncation < bound:
         raise ValueError(f"truncation {truncation} is below the level-{level} Sturm bound {bound}")
-    cusp_quotients = list(cusp_quotients)
-    expected = dim_S4(level)
-    if len(cusp_quotients) != expected:
-        raise WrongCount(
-            f"level {level} needs {expected} cusp quotients, got {len(cusp_quotients)}"
-        )
+    m = eisenstein_M(truncation)
     elements = [
-        BasisElement("eisenstein", f"E{t}", series, t=t)
-        for t, series in zip(divisors(level), eisenstein_block(level, truncation))
+        BasisElement("eisenstein", f"E{t}", m.substitute(t, cap=truncation), t=t)
+        for t in divisors(level)
     ]
-    for i, quotient in enumerate(cusp_quotients, start=1):
+    echelon: list[tuple[list, int]] = []
+    for e in elements:
+        _insert(echelon, e.series.coeffs[: bound + 1], bound + 1)
+    needed = dim_M4(level)
+    kept = 0
+    for quotient in quotients:
+        if len(elements) == needed:
+            break
         if quotient.level != level:
             raise ValueError(f"cusp quotient level {quotient.level} != {level}")
         report = check_admissibility(quotient)
@@ -281,37 +279,15 @@ def build_basis(level: int, cusp_quotients, truncation: int) -> Basis:
         series = expand_eta_quotient(quotient, truncation)
         if series.coeffs[0] != 0:
             raise ValueError(f"cusp quotient {quotient} has nonzero constant term")
-        elements.append(
-            BasisElement("cusp", f"S{level}.{i}", series, eta=quotient)
-        )
-    if rank([e.series for e in elements], truncation) != len(elements):
-        raise NotIndependent(f"level {level} basis elements are linearly dependent")
+        if _insert(echelon, series.coeffs[: bound + 1], bound + 1):
+            kept += 1
+            elements.append(BasisElement("cusp", f"S{level}.{kept}", series, eta=quotient))
     return Basis(level, tuple(elements), truncation)
 
 
 def standard_basis(level: int, truncation: int) -> Basis:
     """Basis from the registered cusp family (levels 14, 22, 26)."""
     return build_basis(level, registered_cusp_quotients(level), truncation)
-
-
-def select_independent(quotients, level: int, truncation: int) -> list[EtaQuotient]:
-    """Greedy prefix of quotients whose expansions are independent of the
-    Eisenstein block E4(q^t), t | level, and of the quotients picked before
-    them, stopping at dim S4(level). Used when a search returns an
-    over-complete candidate list; build_basis accepts the picks with that
-    block whenever there are dim S4(level) of them."""
-    needed = dim_S4(level)
-    chosen: list[EtaQuotient] = []
-    echelon: list[tuple[list, int]] = []
-    for series in eisenstein_block(level, truncation):
-        _insert(echelon, series.coeffs[: truncation + 1], truncation + 1)
-    for quotient in quotients:
-        if len(chosen) == needed:
-            break
-        series = expand_eta_quotient(quotient, truncation)
-        if _insert(echelon, series.coeffs[: truncation + 1], truncation + 1):
-            chosen.append(quotient)
-    return chosen
 
 
 def express_in_basis(target: QSeries, basis: Basis) -> list[Fraction]:

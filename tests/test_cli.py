@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -167,7 +169,7 @@ def test_refusal_says_why():
     assert "level 21: no weight-4 eta quotient exists (4*mu/12 = 32/3 is not an integer)" in no_quotient.output
     short = run("--bound", "4", "derive", "--alpha", "3", "--beta", "5")
     assert short.exit_code == 3
-    assert "level 15:" in short.output and "(--bound 4) reach rank 3 of dim S4 = 4" in short.output
+    assert "level 15:" in short.output and "reach rank 7 of dim M4 = 8 (--bound 4)" in short.output
 
 
 def test_outputs_are_deterministic():
@@ -182,3 +184,13 @@ def test_rep_nmax_must_be_positive():
 
 def test_search_bound_must_be_positive():
     assert run("--bound", "0", "derive", "--alpha", "2", "--beta", "3").exit_code == 2
+
+
+def test_readme_examples_run():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cli_block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in cli_block.splitlines() if line.startswith("divconv ")]
+    assert len(commands) >= 8
+    for args in commands:
+        result = run(*args)
+        assert result.exit_code == 0, (args, result.output)

@@ -11,7 +11,7 @@ from divconv.convolution import (
     target_series,
     verify_formula,
 )
-from divconv.modforms import build_basis, cusp_quotients_for_level, standard_basis, sturm_bound
+from divconv.modforms import build_basis, cusp_quotients_for_level, dim_M4, standard_basis, sturm_bound
 
 TRUNC = 80
 
@@ -132,7 +132,7 @@ def test_verify_detects_corruption(formula27):
 @pytest.mark.parametrize("alpha,beta", [(2, 3), (2, 5)])
 def test_searched_level_formula_holds_past_sturm_bound(alpha, beta):
     # levels 6 and 10 have no registered family: the cusp quotients come
-    # from the eta search through select_independent
+    # from the eta search, picked by build_basis
     formula = derive_formula(alpha, beta, 4)
     assert 200 > sturm_bound(alpha * beta)
     assert verify_formula(formula, 200).ok
@@ -167,8 +167,21 @@ SEARCHED_PICKS_AT_BOUND_4 = {
 
 @pytest.mark.parametrize("level", sorted(SEARCHED_PICKS_AT_BOUND_4))
 def test_searched_picks_are_unchanged_where_derive_succeeded(level):
-    picks = [q.as_dict() for q in cusp_quotients_for_level(level, 4)]
+    basis = build_basis(level, cusp_quotients_for_level(level, 4), sturm_bound(level))
+    picks = [e.eta.as_dict() for e in basis.cusp_elements]
     assert picks == SEARCHED_PICKS_AT_BOUND_4[level]
+
+
+@pytest.mark.parametrize("alpha,beta", [(2, 9), (1, 18), (1, 25), (1, 27), (1, 32)])
+def test_levels_with_extra_eisenstein_series_span_M4(alpha, beta):
+    # at these levels some gcd(d, N/d) > 2, so dim M4 exceeds #divisors +
+    # dim S4 and a basis that stopped at dim S4 quotients missed the target
+    level = alpha * beta
+    basis = build_basis(level, cusp_quotients_for_level(level, 9), sturm_bound(level))
+    assert len(basis.elements) == dim_M4(level)
+    formula = derive_convolution_formula(alpha, beta, basis)
+    assert formula.to_json_dict()["basis_rank"] == dim_M4(level)
+    assert verify_formula(formula, 300).ok
 
 
 def test_formula_json_schema(formula27):
@@ -177,6 +190,7 @@ def test_formula_json_schema(formula27):
     assert data["sigma3"]["1"] == "1/600"
     assert data["sigma"]["2"] == ["1/24", "-1/28"]
     assert data["cusp"][3] == ["S14.4", "-1/42"]
+    assert data["basis_rank"] == data["dim_M4"] == 8
 
 
 @pytest.mark.parametrize("alpha,beta", [(2, 7), (1, 22), (2, 11), (1, 26), (2, 13), (1, 14)])

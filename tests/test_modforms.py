@@ -10,9 +10,7 @@ from divconv.eta import expand_eta_quotient
 from divconv.modforms import (
     Basis,
     Inconsistent,
-    NotIndependent,
     SingularSystem,
-    WrongCount,
     build_basis,
     cusp_count,
     dim_E4,
@@ -24,7 +22,6 @@ from divconv.modforms import (
     genus,
     rank,
     registered_cusp_quotients,
-    select_independent,
     standard_basis,
     sturm_bound,
 )
@@ -145,15 +142,18 @@ def test_build_basis_element_invariants(basis26):
         assert element.series.coeffs[lead] == 1
 
 
-def test_build_basis_rejects_duplicates():
+def test_build_basis_skips_duplicates(basis14):
     family = registered_cusp_quotients(14)
-    with pytest.raises(NotIndependent):
-        build_basis(14, [family[0], family[0], family[2], family[3]], TRUNC)
+    padded = [family[0], family[0]] + family[1:] + [family[1]]
+    basis = build_basis(14, padded, TRUNC)
+    assert [e.eta for e in basis.cusp_elements] == family
+    assert [e.element_id for e in basis.elements] == [e.element_id for e in basis14.elements]
 
 
-def test_build_basis_rejects_wrong_count():
-    with pytest.raises(WrongCount):
-        build_basis(14, registered_cusp_quotients(14)[:3], TRUNC)
+def test_build_basis_short_list_stays_below_dim_M4():
+    basis = build_basis(14, registered_cusp_quotients(14)[:3], TRUNC)
+    assert len(basis.elements) == 7 < dim_M4(14)
+    assert rank([e.series for e in basis.elements], TRUNC) == 7
 
 
 def test_express_basis_element_is_unit_vector(basis14):
@@ -185,13 +185,6 @@ def test_express_rejects_series_outside_span(basis14):
     outside = QSeries([0, 1] + [0] * (TRUNC - 1), TRUNC)  # bare q is no weight-4 form
     with pytest.raises(Inconsistent):
         express_in_basis(outside, basis14)
-
-
-def test_select_independent_prefers_early_candidates():
-    family = registered_cusp_quotients(14)
-    padded = [family[0], family[0]] + family[1:]
-    chosen = select_independent(padded, 14, TRUNC)
-    assert chosen == family
 
 
 def test_sturm_bounds_of_registered_levels():
@@ -236,19 +229,20 @@ def test_rank_matches_reference_on_small_matrices(rows):
     assert rank(series, max_index) == reference_rank(series, max_index)
 
 
-def test_select_independent_matches_reference_greedy_prefix():
+def test_build_basis_keeps_reference_greedy_prefix():
     level, truncation = 22, sturm_bound(22)
     family = registered_cusp_quotients(level)
     padded = [family[0], family[0], family[1], family[0], family[2], family[1]]
     padded += [q for q in family[3:] for _ in range(2)] + family[:3]
-    expected, series = [], []
+    m = eisenstein_M(truncation)
+    expected, series = [], [m.substitute(t, cap=truncation) for t in divisors(level)]
     for quotient in padded:
         s = expand_eta_quotient(quotient, truncation)
-        if reference_rank(series + [s], truncation) == len(series) + 1 and len(expected) < len(family):
+        if reference_rank(series + [s], truncation) == len(series) + 1 and len(series) < dim_M4(level):
             expected.append(quotient)
             series.append(s)
     assert expected == family
-    assert select_independent(padded, level, truncation) == expected
+    assert [e.eta for e in build_basis(level, padded, truncation).cusp_elements] == expected
 
 
 def test_express_rejects_singular_system(basis14):
