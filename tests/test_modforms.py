@@ -142,12 +142,24 @@ def test_build_basis_element_invariants(basis26):
         assert element.series.coeffs[lead] == 1
 
 
-def test_build_basis_skips_duplicates(basis14):
+def test_build_basis_rejects_duplicates(basis14):
     family = registered_cusp_quotients(14)
     padded = [family[0], family[0]] + family[1:] + [family[1]]
     basis = build_basis(14, padded, TRUNC)
     assert [e.eta for e in basis.cusp_elements] == family
     assert [e.element_id for e in basis.elements] == [e.element_id for e in basis14.elements]
+    short = build_basis(14, [family[0], family[0], family[2], family[3]], TRUNC)
+    assert [e.eta for e in short.cusp_elements] == [family[0], family[2], family[3]]
+
+
+def test_select_independent_prefers_early_candidates():
+    """build_basis keeps candidates greedily in the order given: the first
+    copy of each quotient is kept, and a reordered list is kept reordered."""
+    family = registered_cusp_quotients(14)
+    padded = [family[0], family[0]] + family[1:]
+    assert [e.eta for e in build_basis(14, padded, TRUNC).cusp_elements] == family
+    reordered = family[::-1] + family
+    assert [e.eta for e in build_basis(14, reordered, TRUNC).cusp_elements] == family[::-1]
 
 
 def test_build_basis_short_list_stays_below_dim_M4():
