@@ -1,4 +1,6 @@
-"""Exact integer and rational arithmetic plus divisor-sum functions.
+"""Exact integer and rational arithmetic, divisor-sum functions, and the
+package's only exact elimination over Q (reduce_row, insert_row), which
+picks independent rows, solves systems and inverts matrices.
 
 Rational values throughout the package are ``fractions.Fraction`` instances
 (always stored reduced, denominator positive), serialized as ``"num/den"``.
@@ -109,3 +111,27 @@ def sigma_table(k: int, n_max: int) -> tuple[int, ...]:
         for m in range(d, n_max + 1, d):
             table[m] += dk
     return tuple(table)
+
+
+def reduce_row(echelon: list[tuple[list, int]], row: list) -> list:
+    """row minus the multiples of the (row, pivot column) pairs of the echelon
+    that clear its entries at their pivots; the result is zero at every
+    pivot. Entries past the pivot range act as a tag: a row tagged with a
+    unit vector carries the combination of rows that was subtracted."""
+    for erow, p in echelon:
+        if row[p]:
+            factor = Fraction(row[p]) / erow[p]
+            row = [a - factor * b if b else a for a, b in zip(row, erow)]
+    return row
+
+
+def insert_row(echelon: list[tuple[list, int]], row: list, width: int) -> bool:
+    """Reduce row against the echelon; if it is nonzero in its first width
+    entries, append it, pivoting on the first nonzero one. Rows are not
+    normalised, so int rows stay int until reduced."""
+    row = reduce_row(echelon, row)
+    pivot = next((j for j in range(width) if row[j]), None)
+    if pivot is None:
+        return False
+    echelon.append((row, pivot))
+    return True

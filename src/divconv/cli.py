@@ -66,7 +66,7 @@ def _emit_json(data) -> None:
     default=1000,
     show_default=True,
     type=click.IntRange(min=1),
-    help="Series length for expand and basis; formulas are proved at the Sturm bound.",
+    help="Series length for expand only; bases and formulas live at the Sturm bound.",
 )
 @click.option("--cache-dir", default=None, type=click.Path(), help="q-expansion cache directory for expand.")
 @click.option(
@@ -129,20 +129,20 @@ def search(config: RunConfig, level, weight, strict):
 @click.option("--level", required=True, type=int)
 @click.pass_obj
 def basis(config: RunConfig, level):
-    """Emit the weight-4 basis at a level: ids, exponents, leading coefficients."""
-    quotients = modforms.cusp_quotients_for_level(level, config.search_bound)
-    b = modforms.build_basis(level, quotients, config.truncation)
+    """Emit the weight-4 basis at a level: ids, exponents, coefficients q^0..q^B."""
+    b = modforms.build_basis(level, modforms.cusp_quotients_for_level(level, config.search_bound))
     _emit_json(
         {
             "level": b.level,
-            "truncation": b.truncation,
+            "sturm_bound": modforms.sturm_bound(level),
+            "dim_M4": modforms.dim_M4(level),
             "elements": [
                 {
                     "id": e.element_id,
                     "kind": e.kind,
                     "t": e.t,
                     "eta": e.eta.to_json_dict() if e.eta else None,
-                    "coeffs": [str(c) for c in e.series.coeffs[:20]],
+                    "coeffs": [str(c) for c in e.series.coeffs],
                 }
                 for e in b.elements
             ],

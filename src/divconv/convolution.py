@@ -121,7 +121,7 @@ def derive_convolution_formula(alpha: int, beta: int, basis: Basis) -> Convoluti
     level = alpha * beta
     if basis.level != level:
         raise ValueError(f"basis level {basis.level} != alpha*beta = {level}")
-    target = target_series(alpha, beta, basis.truncation)
+    target = target_series(alpha, beta, sturm_bound(level))
     x = express_in_basis(target, basis)
     denom = 1152 * alpha * beta
     sigma3_terms: dict[int, Fraction] = {}
@@ -159,7 +159,7 @@ def derive_formula(alpha: int, beta: int, search_bound: int) -> ConvolutionFormu
     it reached."""
     _check_pair(alpha, beta)
     level = alpha * beta
-    basis = build_basis(level, cusp_quotients_for_level(level, search_bound), sturm_bound(level))
+    basis = build_basis(level, cusp_quotients_for_level(level, search_bound))
     try:
         return derive_convolution_formula(alpha, beta, basis)
     except Inconsistent as exc:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .arith import divisors, euler_phi, gamma0_index, prime_factorization
+from .arith import divisors, euler_phi, gamma0_index, insert_row, prime_factorization, reduce_row
 from .qseries import QSeries
 
 
@@ -249,18 +249,16 @@ def expand_eta_quotient(f: EtaQuotient, truncation: int) -> QSeries:
 
 
 def _inverse(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a nonsingular square matrix, by Gauss-Jordan over Q."""
+    """Exact inverse of a nonsingular square matrix A. Each row of A goes
+    into one echelon tagged with its unit vector, so an echelon row is
+    (c A | c) for some c. The unit vector e_i reduces to (e_i - c A | -c)
+    with e_i - c A = 0, so c = -(its tag) is row i of A^-1."""
     n = len(matrix)
-    rows = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    for c in range(n):
-        p = next(i for i in range(c, n) if rows[i][c])
-        rows[c], rows[p] = rows[p], rows[c]
-        rows[c] = [x / rows[c][c] for x in rows[c]]
-        for i in range(n):
-            if i != c and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return [row[n:] for row in rows]
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    echelon: list[tuple[list, int]] = []
+    for row, tag in zip(matrix, unit):
+        insert_row(echelon, list(row) + tag, n)
+    return [[-x for x in reduce_row(echelon, e + [0] * n)[n:]] for e in unit]
 
 
 def _lower_triangular_basis(rows: list[list[int]], n: int) -> list[list[int]]:

@@ -3,15 +3,17 @@ formulas, basis assembly, and exact expression of a series in a basis.
 
 A basis is the block E4(q^t), t | N, followed by eta quotients taken
 greedily, in the order given, while they are independent of everything
-kept so far, until it has dim M4(Gamma_0(N)) elements. Independence is
-decided at the Sturm bound, where it is independence of the modular forms
-themselves. A candidate list that runs out first leaves a shorter basis,
-which still proves every identity it can solve (see build_basis).
+kept so far, until it has dim M4(Gamma_0(N)) elements, each expanded to
+q^B, B the Sturm bound, and no further: weight-4 forms on Gamma_0(N) that
+agree on q^0..q^B are equal, so independence there is independence of the
+forms, and a solve there proves the identity for every n. A candidate list
+that runs out first leaves a shorter basis, which still proves every
+identity it can solve (see build_basis).
 
-All linear algebra is one exact elimination over the rationals, _insert,
-which adds a row to an incremental echelon if it is independent of it:
-rank, build_basis and express_in_basis all build on it. There is no
-floating point and therefore no stability concern, only reproducibility.
+All linear algebra is the exact elimination of arith (insert_row,
+reduce_row): rank, build_basis and express_in_basis all build on it. There
+is no floating point and therefore no stability concern, only
+reproducibility.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import divisors, euler_phi, gamma0_index, prime_factorization, sigma_table
+from .arith import divisors, euler_phi, gamma0_index, insert_row, prime_factorization, reduce_row, sigma_table
 from .eta import EtaQuotient, check_admissibility, expand_eta_quotient, search_eta_quotients
 from .qseries import QSeries
 
@@ -30,11 +32,11 @@ class BasisIncomplete(RuntimeError):
 
 
 class SingularSystem(ArithmeticError):
-    """The solve rows stay rank-deficient all the way to the truncation."""
+    """A basis element is dependent on the elements before it at the Sturm bound."""
 
 
 class Inconsistent(ArithmeticError):
-    """Solution fails verification at some coefficient: target not in span."""
+    """The target is not in the span of the basis at the Sturm bound."""
 
 
 def eisenstein_L(truncation: int) -> QSeries:
@@ -202,7 +204,6 @@ class BasisElement:
 class Basis:
     level: int
     elements: tuple[BasisElement, ...]
-    truncation: int
 
     @property
     def eisenstein_elements(self) -> list[BasisElement]:
@@ -213,36 +214,20 @@ class Basis:
         return [e for e in self.elements if e.kind == "cusp"]
 
 
-def _insert(echelon: list[tuple[list, int]], row: list, width: int) -> bool:
-    """Reduce row against the (row, pivot column) pairs kept so far; if it is
-    nonzero in its first width entries, append it, pivoting on the first
-    nonzero one. Rows are not normalised, so int rows stay int until reduced."""
-    for erow, p in echelon:
-        if row[p]:
-            factor = Fraction(row[p]) / erow[p]
-            row = [a - factor * b for a, b in zip(row, erow)]
-    pivot = next((j for j in range(width) if row[j]), None)
-    if pivot is None:
-        return False
-    echelon.append((row, pivot))
-    return True
-
-
 def rank(series_list, max_index: int) -> int:
     """Rank over Q of the matrix rows = series coefficients q^0..q^max_index."""
     echelon: list[tuple[list, int]] = []
-    return sum(_insert(echelon, s.coeffs[: max_index + 1], max_index + 1) for s in series_list)
+    return sum(insert_row(echelon, s.coeffs[: max_index + 1], max_index + 1) for s in series_list)
 
 
-def build_basis(level: int, quotients, truncation: int) -> Basis:
+def build_basis(level: int, quotients) -> Basis:
     """The block E4(q^t), t | level, then the quotients in the order given,
     each kept if it is independent of the elements kept before it, until
     the basis has dim M4(level) elements or the quotients run out.
 
-    Independence is tested on q^0..q^B, B the Sturm bound: a combination of
-    weight-4 forms on Gamma_0(level) that vanishes there is zero, so these
-    elements are independent as modular forms. The truncation (at least B)
-    only sets how far each element is expanded.
+    Every element is expanded once, to q^B, B the Sturm bound: a
+    combination of weight-4 forms on Gamma_0(level) that vanishes on
+    q^0..q^B is zero, so these elements are independent as modular forms.
 
     A basis short of dim M4 still proves what it solves: the target and
     every element lie in M4(Gamma_0(level)), so a combination that agrees
@@ -256,16 +241,14 @@ def build_basis(level: int, quotients, truncation: int) -> Basis:
     required here.
     """
     bound = sturm_bound(level)
-    if truncation < bound:
-        raise ValueError(f"truncation {truncation} is below the level-{level} Sturm bound {bound}")
-    m = eisenstein_M(truncation)
+    m = eisenstein_M(bound)
     elements = [
-        BasisElement("eisenstein", f"E{t}", m.substitute(t, cap=truncation), t=t)
+        BasisElement("eisenstein", f"E{t}", m.substitute(t, cap=bound), t=t)
         for t in divisors(level)
     ]
     echelon: list[tuple[list, int]] = []
     for e in elements:
-        _insert(echelon, e.series.coeffs[: bound + 1], bound + 1)
+        insert_row(echelon, e.series.coeffs, bound + 1)
     needed = dim_M4(level)
     kept = 0
     for quotient in quotients:
@@ -276,55 +259,46 @@ def build_basis(level: int, quotients, truncation: int) -> Basis:
         report = check_admissibility(quotient)
         if not (report.is_modular_form and report.weight == 4):
             raise ValueError(f"cusp quotient {quotient} is not a weight-4 modular form")
-        series = expand_eta_quotient(quotient, truncation)
+        series = expand_eta_quotient(quotient, bound)
         if series.coeffs[0] != 0:
             raise ValueError(f"cusp quotient {quotient} has nonzero constant term")
-        if _insert(echelon, series.coeffs[: bound + 1], bound + 1):
+        if insert_row(echelon, series.coeffs, bound + 1):
             kept += 1
             elements.append(BasisElement("cusp", f"S{level}.{kept}", series, eta=quotient))
-    return Basis(level, tuple(elements), truncation)
+    return Basis(level, tuple(elements))
 
 
-def standard_basis(level: int, truncation: int) -> Basis:
+def standard_basis(level: int) -> Basis:
     """Basis from the registered cusp family (levels 14, 22, 26)."""
-    return build_basis(level, registered_cusp_quotients(level), truncation)
+    return build_basis(level, registered_cusp_quotients(level))
 
 
 def express_in_basis(target: QSeries, basis: Basis) -> list[Fraction]:
     """The unique rational vector x with target = sum x_i * element_i.
 
-    Coefficient index n = 0, 1, ... gives the augmented row (q^n coefficients
-    of the elements, q^n coefficient of the target). Rows go into one
-    echelon, pivoting only among the first size entries, until size of them
-    are independent. Each echelon row is zero at the pivots of the rows
-    inserted before it, so back-substitution in reverse insertion order
-    gives x. x is then verified on every coefficient up to the basis
-    truncation.
+    Both sides are weight-4 forms on Gamma_0(level), so they are equal when
+    they agree on q^0..q^B, B the Sturm bound. Element i goes into one
+    echelon as its q^0..q^B row tagged with the unit vector e_i, so each
+    echelon row is (c . elements | c) for some c. The target row, tagged
+    with zeros, reduces to (target - c . elements | -c) and is zero at
+    every pivot: its first B + 1 entries vanish exactly when the target
+    is in the span, and then x = c.
     """
-    if target.truncation < basis.truncation:
+    bound = sturm_bound(basis.level)
+    if target.truncation < bound:
         raise ValueError(
-            f"target truncation {target.truncation} < basis truncation {basis.truncation}"
+            f"target truncation {target.truncation} is below the level-{basis.level} Sturm bound {bound}"
         )
     size = len(basis.elements)
-    t = basis.truncation
-    columns = [e.series.coeffs for e in basis.elements]
     echelon: list[tuple[list, int]] = []
-    for n in range(t + 1):
-        if len(echelon) == size:
-            break
-        _insert(echelon, [col[n] for col in columns] + [target.coeffs[n]], size)
-    if len(echelon) < size:
-        raise SingularSystem(
-            f"only {len(echelon)} independent rows up to truncation {t}, need {size}"
-        )
-    x = [Fraction(0)] * size
-    for row, p in reversed(echelon):
-        x[p] = (row[size] - sum(row[j] * x[j] for j in range(size) if j != p)) / Fraction(row[p])
-    # full verification: every coefficient index must agree exactly
-    for n in range(t + 1):
-        acc = sum(x[j] * columns[j][n] for j in range(size))
-        if acc != target.coeffs[n]:
-            raise Inconsistent(
-                f"expansion fails at q^{n}: got {acc}, target {target.coeffs[n]}"
+    for i, element in enumerate(basis.elements):
+        tag = [int(i == j) for j in range(size)]
+        if not insert_row(echelon, element.series.coeffs[: bound + 1] + tag, bound + 1):
+            raise SingularSystem(
+                f"basis element {element.element_id} is dependent on the elements before it on q^0..q^{bound}"
             )
-    return x
+    rest = reduce_row(echelon, target.coeffs[: bound + 1] + [0] * size)
+    n = next((n for n in range(bound + 1) if rest[n]), None)
+    if n is not None:
+        raise Inconsistent(f"target is not in the span of the basis: it leaves {rest[n]} at q^{n}")
+    return [-Fraction(c) for c in rest[bound + 1 :]]

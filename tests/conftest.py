@@ -2,10 +2,8 @@ import pytest
 
 from divconv.modforms import standard_basis
 
-ACCEPTANCE_TRUNCATION = 1000
-
 
 @pytest.fixture(scope="session")
-def full_bases():
-    """Weight-4 bases at truncation 1000 for the three working levels."""
-    return {level: standard_basis(level, ACCEPTANCE_TRUNCATION) for level in (14, 22, 26)}
+def paper_bases():
+    """Weight-4 bases at the Sturm bound for the three paper levels."""
+    return {level: standard_basis(level) for level in (14, 22, 26)}

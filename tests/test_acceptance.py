@@ -25,6 +25,7 @@ from divconv.modforms import (
     express_in_basis,
     rank,
     registered_cusp_quotients,
+    sturm_bound,
 )
 from divconv.representations import (
     octonary_1_1_closed_form,
@@ -94,11 +95,11 @@ FORMULA_DISPLAYS = {
 }
 
 
-def test_criterion_1_expansion_displays(full_bases):
+def test_criterion_1_expansion_displays(paper_bases):
     start = time.time()
     for (alpha, beta), (sigma3_display, cusp_display) in EXPANSION_DISPLAYS.items():
-        basis = full_bases[alpha * beta]
-        x = express_in_basis(target_series(alpha, beta, basis.truncation), basis)
+        basis = paper_bases[alpha * beta]
+        x = express_in_basis(target_series(alpha, beta, sturm_bound(alpha * beta)), basis)
         n_eis = len(basis.eisenstein_elements)
         assert [240 * c for c in x[:n_eis]] == sigma3_display, (alpha, beta)
         assert x[n_eis:] == cusp_display, (alpha, beta)
@@ -109,19 +110,19 @@ def test_criterion_1_expansion_displays(full_bases):
     _ok(1, f"four expansion displays match exactly ({elapsed:.1f}s)")
 
 
-def test_criterion_2_formula_displays(full_bases):
+def test_criterion_2_formula_displays(paper_bases):
     for (alpha, beta), display in FORMULA_DISPLAYS.items():
-        formula = derive_convolution_formula(alpha, beta, full_bases[alpha * beta])
+        formula = derive_convolution_formula(alpha, beta, paper_bases[alpha * beta])
         assert formula.sigma3_terms == display["sigma3"], (alpha, beta)
         assert formula.sigma_terms == display["sigma"], (alpha, beta)
         assert [c for _, c in formula.cusp_terms] == display["cusp"], (alpha, beta)
     _ok(2, "all five closed-form displays match exactly")
 
 
-def test_criterion_3_oracle_equivalence(full_bases):
+def test_criterion_3_oracle_equivalence(paper_bases):
     start = time.time()
     for alpha, beta in PAIRS:
-        basis = full_bases[alpha * beta]
+        basis = paper_bases[alpha * beta]
         formula = derive_convolution_formula(alpha, beta, basis)
         report = verify_formula(formula, NMAX)
         assert report.ok, (alpha, beta, report.mismatches[:3])
@@ -138,14 +139,14 @@ def test_criterion_4_identity_is_basis_free():
     _ok(4, "squared-difference coefficients match the sigma/brute-force form")
 
 
-def test_criterion_5_dimensions_and_bases(full_bases):
+def test_criterion_5_dimensions_and_bases(paper_bases):
     assert [dim_E4(n) for n in (14, 22, 26)] == [4, 4, 4]
     assert [dim_S4(n) for n in (14, 22, 26)] == [4, 7, 9]
-    for level, basis in full_bases.items():
+    for level, basis in paper_bases.items():
         assert len(basis.elements) == dim_E4(level) + dim_S4(level)
-        assert rank([e.series for e in basis.elements], basis.truncation) == len(basis.elements)
+        assert rank([e.series for e in basis.elements], sturm_bound(level)) == len(basis.elements)
         # re-running construction accepts the registered family
-        rebuilt = build_basis(level, registered_cusp_quotients(level), 100)
+        rebuilt = build_basis(level, registered_cusp_quotients(level))
         assert len(rebuilt.elements) == len(basis.elements)
     _ok(5, "dimension anchors and basis rank checks hold")
 

@@ -95,13 +95,21 @@ def test_search_contains_family():
 
 
 def test_basis_output():
-    result = run("--truncation", "64", "basis", "--level", "14")
+    result = run("basis", "--level", "14")
     assert result.exit_code == 0
     data = json.loads(result.output)
+    assert data["sturm_bound"] == 8 and data["dim_M4"] == 8
     assert [e["id"] for e in data["elements"]] == [
         "E1", "E2", "E7", "E14", "S14.1", "S14.2", "S14.3", "S14.4",
     ]
-    assert all(len(e["coeffs"]) == 20 for e in data["elements"])
+    assert all(len(e["coeffs"]) == 9 for e in data["elements"])
+
+
+def test_short_basis_shows_dim_M4():
+    result = run("--bound", "4", "basis", "--level", "15")
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    assert len(data["elements"]) == 7 and data["dim_M4"] == 8
 
 
 def test_derive_formula_json():
@@ -151,8 +159,11 @@ def test_table_csv():
     assert "2,7,cusp.S14.4,-1/42" in lines
 
 
-def test_truncation_floor_is_enforced():
-    assert run("--truncation", "7", "basis", "--level", "14").exit_code == 2
+def test_basis_does_not_depend_on_truncation():
+    plain = run("basis", "--level", "14")
+    short = run("--truncation", "7", "basis", "--level", "14")
+    assert plain.exit_code == short.exit_code == 0
+    assert plain.output == short.output
 
 
 def test_refusal_exits_3_without_standalone_mode(capsys):

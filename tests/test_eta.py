@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,6 +10,7 @@ from divconv.arith import divisors
 from divconv.eta import (
     EtaQuotient,
     FractionalLeadingExponent,
+    _inverse,
     check_admissibility,
     euler_F,
     expand_eta_quotient,
@@ -153,6 +155,42 @@ def test_search_equals_box_scan_on_small_boxes(level):
 @pytest.mark.parametrize("strict", [False, True])
 def test_search_equals_box_scan_at_bound_3(level, strict):
     assert search_eta_quotients(level, 4, 3, strict) == reference_box_search(level, 4, 3, strict)
+
+
+def reference_inverse(matrix):
+    """Gauss-Jordan over Q, kept as the reference for eta._inverse; None
+    for a singular matrix."""
+    n = len(matrix)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+    for c in range(n):
+        p = next((i for i in range(c, n) if rows[i][c]), None)
+        if p is None:
+            return None
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return [row[n:] for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n)))
+@example([[0, 1], [1, 0]])
+@example([[2, 1, 0], [1, 1, 0], [0, 0, -3]])
+def test_inverse_matches_gauss_jordan(matrix):
+    expected = reference_inverse(matrix)
+    assume(expected is not None)
+    assert _inverse(matrix) == expected
+
+
+@pytest.mark.parametrize("level", [30, 36])
+def test_inverse_of_cusp_order_matrix(level):
+    divs = divisors(level)
+    orders = [[Fraction(level * gcd(d, e) ** 2, 24 * gcd(d, level // d) * d * e) for e in divs] for d in divs]
+    assert _inverse(orders) == reference_inverse(orders)
 
 
 def test_search_without_integral_order_sum_is_empty():
