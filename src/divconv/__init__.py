@@ -1,7 +1,7 @@
 """Exact evaluation of divisor-sum convolution identities via eta-quotient
 cusp bases and Eisenstein series, with brute-force oracles throughout."""
 
-from .arith import Rational, sigma, sigma_at, sigma_table
+from .arith import Rational, sigma, sigma_at, sigma_sieve, sigma_table
 from .convolution import (
     ConvolutionFormula,
     brute_force_W,
@@ -15,6 +15,7 @@ from .eta import (
     check_admissibility,
     euler_F,
     expand_eta_quotient,
+    expand_eta_quotients,
     search_eta_quotients,
 )
 from .modforms import (
@@ -55,6 +56,7 @@ __all__ = [
     "euler_F",
     "evaluate_formula",
     "expand_eta_quotient",
+    "expand_eta_quotients",
     "express_in_basis",
     "octonary_convolution",
     "octonary_formula",
@@ -64,6 +66,7 @@ __all__ = [
     "search_eta_quotients",
     "sigma",
     "sigma_at",
+    "sigma_sieve",
     "sigma_table",
     "standard_basis",
     "target_series",

@@ -113,6 +113,36 @@ def sigma_table(k: int, n_max: int) -> tuple[int, ...]:
     return tuple(table)
 
 
+def sigma_sieve(k: int, n_max: int) -> list[int]:
+    """sigma_k(n) for n = 0..n_max as a list (index 0 holds 0).
+
+    Multiplicative sieve over smallest prime factors, O(n_max log log
+    n_max): with p = spf(n) and p^e the power of p in n, sigma_k(n) is
+    sigma_k(n/p) + n^k when n = p^e, else sigma_k(p^e) sigma_k(n/p^e).
+    It shares no code with sigma_table, so formula evaluation, which reads
+    this, stays independent of the brute-force oracles, which read that.
+    """
+    if k < 0 or n_max < 0:
+        raise ValueError("sigma_sieve requires k >= 0 and n_max >= 0")
+    spf = list(range(n_max + 1))
+    for p in range(2, isqrt(n_max) + 1):
+        if spf[p] == p:
+            for m in range(p * p, n_max + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    values = [0] * (n_max + 1)
+    power = [1] * (n_max + 1)  # p^e, the full power of spf(n) in n
+    if n_max >= 1:
+        values[1] = 1
+    for n in range(2, n_max + 1):
+        p = spf[n]
+        m = n // p
+        power[n] = power[m] * p if spf[m] == p else p
+        rest = n // power[n]
+        values[n] = values[m] + n**k if rest == 1 else values[power[n]] * values[rest]
+    return values
+
+
 def reduce_row(echelon: list[tuple[list, int]], row: list) -> list:
     """row minus the multiples of the (row, pivot column) pairs of the echelon
     that clear its entries at their pivots; the result is zero at every

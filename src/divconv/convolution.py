@@ -1,17 +1,25 @@
 """Convolution sums of sigma over al + bm = n: brute-force oracle, the
 squared Eisenstein difference target series, closed-formula derivation by
 solving in a weight-4 basis at the Sturm bound, and exact range
-verification. A formula carries the eta quotients of its cusp terms, so
-evaluate_formula and verify_formula reach any n_max on their own."""
+verification.
+
+A formula carries the eta quotients of its cusp terms, so evaluate_formula
+and verify_formula reach any n_max on their own. They evaluate the whole
+range at once in integers: every coefficient is scaled by the lcm L of the
+formula's denominators, the sigma terms step through the multiples of
+their d, the cusp quotients are expanded together with their shared passes
+run once, and the sums are divided by L only at the end. The two sides of
+verify_formula stay independent: the formula reads sigma_sieve, the
+brute-force oracle sigma_table."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .arith import rational_to_str, sigma_at, sigma_table
-from .eta import EtaQuotient, expand_eta_quotient
+from .arith import gamma0_index, rational_to_str, sigma_at, sigma_sieve, sigma_table
+from .eta import EtaQuotient, expand_eta_quotients
 from .modforms import (
     Basis,
     BasisIncomplete,
@@ -166,10 +174,19 @@ def derive_formula(alpha: int, beta: int, search_bound: int) -> ConvolutionFormu
         size, needed = len(basis.elements), dim_M4(level)
         if size == needed:
             raise
+        total = Fraction(4 * gamma0_index(level), 12)
+        if total.denominator != 1:
+            reach = (
+                f"no weight-4 eta quotient exists (4*mu/12 = {total} is not an integer); "
+                f"E4(q^t) alone reach rank {size} of dim M4 = {needed}"
+            )
+        else:
+            reach = (
+                f"E4(q^t) and the eta quotients with exponents in [-{search_bound}, {search_bound}] "
+                f"reach rank {size} of dim M4 = {needed} (--bound {search_bound})"
+            )
         raise BasisIncomplete(
-            f"level {level}: E4(q^t) and the eta quotients with exponents in "
-            f"[-{search_bound}, {search_bound}] reach rank {size} of dim M4 = {needed} "
-            f"(--bound {search_bound}), and the W({alpha},{beta}) target is not in their span"
+            f"level {level}: {reach}, and the W({alpha},{beta}) target is not in their span"
         ) from exc
 
 
@@ -180,28 +197,45 @@ def _check_pair(alpha: int, beta: int) -> None:
         raise ValueError(f"alpha and beta must be coprime, got ({alpha}, {beta})")
 
 
+def _scaled_values(formula: ConvolutionFormula, n_max: int) -> tuple[int, list[int]]:
+    """(L, [L * value(n) for n = 0..n_max]) with L the lcm of the formula's
+    denominators, so every term is an integer product and the sums stay in
+    int. sigma and sigma_3 come from sigma_sieve, which shares no code with
+    the sigma_table that brute_force_W reads; the cusp quotients with a
+    nonzero coefficient are expanded together by expand_eta_quotients."""
+    if n_max < 1:
+        raise ValueError("n_max must be positive")
+    coefficients = [
+        *formula.sigma3_terms.values(),
+        *(c for pair in formula.sigma_terms.values() for c in pair),
+        *(c for _, c in formula.cusp_terms),
+    ]
+    scale = lcm(*(c.denominator for c in coefficients))
+    values = [0] * (n_max + 1)
+    sigma3 = sigma_sieve(3, n_max)
+    for d, c in formula.sigma3_terms.items():
+        a = int(c * scale)
+        values[d::d] = [v + a * s for v, s in zip(values[d::d], sigma3[1:])]
+    sigma1 = sigma_sieve(1, n_max)
+    for d, (c0, c1) in formula.sigma_terms.items():
+        a0, a1 = int(c0 * scale), int(c1 * scale) * d
+        values[d::d] = [v + (a0 + a1 * j) * s for j, (v, s) in enumerate(zip(values[d::d], sigma1[1:]), 1)]
+    cusp = [(int(c * scale), q) for (_, c), q in zip(formula.cusp_terms, formula.cusp_quotients) if c]
+    for (a, _), series in zip(cusp, expand_eta_quotients([q for _, q in cusp], n_max)):
+        values = [v + a * x for v, x in zip(values, series.coeffs)]
+    return scale, values
+
+
 def evaluate_formula(formula: ConvolutionFormula, n_max: int) -> list[Fraction]:
     """The closed form at n = 0..n_max (index 0 holds 0).
 
-    Each cusp quotient is expanded to n_max once. sigma is evaluated by
-    trial division, so the formula shares no sieve with brute_force_W."""
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
-    cusp = [
-        (c, expand_eta_quotient(quotient, n_max).coeffs)
-        for (_, c), quotient in zip(formula.cusp_terms, formula.cusp_quotients)
-    ]
-    values = [Fraction(0)]
-    for n in range(1, n_max + 1):
-        total = Fraction(0)
-        for d, c in formula.sigma3_terms.items():
-            total += c * sigma_at(3, n, d)
-        for d, (c0, c1) in formula.sigma_terms.items():
-            total += (c0 + c1 * n) * sigma_at(1, n, d)
-        for c, coeffs in cusp:
-            total += c * coeffs[n]
-        values.append(total)
-    return values
+    The whole range is summed at once in integers scaled by the lcm of the
+    formula's denominators (see _scaled_values) and divided once at the
+    end: sigma_3(n/d) and (c0 + c1 n) sigma(n/d) step through the
+    multiples of d, and each cusp quotient, expanded to n_max, adds its
+    scaled coefficient times its series."""
+    scale, values = _scaled_values(formula, n_max)
+    return [Fraction(v, scale) for v in values]
 
 
 @dataclass(frozen=True)
@@ -228,13 +262,13 @@ def verify_formula(formula: ConvolutionFormula, n_max: int) -> VerificationRepor
     """Check formula == brute force (and integrality) for 1 <= n <= n_max.
 
     Mismatches are collected in the report, never raised."""
-    values = evaluate_formula(formula, n_max)
+    scale, values = _scaled_values(formula, n_max)
     mismatches: list[tuple[int, str, int]] = []
     for n in range(1, n_max + 1):
-        value = values[n]
+        num = values[n]
         oracle = brute_force_W(formula.alpha, formula.beta, n)
-        if value != oracle or value.denominator != 1 or value < 0:
-            mismatches.append((n, rational_to_str(value), oracle))
+        if num % scale or num // scale != oracle or num < 0:
+            mismatches.append((n, rational_to_str(Fraction(num, scale)), oracle))
     return VerificationReport(
         alpha=formula.alpha,
         beta=formula.beta,

@@ -11,10 +11,12 @@ scanning the exponent box.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add, sub
 
 from .arith import divisors, euler_phi, gamma0_index, insert_row, prime_factorization, reduce_row
 from .qseries import QSeries
@@ -185,15 +187,21 @@ def jacobi_cube_terms(truncation: int) -> list[tuple[int, int]]:
     return terms
 
 
-def _multiply_pass(g: list[int], terms: list[tuple[int, int]]) -> list[int]:
-    """g * (1 + sum c q^k) truncated to len(g); every k >= 1."""
+def _multiply_pass(g: list[int], terms: Sequence[tuple[int, int]]) -> list[int]:
+    """g * (1 + sum c q^k) truncated to len(g); every k >= 1. The +-1
+    terms (all of the pentagonal ones) add or subtract g with no multiply."""
     out = list(g)
     for k, c in terms:
-        out[k:] = [a + c * b for a, b in zip(out[k:], g)]
+        if c == 1:
+            out[k:] = map(add, out[k:], g)
+        elif c == -1:
+            out[k:] = map(sub, out[k:], g)
+        else:
+            out[k:] = [a + c * b for a, b in zip(out[k:], g)]
     return out
 
 
-def _divide_pass(g: list[int], terms: list[tuple[int, int]]) -> list[int]:
+def _divide_pass(g: list[int], terms: Sequence[tuple[int, int]]) -> list[int]:
     """g / (1 + sum c q^k) truncated to len(g), by the forward recurrence
     over the sparse tail; terms sorted by k >= 1."""
     h = list(g)
@@ -208,10 +216,48 @@ def _divide_pass(g: list[int], terms: list[tuple[int, int]]) -> list[int]:
 
 
 def expand_eta_quotient(f: EtaQuotient, truncation: int) -> QSeries:
-    """q-expansion of the quotient up to the given truncation.
+    """q-expansion of one quotient up to the given truncation: the
+    one-element case of expand_eta_quotients, which documents the method."""
+    return expand_eta_quotients([f], truncation)[0]
 
-    Requires the q-prefactor exponent (sum of d*r_d)/24 to be a
-    non-negative integer, which holds for every cusp candidate.
+
+def _leading_exponent(f: EtaQuotient) -> int:
+    """(sum of d*r_d)/24, which must be a non-negative integer."""
+    num = f.leading_exponent_numerator
+    if num % 24:
+        raise FractionalLeadingExponent(
+            f"sum of d*r_d = {num} is not divisible by 24; no integral q-expansion"
+        )
+    if num < 0:
+        raise NegativeLeadingExponent(f"leading exponent {num // 24} is negative")
+    return num // 24
+
+
+def _passes(f: EtaQuotient) -> list[tuple[int, bool, bool]]:
+    """The quotient's passes (d, cube, multiply): divisors ascending, and
+    for each, |r_d| // 3 cube passes before |r_d| % 3 pentagonal ones."""
+    return [
+        (d, cube, r > 0)
+        for d, r in f.exponents
+        for cube, count in ((True, abs(r) // 3), (False, abs(r) % 3))
+        for _ in range(count)
+    ]
+
+
+@lru_cache(maxsize=256)
+def _pass_terms(d: int, cube: bool, m: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero terms (d*k, c), k = 1..m, of F(q^d)^3 or of F(q^d)."""
+    base = jacobi_cube_terms(m) if cube else [(k, c) for k, c in enumerate(euler_F(m).coeffs) if c and k]
+    return tuple((d * k, c) for k, c in base)
+
+
+def expand_eta_quotients(quotients, truncation: int) -> list[QSeries]:
+    """q-expansions of the quotients up to the given truncation, in the
+    order given.
+
+    Every quotient needs its q-prefactor exponent e0 = (sum of d*r_d)/24
+    to be a non-negative integer, which holds for every cusp candidate; one
+    with e0 > truncation expands to zero.
 
     Method: prod F(q^d)^(r_d) is built on a plain integer list by sparse
     passes. Each (d, r) applies |r| // 3 passes with F(q^d)^3 (Jacobi's
@@ -219,33 +265,38 @@ def expand_eta_quotient(f: EtaQuotient, truncation: int) -> QSeries:
     (pentagonal, about sqrt(8t/3d) terms). A pass multiplies for r > 0 and
     divides by the forward recurrence for r < 0, so no dense series product
     is ever formed and every coefficient is an exact Python int.
+
+    The quotients' pass sequences form a prefix tree, walked depth first
+    by taking them in sorted order, so a pass that several quotients start
+    with runs once. Every pass runs on q^0..q^top with top = truncation -
+    min e0; a quotient with a larger e0 reads a prefix, since truncated
+    products agree on it.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    num = f.leading_exponent_numerator
-    if num % 24:
-        raise FractionalLeadingExponent(
-            f"sum of d*r_d = {num} is not divisible by 24; no integral q-expansion"
-        )
-    e0 = num // 24
-    if e0 < 0:
-        raise NegativeLeadingExponent(f"leading exponent {e0} is negative")
-    if e0 > truncation:
-        return QSeries.zero(truncation)
-    top = truncation - e0
-    g = [1] + [0] * top
-    for d, r in f.exponents:
-        m = top // d
-        if m == 0:
-            continue
-        pentagonal = [(d * k, c) for k, c in enumerate(euler_F(m).coeffs) if c and k]
-        cube = [(d * k, c) for k, c in jacobi_cube_terms(m)]
-        apply = _multiply_pass if r > 0 else _divide_pass
-        for _ in range(abs(r) // 3):
-            g = apply(g, cube)
-        for _ in range(abs(r) % 3):
-            g = apply(g, pentagonal)
-    return QSeries([0] * e0 + g, truncation)
+    results: list[QSeries | None] = [None] * len(quotients)
+    jobs = []
+    for i, f in enumerate(quotients):
+        e0 = _leading_exponent(f)
+        if e0 > truncation:
+            results[i] = QSeries.zero(truncation)
+        else:
+            jobs.append((_passes(f), e0, i))
+    if not jobs:
+        return results
+    top = truncation - min(e0 for _, e0, _ in jobs)
+    # path[j] is the product after the first j passes of the quotient
+    # expanded last; the next one in sorted order keeps what it shares
+    path, last = [[1] + [0] * top], []
+    for passes, e0, i in sorted(jobs):
+        shared = next((j for j, (a, b) in enumerate(zip(last, passes)) if a != b), min(len(last), len(passes)))
+        del path[shared + 1 :]
+        for d, cube, multiply in passes[shared:]:
+            g, m = path[-1], top // d
+            path.append((_multiply_pass if multiply else _divide_pass)(g, _pass_terms(d, cube, m)) if m else g)
+        results[i] = QSeries([0] * e0 + path[-1][: truncation - e0 + 1], truncation)
+        last = passes
+    return results
 
 
 def _inverse(matrix: list[list[Fraction]]) -> list[list[Fraction]]:

@@ -27,8 +27,9 @@ from .qseries import QSeries
 
 
 class BasisIncomplete(RuntimeError):
-    """No basis at this level reaches far enough: no weight-4 eta quotient
-    exists, or the target lies outside the span of a basis short of dim M4."""
+    """The target lies outside the span of a basis short of dim M4, for
+    want of eta quotients in the search bound, or of any at all where
+    4*mu/12 is not an integer and the basis is the E4(q^t) block alone."""
 
 
 class SingularSystem(ArithmeticError):
@@ -174,15 +175,11 @@ def registered_cusp_quotients(level: int) -> list[EtaQuotient]:
 def cusp_quotients_for_level(level: int, search_bound: int) -> list[EtaQuotient]:
     """Basis candidates at this level: the registered family, else every
     weight-4 eta quotient of the search with exponents in [-search_bound,
-    search_bound], in search order. build_basis picks among them."""
+    search_bound], in search order. build_basis picks among them. A level
+    where 4*mu/12 is not an integer (3, 7, 13, 21, ...) has none, so its
+    basis is the E4(q^t) block alone, which spans M4 at level 3."""
     if level in REGISTERED_CUSP_EXPONENTS:
         return registered_cusp_quotients(level)
-    total = Fraction(4 * gamma0_index(level), 12)
-    if total.denominator != 1:
-        raise BasisIncomplete(
-            f"level {level}: no weight-4 eta quotient exists "
-            f"(4*mu/12 = {total} is not an integer)"
-        )
     return search_eta_quotients(level, 4, search_bound)
 
 

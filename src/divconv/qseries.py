@@ -4,7 +4,7 @@ Coefficients are exact (int or Fraction); no floating point anywhere.
 Binary operations truncate to the shorter operand. Multiplication runs over
 the nonzero coefficients of the sparser operand, and reciprocal over the
 nonzero tail only. Eta quotients are not expanded through these operations
-(eta.expand_eta_quotient applies sparse passes to a plain list); the tests
+(eta.expand_eta_quotients applies sparse passes to plain lists); the tests
 use the dense QSeries product as the oracle for that kernel.
 """
 

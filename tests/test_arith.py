@@ -13,6 +13,7 @@ from divconv.arith import (
     rational_to_str,
     sigma,
     sigma_at,
+    sigma_sieve,
     sigma_table,
 )
 
@@ -61,6 +62,19 @@ def test_sigma_table_matches_pointwise():
         assert table1[n] == sigma(1, n)
         assert table3[n] == sigma(3, n)
     assert table1[0] == 0
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 5000])
+def test_sigma_sieve_matches_trial_division(n_max):
+    for k in range(4):
+        assert sigma_sieve(k, n_max) == [sigma(k, n) for n in range(n_max + 1)], k
+
+
+def test_sigma_sieve_rejects_negative_arguments():
+    with pytest.raises(ValueError):
+        sigma_sieve(-1, 10)
+    with pytest.raises(ValueError):
+        sigma_sieve(1, -1)
 
 
 def test_divisors():

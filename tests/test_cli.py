@@ -183,6 +183,17 @@ def test_refusal_says_why():
     assert "level 15:" in short.output and "reach rank 7 of dim M4 = 8 (--bound 4)" in short.output
 
 
+def test_level_without_eta_quotients_derives_from_E4_alone():
+    # dim M4(3) = 2 is spanned by E4(q) and E4(q^3); at level 7 they reach
+    # rank 2 of 3 and the target lies outside their span
+    spanned = run("verify", "--alpha", "1", "--beta", "3", "--nmax", "300")
+    assert spanned.exit_code == 0 and json.loads(spanned.output)["mismatches"] == []
+    short = run("derive", "--alpha", "1", "--beta", "7")
+    assert short.exit_code == 3
+    assert "level 7: no weight-4 eta quotient exists (4*mu/12 = 8/3 is not an integer)" in short.output
+    assert "E4(q^t) alone reach rank 2 of dim M4 = 3" in short.output
+
+
 def test_outputs_are_deterministic():
     a = run("--truncation", "64", "derive", "--alpha", "2", "--beta", "7")
     b = run("--truncation", "64", "derive", "--alpha", "2", "--beta", "7")

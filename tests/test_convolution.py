@@ -1,7 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import divconv.convolution as convolution_module
+from divconv.arith import sigma_at
 from divconv.convolution import (
     brute_force_W,
     derive_convolution_formula,
@@ -11,6 +14,7 @@ from divconv.convolution import (
     target_series,
     verify_formula,
 )
+from divconv.eta import expand_eta_quotient
 from divconv.modforms import build_basis, cusp_quotients_for_level, dim_M4, standard_basis, sturm_bound
 
 TRUNC = 80
@@ -218,3 +222,81 @@ def test_brute_force_matches_naive_double_loop(alpha, beta):
             if alpha * l + beta * m == n
         )
         assert brute_force_W(alpha, beta, n) == naive, n
+
+
+def reference_evaluate(formula, n_max):
+    """The per-n Fraction loop that the integer evaluation replaced, kept as
+    its reference: sigma by trial division, each quotient expanded alone."""
+    cusp = [
+        (c, expand_eta_quotient(quotient, n_max).coeffs)
+        for (_, c), quotient in zip(formula.cusp_terms, formula.cusp_quotients)
+    ]
+    values = [Fraction(0)]
+    for n in range(1, n_max + 1):
+        total = Fraction(0)
+        for d, c in formula.sigma3_terms.items():
+            total += c * sigma_at(3, n, d)
+        for d, (c0, c1) in formula.sigma_terms.items():
+            total += (c0 + c1 * n) * sigma_at(1, n, d)
+        for c, coeffs in cusp:
+            total += c * coeffs[n]
+        values.append(total)
+    return values
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,bound", [(2, 7, 9), (1, 22, 9), (2, 11, 9), (1, 26, 9), (2, 13, 9), (1, 3, 9), (2, 3, 4)]
+)
+def test_integer_evaluation_matches_fraction_loop(alpha, beta, bound):
+    formula = derive_formula(alpha, beta, bound)
+    assert evaluate_formula(formula, 500) == reference_evaluate(formula, 500)
+
+
+def test_integer_evaluation_without_cusp_terms():
+    # level 3 has no eta quotient of weight 4: the formula is E4(q^t) alone
+    formula = derive_formula(1, 3, 9)
+    assert formula.cusp_terms == () and formula.cusp_quotients == ()
+    values = evaluate_formula(formula, 500)
+    assert values == reference_evaluate(formula, 500)
+    assert values[1:] == [brute_force_W(1, 3, n) for n in range(1, 501)]
+
+
+def test_level3_formula_derives_and_verifies():
+    formula = derive_formula(1, 3, 9)
+    assert formula.sigma3_terms == {1: Fraction(1, 24), 3: Fraction(3, 8)}
+    assert formula.to_json_dict()["basis_rank"] == dim_M4(3) == 2
+    assert verify_formula(formula, 300).ok
+
+
+def test_evaluation_reads_no_oracle_sieve(formula27, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("evaluate_formula read the oracle's sigma_table")
+
+    monkeypatch.setattr(convolution_module, "sigma_table", forbidden)
+    assert evaluate_formula(formula27, 60) == reference_evaluate(formula27, 60)
+
+
+def test_evaluation_skips_zero_cusp_coefficients(monkeypatch):
+    formula = derive_formula(1, 26, 9)
+    expanded = []
+    expand = convolution_module.expand_eta_quotients
+    monkeypatch.setattr(
+        convolution_module, "expand_eta_quotients", lambda qs, t: expanded.append(len(qs)) or expand(qs, t)
+    )
+    evaluate_formula(formula, 50)
+    assert expanded == [sum(1 for _, c in formula.cusp_terms if c)] == [8]
+
+
+def test_verify_reports_non_integral_value(formula27):
+    # + sigma3(n)/7 leaves a value that rounds down to the oracle at n = 1
+    shifted = replace(formula27, sigma3_terms={**formula27.sigma3_terms, 1: formula27.sigma3_terms[1] + Fraction(1, 7)})
+    report = verify_formula(shifted, 30)
+    assert report.mismatches[0] == (1, "1/7", 0)
+    nonintegral = [n for n in range(1, 31) if sigma_at(3, n, 1) % 7]
+    assert [n for n, value, _ in report.mismatches if value.endswith("/7")] == nonintegral
+
+
+def test_verify_reports_negative_value(formula27):
+    shifted = replace(formula27, sigma3_terms={**formula27.sigma3_terms, 1: formula27.sigma3_terms[1] - 1})
+    report = verify_formula(shifted, 10)
+    assert not report.ok and report.mismatches[0] == (1, "-1/1", 0)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import divconv.eta as eta_module
 from divconv.arith import divisors
 from divconv.eta import (
     EtaQuotient,
@@ -13,7 +14,9 @@ from divconv.eta import (
     _inverse,
     check_admissibility,
     euler_F,
+    NegativeLeadingExponent,
     expand_eta_quotient,
+    expand_eta_quotients,
     jacobi_cube_terms,
     search_eta_quotients,
 )
@@ -271,3 +274,96 @@ def test_jacobi_cube_terms_equal_cubed_euler_F():
         for n, c in jacobi_cube_terms(t):
             dense[n] = c
         assert dense == (euler_F(t) ** 3).coeffs
+
+
+def reference_expand_eta_quotient(quotient, truncation):
+    """The one-quotient kernel that expand_eta_quotients replaced, kept as
+    its reference: every pass of the quotient in turn, on one list."""
+    e0 = quotient.leading_exponent_numerator // 24
+    if e0 > truncation:
+        return QSeries.zero(truncation)
+    top = truncation - e0
+    g = [1] + [0] * top
+    for d, r in quotient.exponents:
+        m = top // d
+        if m == 0:
+            continue
+        pentagonal = [(d * k, c) for k, c in enumerate(euler_F(m).coeffs) if c and k]
+        cube = [(d * k, c) for k, c in jacobi_cube_terms(m)]
+        for terms in [cube] * (abs(r) // 3) + [pentagonal] * (abs(r) % 3):
+            h = list(g)
+            if r > 0:
+                for k, c in terms:
+                    h[k:] = [a + c * b for a, b in zip(h[k:], g)]
+            else:
+                for n in range(1, len(h)):
+                    h[n] -= sum(c * h[n - k] for k, c in terms if k <= n)
+            g = h
+    return QSeries([0] * e0 + g, truncation)
+
+
+@pytest.mark.parametrize("level", [14, 22, 26])
+def test_shared_expansion_matches_reference_on_registered_families(level):
+    family = registered_cusp_quotients(level)
+    expected = [reference_expand_eta_quotient(q, 3000) for q in family]
+    assert expand_eta_quotients(family, 3000) == expected
+    assert [expand_eta_quotient(q, 3000) for q in family] == expected
+
+
+LEVEL12_DIVISORS = (1, 2, 3, 4, 6, 12)
+
+
+@st.composite
+def level12_quotients(draw):
+    """A level-12 quotient of any weight with an integral, non-negative
+    leading exponent: r_2..r_12 in [-3, 3], and r_1 = -(sum of the other
+    d*r_d) mod 24, taken negative where the sum stays >= 0 (eta^24 if
+    every exponent would be zero)."""
+    tail = draw(st.lists(st.integers(-3, 3), min_size=5, max_size=5))
+    rest = sum(d * r for d, r in zip(LEVEL12_DIVISORS[1:], tail))
+    r1 = -rest % 24 - 24 if rest >= 24 else -rest % 24
+    while rest + r1 < 0:
+        r1 += 24
+    if not (r1 or any(tail)):
+        r1 = 24
+    return EtaQuotient.from_dict(12, dict(zip(LEVEL12_DIVISORS, [r1, *tail])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(level12_quotients(), min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=8)
+    ),
+    st.integers(1, 60),
+)
+@example([], 5)
+@example([EtaQuotient.from_dict(12, {12: 4})], 1)  # starts at q^2, past the truncation
+@example([EtaQuotient.from_dict(12, {12: 2}), EtaQuotient.from_dict(12, {1: 24})], 1)
+@example([EtaQuotient.from_dict(12, {1: 2, 2: 2, 3: 2, 6: 2})] * 3, 40)
+@example([EtaQuotient.from_dict(12, {1: 3, 3: 3, 6: 2}), EtaQuotient.from_dict(12, {1: 3, 2: 3, 3: 1, 12: 1})], 50)
+def test_shared_expansion_matches_reference_on_level12_lists(quotients, truncation):
+    # drawn from a small pool, so lists repeat quotients and share prefixes
+    got = expand_eta_quotients(quotients, truncation)
+    assert got == [reference_expand_eta_quotient(q, truncation) for q in quotients]
+    assert got == [expand_eta_quotient(q, truncation) for q in quotients]
+
+
+def test_shared_expansion_runs_each_shared_pass_once(monkeypatch):
+    ran = []
+    for name in ("_multiply_pass", "_divide_pass"):
+        kernel = getattr(eta_module, name)
+        monkeypatch.setattr(eta_module, name, lambda g, terms, kernel=kernel: ran.append(1) or kernel(g, terms))
+    family = registered_cusp_quotients(26)
+    prefixes = {tuple(eta_module._passes(q)[:i]) for q in family for i in range(1, len(eta_module._passes(q)) + 1)}
+    expand_eta_quotients(family + family, 500)
+    assert len(ran) == len(prefixes) < sum(len(eta_module._passes(q)) for q in family)
+
+
+def test_shared_expansion_validates_every_quotient():
+    good = EtaQuotient.from_dict(14, {1: 5, 2: -1, 7: 5, 14: -1})
+    with pytest.raises(FractionalLeadingExponent):
+        expand_eta_quotients([good, EtaQuotient.from_dict(1, {1: 1})], 10)
+    with pytest.raises(NegativeLeadingExponent):
+        expand_eta_quotients([EtaQuotient.from_dict(1, {1: -24}), good], 10)
+    with pytest.raises(ValueError):
+        expand_eta_quotients([good], 0)
