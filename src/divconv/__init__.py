@@ -1,10 +1,11 @@
 """Exact evaluation of divisor-sum convolution identities via eta-quotient
 cusp bases and Eisenstein series, with brute-force oracles throughout."""
 
-from .arith import Rational, sigma, sigma_at, sigma_sieve, sigma_table
+from .arith import Rational, series_product, sigma, sigma_at, sigma_sieve, sigma_table
 from .convolution import (
     ConvolutionFormula,
     brute_force_W,
+    brute_force_W_table,
     derive_convolution_formula,
     evaluate_formula,
     target_series,
@@ -33,7 +34,9 @@ from .modforms import (
 from .qseries import QSeries
 from .representations import (
     octonary_convolution,
+    octonary_count_table,
     octonary_formula,
+    octonary_formula_table,
     r4,
     r4_lattice,
 )
@@ -46,6 +49,7 @@ __all__ = [
     "QSeries",
     "Rational",
     "brute_force_W",
+    "brute_force_W_table",
     "build_basis",
     "check_admissibility",
     "derive_convolution_formula",
@@ -59,11 +63,14 @@ __all__ = [
     "expand_eta_quotients",
     "express_in_basis",
     "octonary_convolution",
+    "octonary_count_table",
     "octonary_formula",
+    "octonary_formula_table",
     "r4",
     "r4_lattice",
     "rank",
     "search_eta_quotients",
+    "series_product",
     "sigma",
     "sigma_at",
     "sigma_sieve",

@@ -1,6 +1,8 @@
-"""Exact integer and rational arithmetic, divisor-sum functions, and the
-package's only exact elimination over Q (reduce_row, insert_row), which
-picks independent rows, solves systems and inverts matrices.
+"""Exact integer and rational arithmetic, divisor-sum functions, the exact
+product of two non-negative integer series (series_product, one big-int
+multiplication; spread substitutes q -> q^t), and the package's only exact elimination over Q
+(reduce_row, insert_row), which picks independent rows, solves systems and
+inverts matrices.
 
 Rational values throughout the package are ``fractions.Fraction`` instances
 (always stored reduced, denominator positive), serialized as ``"num/den"``.
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import isqrt
 
 Rational = Fraction
@@ -141,6 +144,42 @@ def sigma_sieve(k: int, n_max: int) -> list[int]:
         rest = n // power[n]
         values[n] = values[m] + n**k if rest == 1 else values[power[n]] * values[rest]
     return values
+
+
+def spread(series, t: int, n_max: int) -> list[int]:
+    """series(q^t) on q^0..q^n_max: series[i] moved to index t*i."""
+    out = [0] * (n_max + 1)
+    out[::t] = series[: n_max // t + 1]
+    return out
+
+
+def series_product(x, y, n_max: int) -> list[int]:
+    """Coefficients q^0..q^n_max of the product of two series with
+    non-negative int coefficients x and y (x[i] the coefficient of q^i).
+
+    Kronecker substitution: each series is packed into one int, one
+    coefficient per slot of w bytes, the two ints are multiplied once and
+    the product is read back slot by slot. No coefficient of the product
+    exceeds max(x) * max(y) * min(len(x), len(y)), and w is the width of
+    that bound, so no slot carries into the next one and the result is
+    exact. A negative coefficient would borrow across slots, so one among
+    q^0..q^n_max is refused.
+    """
+    if n_max < 0:
+        raise ValueError(f"series_product requires n_max >= 0, got {n_max}")
+    x, y = list(x[: n_max + 1]), list(y[: n_max + 1])
+    if min(x, default=0) < 0 or min(y, default=0) < 0:
+        raise ValueError("series_product requires non-negative coefficients")
+    bound = max(x, default=0) * max(y, default=0) * min(len(x), len(y))
+    if not bound:
+        return [0] * (n_max + 1)
+    w = (bound.bit_length() + 7) // 8
+
+    def pack(series: list[int]) -> int:
+        return int.from_bytes(b"".join(map(int.to_bytes, series, repeat(w), repeat("little"))), "little")
+
+    data = (pack(x) * pack(y)).to_bytes(w * (n_max + 1 + len(x) + len(y)), "little")
+    return [int.from_bytes(data[k : k + w], "little") for k in range(0, w * (n_max + 1), w)]
 
 
 def reduce_row(echelon: list[tuple[list, int]], row: list) -> list:

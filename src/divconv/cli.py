@@ -179,13 +179,14 @@ def verify(config: RunConfig, alpha, beta, nmax):
 @click.option("--nmax", required=True, type=click.IntRange(min=1))
 def rep(a, b, nmax):
     """Octonary representation counts: formula vs oracle as CSV."""
+    formula_values = representations.octonary_formula_table(a, b, nmax)
+    oracle_values = representations.octonary_count_table(a, b, nmax)
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["n", "formula_value", "oracle_value", "match"])
     any_mismatch = False
     for n in range(1, nmax + 1):
-        formula_value = representations.octonary_formula(a, b, n)
-        oracle_value = representations.octonary_convolution(a, b, n)
+        formula_value, oracle_value = formula_values[n], oracle_values[n]
         match = formula_value == oracle_value
         any_mismatch |= not match
         writer.writerow([n, formula_value, oracle_value, str(match).lower()])

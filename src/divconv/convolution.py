@@ -1,16 +1,19 @@
-"""Convolution sums of sigma over al + bm = n: brute-force oracle, the
-squared Eisenstein difference target series, closed-formula derivation by
-solving in a weight-4 basis at the Sturm bound, and exact range
-verification.
+"""Convolution sums of sigma over al + bm = n: brute-force oracle (one n at
+a time, or the whole range as one exact series product), the squared
+Eisenstein difference target series, closed-formula derivation by solving
+in a weight-4 basis at the Sturm bound, and exact range verification.
 
 A formula carries the eta quotients of its cusp terms, so evaluate_formula
 and verify_formula reach any n_max on their own. They evaluate the whole
 range at once in integers: every coefficient is scaled by the lcm L of the
 formula's denominators, the sigma terms step through the multiples of
 their d, the cusp quotients are expanded together with their shared passes
-run once, and the sums are divided by L only at the end. The two sides of
-verify_formula stay independent: the formula reads sigma_sieve, the
-brute-force oracle sigma_table."""
+run once, and the sums are divided by L only at the end. The oracle side
+of verify_formula is brute_force_W_table, the product of the two spread
+sigma series. The two sides stay independent: the formula reads
+sigma_sieve, the brute-force oracle sigma_table. A report carries the
+formula's certificate, its Sturm bound and basis rank against dim M4, next
+to the range the oracle agreed on."""
 
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arith import gamma0_index, rational_to_str, sigma_at, sigma_sieve, sigma_table
+from .arith import gamma0_index, rational_to_str, series_product, sigma_at, sigma_sieve, sigma_table, spread
 from .eta import EtaQuotient, expand_eta_quotients
 from .modforms import (
     Basis,
@@ -58,6 +61,18 @@ def brute_force_W(alpha: int, beta: int, n: int) -> int:
     return sum(
         table[l] * table[(n - alpha * l) // beta] for l in range(l0, (n - 1) // alpha + 1, step)
     )
+
+
+def brute_force_W_table(alpha: int, beta: int, n_max: int) -> list[int]:
+    """brute_force_W(alpha, beta, n) for n = 0..n_max (index 0 holds 0).
+
+    W(alpha,beta) is the q-series product of sum sigma(l) q^(alpha l) and
+    sum sigma(m) q^(beta m), so the whole range is one exact series_product
+    of the sigma_table series spread to the multiples of alpha and of beta."""
+    if alpha < 1 or beta < 1 or n_max < 0:
+        raise ValueError("brute_force_W_table requires alpha, beta >= 1 and n_max >= 0")
+    table = _sigma1(n_max)
+    return series_product(spread(table, alpha, n_max), spread(table, beta, n_max), n_max)
 
 
 def target_series(alpha: int, beta: int, truncation: int) -> QSeries:
@@ -100,14 +115,22 @@ class ConvolutionFormula:
     cusp_terms: tuple[tuple[str, Fraction], ...]
     cusp_quotients: tuple[EtaQuotient, ...]
 
+    def certificate(self) -> dict[str, int]:
+        """Why the formula holds for every n: it was solved on q^0..q^B, B
+        the Sturm bound, in a basis of basis_rank elements of M4, whose
+        dimension is dim_M4."""
+        return {
+            "sturm_bound": sturm_bound(self.level),
+            "basis_rank": len(self.sigma3_terms) + len(self.cusp_terms),
+            "dim_M4": dim_M4(self.level),
+        }
+
     def to_json_dict(self) -> dict:
         return {
             "alpha": self.alpha,
             "beta": self.beta,
             "level": self.level,
-            "sturm_bound": sturm_bound(self.level),
-            "basis_rank": len(self.sigma3_terms) + len(self.cusp_terms),
-            "dim_M4": dim_M4(self.level),
+            **self.certificate(),
             "sigma3": {str(d): rational_to_str(c) for d, c in self.sigma3_terms.items()},
             "sigma": {
                 str(d): [rational_to_str(c0), rational_to_str(c1)]
@@ -240,8 +263,12 @@ def evaluate_formula(formula: ConvolutionFormula, n_max: int) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """A formula checked against the oracle on 1..checked, with the
+    formula's Sturm-bound certificate (ConvolutionFormula.certificate)."""
+
     alpha: int
     beta: int
+    certificate: dict[str, int]
     checked: int
     mismatches: tuple[tuple[int, str, int], ...]  # (n, formula value, oracle value)
 
@@ -253,6 +280,7 @@ class VerificationReport:
         return {
             "alpha": self.alpha,
             "beta": self.beta,
+            **self.certificate,
             "checked": self.checked,
             "mismatches": [list(m) for m in self.mismatches],
         }
@@ -261,17 +289,19 @@ class VerificationReport:
 def verify_formula(formula: ConvolutionFormula, n_max: int) -> VerificationReport:
     """Check formula == brute force (and integrality) for 1 <= n <= n_max.
 
+    The oracle column is brute_force_W_table over the whole range.
     Mismatches are collected in the report, never raised."""
     scale, values = _scaled_values(formula, n_max)
+    oracles = brute_force_W_table(formula.alpha, formula.beta, n_max)
     mismatches: list[tuple[int, str, int]] = []
     for n in range(1, n_max + 1):
-        num = values[n]
-        oracle = brute_force_W(formula.alpha, formula.beta, n)
+        num, oracle = values[n], oracles[n]
         if num % scale or num // scale != oracle or num < 0:
             mismatches.append((n, rational_to_str(Fraction(num, scale)), oracle))
     return VerificationReport(
         alpha=formula.alpha,
         beta=formula.beta,
+        certificate=formula.certificate(),
         checked=n_max,
         mismatches=tuple(mismatches),
     )

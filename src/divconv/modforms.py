@@ -50,8 +50,8 @@ def eisenstein_L(truncation: int) -> QSeries:
 
 def eisenstein_M(truncation: int) -> QSeries:
     """E4-normalized series 1 + 240 sum sigma_3(n) q^n."""
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
+    if truncation < 0:
+        raise ValueError("truncation must be >= 0")
     table = sigma_table(3, truncation)
     return QSeries([1] + [240 * table[n] for n in range(1, truncation + 1)], truncation)
 

@@ -1,13 +1,20 @@
 """Representation numbers: sums of four squares and the octonary forms
-a(x1^2+..+x4^2) + b(x5^2+..+x8^2), with independent lattice-count oracles."""
+a(x1^2+..+x4^2) + b(x5^2+..+x8^2), with independent lattice-count oracles.
+
+Both columns of a whole-range comparison are tables built by one exact
+series_product each: octonary_formula_table evaluates the quaternary
+identity from brute_force_W_table and sigma_table, and
+octonary_count_table multiplies the r4 series, whose trial-division sigma
+neither of those reads. The per-n octonary_convolution, r4 and
+octonary_lattice stay as references."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import isqrt
 
-from .arith import sigma, sigma_at
-from .convolution import brute_force_W
+from .arith import series_product, sigma, sigma_at, sigma_table, spread
+from .convolution import brute_force_W_table
 
 #: direct 4-square lattice counts are only sensible at desk scale
 R4_LATTICE_BOUND = 200
@@ -33,7 +40,7 @@ def r4(n: int) -> int:
 
     Memoised, because octonary_convolution asks for the same r4(l) at every
     n >= l. Trial-division sigma is kept on purpose: this oracle shares no
-    sieve with brute_force_W and octonary_formula."""
+    sieve with brute_force_W_table and octonary_formula_table."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
@@ -90,17 +97,22 @@ def octonary_convolution(a: int, b: int, n: int) -> int:
     return total
 
 
-def _w_at(alpha: int, beta: int, n: int, d: int = 1) -> int:
-    """W(alpha,beta)(n/d) with the zero convention for d not dividing n."""
-    if n % d:
-        return 0
-    m = n // d
-    return brute_force_W(alpha, beta, m) if m >= 1 else 0
+def octonary_count_table(a: int, b: int, n_max: int) -> list[int]:
+    """octonary_convolution(a, b, n) for n = 0..n_max: the product of the
+    r4 series at q^a and at q^b, as one exact series_product. It reads r4,
+    so it shares no sigma source with octonary_formula_table."""
+    if a < 1 or b < 1:
+        raise ValueError("a and b must be positive")
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    theta = [r4(m) for m in range(n_max // min(a, b) + 1)]
+    return series_product(spread(theta, a, n_max), spread(theta, b, n_max), n_max)
 
 
-def octonary_formula(a: int, b: int, n: int) -> int:
-    """Closed formula for the octonary count, with every convolution sum it
-    consumes computed by the brute-force oracle.
+def octonary_formula_table(a: int, b: int, n_max: int) -> list[int]:
+    """Closed formula for the octonary count at n = 0..n_max (index 0 holds
+    the count 1 of n = 0), with every convolution sum it consumes taken
+    from the brute-force brute_force_W_table.
 
     Substituting r4(m) = 8 sigma(m) - 32 sigma(m/4) (m >= 1) into
     octonary_convolution gives, for n >= 1,
@@ -109,19 +121,39 @@ def octonary_formula(a: int, b: int, n: int) -> int:
         + 64 W(a,b)(n) + 1024 W(a,b)(n/4) - 256 [W(4a,b)(n) + W(a,4b)(n)]
 
     with sigma and W zero at non-integer arguments. So (2, 3) needs W(2,3),
-    W(3,8) and W(2,12), not the W(1,3)/W(1,12) of the (1, 3) case.
+    W(3,8) and W(2,12), not the W(1,3)/W(1,12) of the (1, 3) case. Each
+    term is read from a whole-range table spread to the multiples of its
+    divisor, so W(a,b)(n/4) is the W(a,b) table at q -> q^4.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     if (a, b) not in SUPPORTED_PAIRS:
         raise UnsupportedPair(f"no formula for (a, b) = ({a}, {b})")
-    return (
-        8 * (sigma_at(1, n, a) + sigma_at(1, n, b))
-        - 32 * (sigma_at(1, n, 4 * a) + sigma_at(1, n, 4 * b))
-        + 64 * _w_at(a, b, n)
-        + 1024 * _w_at(a, b, n, 4)
-        - 256 * (_w_at(4 * a, b, n) + _w_at(a, 4 * b, n))
+    if n_max < 0:
+        raise ValueError("n_max must be non-negative")
+    sigma1 = sigma_table(1, n_max)
+    w = brute_force_W_table(a, b, n_max)
+    columns = zip(
+        spread(sigma1, a, n_max),
+        spread(sigma1, b, n_max),
+        spread(sigma1, 4 * a, n_max),
+        spread(sigma1, 4 * b, n_max),
+        w,
+        spread(w, 4, n_max),
+        brute_force_W_table(4 * a, b, n_max),
+        brute_force_W_table(a, 4 * b, n_max),
     )
+    values = [
+        8 * (sa + sb) - 32 * (s4a + s4b) + 64 * wab + 1024 * wab4 - 256 * (w4ab + wa4b)
+        for sa, sb, s4a, s4b, wab, wab4, w4ab, wa4b in columns
+    ]
+    values[0] = 1
+    return values
+
+
+def octonary_formula(a: int, b: int, n: int) -> int:
+    """octonary_formula_table(a, b, n)[n], for n >= 1."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return octonary_formula_table(a, b, n)[n]
 
 
 def octonary_1_1_closed_form(n: int) -> int:

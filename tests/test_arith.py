@@ -11,6 +11,7 @@ from divconv.arith import (
     prime_factorization,
     rational_from_str,
     rational_to_str,
+    series_product,
     sigma,
     sigma_at,
     sigma_sieve,
@@ -119,3 +120,53 @@ def test_rational_string_has_explicit_denominator():
     assert rational_to_str(Fraction(-672, 25)) == "-672/25"
     with pytest.raises(ValueError):
         rational_from_str("25")
+
+
+def naive_product(x, y, n_max):
+    out = [0] * (n_max + 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            if i + j <= n_max:
+                out[i + j] += a * b
+    return out
+
+
+series = st.lists(st.integers(min_value=0, max_value=2**200), max_size=40)
+
+
+@given(series, series, st.integers(min_value=0, max_value=60))
+def test_series_product_matches_double_loop(x, y, n_max):
+    # n_max ranges below and above the input lengths, and entries up to
+    # 2^200 need slots of up to 76 bytes
+    assert series_product(x, y, n_max) == naive_product(x, y, n_max)
+
+
+@pytest.mark.parametrize("bits", [1, 7, 8, 63, 64, 200])
+def test_series_product_reaches_its_slot_bound(bits):
+    # all-maximal inputs attain max(x) * max(y) * min(len) at the middle
+    # coefficient, the largest a slot must hold
+    top = 2**bits - 1
+    x, y = [top] * 9, [top] * 5
+    product = series_product(x, y, 20)
+    assert product == naive_product(x, y, 20)
+    assert max(product) == top * top * 5
+
+
+def test_series_product_small_cases():
+    assert series_product([1, 1], [1, 1], 4) == [1, 2, 1, 0, 0]
+    assert series_product([1, 1], [1, 1], 1) == [1, 2]
+    assert series_product([], [3], 2) == [0, 0, 0]
+    assert series_product([0, 0], [5, 5], 0) == [0]
+
+
+@given(series, st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=2**200))
+def test_series_product_rejects_negative_coefficients(x, position, size):
+    with pytest.raises(ValueError):
+        series_product(x[:position] + [-size] + x[position:], [1], 60)
+    with pytest.raises(ValueError):
+        series_product([1], x[:position] + [-size] + x[position:], 60)
+
+
+def test_series_product_rejects_negative_n_max():
+    with pytest.raises(ValueError):
+        series_product([1], [1], -1)

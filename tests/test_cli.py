@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from divconv.cli import main
+from divconv.representations import octonary_convolution
 
 A2_QUOTIENT = '{"level": 14, "exponents": {"1": 2, "2": 2, "7": 2, "14": 2}}'
 
@@ -105,6 +106,15 @@ def test_basis_output():
     assert all(len(e["coeffs"]) == 9 for e in data["elements"])
 
 
+def test_level_1_basis_is_E4_alone():
+    # the Sturm bound 4*mu/12 = 1/3 floors to 0: E4 is determined by q^0
+    result = run("basis", "--level", "1")
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    assert data["sturm_bound"] == 0 and data["dim_M4"] == 1
+    assert [(e["id"], e["coeffs"]) for e in data["elements"]] == [("E1", ["1"])]
+
+
 def test_short_basis_shows_dim_M4():
     result = run("--bound", "4", "basis", "--level", "15")
     assert result.exit_code == 0
@@ -138,6 +148,13 @@ def test_verify_nmax_is_independent_of_truncation():
     assert data["checked"] == 100 and data["mismatches"] == []
 
 
+def test_verify_json_states_its_certificate():
+    result = run("verify", "--alpha", "1", "--beta", "26", "--nmax", "50")
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    assert (data["sturm_bound"], data["basis_rank"], data["dim_M4"], data["checked"]) == (14, 13, 13, 50)
+
+
 def test_rep_csv():
     result = run("rep", "--a", "1", "--b", "1", "--nmax", "4")
     assert result.exit_code == 0
@@ -148,6 +165,13 @@ def test_rep_csv():
 
 def test_rep_unsupported_pair():
     assert run("rep", "--a", "1", "--b", "5", "--nmax", "3").exit_code == 2
+
+
+def test_rep_rows_match_per_n_counts():
+    result = run("rep", "--a", "2", "--b", "3", "--nmax", "80")
+    assert result.exit_code == 0
+    counts = [octonary_convolution(2, 3, n) for n in range(1, 81)]
+    assert result.output.strip().splitlines()[1:] == [f"{n},{c},{c},true" for n, c in enumerate(counts, 1)]
 
 
 def test_table_csv():

@@ -7,6 +7,7 @@ import divconv.convolution as convolution_module
 from divconv.arith import sigma_at
 from divconv.convolution import (
     brute_force_W,
+    brute_force_W_table,
     derive_convolution_formula,
     derive_formula,
     evaluate_formula,
@@ -300,3 +301,34 @@ def test_verify_reports_negative_value(formula27):
     shifted = replace(formula27, sigma3_terms={**formula27.sigma3_terms, 1: formula27.sigma3_terms[1] - 1})
     report = verify_formula(shifted, 10)
     assert not report.ok and report.mismatches[0] == (1, "-1/1", 0)
+
+
+@pytest.mark.parametrize("alpha,beta", [(1, 1), (2, 2), (2, 12), (4, 6), (3, 8), (1, 26)])
+def test_brute_force_table_matches_per_n_oracle(alpha, beta):
+    table = brute_force_W_table(alpha, beta, 600)
+    assert len(table) == 601 and table[0] == 0
+    assert table[1:] == [brute_force_W(alpha, beta, n) for n in range(1, 601)]
+
+
+def test_brute_force_table_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        brute_force_W_table(0, 3, 10)
+    with pytest.raises(ValueError):
+        brute_force_W_table(1, 3, -1)
+
+
+def test_verify_reads_the_oracle_table(formula27, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("verify_formula called the per-n oracle")
+
+    monkeypatch.setattr(convolution_module, "brute_force_W", forbidden)
+    assert verify_formula(formula27, 200).ok
+
+
+def test_verify_report_states_its_certificate(formula27):
+    data = verify_formula(formula27, 40).to_json_dict()
+    assert list(data) == ["alpha", "beta", "sturm_bound", "basis_rank", "dim_M4", "checked", "mismatches"]
+    formula_data = formula27.to_json_dict()
+    assert {k: data[k] for k in ("sturm_bound", "basis_rank", "dim_M4")} == {
+        k: formula_data[k] for k in ("sturm_bound", "basis_rank", "dim_M4")
+    } == {"sturm_bound": 8, "basis_rank": 8, "dim_M4": 8}

@@ -1,12 +1,16 @@
 import pytest
 
+import divconv.representations as representations_module
+
 from divconv.representations import (
     SUPPORTED_PAIRS,
     BoundExceeded,
     UnsupportedPair,
     octonary_1_1_closed_form,
     octonary_convolution,
+    octonary_count_table,
     octonary_formula,
+    octonary_formula_table,
     octonary_lattice,
     r4,
     r4_lattice,
@@ -63,3 +67,35 @@ def test_1_1_closed_form_agrees():
 def test_unsupported_pair():
     with pytest.raises(UnsupportedPair):
         octonary_formula(1, 5, 3)
+
+
+@pytest.mark.parametrize("a,b", SUPPORTED_PAIRS)
+def test_count_table_matches_per_n_counts(a, b):
+    table = octonary_count_table(a, b, 500)
+    assert table == [octonary_convolution(a, b, n) for n in range(501)]
+    assert table[:11] == [octonary_lattice(a, b, n) for n in range(11)]
+
+
+@pytest.mark.parametrize("a,b", SUPPORTED_PAIRS)
+def test_formula_table_matches_count_table(a, b):
+    assert octonary_formula_table(a, b, 500) == octonary_count_table(a, b, 500)
+
+
+def test_formula_table_matches_1_1_closed_form():
+    table = octonary_formula_table(1, 1, 500)
+    assert table[0] == 1
+    assert table[1:] == [octonary_1_1_closed_form(n) for n in range(1, 501)]
+
+
+def test_count_table_reads_no_sigma_table(monkeypatch):
+    # the count column and the formula column share no sigma source
+    def forbidden(*args):
+        raise AssertionError("octonary_count_table read sigma_table")
+
+    monkeypatch.setattr(representations_module, "sigma_table", forbidden)
+    assert octonary_count_table(2, 3, 60)[1:] == [octonary_convolution(2, 3, n) for n in range(1, 61)]
+
+
+def test_formula_table_unsupported_pair():
+    with pytest.raises(UnsupportedPair):
+        octonary_formula_table(1, 5, 10)
