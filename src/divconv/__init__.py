@@ -35,7 +35,6 @@ from .qseries import QSeries
 from .representations import (
     octonary_convolution,
     octonary_count_table,
-    octonary_formula,
     octonary_formula_table,
     r4,
     r4_lattice,
@@ -64,7 +63,6 @@ __all__ = [
     "express_in_basis",
     "octonary_convolution",
     "octonary_count_table",
-    "octonary_formula",
     "octonary_formula_table",
     "r4",
     "r4_lattice",

@@ -185,8 +185,10 @@ def series_product(x, y, n_max: int) -> list[int]:
 def reduce_row(echelon: list[tuple[list, int]], row: list) -> list:
     """row minus the multiples of the (row, pivot column) pairs of the echelon
     that clear its entries at their pivots; the result is zero at every
-    pivot. Entries past the pivot range act as a tag: a row tagged with a
-    unit vector carries the combination of rows that was subtracted."""
+    pivot. Entries past the pivot range act as a tag, so one echelon picks,
+    solves and inverts: with row i of A inserted tagged with e_i, each
+    echelon row is (c A | c), and a row (v | 0) reduces to (v - c A | -c),
+    which is zero before the tag exactly when v = c A is in the span."""
     for erow, p in echelon:
         if row[p]:
             factor = Fraction(row[p]) / erow[p]
@@ -196,7 +198,8 @@ def reduce_row(echelon: list[tuple[list, int]], row: list) -> list:
 
 def insert_row(echelon: list[tuple[list, int]], row: list, width: int) -> bool:
     """Reduce row against the echelon; if it is nonzero in its first width
-    entries, append it, pivoting on the first nonzero one. Rows are not
+    entries, append it, pivoting on the first nonzero one; entries past width
+    are a tag (see reduce_row) and never hold a pivot. Rows are not
     normalised, so int rows stay int until reduced."""
     row = reduce_row(echelon, row)
     pivot = next((j for j in range(width) if row[j]), None)

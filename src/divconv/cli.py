@@ -16,6 +16,7 @@ from pathlib import Path
 import click
 
 from . import convolution, eta, modforms, representations
+from .arith import rational_to_str
 from .cache import SeriesCache
 from .modforms import BasisIncomplete, Inconsistent, SingularSystem
 
@@ -215,12 +216,12 @@ def table(config: RunConfig, pairs):
     for alpha, beta in pair_list:
         formula = convolution.derive_formula(alpha, beta, config.search_bound)
         for d, c in formula.sigma3_terms.items():
-            writer.writerow([alpha, beta, f"sigma3(n/{d})", f"{c.numerator}/{c.denominator}"])
+            writer.writerow([alpha, beta, f"sigma3(n/{d})", rational_to_str(c)])
         for d, (c0, c1) in formula.sigma_terms.items():
-            writer.writerow([alpha, beta, f"sigma(n/{d}).const", f"{c0.numerator}/{c0.denominator}"])
-            writer.writerow([alpha, beta, f"sigma(n/{d}).linear", f"{c1.numerator}/{c1.denominator}"])
+            writer.writerow([alpha, beta, f"sigma(n/{d}).const", rational_to_str(c0)])
+            writer.writerow([alpha, beta, f"sigma(n/{d}).linear", rational_to_str(c1)])
         for eid, c in formula.cusp_terms:
-            writer.writerow([alpha, beta, f"cusp.{eid}", f"{c.numerator}/{c.denominator}"])
+            writer.writerow([alpha, beta, f"cusp.{eid}", rational_to_str(c)])
     click.echo(out.getvalue().rstrip("\n"))
 
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import add, sub
 
-from .arith import divisors, euler_phi, gamma0_index, insert_row, prime_factorization, reduce_row
+from .arith import divisors, euler_phi, gamma0_index, insert_row, prime_factorization, rational_to_str, reduce_row
 from .qseries import QSeries
 
 
@@ -113,9 +113,9 @@ class AdmissibilityReport:
             "cond_i": self.cond_i,
             "cond_ii": self.cond_ii,
             "cond_iii": self.cond_iii,
-            "weight": f"{self.weight.numerator}/{self.weight.denominator}",
+            "weight": rational_to_str(self.weight),
             "cond_iv": self.cond_iv,
-            "orders": {str(d): f"{o.numerator}/{o.denominator}" for d, o in self.orders.items()},
+            "orders": {str(d): rational_to_str(o) for d, o in self.orders.items()},
             "cond_v": self.cond_v,
             "cond_v_prime": self.cond_v_prime,
         }
@@ -300,10 +300,9 @@ def expand_eta_quotients(quotients, truncation: int) -> list[QSeries]:
 
 
 def _inverse(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a nonsingular square matrix A. Each row of A goes
-    into one echelon tagged with its unit vector, so an echelon row is
-    (c A | c) for some c. The unit vector e_i reduces to (e_i - c A | -c)
-    with e_i - c A = 0, so c = -(its tag) is row i of A^-1."""
+    """Exact inverse of a nonsingular square matrix A, by the tag trick of
+    arith.reduce_row: with the rows of A inserted tagged, e_i reduces to
+    (0 | -c) with e_i = c A, so minus its tag is row i of A^-1."""
     n = len(matrix)
     unit = [[int(i == j) for j in range(n)] for i in range(n)]
     echelon: list[tuple[list, int]] = []

@@ -11,15 +11,17 @@ that runs out first leaves a shorter basis, which still proves every
 identity it can solve (see build_basis).
 
 All linear algebra is the exact elimination of arith (insert_row,
-reduce_row): rank, build_basis and express_in_basis all build on it. There
-is no floating point and therefore no stability concern, only
-reproducibility.
+reduce_row): build_basis inserts each element's row once, tagged with its
+unit vector, and keeps that echelon on the Basis, so express_in_basis only
+reduces the target. There is no floating point and therefore no stability
+concern, only reproducibility.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .arith import divisors, euler_phi, gamma0_index, insert_row, prime_factorization, reduce_row, sigma_table
 from .eta import EtaQuotient, check_admissibility, expand_eta_quotient, search_eta_quotients
@@ -33,7 +35,7 @@ class BasisIncomplete(RuntimeError):
 
 
 class SingularSystem(ArithmeticError):
-    """A basis element is dependent on the elements before it at the Sturm bound."""
+    """An E4(q^t) element is dependent on the elements before it at the Sturm bound."""
 
 
 class Inconsistent(ArithmeticError):
@@ -94,8 +96,6 @@ def elliptic_points_order3(n: int) -> int:
 
 
 def cusp_count(n: int) -> int:
-    from math import gcd
-
     return sum(euler_phi(gcd(d, n // d)) for d in divisors(n))
 
 
@@ -201,6 +201,8 @@ class BasisElement:
 class Basis:
     level: int
     elements: tuple[BasisElement, ...]
+    # the q^0..q^B rows, element i's tagged with e_i of width dim M4(level)
+    echelon: tuple[tuple[list, int], ...] = field(compare=False, repr=False)
 
     @property
     def eisenstein_elements(self) -> list[BasisElement]:
@@ -214,7 +216,12 @@ class Basis:
 def rank(series_list, max_index: int) -> int:
     """Rank over Q of the matrix rows = series coefficients q^0..q^max_index."""
     echelon: list[tuple[list, int]] = []
-    return sum(insert_row(echelon, s.coeffs[: max_index + 1], max_index + 1) for s in series_list)
+    found = 0
+    for i, s in enumerate(series_list):
+        if s.truncation < max_index:
+            raise ValueError(f"series {i} truncation {s.truncation} is below max_index {max_index}")
+        found += insert_row(echelon, s.coeffs[: max_index + 1], max_index + 1)
+    return found
 
 
 def build_basis(level: int, quotients) -> Basis:
@@ -225,6 +232,7 @@ def build_basis(level: int, quotients) -> Basis:
     Every element is expanded once, to q^B, B the Sturm bound: a
     combination of weight-4 forms on Gamma_0(level) that vanishes on
     q^0..q^B is zero, so these elements are independent as modular forms.
+    An E4(q^t) row that fails to enter the echelon raises SingularSystem.
 
     A basis short of dim M4 still proves what it solves: the target and
     every element lie in M4(Gamma_0(level)), so a combination that agrees
@@ -238,16 +246,20 @@ def build_basis(level: int, quotients) -> Basis:
     required here.
     """
     bound = sturm_bound(level)
-    m = eisenstein_M(bound)
-    elements = [
-        BasisElement("eisenstein", f"E{t}", m.substitute(t, cap=bound), t=t)
-        for t in divisors(level)
-    ]
-    echelon: list[tuple[list, int]] = []
-    for e in elements:
-        insert_row(echelon, e.series.coeffs, bound + 1)
     needed = dim_M4(level)
-    kept = 0
+    elements: list[BasisElement] = []
+    echelon: list[tuple[list, int]] = []
+
+    def keep(series: QSeries) -> bool:
+        return insert_row(echelon, series.coeffs + [int(j == len(elements)) for j in range(needed)], bound + 1)
+
+    m = eisenstein_M(bound)
+    for t in divisors(level):
+        series = m.substitute(t, cap=bound)
+        if not keep(series):
+            raise SingularSystem(f"basis element E{t} is dependent on the elements before it on q^0..q^{bound}")
+        elements.append(BasisElement("eisenstein", f"E{t}", series, t=t))
+    block = len(elements)
     for quotient in quotients:
         if len(elements) == needed:
             break
@@ -259,10 +271,9 @@ def build_basis(level: int, quotients) -> Basis:
         series = expand_eta_quotient(quotient, bound)
         if series.coeffs[0] != 0:
             raise ValueError(f"cusp quotient {quotient} has nonzero constant term")
-        if insert_row(echelon, series.coeffs, bound + 1):
-            kept += 1
-            elements.append(BasisElement("cusp", f"S{level}.{kept}", series, eta=quotient))
-    return Basis(level, tuple(elements))
+        if keep(series):
+            elements.append(BasisElement("cusp", f"S{level}.{len(elements) - block + 1}", series, eta=quotient))
+    return Basis(level, tuple(elements), tuple(echelon))
 
 
 def standard_basis(level: int) -> Basis:
@@ -274,28 +285,18 @@ def express_in_basis(target: QSeries, basis: Basis) -> list[Fraction]:
     """The unique rational vector x with target = sum x_i * element_i.
 
     Both sides are weight-4 forms on Gamma_0(level), so they are equal when
-    they agree on q^0..q^B, B the Sturm bound. Element i goes into one
-    echelon as its q^0..q^B row tagged with the unit vector e_i, so each
-    echelon row is (c . elements | c) for some c. The target row, tagged
-    with zeros, reduces to (target - c . elements | -c) and is zero at
-    every pivot: its first B + 1 entries vanish exactly when the target
-    is in the span, and then x = c.
+    they agree on q^0..q^B, B the Sturm bound. The target row reduces
+    against the basis echelon, whose rows are tagged with the elements' unit
+    vectors (see arith.reduce_row): its first B + 1 entries vanish exactly
+    when the target is in the span, and then x is minus its tag.
     """
     bound = sturm_bound(basis.level)
     if target.truncation < bound:
         raise ValueError(
             f"target truncation {target.truncation} is below the level-{basis.level} Sturm bound {bound}"
         )
-    size = len(basis.elements)
-    echelon: list[tuple[list, int]] = []
-    for i, element in enumerate(basis.elements):
-        tag = [int(i == j) for j in range(size)]
-        if not insert_row(echelon, element.series.coeffs[: bound + 1] + tag, bound + 1):
-            raise SingularSystem(
-                f"basis element {element.element_id} is dependent on the elements before it on q^0..q^{bound}"
-            )
-    rest = reduce_row(echelon, target.coeffs[: bound + 1] + [0] * size)
+    rest = reduce_row(basis.echelon, target.coeffs[: bound + 1] + [0] * dim_M4(basis.level))
     n = next((n for n in range(bound + 1) if rest[n]), None)
     if n is not None:
         raise Inconsistent(f"target is not in the span of the basis: it leaves {rest[n]} at q^{n}")
-    return [-Fraction(c) for c in rest[bound + 1 :]]
+    return [-Fraction(c) for c in rest[bound + 1 : bound + 1 + len(basis.elements)]]

@@ -149,13 +149,6 @@ def octonary_formula_table(a: int, b: int, n_max: int) -> list[int]:
     return values
 
 
-def octonary_formula(a: int, b: int, n: int) -> int:
-    """octonary_formula_table(a, b, n)[n], for n >= 1."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return octonary_formula_table(a, b, n)[n]
-
-
 def octonary_1_1_closed_form(n: int) -> int:
     """The purely multiplicative form of the (1,1) count:
     16 sigma3(n) - 32 sigma3(n/2) + 256 sigma3(n/4)."""

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from divconv.arith import divisors, sigma
+from divconv import modforms
+from divconv.arith import divisors, insert_row, reduce_row, sigma
+from divconv.convolution import derive_formula, target_series
 from divconv.eta import expand_eta_quotient
 from divconv.modforms import (
     Basis,
@@ -13,6 +15,7 @@ from divconv.modforms import (
     SingularSystem,
     build_basis,
     cusp_count,
+    cusp_quotients_for_level,
     dim_E4,
     dim_M4,
     dim_S4,
@@ -251,8 +254,102 @@ def test_build_basis_keeps_reference_greedy_prefix():
     assert [e.eta for e in build_basis(level, padded).cusp_elements] == expected
 
 
-def test_express_rejects_singular_system(basis14):
-    elements = basis14.elements[:-1] + (basis14.elements[5],)
-    singular = Basis(14, elements)
-    with pytest.raises(SingularSystem, match=r"^basis element S14\.2 is dependent on the elements before it"):
-        express_in_basis(QSeries.zero(TRUNC), singular)
+def test_express_rejects_singular_system(monkeypatch):
+    """A repeated E4(q^t) row is the only way a dependent element could
+    reach a Basis, so the singular system is refused where the basis is
+    built: build_basis raises before express_in_basis is reached."""
+    monkeypatch.setattr(modforms, "dim_M4", lambda n, dim=dim_M4(14): dim)
+    monkeypatch.setattr(modforms, "divisors", lambda n: [1, 2, 2, 7, 14])
+    with pytest.raises(SingularSystem, match=r"^basis element E2 is dependent on the elements before it on q\^0\.\.q\^8$"):
+        build_basis(14, registered_cusp_quotients(14))
+
+
+def test_rank_rejects_short_series():
+    with pytest.raises(ValueError, match=r"^series 1 truncation 1 is below max_index 3$"):
+        rank([QSeries([1, 2, 3, 4]), QSeries([1, 2])], 3)
+    assert rank([QSeries([1, 2, 3, 4]), QSeries([1, 2])], 1) == 1
+
+
+def reference_express(target: QSeries, basis: Basis) -> list[Fraction]:
+    """The solve before the basis kept its echelon: a fresh echelon of the
+    elements' q^0..q^B rows, element i's tagged with e_i, then the target
+    reduced against it."""
+    bound = sturm_bound(basis.level)
+    size = len(basis.elements)
+    echelon: list[tuple[list, int]] = []
+    for i, element in enumerate(basis.elements):
+        tag = [int(i == j) for j in range(size)]
+        assert insert_row(echelon, element.series.coeffs[: bound + 1] + tag, bound + 1)
+    rest = reduce_row(echelon, target.coeffs[: bound + 1] + [0] * size)
+    n = next((n for n in range(bound + 1) if rest[n]), None)
+    if n is not None:
+        raise Inconsistent(f"target is not in the span of the basis: it leaves {rest[n]} at q^{n}")
+    return [-Fraction(c) for c in rest[bound + 1 :]]
+
+
+def _solve(solver, target: QSeries, basis: Basis):
+    try:
+        return solver(target, basis)
+    except Inconsistent as exc:
+        return str(exc)
+
+
+def _agree(target: QSeries, basis: Basis):
+    expected = _solve(reference_express, target, basis)
+    assert _solve(express_in_basis, target, basis) == expected
+    return expected
+
+
+@pytest.mark.parametrize("alpha,beta", [(2, 7), (1, 22), (2, 11), (1, 26), (2, 13)])
+def test_express_matches_reference_on_paper_targets(paper_bases, alpha, beta):
+    basis = paper_bases[alpha * beta]
+    x = _agree(target_series(alpha, beta, sturm_bound(basis.level)), basis)
+    assert len(x) == len(basis.elements) == dim_M4(basis.level)
+
+
+def test_express_matches_reference_on_rebuilt_bases():
+    """Padded, reordered and short level-14 bases, and the search bases at
+    levels 10, 12 and 20, on random rational combinations of their elements."""
+    family = registered_cusp_quotients(14)
+    level14 = ([family[0], family[0]] + family[1:] + [family[1]], family[::-1] + family, [family[0], family[0], family[2]])
+    bases = [build_basis(14, quotients) for quotients in level14]
+    bases += [build_basis(level, cusp_quotients_for_level(level, 4)) for level in (10, 12, 20)]
+    rng = random.Random(11)
+    for basis in bases:
+        bound = sturm_bound(basis.level)
+        for _ in range(4):
+            x = [Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in basis.elements]
+            target = QSeries.zero(bound)
+            for coeff, element in zip(x, basis.elements):
+                target = target + element.series.scale(coeff)
+            assert _agree(target, basis) == x
+        # bare q: outside the span unless the rows span all of q^0..q^B
+        refused = _agree(QSeries([0, 1] + [0] * (bound - 1), bound), basis)
+        assert isinstance(refused, str) == (len(basis.elements) <= bound)
+
+
+def test_express_matches_reference_on_short_basis_refusal():
+    family = registered_cusp_quotients(14)
+    basis = build_basis(14, [family[0], family[2]])
+    assert len(basis.elements) == 6 < dim_M4(14)
+    message = _agree(target_series(2, 7, sturm_bound(14)), basis)
+    assert message.startswith("target is not in the span of the basis: it leaves ")
+
+
+def test_each_basis_row_is_eliminated_once(monkeypatch):
+    calls = []
+
+    def counting_insert_row(*args):
+        calls.append(1)
+        return insert_row(*args)
+
+    monkeypatch.setattr(modforms, "insert_row", counting_insert_row)
+    for (alpha, beta), expected in (((2, 7), 8), ((1, 26), 13)):
+        calls.clear()
+        basis = build_basis(alpha * beta, registered_cusp_quotients(alpha * beta))
+        assert len(calls) == expected
+        express_in_basis(target_series(alpha, beta, sturm_bound(alpha * beta)), basis)
+        assert len(calls) == expected
+        calls.clear()
+        derive_formula(alpha, beta, 9)
+        assert len(calls) == expected

@@ -9,7 +9,6 @@ from divconv.representations import (
     octonary_1_1_closed_form,
     octonary_convolution,
     octonary_count_table,
-    octonary_formula,
     octonary_formula_table,
     octonary_lattice,
     r4,
@@ -51,25 +50,6 @@ def test_octonary_lattice_agrees_with_convolution():
 
 
 @pytest.mark.parametrize("a,b", SUPPORTED_PAIRS)
-def test_formula_matches_oracle(a, b):
-    for n in range(1, 121):
-        assert octonary_formula(a, b, n) == octonary_convolution(a, b, n)
-
-
-def test_1_1_closed_form_agrees():
-    assert octonary_formula(1, 1, 2) == 112
-    assert octonary_formula(1, 1, 1) == 16
-    assert octonary_1_1_closed_form(2) == 16 * 9 - 32
-    for n in range(1, 121):
-        assert octonary_formula(1, 1, n) == octonary_1_1_closed_form(n)
-
-
-def test_unsupported_pair():
-    with pytest.raises(UnsupportedPair):
-        octonary_formula(1, 5, 3)
-
-
-@pytest.mark.parametrize("a,b", SUPPORTED_PAIRS)
 def test_count_table_matches_per_n_counts(a, b):
     table = octonary_count_table(a, b, 500)
     assert table == [octonary_convolution(a, b, n) for n in range(501)]
@@ -83,7 +63,8 @@ def test_formula_table_matches_count_table(a, b):
 
 def test_formula_table_matches_1_1_closed_form():
     table = octonary_formula_table(1, 1, 500)
-    assert table[0] == 1
+    assert table[:3] == [1, 16, 112]
+    assert octonary_1_1_closed_form(2) == 16 * 9 - 32
     assert table[1:] == [octonary_1_1_closed_form(n) for n in range(1, 501)]
 
 
