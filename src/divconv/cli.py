@@ -76,7 +76,7 @@ def _emit_json(data) -> None:
     default=9,
     show_default=True,
     type=click.IntRange(min=1),
-    help="Exponent bound for eta searches.",
+    help="Exponent bound for search.",
 )
 @click.pass_context
 def main(ctx, truncation, cache_dir, search_bound):
@@ -128,10 +128,9 @@ def search(config: RunConfig, level, weight, strict):
 
 @main.command()
 @click.option("--level", required=True, type=int)
-@click.pass_obj
-def basis(config: RunConfig, level):
+def basis(level):
     """Emit the weight-4 basis at a level: ids, exponents, coefficients q^0..q^B."""
-    b = modforms.build_basis(level, modforms.cusp_quotients_for_level(level, config.search_bound))
+    b = modforms.build_basis(level, modforms.cusp_quotients_for_level(level))
     _emit_json(
         {
             "level": b.level,
@@ -154,10 +153,9 @@ def basis(config: RunConfig, level):
 @main.command()
 @click.option("--alpha", required=True, type=int)
 @click.option("--beta", required=True, type=int)
-@click.pass_obj
-def derive(config: RunConfig, alpha, beta):
+def derive(alpha, beta):
     """Derive the closed convolution-sum formula for (alpha, beta)."""
-    formula = convolution.derive_formula(alpha, beta, config.search_bound)
+    formula = convolution.derive_formula(alpha, beta)
     _emit_json(formula.to_json_dict())
 
 
@@ -165,10 +163,9 @@ def derive(config: RunConfig, alpha, beta):
 @click.option("--alpha", required=True, type=int)
 @click.option("--beta", required=True, type=int)
 @click.option("--nmax", required=True, type=click.IntRange(min=1))
-@click.pass_obj
-def verify(config: RunConfig, alpha, beta, nmax):
+def verify(alpha, beta, nmax):
     """Derive and check the formula against brute force on 1..nmax."""
-    report = convolution.verify_formula(convolution.derive_formula(alpha, beta, config.search_bound), nmax)
+    report = convolution.verify_formula(convolution.derive_formula(alpha, beta), nmax)
     _emit_json(report.to_json_dict())
     if not report.ok:
         sys.exit(EXIT_MISMATCH)
@@ -201,8 +198,7 @@ DEFAULT_TABLE_PAIRS = ((2, 7), (1, 22), (2, 11), (1, 26), (2, 13))
 
 @main.command()
 @click.option("--pairs", default=None, help="Semicolon-separated alpha,beta pairs, e.g. '2,7;1,22'.")
-@click.pass_obj
-def table(config: RunConfig, pairs):
+def table(pairs):
     """Render the derived formula coefficients for several pairs as CSV."""
     if pairs is None:
         pair_list = DEFAULT_TABLE_PAIRS
@@ -214,7 +210,7 @@ def table(config: RunConfig, pairs):
     writer = csv.writer(out)
     writer.writerow(["alpha", "beta", "term", "coefficient"])
     for alpha, beta in pair_list:
-        formula = convolution.derive_formula(alpha, beta, config.search_bound)
+        formula = convolution.derive_formula(alpha, beta)
         for d, c in formula.sigma3_terms.items():
             writer.writerow([alpha, beta, f"sigma3(n/{d})", rational_to_str(c)])
         for d, (c0, c1) in formula.sigma_terms.items():

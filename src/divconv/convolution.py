@@ -24,6 +24,7 @@ from math import gcd, lcm
 from .arith import gamma0_index, rational_to_str, series_product, sigma_at, sigma_sieve, sigma_table, spread
 from .eta import EtaQuotient, expand_eta_quotients
 from .modforms import (
+    SEARCH_CAP,
     Basis,
     BasisIncomplete,
     Inconsistent,
@@ -183,14 +184,14 @@ def derive_convolution_formula(alpha: int, beta: int, basis: Basis) -> Convoluti
     )
 
 
-def derive_formula(alpha: int, beta: int, search_bound: int) -> ConvolutionFormula:
+def derive_formula(alpha: int, beta: int) -> ConvolutionFormula:
     """The formula for W(alpha,beta), solved in a basis that stops at the
     level's Sturm bound, which proves the identity for every n. A basis
     short of dim M4 whose span misses the target is refused with the rank
     it reached."""
     _check_pair(alpha, beta)
     level = alpha * beta
-    basis = build_basis(level, cusp_quotients_for_level(level, search_bound))
+    basis = build_basis(level, cusp_quotients_for_level(level))
     try:
         return derive_convolution_formula(alpha, beta, basis)
     except Inconsistent as exc:
@@ -205,8 +206,8 @@ def derive_formula(alpha: int, beta: int, search_bound: int) -> ConvolutionFormu
             )
         else:
             reach = (
-                f"E4(q^t) and the eta quotients with exponents in [-{search_bound}, {search_bound}] "
-                f"reach rank {size} of dim M4 = {needed} (--bound {search_bound})"
+                f"E4(q^t) and the eta quotients with exponents in [-{SEARCH_CAP}, {SEARCH_CAP}] "
+                f"reach rank {size} of dim M4 = {needed}"
             )
         raise BasisIncomplete(
             f"level {level}: {reach}, and the W({alpha},{beta}) target is not in their span"

@@ -330,6 +330,28 @@ def _lower_triangular_basis(rows: list[list[int]], n: int) -> list[list[int]]:
     return basis
 
 
+@lru_cache(maxsize=32)
+def _order_lattice(level: int) -> tuple:
+    """What search_eta_quotients needs of the level alone, as tuples, built
+    once however many bounds are searched: the order matrix A, den, the
+    columns of den * A^-1, the lattice basis and phi(gcd(d, N/d)) by d."""
+    divs = divisors(level)
+    n = len(divs)
+    orders = [[Fraction(level * gcd(d, e) ** 2, 24 * gcd(d, level // d) * d * e) for e in divs] for d in divs]
+    inverse = _inverse(orders)
+    den = lcm(*(x.denominator for row in inverse for x in row))
+    scaled = [[int(x * den) for x in row] for row in inverse]  # den * A^-1
+    # r is integral iff v lies on the lattice {v : scaled v = 0 mod den}.
+    # Its dual, times den, is spanned by the rows of scaled and den*I; the
+    # lattice then has the basis den * dual^-T, whose row i starts at
+    # column i, so lattice[j][j] is the step of v_j once v_0..v_{j-1} are set
+    dual = _lower_triangular_basis(scaled + [[den * (i == j) for j in range(n)] for i in range(n)], n)
+    dual_inverse = _inverse([[Fraction(x) for x in row] for row in dual])
+    lattice = [[int(dual_inverse[j][i] * den) for j in range(n)] for i in range(n)]
+    phi = tuple(euler_phi(gcd(d, level // d)) for d in divs)
+    return tuple(map(tuple, orders)), den, tuple(zip(*scaled)), tuple(map(tuple, lattice)), phi
+
+
 def search_eta_quotients(
     level: int, weight: int, bound: int, strict: bool = False
 ) -> list[EtaQuotient]:
@@ -367,19 +389,7 @@ def search_eta_quotients(
         return []
     divs = divisors(level)
     n = len(divs)
-    orders = [[Fraction(level * gcd(d, e) ** 2, 24 * gcd(d, level // d) * d * e) for e in divs] for d in divs]
-    inverse = _inverse(orders)
-    den = lcm(*(x.denominator for row in inverse for x in row))
-    scaled = [[int(x * den) for x in row] for row in inverse]  # den * A^-1
-    columns = [list(col) for col in zip(*scaled)]
-    # r is integral iff v lies on the lattice {v : scaled v = 0 mod den}.
-    # Its dual, times den, is spanned by the rows of scaled and den*I; the
-    # lattice then has the basis den * dual^-T, whose row i starts at
-    # column i, so lattice[j][j] is the step of v_j once v_0..v_{j-1} are set
-    dual = _lower_triangular_basis(scaled + [[den * (i == j) for j in range(n)] for i in range(n)], n)
-    dual_inverse = _inverse([[Fraction(x) for x in row] for row in dual])
-    lattice = [[int(dual_inverse[j][i] * den) for j in range(n)] for i in range(n)]
-    phi = [euler_phi(gcd(d, level // d)) for d in divs]
+    orders, den, columns, lattice, phi = _order_lattice(level)
     low = [1 if strict or d == level else 0 for d in divs]
     # A has positive entries, so |r| <= bound caps v_d at bound * (row sum)
     top = [int(bound * sum(row)) for row in orders]

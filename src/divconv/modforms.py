@@ -8,7 +8,8 @@ q^B, B the Sturm bound, and no further: weight-4 forms on Gamma_0(N) that
 agree on q^0..q^B are equal, so independence there is independence of the
 forms, and a solve there proves the identity for every n. A candidate list
 that runs out first leaves a shorter basis, which still proves every
-identity it can solve (see build_basis).
+identity it can solve (see build_basis). No candidate is pulled once the
+basis is full, so a searched list (cusp_quotients_for_level) stops early.
 
 All linear algebra is the exact elimination of arith (insert_row,
 reduce_row): build_basis inserts each element's row once, tagged with its
@@ -19,6 +20,7 @@ concern, only reproducibility.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -30,8 +32,8 @@ from .qseries import QSeries
 
 class BasisIncomplete(RuntimeError):
     """The target lies outside the span of a basis short of dim M4, for
-    want of eta quotients in the search bound, or of any at all where
-    4*mu/12 is not an integer and the basis is the E4(q^t) block alone."""
+    want of eta quotients with exponents up to SEARCH_CAP, or of any at all
+    where 4*mu/12 is not an integer and the basis is the E4(q^t) block alone."""
 
 
 class SingularSystem(ArithmeticError):
@@ -81,39 +83,17 @@ def elliptic_points_order2(n: int) -> int:
     return count
 
 
-def elliptic_points_order3(n: int) -> int:
-    if n % 9 == 0:
-        return 0
-    count = 1
-    for p in prime_factorization(n):
-        if p == 3:
-            continue
-        if p % 3 == 1:
-            count *= 2
-        elif p % 3 == 2:
-            return 0
-    return count
-
-
 def cusp_count(n: int) -> int:
     return sum(euler_phi(gcd(d, n // d)) for d in divisors(n))
 
 
-def genus(n: int) -> int:
-    g = Fraction(gamma0_index(n), 12) - Fraction(elliptic_points_order2(n), 4) \
-        - Fraction(elliptic_points_order3(n), 3) - Fraction(cusp_count(n), 2) + 1
-    assert g.denominator == 1
-    return int(g)
-
-
 def dim_M4(n: int) -> int:
-    """dim of weight-4 modular forms on Gamma_0(N), standard valence formula."""
-    return (
-        3 * (genus(n) - 1)
-        + elliptic_points_order2(n)
-        + elliptic_points_order3(n)
-        + 2 * cusp_count(n)
-    )
+    """dim of weight-4 modular forms on Gamma_0(N): the valence formula
+    3(g - 1) + e2 + e3 + 2c with the genus g = 1 + mu/12 - e2/4 - e3/3 - c/2
+    substituted, where the e3 terms cancel."""
+    total = gamma0_index(n) + elliptic_points_order2(n) + 2 * cusp_count(n)
+    assert total % 4 == 0, (n, total)
+    return total // 4
 
 
 def dim_E4(n: int) -> int:
@@ -172,15 +152,24 @@ def registered_cusp_quotients(level: int) -> list[EtaQuotient]:
     return [EtaQuotient.from_dict(level, exps) for exps in family]
 
 
-def cusp_quotients_for_level(level: int, search_bound: int) -> list[EtaQuotient]:
-    """Basis candidates at this level: the registered family, else every
-    weight-4 eta quotient of the search with exponents in [-search_bound,
-    search_bound], in search order. build_basis picks among them. A level
-    where 4*mu/12 is not an integer (3, 7, 13, 21, ...) has none, so its
-    basis is the E4(q^t) block alone, which spans M4 at level 3."""
+SEARCH_CAP = 9  # the largest exponent bound cusp_quotients_for_level searches
+
+
+def cusp_quotients_for_level(level: int) -> Iterable[EtaQuotient]:
+    """Basis candidates at this level: the registered family, else, lazily,
+    for bound = 1, ..., SEARCH_CAP, the weight-4 eta quotients of the search
+    whose largest |r_d| is the bound, in search order; a bound is searched
+    only once build_basis pulls past the one before. A level where 4*mu/12
+    is not an integer (3, 7, 13, 21, ...) has none, so its basis is the
+    E4(q^t) block alone, which spans M4 at level 3."""
     if level in REGISTERED_CUSP_EXPONENTS:
         return registered_cusp_quotients(level)
-    return search_eta_quotients(level, 4, search_bound)
+    return (
+        quotient
+        for bound in range(1, SEARCH_CAP + 1)
+        for quotient in search_eta_quotients(level, 4, bound)
+        if max(abs(r) for _, r in quotient.exponents) == bound
+    )
 
 
 # -- basis types -----------------------------------------------------------
@@ -227,7 +216,8 @@ def rank(series_list, max_index: int) -> int:
 def build_basis(level: int, quotients) -> Basis:
     """The block E4(q^t), t | level, then the quotients in the order given,
     each kept if it is independent of the elements kept before it, until
-    the basis has dim M4(level) elements or the quotients run out.
+    the basis has dim M4(level) elements or the quotients run out. The
+    quotients may be any iterable; none is pulled once the basis is full.
 
     Every element is expanded once, to q^B, B the Sturm bound: a
     combination of weight-4 forms on Gamma_0(level) that vanishes on
@@ -260,9 +250,8 @@ def build_basis(level: int, quotients) -> Basis:
             raise SingularSystem(f"basis element E{t} is dependent on the elements before it on q^0..q^{bound}")
         elements.append(BasisElement("eisenstein", f"E{t}", series, t=t))
     block = len(elements)
-    for quotient in quotients:
-        if len(elements) == needed:
-            break
+    quotients = iter(quotients)
+    while len(elements) < needed and (quotient := next(quotients, None)) is not None:
         if quotient.level != level:
             raise ValueError(f"cusp quotient level {quotient.level} != {level}")
         report = check_admissibility(quotient)

@@ -1,11 +1,14 @@
 import json
 import shlex
+from math import gcd
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from divconv.cli import main
+from divconv.convolution import derive_formula, verify_formula
+from divconv.modforms import BasisIncomplete
 from divconv.representations import octonary_convolution
 
 A2_QUOTIENT = '{"level": 14, "exponents": {"1": 2, "2": 2, "7": 2, "14": 2}}'
@@ -116,10 +119,10 @@ def test_level_1_basis_is_E4_alone():
 
 
 def test_short_basis_shows_dim_M4():
-    result = run("--bound", "4", "basis", "--level", "15")
+    result = run("basis", "--level", "33")
     assert result.exit_code == 0
     data = json.loads(result.output)
-    assert len(data["elements"]) == 7 and data["dim_M4"] == 8
+    assert len(data["elements"]) == 11 and data["dim_M4"] == 14
 
 
 def test_derive_formula_json():
@@ -202,9 +205,37 @@ def test_refusal_says_why():
     no_quotient = run("verify", "--alpha", "1", "--beta", "21", "--nmax", "10")
     assert no_quotient.exit_code == 3
     assert "level 21: no weight-4 eta quotient exists (4*mu/12 = 32/3 is not an integer)" in no_quotient.output
-    short = run("--bound", "4", "derive", "--alpha", "3", "--beta", "5")
+    short = run("derive", "--alpha", "1", "--beta", "11")
     assert short.exit_code == 3
-    assert "level 15:" in short.output and "reach rank 7 of dim M4 = 8 (--bound 4)" in short.output
+    assert "level 11: E4(q^t) and the eta quotients with exponents in [-9, 9] reach rank 3 of dim M4 = 4" in short.output
+    assert "--bound" not in short.output
+
+
+@pytest.mark.parametrize("alpha,beta", [(2, 3), (2, 5), (3, 4), (4, 5), (3, 5), (1, 16), (2, 9), (1, 11)])
+def test_derive_ignores_bound(alpha, beta):
+    pair = ("derive", "--alpha", str(alpha), "--beta", str(beta))
+    plain = run(*pair)
+    for bound in ("1", "4"):
+        bounded = run("--bound", bound, *pair)
+        assert (bounded.exit_code, bounded.output) == (plain.exit_code, plain.output)
+
+
+def test_coverage_up_to_level_28():
+    """Every coprime pair alpha < beta with alpha*beta <= 28 verifies to 300
+    or is refused with exit 3 for want of a basis spanning the target."""
+    refused = set()
+    for level in range(2, 29):
+        for alpha in (a for a in range(1, level) if level % a == 0 and a * a < level):
+            beta = level // alpha
+            if gcd(alpha, beta) != 1:
+                continue
+            try:
+                assert verify_formula(derive_formula(alpha, beta), 300).ok, (alpha, beta)
+            except BasisIncomplete:
+                refused.add(level)
+                result = run("verify", "--alpha", str(alpha), "--beta", str(beta), "--nmax", "300")
+                assert result.exit_code == 3 and result.output.startswith(f"error: level {level}: ")
+    assert refused == {7, 11, 13, 17, 19, 21, 23}
 
 
 def test_level_without_eta_quotients_derives_from_E4_alone():

@@ -138,43 +138,45 @@ def test_verify_detects_corruption(formula27):
 def test_searched_level_formula_holds_past_sturm_bound(alpha, beta):
     # levels 6 and 10 have no registered family: the cusp quotients come
     # from the eta search, picked by build_basis
-    formula = derive_formula(alpha, beta, 4)
+    formula = derive_formula(alpha, beta)
     assert 200 > sturm_bound(alpha * beta)
     assert verify_formula(formula, 200).ok
 
 
 def test_level16_formula_needs_eisenstein_seeded_selection():
-    # at --bound 4 the first independent quotients included one in the span
-    # of E4(q^t) and the earlier picks, so build_basis refused level 16
-    formula = derive_formula(1, 16, 4)
+    # when the candidates were the box search at bound 4, the first
+    # independent quotients included one in the span of E4(q^t) and the
+    # earlier picks, so build_basis refused level 16
+    formula = derive_formula(1, 16)
     assert verify_formula(formula, 200).ok
 
 
-# picks of the box search before selection was seeded with E4(q^t)
-SEARCHED_PICKS_AT_BOUND_4 = {
+# picks of build_basis from the candidates taken one exponent bound at a
+# time: level 6 fills at bound 2, 10 at bound 4, 12 and 20 at bound 3
+SEARCHED_PICKS_IN_BOUND_ORDER = {
     6: [{1: 2, 2: 2, 3: 2, 6: 2}],
-    10: [{2: 4, 10: 4}, {1: 1, 2: 1, 5: 3, 10: 3}, {1: 3, 2: 3, 5: 1, 10: 1}],
+    10: [{1: 1, 2: 1, 5: 3, 10: 3}, {1: 3, 2: 3, 5: 1, 10: 1}, {2: 4, 10: 4}],
     12: [
-        {1: -4, 2: 4, 3: 4, 4: 2, 12: 2},
-        {1: -2, 2: 2, 3: -2, 4: 4, 6: 2, 12: 4},
-        {1: -1, 2: -3, 3: 3, 4: 4, 6: 1, 12: 4},
+        {2: 2, 4: 2, 6: 2, 12: 2},
+        {1: 2, 2: 2, 3: 2, 6: 2},
+        {1: -1, 2: 2, 3: 3, 4: 3, 6: 2, 12: -1},
     ],
     20: [
-        {1: -3, 2: 4, 4: 3, 5: -1, 10: 4, 20: 1},
         {1: -2, 2: 1, 4: 3, 5: 2, 10: 3, 20: 1},
-        {1: -2, 2: 4, 4: 2, 5: 2, 10: 4, 20: -2},
-        {1: -2, 2: 4, 4: 4, 5: 2, 10: -4, 20: 4},
-        {1: -1, 2: 4, 4: 1, 5: -3, 10: 4, 20: 3},
-        {4: 4, 20: 4},
+        {2: 1, 4: 1, 10: 3, 20: 3},
+        {2: 3, 4: 3, 10: 1, 20: 1},
+        {1: 1, 2: -2, 4: 1, 5: 3, 10: 2, 20: 3},
+        {1: 1, 4: 3, 5: 3, 20: 1},
+        {1: 1, 2: 1, 5: 3, 10: 3},
     ],
 }
 
 
-@pytest.mark.parametrize("level", sorted(SEARCHED_PICKS_AT_BOUND_4))
-def test_searched_picks_are_unchanged_where_derive_succeeded(level):
-    basis = build_basis(level, cusp_quotients_for_level(level, 4))
+@pytest.mark.parametrize("level", sorted(SEARCHED_PICKS_IN_BOUND_ORDER))
+def test_searched_picks_follow_bound_order(level):
+    basis = build_basis(level, cusp_quotients_for_level(level))
     picks = [e.eta.as_dict() for e in basis.cusp_elements]
-    assert picks == SEARCHED_PICKS_AT_BOUND_4[level]
+    assert picks == SEARCHED_PICKS_IN_BOUND_ORDER[level]
 
 
 @pytest.mark.parametrize("alpha,beta", [(2, 9), (1, 18), (1, 25), (1, 27), (1, 32)])
@@ -182,7 +184,7 @@ def test_levels_with_extra_eisenstein_series_span_M4(alpha, beta):
     # at these levels some gcd(d, N/d) > 2, so dim M4 exceeds #divisors +
     # dim S4 and a basis that stopped at dim S4 quotients missed the target
     level = alpha * beta
-    basis = build_basis(level, cusp_quotients_for_level(level, 9))
+    basis = build_basis(level, cusp_quotients_for_level(level))
     assert len(basis.elements) == dim_M4(level)
     formula = derive_convolution_formula(alpha, beta, basis)
     assert formula.to_json_dict()["basis_rank"] == dim_M4(level)
@@ -203,7 +205,7 @@ def test_formula_at_sturm_bound_matches_truncation_1000(alpha, beta):
     # the q^n coefficient of the target is a fixed linear function of W(n)
     # with factor -1152 alpha beta (target_coefficient_via_sums), so a
     # formula that holds for n <= 1000 agrees with the target to q^1000
-    assert verify_formula(derive_formula(alpha, beta, 9), 1000).ok
+    assert verify_formula(derive_formula(alpha, beta), 1000).ok
 
 
 def test_formula_json_carries_sturm_bound(formula27):
@@ -246,16 +248,17 @@ def reference_evaluate(formula, n_max):
 
 
 @pytest.mark.parametrize(
-    "alpha,beta,bound", [(2, 7, 9), (1, 22, 9), (2, 11, 9), (1, 26, 9), (2, 13, 9), (1, 3, 9), (2, 3, 4)]
+    "alpha,beta,max_exponent", [(2, 7, 9), (1, 22, 9), (2, 11, 9), (1, 26, 9), (2, 13, 9), (1, 3, 9), (2, 3, 4)]
 )
-def test_integer_evaluation_matches_fraction_loop(alpha, beta, bound):
-    formula = derive_formula(alpha, beta, bound)
+def test_integer_evaluation_matches_fraction_loop(alpha, beta, max_exponent):
+    formula = derive_formula(alpha, beta)
+    assert all(abs(r) <= max_exponent for q in formula.cusp_quotients for _, r in q.exponents)
     assert evaluate_formula(formula, 500) == reference_evaluate(formula, 500)
 
 
 def test_integer_evaluation_without_cusp_terms():
     # level 3 has no eta quotient of weight 4: the formula is E4(q^t) alone
-    formula = derive_formula(1, 3, 9)
+    formula = derive_formula(1, 3)
     assert formula.cusp_terms == () and formula.cusp_quotients == ()
     values = evaluate_formula(formula, 500)
     assert values == reference_evaluate(formula, 500)
@@ -263,7 +266,7 @@ def test_integer_evaluation_without_cusp_terms():
 
 
 def test_level3_formula_derives_and_verifies():
-    formula = derive_formula(1, 3, 9)
+    formula = derive_formula(1, 3)
     assert formula.sigma3_terms == {1: Fraction(1, 24), 3: Fraction(3, 8)}
     assert formula.to_json_dict()["basis_rank"] == dim_M4(3) == 2
     assert verify_formula(formula, 300).ok
@@ -278,7 +281,7 @@ def test_evaluation_reads_no_oracle_sieve(formula27, monkeypatch):
 
 
 def test_evaluation_skips_zero_cusp_coefficients(monkeypatch):
-    formula = derive_formula(1, 26, 9)
+    formula = derive_formula(1, 26)
     expanded = []
     expand = convolution_module.expand_eta_quotients
     monkeypatch.setattr(

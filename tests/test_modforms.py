@@ -22,7 +22,6 @@ from divconv.modforms import (
     eisenstein_L,
     eisenstein_M,
     express_in_basis,
-    genus,
     rank,
     registered_cusp_quotients,
     standard_basis,
@@ -85,13 +84,6 @@ def test_glaisher_identity():
     assert square.coefficient(0) == 1
     for n in range(1, t + 1):
         assert square.coefficient(n) == 240 * sigma(3, n) - 288 * n * sigma(1, n)
-
-
-@pytest.mark.parametrize(
-    "n,expected_genus", [(1, 0), (11, 1), (14, 1), (15, 1), (22, 2), (26, 2), (37, 2)]
-)
-def test_genus_anchors(n, expected_genus):
-    assert genus(n) == expected_genus
 
 
 @pytest.mark.parametrize(
@@ -313,7 +305,7 @@ def test_express_matches_reference_on_rebuilt_bases():
     family = registered_cusp_quotients(14)
     level14 = ([family[0], family[0]] + family[1:] + [family[1]], family[::-1] + family, [family[0], family[0], family[2]])
     bases = [build_basis(14, quotients) for quotients in level14]
-    bases += [build_basis(level, cusp_quotients_for_level(level, 4)) for level in (10, 12, 20)]
+    bases += [build_basis(level, cusp_quotients_for_level(level)) for level in (10, 12, 20)]
     rng = random.Random(11)
     for basis in bases:
         bound = sturm_bound(basis.level)
@@ -351,5 +343,39 @@ def test_each_basis_row_is_eliminated_once(monkeypatch):
         express_in_basis(target_series(alpha, beta, sturm_bound(alpha * beta)), basis)
         assert len(calls) == expected
         calls.clear()
-        derive_formula(alpha, beta, 9)
+        derive_formula(alpha, beta)
         assert len(calls) == expected
+
+
+@pytest.mark.parametrize("alpha,beta,stop", [(3, 4, 3), (4, 5, 3), (3, 5, 5), (1, 36, 3)])
+def test_derive_searches_only_the_bounds_it_needs(monkeypatch, alpha, beta, stop):
+    bounds = []
+    search = modforms.search_eta_quotients
+
+    def recording_search(level, weight, bound, strict=False):
+        bounds.append(bound)
+        return search(level, weight, bound, strict)
+
+    monkeypatch.setattr(modforms, "search_eta_quotients", recording_search)
+    derive_formula(alpha, beta)
+    assert bounds == list(range(1, stop + 1))
+
+
+def test_searched_candidates_are_distinct_in_bound_order():
+    candidates = list(cusp_quotients_for_level(20))
+    assert len(set(candidates)) == len(candidates)
+    assert set(candidates) == set(modforms.search_eta_quotients(20, 4, modforms.SEARCH_CAP))
+    largest = [max(abs(r) for _, r in q.exponents) for q in candidates]
+    assert largest == sorted(largest) and largest[-1] <= modforms.SEARCH_CAP
+
+
+def _failing_after(quotients):
+    yield from quotients
+    raise AssertionError("build_basis pulled a candidate after the basis was full")
+
+
+def test_build_basis_pulls_no_candidate_once_full():
+    basis = build_basis(14, _failing_after(registered_cusp_quotients(14)))
+    assert len(basis.elements) == dim_M4(14)
+    # at level 4 the E4(q^t) block alone fills dim M4 = 3
+    assert len(build_basis(4, _failing_after([])).elements) == dim_M4(4) == 3
