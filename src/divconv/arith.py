@@ -28,8 +28,8 @@ def rational_to_str(x: Fraction | int) -> str:
 
 def rational_from_str(s: str) -> Fraction:
     num, sep, den = s.partition("/")
-    if not sep:
-        raise ValueError(f"expected 'num/den', got {s!r}")
+    if not sep or int(den) == 0:
+        raise ValueError(f"expected 'num/den' with den != 0, got {s!r}")
     return Fraction(int(num), int(den))
 
 

@@ -11,7 +11,7 @@ scanning the exponent box.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -330,10 +330,8 @@ def _lower_triangular_basis(rows: list[list[int]], n: int) -> list[list[int]]:
     return basis
 
 
-@lru_cache(maxsize=32)
 def _order_lattice(level: int) -> tuple:
-    """What search_eta_quotients needs of the level alone, as tuples, built
-    once however many bounds are searched: the order matrix A, den, the
+    """What the walk needs of the level alone: the order matrix A, den, the
     columns of den * A^-1, the lattice basis and phi(gcd(d, N/d)) by d."""
     divs = divisors(level)
     n = len(divs)
@@ -348,15 +346,16 @@ def _order_lattice(level: int) -> tuple:
     dual = _lower_triangular_basis(scaled + [[den * (i == j) for j in range(n)] for i in range(n)], n)
     dual_inverse = _inverse([[Fraction(x) for x in row] for row in dual])
     lattice = [[int(dual_inverse[j][i] * den) for j in range(n)] for i in range(n)]
-    phi = tuple(euler_phi(gcd(d, level // d)) for d in divs)
-    return tuple(map(tuple, orders)), den, tuple(zip(*scaled)), tuple(map(tuple, lattice)), phi
+    phi = [euler_phi(gcd(d, level // d)) for d in divs]
+    return orders, den, list(zip(*scaled)), lattice, phi
 
 
-def search_eta_quotients(
+def walk_eta_quotients(
     level: int, weight: int, bound: int, strict: bool = False
-) -> list[EtaQuotient]:
-    """All admissible quotients at the level and weight with every exponent
-    in [-bound, bound], in lexicographic exponent order over sorted divisors.
+) -> Iterator[EtaQuotient]:
+    """The admissible quotients at the level and weight with every exponent
+    in [-bound, bound], lazily, each yielded as the walk over cusp orders
+    reaches it (lexicographic order of the cusp-order vector v).
 
     By default a quotient qualifies when it is an admissible modular form
     whose expansion vanishes at infinity (positive leading exponent). With
@@ -379,6 +378,7 @@ def search_eta_quotients(
     (i), (ii), (iv) and (v) then hold by construction; every survivor
     still goes through check_admissibility, which also decides (iii).
     Every admissible quotient in the box has such a v, so none is missed.
+    The arguments are checked on the call; the walk runs as far as pulled.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -386,7 +386,7 @@ def search_eta_quotients(
         raise ValueError("weight must be a positive even integer")
     total = Fraction(weight * gamma0_index(level), 12)
     if total.denominator != 1:
-        return []
+        return iter(())
     divs = divisors(level)
     n = len(divs)
     orders, den, columns, lattice, phi = _order_lattice(level)
@@ -403,17 +403,15 @@ def search_eta_quotients(
     least = [[min(common * columns[i][k] // phi[i] for i in range(j, n)) for k in range(n)] for j in range(n)]
     most = [[max(common * columns[i][k] // phi[i] for i in range(j, n)) for k in range(n)] for j in range(n)]
     floor = [[sum(columns[i][k] * low[i] for i in range(j, n)) for k in range(n)] for j in range(n)]
-    found: list[tuple[list[int], EtaQuotient]] = []
 
-    def walk(j: int, partial: list[int], offset: list[int], rem: int) -> None:
+    def walk(j: int, partial: list[int], offset: list[int], rem: int) -> Iterator[EtaQuotient]:
         # partial = den * (r of v_0..v_{j-1}); offset = the lattice point
         # fixed so far, which pins v_j modulo lattice[j][j]
         if j == n:
-            r = [a // den for a in partial]
-            quotient = EtaQuotient.from_dict(level, dict(zip(divs, r)))
+            quotient = EtaQuotient.from_dict(level, {d: a // den for d, a in zip(divs, partial)})
             report = check_admissibility(quotient)
             if report.is_cusp_form if strict else report.is_modular_form:
-                found.append((r, quotient))
+                yield quotient
             return
         step, cost, column, basis_row = lattice[j][j], phi[j], columns[j], lattice[j]
         first = max(low[j], -((room[j + 1] - rem) // cost))
@@ -431,10 +429,15 @@ def search_eta_quotients(
         partial = [a + v * b for a, b in zip(partial, column)]
         jump = [step * b for b in column]
         while v <= last:
-            walk(j + 1, partial, offset, rem - v * cost)
+            yield from walk(j + 1, partial, offset, rem - v * cost)
             v += step
             offset = [a + b for a, b in zip(offset, basis_row)]
             partial = [a + b for a, b in zip(partial, jump)]
 
-    walk(0, [0] * n, [0] * n, int(total))
-    return [quotient for _, quotient in sorted(found, key=lambda item: item[0])]
+    return walk(0, [0] * n, [0] * n, int(total))
+
+
+def search_eta_quotients(level: int, weight: int, bound: int, strict: bool = False) -> list[EtaQuotient]:
+    """The quotients of walk_eta_quotients in lexicographic exponent order over sorted divisors."""
+    divs = divisors(level)
+    return sorted(walk_eta_quotients(level, weight, bound, strict), key=lambda q: [q.as_dict().get(d, 0) for d in divs])

@@ -9,7 +9,7 @@ agree on q^0..q^B are equal, so independence there is independence of the
 forms, and a solve there proves the identity for every n. A candidate list
 that runs out first leaves a shorter basis, which still proves every
 identity it can solve (see build_basis). No candidate is pulled once the
-basis is full, so a searched list (cusp_quotients_for_level) stops early.
+basis is full, so the lazy eta walk of cusp_quotients_for_level stops with it.
 
 All linear algebra is the exact elimination of arith (insert_row,
 reduce_row): build_basis inserts each element's row once, tagged with its
@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd
 
 from .arith import divisors, euler_phi, gamma0_index, insert_row, prime_factorization, reduce_row, sigma_table
-from .eta import EtaQuotient, check_admissibility, expand_eta_quotient, search_eta_quotients
+from .eta import EtaQuotient, check_admissibility, expand_eta_quotient, walk_eta_quotients
 from .qseries import QSeries
 
 
@@ -152,24 +152,18 @@ def registered_cusp_quotients(level: int) -> list[EtaQuotient]:
     return [EtaQuotient.from_dict(level, exps) for exps in family]
 
 
-SEARCH_CAP = 9  # the largest exponent bound cusp_quotients_for_level searches
+SEARCH_CAP = 9  # the exponent bound of the walk cusp_quotients_for_level returns
 
 
 def cusp_quotients_for_level(level: int) -> Iterable[EtaQuotient]:
-    """Basis candidates at this level: the registered family, else, lazily,
-    for bound = 1, ..., SEARCH_CAP, the weight-4 eta quotients of the search
-    whose largest |r_d| is the bound, in search order; a bound is searched
-    only once build_basis pulls past the one before. A level where 4*mu/12
-    is not an integer (3, 7, 13, 21, ...) has none, so its basis is the
-    E4(q^t) block alone, which spans M4 at level 3."""
+    """Basis candidates at this level: the registered family, else the lazy
+    walk over the weight-4 eta quotients with exponents in [-SEARCH_CAP,
+    SEARCH_CAP], in walk order, which runs only as far as build_basis pulls.
+    A level where 4*mu/12 is not an integer (3, 7, 13, 21, ...) has none, so
+    its basis is the E4(q^t) block alone, which spans M4 at level 3."""
     if level in REGISTERED_CUSP_EXPONENTS:
         return registered_cusp_quotients(level)
-    return (
-        quotient
-        for bound in range(1, SEARCH_CAP + 1)
-        for quotient in search_eta_quotients(level, 4, bound)
-        if max(abs(r) for _, r in quotient.exponents) == bound
-    )
+    return walk_eta_quotients(level, 4, SEARCH_CAP)
 
 
 # -- basis types -----------------------------------------------------------

@@ -118,8 +118,9 @@ def test_rational_string_has_explicit_denominator():
     assert rational_to_str(Fraction(25)) == "25/1"
     assert rational_to_str(25) == "25/1"
     assert rational_to_str(Fraction(-672, 25)) == "-672/25"
-    with pytest.raises(ValueError):
-        rational_from_str("25")
+    for text in ("25", "1/0", "0/0"):
+        with pytest.raises(ValueError):
+            rational_from_str(text)
 
 
 def naive_product(x, y, n_max):

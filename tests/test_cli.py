@@ -47,8 +47,13 @@ def test_expand_rejects_malformed_json():
 
 @pytest.mark.parametrize(
     "garbage",
-    ['{"version": 1, "kind": "qseries", "truncation": 64, "coeffs": ["0/1"', "garbage", "[1, 2]"],
-    ids=["truncated", "not-json", "not-a-series"],
+    [
+        '{"version": 1, "kind": "qseries", "truncation": 64, "coeffs": ["0/1"',
+        "garbage",
+        "[1, 2]",
+        '{"version": 1, "kind": "qseries", "truncation": 0, "coeffs": ["1/0"]}',
+    ],
+    ids=["truncated", "not-json", "not-a-series", "zero-denominator"],
 )
 def test_expand_rejects_corrupt_cache_entry(tmp_path, garbage):
     cache = tmp_path / "cache"
@@ -220,11 +225,11 @@ def test_derive_ignores_bound(alpha, beta):
         assert (bounded.exit_code, bounded.output) == (plain.exit_code, plain.output)
 
 
-def test_coverage_up_to_level_28():
-    """Every coprime pair alpha < beta with alpha*beta <= 28 verifies to 300
+def test_coverage_up_to_level_60():
+    """Every coprime pair alpha < beta with alpha*beta <= 60 verifies to 300
     or is refused with exit 3 for want of a basis spanning the target."""
     refused = set()
-    for level in range(2, 29):
+    for level in range(2, 61):
         for alpha in (a for a in range(1, level) if level % a == 0 and a * a < level):
             beta = level // alpha
             if gcd(alpha, beta) != 1:
@@ -235,7 +240,7 @@ def test_coverage_up_to_level_28():
                 refused.add(level)
                 result = run("verify", "--alpha", str(alpha), "--beta", str(beta), "--nmax", "300")
                 assert result.exit_code == 3 and result.output.startswith(f"error: level {level}: ")
-    assert refused == {7, 11, 13, 17, 19, 21, 23}
+    assert refused == {7, 11, 13, 17, 19, 21, 23, 29, 31, 33, 37, 38, 39, 41, 43, 46, 47, 49, 51, 53, 55, 57, 58, 59}
 
 
 def test_level_without_eta_quotients_derives_from_E4_alone():

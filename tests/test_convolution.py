@@ -16,7 +16,7 @@ from divconv.convolution import (
     verify_formula,
 )
 from divconv.eta import expand_eta_quotient
-from divconv.modforms import build_basis, cusp_quotients_for_level, dim_M4, standard_basis, sturm_bound
+from divconv.modforms import SEARCH_CAP, build_basis, cusp_quotients_for_level, dim_M4, standard_basis, sturm_bound
 
 TRUNC = 80
 
@@ -151,32 +151,32 @@ def test_level16_formula_needs_eisenstein_seeded_selection():
     assert verify_formula(formula, 200).ok
 
 
-# picks of build_basis from the candidates taken one exponent bound at a
-# time: level 6 fills at bound 2, 10 at bound 4, 12 and 20 at bound 3
-SEARCHED_PICKS_IN_BOUND_ORDER = {
-    6: [{1: 2, 2: 2, 3: 2, 6: 2}],
-    10: [{1: 1, 2: 1, 5: 3, 10: 3}, {1: 3, 2: 3, 5: 1, 10: 1}, {2: 4, 10: 4}],
+# picks of build_basis from the one cusp-order walk with exponents in
+# [-SEARCH_CAP, SEARCH_CAP], taken in walk order
+SEARCHED_PICKS_IN_WALK_ORDER = {
+    6: [{1: -2, 2: -2, 3: 6, 6: 6}],
+    10: [{1: -1, 2: -1, 5: 5, 10: 5}, {1: -2, 2: 2, 5: 2, 10: 6}, {1: -3, 2: 3, 5: 7, 10: 1}],
     12: [
-        {2: 2, 4: 2, 6: 2, 12: 2},
-        {1: 2, 2: 2, 3: 2, 6: 2},
-        {1: -1, 2: 2, 3: 3, 4: 3, 6: 2, 12: -1},
+        {1: 2, 2: -4, 3: -6, 6: 8, 12: 8},
+        {1: 1, 2: -5, 3: -3, 4: 6, 6: 3, 12: 6},
+        {2: -4, 4: 8, 6: -4, 12: 8},
     ],
     20: [
-        {1: -2, 2: 1, 4: 3, 5: 2, 10: 3, 20: 1},
-        {2: 1, 4: 1, 10: 3, 20: 3},
-        {2: 3, 4: 3, 10: 1, 20: 1},
-        {1: 1, 2: -2, 4: 1, 5: 3, 10: 2, 20: 3},
-        {1: 1, 4: 3, 5: 3, 20: 1},
-        {1: 1, 2: 1, 5: 3, 10: 3},
+        {2: -1, 4: -1, 10: 5, 20: 5},
+        {1: -1, 4: -1, 5: 5, 20: 5},
+        {1: -1, 2: -1, 5: 5, 10: 5},
+        {1: 1, 2: -3, 4: 2, 5: -5, 10: 7, 20: 6},
+        {2: -2, 4: 2, 10: 2, 20: 6},
+        {2: -3, 4: 3, 10: 7, 20: 1},
     ],
 }
 
 
-@pytest.mark.parametrize("level", sorted(SEARCHED_PICKS_IN_BOUND_ORDER))
-def test_searched_picks_follow_bound_order(level):
+@pytest.mark.parametrize("level", sorted(SEARCHED_PICKS_IN_WALK_ORDER))
+def test_searched_picks_follow_walk_order(level):
     basis = build_basis(level, cusp_quotients_for_level(level))
     picks = [e.eta.as_dict() for e in basis.cusp_elements]
-    assert picks == SEARCHED_PICKS_IN_BOUND_ORDER[level]
+    assert picks == SEARCHED_PICKS_IN_WALK_ORDER[level]
 
 
 @pytest.mark.parametrize("alpha,beta", [(2, 9), (1, 18), (1, 25), (1, 27), (1, 32)])
@@ -248,7 +248,8 @@ def reference_evaluate(formula, n_max):
 
 
 @pytest.mark.parametrize(
-    "alpha,beta,max_exponent", [(2, 7, 9), (1, 22, 9), (2, 11, 9), (1, 26, 9), (2, 13, 9), (1, 3, 9), (2, 3, 4)]
+    "alpha,beta,max_exponent",
+    [(2, 7, 9), (1, 22, 9), (2, 11, 9), (1, 26, 9), (2, 13, 9), (1, 3, 9), (2, 3, SEARCH_CAP)],
 )
 def test_integer_evaluation_matches_fraction_loop(alpha, beta, max_exponent):
     formula = derive_formula(alpha, beta)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from divconv import modforms
+from divconv import eta, modforms
 from divconv.arith import divisors, insert_row, reduce_row, sigma
 from divconv.convolution import derive_formula, target_series
 from divconv.eta import expand_eta_quotient
@@ -347,26 +347,31 @@ def test_each_basis_row_is_eliminated_once(monkeypatch):
         assert len(calls) == expected
 
 
-@pytest.mark.parametrize("alpha,beta,stop", [(3, 4, 3), (4, 5, 3), (3, 5, 5), (1, 36, 3)])
-def test_derive_searches_only_the_bounds_it_needs(monkeypatch, alpha, beta, stop):
-    bounds = []
-    search = modforms.search_eta_quotients
+@pytest.mark.parametrize(
+    "alpha,beta,walked,pulled", [(3, 4, 3, 3), (4, 5, 12, 6), (3, 5, 9, 4), (1, 36, 29, 29), (1, 60, 61, 30)]
+)
+def test_derive_walks_once_and_only_as_far_as_it_pulls(monkeypatch, alpha, beta, walked, pulled):
+    # walked: survivors the cusp-order walk checks; pulled: candidates
+    # build_basis checks. A walk listed in full checks thousands at level 36.
+    walks, checked = [], []
+    walk, check = modforms.walk_eta_quotients, eta.check_admissibility
 
-    def recording_search(level, weight, bound, strict=False):
-        bounds.append(bound)
-        return search(level, weight, bound, strict)
+    def recording_walk(*args):
+        walks.append(args)
+        return walk(*args)
 
-    monkeypatch.setattr(modforms, "search_eta_quotients", recording_search)
+    monkeypatch.setattr(modforms, "walk_eta_quotients", recording_walk)
+    for module in (eta, modforms):
+        monkeypatch.setattr(module, "check_admissibility", lambda q, module=module: checked.append(module) or check(q))
     derive_formula(alpha, beta)
-    assert bounds == list(range(1, stop + 1))
+    assert walks == [(alpha * beta, 4, modforms.SEARCH_CAP)]
+    assert (checked.count(eta), checked.count(modforms)) == (walked, pulled)
 
 
-def test_searched_candidates_are_distinct_in_bound_order():
+def test_searched_candidates_are_distinct():
     candidates = list(cusp_quotients_for_level(20))
     assert len(set(candidates)) == len(candidates)
-    assert set(candidates) == set(modforms.search_eta_quotients(20, 4, modforms.SEARCH_CAP))
-    largest = [max(abs(r) for _, r in q.exponents) for q in candidates]
-    assert largest == sorted(largest) and largest[-1] <= modforms.SEARCH_CAP
+    assert set(candidates) == set(eta.search_eta_quotients(20, 4, modforms.SEARCH_CAP))
 
 
 def _failing_after(quotients):
