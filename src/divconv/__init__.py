@@ -1,7 +1,7 @@
 """Exact evaluation of divisor-sum convolution identities via eta-quotient
 cusp bases and Eisenstein series, with brute-force oracles throughout."""
 
-from .arith import Rational, series_product, sigma, sigma_at, sigma_sieve, sigma_table
+from .arith import series_product, sigma, sigma_at, sigma_sieve, sigma_table
 from .convolution import (
     ConvolutionFormula,
     brute_force_W,
@@ -28,8 +28,6 @@ from .modforms import (
     eisenstein_L,
     eisenstein_M,
     express_in_basis,
-    rank,
-    standard_basis,
 )
 from .qseries import QSeries
 from .representations import (
@@ -46,7 +44,6 @@ __all__ = [
     "ConvolutionFormula",
     "EtaQuotient",
     "QSeries",
-    "Rational",
     "brute_force_W",
     "brute_force_W_table",
     "build_basis",
@@ -66,14 +63,12 @@ __all__ = [
     "octonary_formula_table",
     "r4",
     "r4_lattice",
-    "rank",
     "search_eta_quotients",
     "series_product",
     "sigma",
     "sigma_at",
     "sigma_sieve",
     "sigma_table",
-    "standard_basis",
     "target_series",
     "verify_formula",
 ]

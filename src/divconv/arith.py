@@ -17,8 +17,6 @@ from functools import lru_cache
 from itertools import repeat
 from math import isqrt
 
-Rational = Fraction
-
 
 def rational_to_str(x: Fraction | int) -> str:
     """Serialize an exact rational as "num/den" in lowest terms ("25/1" style)."""

@@ -1,5 +1,6 @@
-"""On-disk q-expansion cache: one JSON file per series, keyed by a stable
-hash of the generating parameters, with a human-readable manifest."""
+"""On-disk q-expansion cache for expand: one JSON file per series, named by
+a stable content hash of the generating parameters. There is no index; an
+entry is found by recomputing its name, and other files are ignored."""
 
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ class SeriesCache:
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.manifest_path = self.directory / "manifest.json"
 
     def path_for(self, key: str) -> Path:
         return self.directory / f"{key}.json"
@@ -50,20 +50,4 @@ class SeriesCache:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        self._record(key, params)
         return payload
-
-    def _record(self, key: str, params: dict) -> None:
-        manifest = {}
-        if self.manifest_path.exists():
-            manifest = json.loads(self.manifest_path.read_text())
-        manifest[key] = params
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(manifest, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp, self.manifest_path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)

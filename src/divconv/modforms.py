@@ -196,17 +196,6 @@ class Basis:
         return [e for e in self.elements if e.kind == "cusp"]
 
 
-def rank(series_list, max_index: int) -> int:
-    """Rank over Q of the matrix rows = series coefficients q^0..q^max_index."""
-    echelon: list[tuple[list, int]] = []
-    found = 0
-    for i, s in enumerate(series_list):
-        if s.truncation < max_index:
-            raise ValueError(f"series {i} truncation {s.truncation} is below max_index {max_index}")
-        found += insert_row(echelon, s.coeffs[: max_index + 1], max_index + 1)
-    return found
-
-
 def build_basis(level: int, quotients) -> Basis:
     """The block E4(q^t), t | level, then the quotients in the order given,
     each kept if it is independent of the elements kept before it, until
@@ -257,11 +246,6 @@ def build_basis(level: int, quotients) -> Basis:
         if keep(series):
             elements.append(BasisElement("cusp", f"S{level}.{len(elements) - block + 1}", series, eta=quotient))
     return Basis(level, tuple(elements), tuple(echelon))
-
-
-def standard_basis(level: int) -> Basis:
-    """Basis from the registered cusp family (levels 14, 22, 26)."""
-    return build_basis(level, registered_cusp_quotients(level))
 
 
 def express_in_basis(target: QSeries, basis: Basis) -> list[Fraction]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import rational_from_str, rational_to_str
+from .arith import rational_from_str, rational_to_str, spread
 
 Coeff = int | Fraction
 
@@ -160,10 +160,7 @@ class QSeries:
         if t < 1:
             raise ValueError(f"substitute requires t >= 1, got {t}")
         limit = min(self.truncation * t, cap if cap is not None else MAX_TRUNCATION)
-        out = [0] * (limit + 1)
-        for n in range(0, limit // t + 1):
-            out[n * t] = self.coeffs[n]
-        return QSeries(out, limit)
+        return QSeries(spread(self.coeffs, t, limit), limit)
 
     def shift(self, m: int) -> "QSeries":
         """Multiply by q^m; truncation preserved, top m coefficients dropped."""

@@ -1,0 +1,25 @@
+"""Independent references that more than one test module checks against."""
+
+from fractions import Fraction
+
+
+def reference_rank(series_list, max_index: int) -> int:
+    """Rank over Q of the rows q^0..q^max_index of the series, by
+    column-pivot Gaussian elimination: it shares no code with the
+    arith.insert_row echelon that build_basis picks its elements with."""
+    rows = [list(s.coeffs[: max_index + 1]) for s in series_list]
+    r = 0
+    for col in range(max_index + 1):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = Fraction(1, 1) / rows[r][col]
+        for i in range(r + 1, len(rows)):
+            if rows[i][col]:
+                factor = rows[i][col] * inv
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return r

@@ -31,8 +31,19 @@ def test_expand_cache_is_byte_identical(tmp_path):
     second = run("--truncation", "64", "--cache-dir", cache, "expand", A2_QUOTIENT)
     assert first.exit_code == 0 and second.exit_code == 0
     assert first.output == second.output
-    manifest = json.loads((tmp_path / "cache" / "manifest.json").read_text())
-    assert len(manifest) == 1
+    assert len(list((tmp_path / "cache").iterdir())) == 1
+
+
+def test_expand_ignores_unreadable_manifest(tmp_path):
+    """A manifest.json left in the cache directory is not the cache's: the
+    entry is written and the series printed as without a cache."""
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "manifest.json").write_text("{")
+    cached = run("--truncation", "64", "--cache-dir", str(cache), "expand", A2_QUOTIENT)
+    plain = run("--truncation", "64", "expand", A2_QUOTIENT)
+    assert cached.exit_code == 0, cached.output
+    assert cached.stdout == plain.stdout
 
 
 def test_expand_rejects_bad_congruence():
@@ -58,7 +69,7 @@ def test_expand_rejects_malformed_json():
 def test_expand_rejects_corrupt_cache_entry(tmp_path, garbage):
     cache = tmp_path / "cache"
     assert run("--truncation", "64", "--cache-dir", str(cache), "expand", A2_QUOTIENT).exit_code == 0
-    (entry,) = [p for p in cache.iterdir() if p.name != "manifest.json"]
+    (entry,) = cache.iterdir()
     entry.write_text(garbage)
     result = run("--truncation", "64", "--cache-dir", str(cache), "expand", A2_QUOTIENT)
     assert result.exit_code == 2

@@ -16,14 +16,21 @@ from divconv.convolution import (
     verify_formula,
 )
 from divconv.eta import expand_eta_quotient
-from divconv.modforms import SEARCH_CAP, build_basis, cusp_quotients_for_level, dim_M4, standard_basis, sturm_bound
+from divconv.modforms import (
+    SEARCH_CAP,
+    build_basis,
+    cusp_quotients_for_level,
+    dim_M4,
+    registered_cusp_quotients,
+    sturm_bound,
+)
 
 TRUNC = 80
 
 
 @pytest.fixture(scope="module")
 def basis14():
-    return standard_basis(14)
+    return build_basis(14, registered_cusp_quotients(14))
 
 
 @pytest.fixture(scope="module")

@@ -2,8 +2,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from divconv import eta, modforms
 from divconv.arith import divisors, insert_row, reduce_row, sigma
@@ -22,45 +20,23 @@ from divconv.modforms import (
     eisenstein_L,
     eisenstein_M,
     express_in_basis,
-    rank,
     registered_cusp_quotients,
-    standard_basis,
     sturm_bound,
 )
 from divconv.qseries import QSeries
+from reference import reference_rank
 
 TRUNC = 80
 
 
-def reference_rank(series_list, max_index: int) -> int:
-    """Column-pivot Gaussian elimination over Q, kept as an independent
-    reference for modforms.rank."""
-    rows = [list(s.coeffs[: max_index + 1]) for s in series_list]
-    r = 0
-    for col in range(max_index + 1):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1, 1) / rows[r][col]
-        for i in range(r + 1, len(rows)):
-            if rows[i][col]:
-                factor = rows[i][col] * inv
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
-
-
 @pytest.fixture(scope="module")
 def basis14():
-    return standard_basis(14)
+    return build_basis(14, registered_cusp_quotients(14))
 
 
 @pytest.fixture(scope="module")
 def basis26():
-    return standard_basis(26)
+    return build_basis(26, registered_cusp_quotients(26))
 
 
 def test_eisenstein_L_coefficients():
@@ -102,18 +78,11 @@ def test_dimension_consistency_small_levels():
         assert dim_S4(n) >= 0
 
 
-def test_rank_of_eisenstein_block():
+def test_eisenstein_block_is_independent():
     m = eisenstein_M(14)
     block = [m.substitute(t, cap=14) for t in divisors(14)]
     block = [QSeries(s.coeffs[:15], 14) for s in block]
-    assert rank(block, 14) == 4
-
-
-def test_rank_duplicate_rows(basis14):
-    a = basis14.elements[4].series
-    assert rank([a, a], sturm_bound(14)) == 1
-    cusp = [e.series for e in basis14.cusp_elements]
-    assert rank(cusp, sturm_bound(14)) == 4
+    assert reference_rank(block, 14) == 4
 
 
 def test_build_basis_sizes(basis14, basis26):
@@ -160,7 +129,7 @@ def test_select_independent_prefers_early_candidates():
 def test_build_basis_short_list_stays_below_dim_M4():
     basis = build_basis(14, registered_cusp_quotients(14)[:3])
     assert len(basis.elements) == 7 < dim_M4(14)
-    assert rank([e.series for e in basis.elements], sturm_bound(14)) == 7
+    assert reference_rank([e.series for e in basis.elements], sturm_bound(14)) == 7
 
 
 def test_express_basis_element_is_unit_vector(basis14):
@@ -198,38 +167,6 @@ def test_sturm_bounds_of_registered_levels():
     assert [sturm_bound(n) for n in (14, 22, 26)] == [8, 12, 14]
 
 
-@st.composite
-def small_matrices(draw):
-    """1-6 rows of width 1-8, entries in -3..3, where each row after the
-    first may be replaced by a zero row, a copy of an earlier row or the
-    sum of two earlier rows."""
-    width = draw(st.integers(1, 8))
-    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=width, max_size=width),
-                         min_size=1, max_size=6))
-    for i in range(1, len(rows)):
-        kind = draw(st.sampled_from(("free", "zero", "duplicate", "sum")))
-        if kind == "zero":
-            rows[i] = [0] * width
-        elif kind == "duplicate":
-            rows[i] = list(rows[draw(st.integers(0, i - 1))])
-        elif kind == "sum":
-            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
-            rows[i] = [a + b for a, b in zip(rows[j], rows[k])]
-    return rows
-
-
-@settings(max_examples=300, deadline=None)
-@given(small_matrices())
-@example([[0, 0, 0]])
-@example([[1, 2], [2, 4], [0, 0]])
-@example([[1, -1, 3], [0, 2, 1], [1, 1, 4], [1, -1, 3]])
-@example([[0, 0, 1, 2], [0, 3, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [1, 3, 1, 2]])
-def test_rank_matches_reference_on_small_matrices(rows):
-    series = [QSeries(row) for row in rows]
-    max_index = len(rows[0]) - 1
-    assert rank(series, max_index) == reference_rank(series, max_index)
-
-
 def test_build_basis_keeps_reference_greedy_prefix():
     level, truncation = 22, sturm_bound(22)
     family = registered_cusp_quotients(level)
@@ -254,12 +191,6 @@ def test_express_rejects_singular_system(monkeypatch):
     monkeypatch.setattr(modforms, "divisors", lambda n: [1, 2, 2, 7, 14])
     with pytest.raises(SingularSystem, match=r"^basis element E2 is dependent on the elements before it on q\^0\.\.q\^8$"):
         build_basis(14, registered_cusp_quotients(14))
-
-
-def test_rank_rejects_short_series():
-    with pytest.raises(ValueError, match=r"^series 1 truncation 1 is below max_index 3$"):
-        rank([QSeries([1, 2, 3, 4]), QSeries([1, 2])], 3)
-    assert rank([QSeries([1, 2, 3, 4]), QSeries([1, 2])], 1) == 1
 
 
 def reference_express(target: QSeries, basis: Basis) -> list[Fraction]:
