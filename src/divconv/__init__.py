@@ -6,7 +6,6 @@ from .convolution import (
     ConvolutionFormula,
     brute_force_W,
     brute_force_W_table,
-    derive_convolution_formula,
     evaluate_formula,
     target_series,
     verify_formula,
@@ -48,7 +47,6 @@ __all__ = [
     "brute_force_W_table",
     "build_basis",
     "check_admissibility",
-    "derive_convolution_formula",
     "dim_E4",
     "dim_S4",
     "eisenstein_L",

@@ -196,16 +196,19 @@ def rep(a, b, nmax):
 DEFAULT_TABLE_PAIRS = ((2, 7), (1, 22), (2, 11), (1, 26), (2, 13))
 
 
+def _parse_pair(entry: str) -> tuple[int, int]:
+    try:
+        alpha, beta = map(int, entry.split(","))
+    except ValueError:
+        raise ValueError(f"--pairs entry {entry!r}: expected alpha,beta") from None
+    return alpha, beta
+
+
 @main.command()
 @click.option("--pairs", default=None, help="Semicolon-separated alpha,beta pairs, e.g. '2,7;1,22'.")
 def table(pairs):
     """Render the derived formula coefficients for several pairs as CSV."""
-    if pairs is None:
-        pair_list = DEFAULT_TABLE_PAIRS
-    else:
-        pair_list = tuple(tuple(int(x) for x in chunk.split(",")) for chunk in pairs.split(";"))
-        if any(len(p) != 2 for p in pair_list):
-            raise ValueError("each pair needs exactly two entries")
+    pair_list = DEFAULT_TABLE_PAIRS if pairs is None else [_parse_pair(entry) for entry in pairs.split(";")]
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["alpha", "beta", "term", "coefficient"])

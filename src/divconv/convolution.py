@@ -1,7 +1,8 @@
 """Convolution sums of sigma over al + bm = n: brute-force oracle (one n at
 a time, or the whole range as one exact series product), the squared
 Eisenstein difference target series, closed-formula derivation by solving
-in a weight-4 basis at the Sturm bound, and exact range verification.
+in the level's own weight-4 basis at the Sturm bound (derive_formula), and
+exact range verification.
 
 A formula carries the eta quotients of its cusp terms, so evaluate_formula
 and verify_formula reach any n_max on their own. They evaluate the whole
@@ -10,10 +11,11 @@ formula's denominators, the sigma terms step through the multiples of
 their d, the cusp quotients are expanded together with their shared passes
 run once, and the sums are divided by L only at the end. The oracle side
 of verify_formula is brute_force_W_table, the product of the two spread
-sigma series. The two sides stay independent: the formula reads
-sigma_sieve, the brute-force oracle sigma_table. A report carries the
-formula's certificate, its Sturm bound and basis rank against dim M4, next
-to the range the oracle agreed on."""
+sigma_table series; the per-n reference brute_force_W reads trial-division
+sigma, so it shares no sieve with the table it checks. The formula side
+reads sigma_sieve, so it stays independent of both oracles. A report
+carries the formula's certificate, its Sturm bound and basis rank against
+dim M4, next to the range the oracle agreed on."""
 
 from __future__ import annotations
 
@@ -21,11 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arith import gamma0_index, rational_to_str, series_product, sigma_at, sigma_sieve, sigma_table, spread
+from .arith import gamma0_index, rational_to_str, series_product, sigma, sigma_at, sigma_sieve, sigma_table, spread
 from .eta import EtaQuotient, expand_eta_quotients
 from .modforms import (
     SEARCH_CAP,
-    Basis,
     BasisIncomplete,
     Inconsistent,
     build_basis,
@@ -38,17 +39,12 @@ from .modforms import (
 from .qseries import QSeries
 
 
-def _sigma1(n_max: int) -> tuple[int, ...]:
-    # round the table size up so repeated calls share one cached sieve
-    size = max(1024, 1 << (n_max - 1).bit_length())
-    return sigma_table(1, size)
-
-
 def brute_force_W(alpha: int, beta: int, n: int) -> int:
     """Sum of sigma(l) sigma(m) over l, m >= 0 with alpha*l + beta*m = n.
 
     Terms with l = 0 or m = 0 vanish since sigma(0) = 0. Accepts any
-    positive alpha, beta (no coprimality requirement)."""
+    positive alpha, beta (no coprimality requirement). sigma is found by
+    trial division, not read from the sigma_table of brute_force_W_table."""
     if alpha < 1 or beta < 1 or n < 1:
         raise ValueError("brute_force_W requires alpha, beta, n >= 1")
     # alpha*l = n (mod beta) is solvable iff g | n, and then exactly on one
@@ -58,9 +54,8 @@ def brute_force_W(alpha: int, beta: int, n: int) -> int:
         return 0
     step = beta // g
     l0 = (n // g) * pow(alpha // g, -1, step) % step or step
-    table = _sigma1(n)
     return sum(
-        table[l] * table[(n - alpha * l) // beta] for l in range(l0, (n - 1) // alpha + 1, step)
+        sigma(1, l) * sigma(1, (n - alpha * l) // beta) for l in range(l0, (n - 1) // alpha + 1, step)
     )
 
 
@@ -72,7 +67,7 @@ def brute_force_W_table(alpha: int, beta: int, n_max: int) -> list[int]:
     of the sigma_table series spread to the multiples of alpha and of beta."""
     if alpha < 1 or beta < 1 or n_max < 0:
         raise ValueError("brute_force_W_table requires alpha, beta >= 1 and n_max >= 0")
-    table = _sigma1(n_max)
+    table = sigma_table(1, n_max)
     return series_product(spread(table, alpha, n_max), spread(table, beta, n_max), n_max)
 
 
@@ -110,11 +105,18 @@ class ConvolutionFormula:
 
     alpha: int
     beta: int
-    level: int
     sigma3_terms: dict[int, Fraction]
-    sigma_terms: dict[int, tuple[Fraction, Fraction]]
     cusp_terms: tuple[tuple[str, Fraction], ...]
     cusp_quotients: tuple[EtaQuotient, ...]
+
+    @property
+    def level(self) -> int:
+        return self.alpha * self.beta
+
+    @property
+    def sigma_terms(self) -> dict[int, tuple[Fraction, Fraction]]:
+        """(c0, c1) for each d: 48 alpha beta and -288 d over 1152 alpha beta."""
+        return {d: (Fraction(1, 24), Fraction(-d, 4 * self.level)) for d in (self.alpha, self.beta)}
 
     def certificate(self) -> dict[str, int]:
         """Why the formula holds for every n: it was solved on q^0..q^B, B
@@ -141,59 +143,23 @@ class ConvolutionFormula:
         }
 
 
-def derive_convolution_formula(alpha: int, beta: int, basis: Basis) -> ConvolutionFormula:
-    """Express the target series in the basis and solve for W(alpha,beta)(n).
-
-    A basis coefficient x_t on the Eisenstein element at scale t folds into
-    the sigma_3(n/t) term as (240 [t=alpha] alpha^2 + 240 [t=beta] beta^2
-    - 240 x_t) / (1152 alpha beta); cusp coefficients pick up -1/(1152
-    alpha beta); the sigma terms come straight from the weight-2 algebra.
-    """
-    _check_pair(alpha, beta)
-    level = alpha * beta
-    if basis.level != level:
-        raise ValueError(f"basis level {basis.level} != alpha*beta = {level}")
-    target = target_series(alpha, beta, sturm_bound(level))
-    x = express_in_basis(target, basis)
-    denom = 1152 * alpha * beta
-    sigma3_terms: dict[int, Fraction] = {}
-    cusp_terms: list[tuple[str, Fraction]] = []
-    cusp_quotients: list[EtaQuotient] = []
-    for coeff, element in zip(x, basis.elements):
-        if element.kind == "eisenstein":
-            t = element.t
-            direct = 240 * (alpha**2 if t == alpha else 0) + 240 * (
-                beta**2 if t == beta else 0
-            )
-            sigma3_terms[t] = Fraction(direct - 240 * coeff, denom)
-        else:
-            cusp_terms.append((element.element_id, Fraction(-coeff, denom)))
-            cusp_quotients.append(element.eta)
-    sigma_terms = {
-        alpha: (Fraction(48 * alpha * beta, denom), Fraction(-288 * alpha, denom)),
-        beta: (Fraction(48 * alpha * beta, denom), Fraction(-288 * beta, denom)),
-    }
-    return ConvolutionFormula(
-        alpha=alpha,
-        beta=beta,
-        level=level,
-        sigma3_terms=sigma3_terms,
-        sigma_terms=dict(sorted(sigma_terms.items())),
-        cusp_terms=tuple(cusp_terms),
-        cusp_quotients=tuple(cusp_quotients),
-    )
-
-
 def derive_formula(alpha: int, beta: int) -> ConvolutionFormula:
     """The formula for W(alpha,beta), solved in a basis that stops at the
-    level's Sturm bound, which proves the identity for every n. A basis
+    level's Sturm bound, which proves the identity for every n.
+
+    The target series is expressed in the level's basis. A coefficient x_t
+    on the Eisenstein element at scale t folds into the sigma_3(n/t) term
+    as (240 [t=alpha] alpha^2 + 240 [t=beta] beta^2 - 240 x_t) / (1152
+    alpha beta); cusp coefficients pick up -1/(1152 alpha beta). A basis
     short of dim M4 whose span misses the target is refused with the rank
     it reached."""
-    _check_pair(alpha, beta)
+    if not 1 <= alpha < beta:
+        raise ValueError(f"derivation requires 1 <= alpha < beta, got ({alpha}, {beta})")
     level = alpha * beta
+    target = target_series(alpha, beta, sturm_bound(level))  # refuses a pair that is not coprime
     basis = build_basis(level, cusp_quotients_for_level(level))
     try:
-        return derive_convolution_formula(alpha, beta, basis)
+        x = express_in_basis(target, basis)
     except Inconsistent as exc:
         size, needed = len(basis.elements), dim_M4(level)
         if size == needed:
@@ -212,13 +178,18 @@ def derive_formula(alpha: int, beta: int) -> ConvolutionFormula:
         raise BasisIncomplete(
             f"level {level}: {reach}, and the W({alpha},{beta}) target is not in their span"
         ) from exc
-
-
-def _check_pair(alpha: int, beta: int) -> None:
-    if not 1 <= alpha < beta:
-        raise ValueError(f"derivation requires 1 <= alpha < beta, got ({alpha}, {beta})")
-    if gcd(alpha, beta) != 1:
-        raise ValueError(f"alpha and beta must be coprime, got ({alpha}, {beta})")
+    denom = 1152 * level
+    sigma3_terms: dict[int, Fraction] = {}
+    cusp_terms: list[tuple[str, Fraction]] = []
+    cusp_quotients: list[EtaQuotient] = []
+    for coeff, element in zip(x, basis.elements):
+        if element.kind == "eisenstein":
+            t = element.t
+            sigma3_terms[t] = Fraction(240 * (t * t if t in (alpha, beta) else 0) - 240 * coeff, denom)
+        else:
+            cusp_terms.append((element.element_id, Fraction(-coeff, denom)))
+            cusp_quotients.append(element.eta)
+    return ConvolutionFormula(alpha, beta, sigma3_terms, tuple(cusp_terms), tuple(cusp_quotients))
 
 
 def _scaled_values(formula: ConvolutionFormula, n_max: int) -> tuple[int, list[int]]:

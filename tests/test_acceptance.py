@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from divconv.cli import main as cli_main
 from divconv.convolution import (
-    derive_convolution_formula,
+    derive_formula,
     target_coefficient_via_sums,
     target_series,
     verify_formula,
@@ -110,20 +110,19 @@ def test_criterion_1_expansion_displays(paper_bases):
     _ok(1, f"four expansion displays match exactly ({elapsed:.1f}s)")
 
 
-def test_criterion_2_formula_displays(paper_bases):
+def test_criterion_2_formula_displays():
     for (alpha, beta), display in FORMULA_DISPLAYS.items():
-        formula = derive_convolution_formula(alpha, beta, paper_bases[alpha * beta])
+        formula = derive_formula(alpha, beta)
         assert formula.sigma3_terms == display["sigma3"], (alpha, beta)
         assert formula.sigma_terms == display["sigma"], (alpha, beta)
         assert [c for _, c in formula.cusp_terms] == display["cusp"], (alpha, beta)
     _ok(2, "all five closed-form displays match exactly")
 
 
-def test_criterion_3_oracle_equivalence(paper_bases):
+def test_criterion_3_oracle_equivalence():
     start = time.time()
     for alpha, beta in PAIRS:
-        basis = paper_bases[alpha * beta]
-        formula = derive_convolution_formula(alpha, beta, basis)
+        formula = derive_formula(alpha, beta)
         report = verify_formula(formula, NMAX)
         assert report.ok, (alpha, beta, report.mismatches[:3])
     elapsed = time.time() - start

@@ -202,6 +202,14 @@ def test_table_csv():
     assert "2,7,cusp.S14.4,-1/42" in lines
 
 
+@pytest.mark.parametrize("pairs", ["", "2,7;", "a,b", "1,2,3", "2", "2,7;1"])
+def test_table_names_malformed_pair(pairs):
+    bad = pairs.split(";")[-1]
+    result = run("table", "--pairs", pairs)
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr == f"error: --pairs entry {bad!r}: expected alpha,beta\n"
+
+
 def test_basis_does_not_depend_on_truncation():
     plain = run("basis", "--level", "14")
     short = run("--truncation", "7", "basis", "--level", "14")

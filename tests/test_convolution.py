@@ -8,7 +8,6 @@ from divconv.arith import sigma_at
 from divconv.convolution import (
     brute_force_W,
     brute_force_W_table,
-    derive_convolution_formula,
     derive_formula,
     evaluate_formula,
     target_coefficient_via_sums,
@@ -34,8 +33,8 @@ def basis14():
 
 
 @pytest.fixture(scope="module")
-def formula27(basis14):
-    return derive_convolution_formula(2, 7, basis14)
+def formula27():
+    return derive_formula(2, 7)
 
 
 def test_brute_force_small_values():
@@ -74,11 +73,9 @@ def test_eisenstein_identity_matches_series():
             assert series.coefficient(n) == target_coefficient_via_sums(alpha, beta, n)
 
 
-def test_derive_requires_ordered_coprime_pair(basis14):
+def test_derive_requires_ordered_coprime_pair():
     with pytest.raises(ValueError):
-        derive_convolution_formula(7, 2, basis14)
-    with pytest.raises(ValueError):
-        derive_convolution_formula(2, 11, basis14)  # level mismatch
+        derive_formula(7, 2)
 
 
 def test_derived_formula_27_matches_known_coefficients(formula27):
@@ -131,9 +128,7 @@ def test_verify_detects_corruption(formula27):
     broken = formula27.__class__(
         alpha=formula27.alpha,
         beta=formula27.beta,
-        level=formula27.level,
         sigma3_terms={**formula27.sigma3_terms, 1: Fraction(1, 599)},
-        sigma_terms=formula27.sigma_terms,
         cusp_terms=formula27.cusp_terms,
         cusp_quotients=formula27.cusp_quotients,
     )
@@ -193,7 +188,7 @@ def test_levels_with_extra_eisenstein_series_span_M4(alpha, beta):
     level = alpha * beta
     basis = build_basis(level, cusp_quotients_for_level(level))
     assert len(basis.elements) == dim_M4(level)
-    formula = derive_convolution_formula(alpha, beta, basis)
+    formula = derive_formula(alpha, beta)
     assert formula.to_json_dict()["basis_rank"] == dim_M4(level)
     assert verify_formula(formula, 300).ok
 
@@ -314,11 +309,29 @@ def test_verify_reports_negative_value(formula27):
     assert not report.ok and report.mismatches[0] == (1, "-1/1", 0)
 
 
-@pytest.mark.parametrize("alpha,beta", [(1, 1), (2, 2), (2, 12), (4, 6), (3, 8), (1, 26)])
-def test_brute_force_table_matches_per_n_oracle(alpha, beta):
-    table = brute_force_W_table(alpha, beta, 600)
-    assert len(table) == 601 and table[0] == 0
-    assert table[1:] == [brute_force_W(alpha, beta, n) for n in range(1, 601)]
+@pytest.mark.parametrize(
+    "alpha,beta,n_max",
+    [pytest.param(a, b, 600, id=f"{a}-{b}") for a, b in [(1, 1), (2, 2), (2, 12), (4, 6), (3, 8), (1, 26)]]
+    + [(1, 26, 1025), (2, 3, 1)],
+)
+def test_brute_force_table_matches_per_n_oracle(alpha, beta, n_max):
+    # the table's sieve is exactly n_max long, so its last entries are checked too
+    table = brute_force_W_table(alpha, beta, n_max)
+    assert len(table) == n_max + 1 and table[0] == 0
+    assert table[1:] == [brute_force_W(alpha, beta, n) for n in range(1, n_max + 1)]
+
+
+def test_per_n_oracle_reads_no_sigma_table(monkeypatch):
+    # the per-n reference and the table it checks share no sigma source
+    def forbidden(*args):
+        raise AssertionError("brute_force_W read sigma_table")
+
+    monkeypatch.setattr(convolution_module, "sigma_table", forbidden)
+    known = {(1, 1, 3): 6, (2, 7, 9): 1, (2, 7, 8): 0, (2, 2, 4): 1}
+    assert {args: brute_force_W(*args) for args in known} == known
+    # Besge: W(1,1)(n) = (5 sigma3(n) + (1 - 6n) sigma(n)) / 12
+    besge = [(5 * sigma_at(3, n, 1) + (1 - 6 * n) * sigma_at(1, n, 1)) // 12 for n in range(1, 201)]
+    assert [brute_force_W(1, 1, n) for n in range(1, 201)] == besge
 
 
 def test_brute_force_table_rejects_bad_arguments():
