@@ -13,12 +13,14 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import click
-
+# divconv before click: importing in this order keeps a command's peak RSS down.
 from . import convolution, eta, modforms, representations
 from .arith import rational_to_str
 from .cache import SeriesCache
-from .modforms import BasisIncomplete, Inconsistent, SingularSystem
+from .modforms import SEARCH_CAP, BasisIncomplete, Inconsistent, SingularSystem
+from .qseries import MAX_TRUNCATION
+
+import click
 
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
@@ -30,9 +32,9 @@ INPUT_ERRORS = (ValueError, OSError, KeyError)
 
 @dataclass(frozen=True)
 class RunConfig:
-    truncation: int = 1000
-    cache_dir: str | None = None
-    search_bound: int = 9
+    truncation: int
+    cache_dir: str | None
+    search_bound: int
 
     @property
     def cache(self) -> SeriesCache | None:
@@ -66,14 +68,14 @@ def _emit_json(data) -> None:
     "--truncation",
     default=1000,
     show_default=True,
-    type=click.IntRange(min=1),
+    type=click.IntRange(1, MAX_TRUNCATION),
     help="Series length for expand only; bases and formulas live at the Sturm bound.",
 )
 @click.option("--cache-dir", default=None, type=click.Path(), help="q-expansion cache directory for expand.")
 @click.option(
     "--bound",
     "search_bound",
-    default=9,
+    default=SEARCH_CAP,
     show_default=True,
     type=click.IntRange(min=1),
     help="Exponent bound for search.",
@@ -114,15 +116,13 @@ def ligozat(quotient_json):
 
 @main.command()
 @click.option("--level", required=True, type=int)
-@click.option("--weight", default=4, show_default=True, type=int)
-@click.option("--strict/--no-strict", default=False, help="Require all cusp-order sums strictly positive.")
 @click.pass_obj
-def search(config: RunConfig, level, weight, strict):
-    """Admissible eta quotients vanishing at infinity, all |r_d| <= --bound.
+def search(config: RunConfig, level):
+    """Admissible weight-4 eta quotients vanishing at infinity, all |r_d| <= --bound.
 
     Built from cusp-order vectors, so complete within that bound; a level
-    where weight*mu/12 is not an integer has none."""
-    found = eta.search_eta_quotients(level, weight, config.search_bound, strict=strict)
+    where 4*mu/12 is not an integer has none."""
+    found = eta.search_eta_quotients(level, 4, config.search_bound)
     _emit_json([q.to_json_dict() for q in found])
 
 
@@ -162,7 +162,7 @@ def derive(alpha, beta):
 @main.command()
 @click.option("--alpha", required=True, type=int)
 @click.option("--beta", required=True, type=int)
-@click.option("--nmax", required=True, type=click.IntRange(min=1))
+@click.option("--nmax", required=True, type=click.IntRange(1, MAX_TRUNCATION))
 def verify(alpha, beta, nmax):
     """Derive and check the formula against brute force on 1..nmax."""
     report = convolution.verify_formula(convolution.derive_formula(alpha, beta), nmax)
@@ -174,7 +174,7 @@ def verify(alpha, beta, nmax):
 @main.command()
 @click.option("--a", "a", required=True, type=int)
 @click.option("--b", "b", required=True, type=int)
-@click.option("--nmax", required=True, type=click.IntRange(min=1))
+@click.option("--nmax", required=True, type=click.IntRange(1, MAX_TRUNCATION))
 def rep(a, b, nmax):
     """Octonary representation counts: formula vs oracle as CSV."""
     formula_values = representations.octonary_formula_table(a, b, nmax)

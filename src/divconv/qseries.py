@@ -17,7 +17,8 @@ from .arith import rational_from_str, rational_to_str, spread
 Coeff = int | Fraction
 
 #: Hard ceiling on the truncation produced by substitute(); prevents a
-#: q -> q^t substitution from blowing up memory for large t.
+#: q -> q^t substitution from blowing up memory for large t. The CLI
+#: refuses a larger --truncation or --nmax.
 MAX_TRUNCATION = 1_000_000
 
 

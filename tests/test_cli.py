@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from math import gcd
 from pathlib import Path
 
@@ -8,7 +11,8 @@ from click.testing import CliRunner
 
 from divconv.cli import main
 from divconv.convolution import derive_formula, verify_formula
-from divconv.modforms import BasisIncomplete
+from divconv.eta import search_eta_quotients
+from divconv.modforms import SEARCH_CAP, BasisIncomplete
 from divconv.representations import octonary_convolution
 
 A2_QUOTIENT = '{"level": 14, "exponents": {"1": 2, "2": 2, "7": 2, "14": 2}}'
@@ -112,6 +116,18 @@ def test_search_contains_family():
     found = [tuple(sorted((int(d), r) for d, r in q["exponents"].items()))
              for q in json.loads(result.output)]
     assert ((1, 5), (2, -1), (7, 5), (14, -1)) in found
+
+
+def test_search_bound_defaults_to_search_cap():
+    result = run("search", "--level", "14")
+    assert result.exit_code == 0
+    assert json.loads(result.output) == [q.to_json_dict() for q in search_eta_quotients(14, 4, SEARCH_CAP)]
+
+
+@pytest.mark.parametrize("option", [("--weight", "4"), ("--strict",)], ids=["weight", "strict"])
+def test_search_takes_only_level(option):
+    result = run("search", "--level", "14", *option)
+    assert result.exit_code == 2 and "No such option" in result.output
 
 
 def test_basis_output():
@@ -287,6 +303,21 @@ def test_search_bound_must_be_positive():
     assert run("--bound", "0", "derive", "--alpha", "2", "--beta", "3").exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--truncation", "1000000000000", "expand", '{"level": 1, "exponents": {"1": 24}}'),
+        ("verify", "--alpha", "1", "--beta", "2", "--nmax", "1000000000000"),
+        ("rep", "--a", "1", "--b", "1", "--nmax", "1000000000000"),
+    ],
+    ids=["truncation", "verify-nmax", "rep-nmax"],
+)
+def test_impossible_size_is_input_error(args):
+    result = run(*args)
+    assert result.exit_code == 2
+    assert "Invalid value" in result.output and "Traceback" not in result.output
+
+
 def test_readme_examples_run():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     cli_block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
@@ -295,3 +326,15 @@ def test_readme_examples_run():
     for args in commands:
         result = run(*args)
         assert result.exit_code == 0, (args, result.output)
+
+
+def test_module_entry_point_lists_every_command():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-m", "divconv.cli", "--help"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    listing = result.stdout.split("Commands:", 1)[1].splitlines()
+    commands = [line.split()[0] for line in listing if line.strip()]
+    assert commands == ["basis", "derive", "expand", "ligozat", "rep", "search", "table", "verify"]
