@@ -10,7 +10,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 # divconv before click: importing in this order keeps a command's peak RSS down.
@@ -28,17 +27,6 @@ EXIT_SOLVER = 3
 
 SOLVER_ERRORS = (BasisIncomplete, SingularSystem, Inconsistent)
 INPUT_ERRORS = (ValueError, OSError, KeyError)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    truncation: int
-    cache_dir: str | None
-    search_bound: int
-
-    @property
-    def cache(self) -> SeriesCache | None:
-        return SeriesCache(self.cache_dir) if self.cache_dir else None
 
 
 class DivconvGroup(click.Group):
@@ -80,28 +68,27 @@ def _emit_json(data) -> None:
     type=click.IntRange(min=1),
     help="Exponent bound for search.",
 )
-@click.pass_context
-def main(ctx, truncation, cache_dir, search_bound):
+def main(truncation, cache_dir, search_bound):
     """Exact evaluation of divisor-sum convolution identities."""
-    ctx.obj = RunConfig(truncation, cache_dir, search_bound)
 
 
 @main.command()
 @click.argument("quotient_json")
-@click.pass_obj
-def expand(config: RunConfig, quotient_json):
+@click.pass_context
+def expand(ctx, quotient_json):
     """Expand an eta quotient (JSON, inline or @file) to a q-series."""
+    truncation, cache_dir = ctx.parent.params["truncation"], ctx.parent.params["cache_dir"]
     quotient = _parse_quotient(quotient_json)
     params = {
         "kind": "eta",
         "level": quotient.level,
         "exponents": {str(d): r for d, r in quotient.exponents},
-        "truncation": config.truncation,
+        "truncation": truncation,
     }
-    cache = config.cache
+    cache = SeriesCache(cache_dir) if cache_dir else None
     series = cache.get(params) if cache is not None else None
     if series is None:
-        series = eta.expand_eta_quotient(quotient, config.truncation)
+        series = eta.expand_eta_quotient(quotient, truncation)
         if cache is not None:
             cache.put(params, series)
     click.echo(json.dumps(series.to_json_dict()))
@@ -115,19 +102,19 @@ def ligozat(quotient_json):
 
 
 @main.command()
-@click.option("--level", required=True, type=int)
-@click.pass_obj
-def search(config: RunConfig, level):
+@click.option("--level", required=True, type=click.IntRange(min=1))
+@click.pass_context
+def search(ctx, level):
     """Admissible weight-4 eta quotients vanishing at infinity, all |r_d| <= --bound.
 
     Built from cusp-order vectors, so complete within that bound; a level
     where 4*mu/12 is not an integer has none."""
-    found = eta.search_eta_quotients(level, 4, config.search_bound)
+    found = eta.search_eta_quotients(level, 4, ctx.parent.params["search_bound"])
     _emit_json([q.to_json_dict() for q in found])
 
 
 @main.command()
-@click.option("--level", required=True, type=int)
+@click.option("--level", required=True, type=click.IntRange(min=1))
 def basis(level):
     """Emit the weight-4 basis at a level: ids, exponents, coefficients q^0..q^B."""
     b = modforms.build_basis(level, modforms.cusp_quotients_for_level(level))

@@ -55,9 +55,6 @@ class EtaQuotient:
     def as_dict(self) -> dict[int, int]:
         return dict(self.exponents)
 
-    def exponent(self, d: int) -> int:
-        return dict(self.exponents).get(d, 0)
-
     @property
     def weight(self) -> Fraction:
         return Fraction(sum(r for _, r in self.exponents), 2)
@@ -121,7 +118,6 @@ class AdmissibilityReport:
         }
 
 
-@lru_cache(maxsize=64)
 def euler_F(truncation: int) -> QSeries:
     """Product of (1 - q^n) for n >= 1, via the pentagonal number theorem."""
     if truncation < 1:
@@ -268,9 +264,10 @@ def expand_eta_quotients(quotients, truncation: int) -> list[QSeries]:
 
     The quotients' pass sequences form a prefix tree, walked depth first
     by taking them in sorted order, so a pass that several quotients start
-    with runs once. Every pass runs on q^0..q^top with top = truncation -
-    min e0; a quotient with a larger e0 reads a prefix, since truncated
-    products agree on it.
+    with runs once. Only the products that a later quotient resumes from
+    are kept, so memory does not grow with the number of passes. Every
+    pass runs on q^0..q^top with top = truncation - min e0; a quotient with
+    a larger e0 reads a prefix, since truncated products agree on it.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
@@ -285,17 +282,24 @@ def expand_eta_quotients(quotients, truncation: int) -> list[QSeries]:
     if not jobs:
         return results
     top = truncation - min(e0 for _, e0, _ in jobs)
-    # path[j] is the product after the first j passes of the quotient
-    # expanded last; the next one in sorted order keeps what it shares
-    path, last = [[1] + [0] * top], []
-    for passes, e0, i in sorted(jobs):
-        shared = next((j for j, (a, b) in enumerate(zip(last, passes)) if a != b), min(len(last), len(passes)))
-        del path[shared + 1 :]
-        for d, cube, multiply in passes[shared:]:
-            g, m = path[-1], top // d
-            path.append((_multiply_pass if multiply else _divide_pass)(g, _pass_terms(d, cube, m)) if m else g)
-        results[i] = QSeries([0] * e0 + path[-1][: truncation - e0 + 1], truncation)
-        last = passes
+    jobs.sort()
+    # resume[k] = the passes sorted job k shares with job k - 1; saved holds
+    # (depth, product after that many passes) at the depths a later job resumes at
+    resume = [0] + [
+        next((j for j, (a, b) in enumerate(zip(p, q)) if a != b), min(len(p), len(q)))
+        for (p, _, _), (q, _, _) in zip(jobs, jobs[1:])
+    ]
+    saved = [(0, [1] + [0] * top)]
+    for k, (passes, e0, i) in enumerate(jobs):
+        while saved[-1][0] > resume[k]:
+            saved.pop()
+        depth, g = saved[-1]
+        for j, (d, cube, multiply) in enumerate(passes[depth:], start=depth + 1):
+            if m := top // d:
+                g = (_multiply_pass if multiply else _divide_pass)(g, _pass_terms(d, cube, m))
+            if j in resume[k + 1 :]:
+                saved.append((j, g))
+        results[i] = QSeries([0] * e0 + g[: truncation - e0 + 1], truncation)
     return results
 
 

@@ -84,6 +84,9 @@ def elliptic_points_order2(n: int) -> int:
 
 
 def cusp_count(n: int) -> int:
+    """Number of cusps of Gamma_0(N), which is dim E4. It exceeds the #divisors(N)
+    series E4(q^t) that build_basis starts with whenever some gcd(d, N/d) > 2,
+    since phi(gcd(d, N/d)) cusps have denominator d."""
     return sum(euler_phi(gcd(d, n // d)) for d in divisors(n))
 
 
@@ -94,17 +97,6 @@ def dim_M4(n: int) -> int:
     total = gamma0_index(n) + elliptic_points_order2(n) + 2 * cusp_count(n)
     assert total % 4 == 0, (n, total)
     return total // 4
-
-
-def dim_E4(n: int) -> int:
-    """dim of the weight-4 Eisenstein space: one series per cusp. This
-    exceeds the #divisors(N) series E4(q^t) that build_basis starts with
-    whenever some gcd(d, N/d) > 2, which gives d phi(gcd(d, N/d)) cusps."""
-    return cusp_count(n)
-
-
-def dim_S4(n: int) -> int:
-    return dim_M4(n) - dim_E4(n)
 
 
 # -- the registered cusp families for levels 14, 22, 26 --------------------
@@ -186,14 +178,6 @@ class Basis:
     elements: tuple[BasisElement, ...]
     # the q^0..q^B rows, element i's tagged with e_i of width dim M4(level)
     echelon: tuple[tuple[list, int], ...] = field(compare=False, repr=False)
-
-    @property
-    def eisenstein_elements(self) -> list[BasisElement]:
-        return [e for e in self.elements if e.kind == "eisenstein"]
-
-    @property
-    def cusp_elements(self) -> list[BasisElement]:
-        return [e for e in self.elements if e.kind == "cusp"]
 
 
 def build_basis(level: int, quotients) -> Basis:

@@ -58,19 +58,6 @@ class QSeries:
 
     # -- basics ------------------------------------------------------------
 
-    def coefficient(self, n: int) -> Coeff:
-        if not 0 <= n <= self.truncation:
-            raise IndexError(f"coefficient index {n} outside [0, {self.truncation}]")
-        return self.coeffs[n]
-
-    def truncate(self, truncation: int) -> "QSeries":
-        if truncation > self.truncation:
-            raise ValueError("cannot extend a series by truncating")
-        return QSeries(self.coeffs[: truncation + 1], truncation)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -97,15 +84,10 @@ class QSeries:
             [a - b for a, b in zip(self.coeffs[: t + 1], other.coeffs[: t + 1])], t
         )
 
-    def __neg__(self) -> "QSeries":
-        return QSeries([-a for a in self.coeffs], self.truncation)
-
     def scale(self, c: Coeff) -> "QSeries":
         return QSeries([c * a for a in self.coeffs], self.truncation)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def __mul__(self, other: "QSeries") -> "QSeries":
         t = min(self.truncation, other.truncation)
         a = self.coeffs[: t + 1]
         b = other.coeffs[: t + 1]
@@ -119,8 +101,6 @@ class QSeries:
                     if bj:
                         out[i + j] += ai * bj
         return QSeries(out, t)
-
-    __rmul__ = __mul__
 
     def reciprocal(self) -> "QSeries":
         """Series r with self * r = 1 up to the truncation."""
@@ -162,14 +142,6 @@ class QSeries:
             raise ValueError(f"substitute requires t >= 1, got {t}")
         limit = min(self.truncation * t, cap if cap is not None else MAX_TRUNCATION)
         return QSeries(spread(self.coeffs, t, limit), limit)
-
-    def shift(self, m: int) -> "QSeries":
-        """Multiply by q^m; truncation preserved, top m coefficients dropped."""
-        if m < 0:
-            raise ValueError(f"shift requires m >= 0, got {m}")
-        if m == 0:
-            return self
-        return QSeries([0] * m + self.coeffs[: self.truncation + 1 - m], self.truncation)
 
     # -- serialization -----------------------------------------------------
 

@@ -48,12 +48,12 @@ def r4(n: int) -> int:
     return 8 * sigma(1, n) - 32 * sigma_at(1, n, 4)
 
 
-def r4_lattice(n: int, bound: int = R4_LATTICE_BOUND) -> int:
+def r4_lattice(n: int) -> int:
     """Count (x1..x4) in Z^4 with sum of squares n, by pruned enumeration."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n > bound:
-        raise BoundExceeded(f"n = {n} exceeds lattice bound {bound}")
+    if n > R4_LATTICE_BOUND:
+        raise BoundExceeded(f"n = {n} exceeds lattice bound {R4_LATTICE_BOUND}")
     count = 0
     for x1 in range(-isqrt(n), isqrt(n) + 1):
         r1 = n - x1 * x1
@@ -67,18 +67,18 @@ def r4_lattice(n: int, bound: int = R4_LATTICE_BOUND) -> int:
     return count
 
 
-def octonary_lattice(a: int, b: int, n: int, bound: int = OCTONARY_LATTICE_BOUND) -> int:
+def octonary_lattice(a: int, b: int, n: int) -> int:
     """Direct count over Z^8 of a*(sum of first four squares) + b*(sum of
     last four squares) = n. Exponential in dimension; tiny n only."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n > bound:
-        raise BoundExceeded(f"n = {n} exceeds lattice bound {bound}")
+    if n > OCTONARY_LATTICE_BOUND:
+        raise BoundExceeded(f"n = {n} exceeds lattice bound {OCTONARY_LATTICE_BOUND}")
     count = 0
     for first in range(0, n // a + 1):
         rest = n - a * first
         if rest % b == 0:
-            count += r4_lattice(first, bound=bound) * r4_lattice(rest // b, bound=bound)
+            count += r4_lattice(first) * r4_lattice(rest // b)
     return count
 
 

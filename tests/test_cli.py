@@ -38,6 +38,16 @@ def test_expand_cache_is_byte_identical(tmp_path):
     assert len(list((tmp_path / "cache").iterdir())) == 1
 
 
+def test_expand_cache_key_includes_truncation(tmp_path):
+    """An entry written at one truncation is not read back at another."""
+    cache = str(tmp_path / "cache")
+    assert run("--truncation", "64", "--cache-dir", cache, "expand", A2_QUOTIENT).exit_code == 0
+    result = run("--truncation", "32", "--cache-dir", cache, "expand", A2_QUOTIENT)
+    assert result.exit_code == 0
+    assert len(json.loads(result.output)["coeffs"]) == 33
+    assert len(list((tmp_path / "cache").iterdir())) == 2
+
+
 def test_expand_ignores_unreadable_manifest(tmp_path):
     """A manifest.json left in the cache directory is not the cache's: the
     entry is written and the series printed as without a cache."""
@@ -297,6 +307,14 @@ def test_outputs_are_deterministic():
 
 def test_rep_nmax_must_be_positive():
     assert run("rep", "--a", "1", "--b", "1", "--nmax", "0").exit_code == 2
+
+
+@pytest.mark.parametrize("command", ["search", "basis"])
+@pytest.mark.parametrize("level", ["0", "-3"])
+def test_level_must_be_positive(command, level):
+    result = run(command, "--level", level)
+    assert result.exit_code == 2
+    assert "Invalid value for '--level'" in result.output
 
 
 def test_search_bound_must_be_positive():

@@ -41,7 +41,7 @@ def test_mul_geometric_inverse():
 def test_mul_sigma_product_q3_coefficient():
     # q^3 coefficient of (sum sigma(l) q^l)^2 is sigma(1)sigma(2)+sigma(2)sigma(1)
     s = sigma_series(8)
-    assert (s * s).coefficient(3) == 6
+    assert (s * s).coeffs[3] == 6
 
 
 def test_mul_identity():
@@ -78,14 +78,7 @@ def test_substitute_of_eisenstein_difference():
     from divconv.modforms import eisenstein_L
 
     l = eisenstein_L(4)
-    assert l.substitute(7).coefficient(14) == -24 * sigma(1, 2)
-
-
-def test_shift():
-    assert QSeries.one(4).shift(2) == QSeries([0, 0, 1, 0, 0], 4)
-    a = QSeries([1, -1, 5], 2)
-    assert a.shift(0) is a
-    assert QSeries([1, -1], 1).shift(1) == QSeries([0, 1], 1)
+    assert l.substitute(7).coeffs[14] == -24 * sigma(1, 2)
 
 
 small_coeffs = st.one_of(
@@ -108,7 +101,7 @@ def test_mul_commutative(a, b):
 @settings(max_examples=40)
 def test_mul_associative(a, b, c):
     t = min(a.truncation, b.truncation, c.truncation)
-    assert ((a * b) * c).truncate(t) == (a * (b * c)).truncate(t)
+    assert ((a * b) * c).coeffs[: t + 1] == (a * (b * c)).coeffs[: t + 1]
 
 
 @given(series, series, st.integers(min_value=1, max_value=4))
@@ -117,7 +110,7 @@ def test_substitute_is_multiplicative(a, b, t):
     lhs = (a * b).substitute(t)
     rhs = a.substitute(t) * b.substitute(t)
     common = min(lhs.truncation, rhs.truncation)
-    assert lhs.truncate(common) == rhs.truncate(common)
+    assert lhs.coeffs[: common + 1] == rhs.coeffs[: common + 1]
 
 
 @given(unit_series, st.integers(min_value=-6, max_value=6))
