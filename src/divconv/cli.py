@@ -79,12 +79,7 @@ def expand(ctx, quotient_json):
     """Expand an eta quotient (JSON, inline or @file) to a q-series."""
     truncation, cache_dir = ctx.parent.params["truncation"], ctx.parent.params["cache_dir"]
     quotient = _parse_quotient(quotient_json)
-    params = {
-        "kind": "eta",
-        "level": quotient.level,
-        "exponents": {str(d): r for d, r in quotient.exponents},
-        "truncation": truncation,
-    }
+    params = {"kind": "eta", **quotient.to_json_dict(), "truncation": truncation}
     cache = SeriesCache(cache_dir) if cache_dir else None
     series = cache.get(params) if cache is not None else None
     if series is None:
@@ -109,7 +104,7 @@ def search(ctx, level):
 
     Built from cusp-order vectors, so complete within that bound; a level
     where 4*mu/12 is not an integer has none."""
-    found = eta.search_eta_quotients(level, 4, ctx.parent.params["search_bound"])
+    found = eta.search_eta_quotients(level, ctx.parent.params["search_bound"])
     _emit_json([q.to_json_dict() for q in found])
 
 
@@ -127,8 +122,8 @@ def basis(level):
                 {
                     "id": e.element_id,
                     "kind": e.kind,
-                    "t": e.t,
-                    "eta": e.eta.to_json_dict() if e.eta else None,
+                    "t": e.generator.t if e.kind == "eisenstein" else None,
+                    "eta": e.generator.to_json_dict() if e.kind == "cusp" else None,
                     "coeffs": [str(c) for c in e.series.coeffs],
                 }
                 for e in b.elements

@@ -4,18 +4,19 @@ Eisenstein difference target series, closed-formula derivation by solving
 in the level's own weight-4 basis at the Sturm bound (derive_formula), and
 exact range verification.
 
-A formula carries the eta quotients of its cusp terms, so evaluate_formula
-and verify_formula reach any n_max on their own. They evaluate the whole
-range at once in integers: every coefficient is scaled by the lcm L of the
-formula's denominators, the sigma terms step through the multiples of
-their d, the cusp quotients are expanded together with their shared passes
-run once, and the sums are divided by L only at the end. The oracle side
-of verify_formula is brute_force_W_table, the product of the two spread
-sigma_table series; the per-n reference brute_force_W reads trial-division
-sigma, so it shares no sieve with the table it checks. The formula side
-reads sigma_sieve, so it stays independent of both oracles. A report
-carries the formula's certificate, its Sturm bound and basis rank against
-dim M4, next to the range the oracle agreed on."""
+A formula carries the generators of its basis with their coefficients, so
+evaluate_formula and verify_formula reach any n_max on their own. They
+evaluate the whole range at once in integers: every coefficient is scaled
+by the lcm L of the formula's denominators, the sigma terms step through
+the multiples of their d, each generator expands itself (the eta quotients
+together, their shared passes run once), and the sums are divided by L only
+at the end. The oracle side of verify_formula is brute_force_W_table, the
+product of the two spread sigma_table series; the per-n reference
+brute_force_W reads trial-division sigma, so it shares no sieve with the
+table it checks. The formula side reads sigma_sieve, so it stays
+independent of both oracles. A report carries the formula's certificate,
+its Sturm bound and basis rank against dim M4, next to the range the oracle
+agreed on."""
 
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from math import gcd, lcm
 from .arith import gamma0_index, rational_to_str, series_product, sigma, sigma_at, sigma_sieve, sigma_table, spread
 from .eta import EtaQuotient, expand_eta_quotients
 from .modforms import (
+    E4,
     SEARCH_CAP,
     BasisIncomplete,
     Inconsistent,
@@ -99,19 +101,27 @@ def target_coefficient_via_sums(alpha: int, beta: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class ConvolutionFormula:
-    """Closed form for W(alpha,beta)(n): rational coefficients on
-    sigma_3(n/d), (c0 + c1 n) sigma(n/d), and the q^n coefficients of cusp
-    quotients; cusp_quotients[i] is the quotient of cusp_terms[i]."""
+    """Closed form for W(alpha,beta)(n): (c0 + c1 n) sigma(n/d) for d in
+    (alpha, beta), plus a rational coefficient on the q^n coefficient of
+    each generator in terms, E4(q^t) or an eta quotient, in basis order."""
 
     alpha: int
     beta: int
-    sigma3_terms: dict[int, Fraction]
-    cusp_terms: tuple[tuple[str, Fraction], ...]
-    cusp_quotients: tuple[EtaQuotient, ...]
+    terms: tuple[tuple[E4 | EtaQuotient, Fraction], ...]
 
     @property
     def level(self) -> int:
         return self.alpha * self.beta
+
+    @property
+    def sigma3_terms(self) -> dict[int, Fraction]:
+        """The coefficient of sigma_3(n/t): 240 times that of E4(q^t)."""
+        return {g.t: 240 * c for g, c in self.terms if isinstance(g, E4)}
+
+    @property
+    def cusp_terms(self) -> tuple[tuple[str, Fraction], ...]:
+        cusp = [c for g, c in self.terms if isinstance(g, EtaQuotient)]
+        return tuple((f"S{self.level}.{i}", c) for i, c in enumerate(cusp, 1))
 
     @property
     def sigma_terms(self) -> dict[int, tuple[Fraction, Fraction]]:
@@ -124,7 +134,7 @@ class ConvolutionFormula:
         dimension is dim_M4."""
         return {
             "sturm_bound": sturm_bound(self.level),
-            "basis_rank": len(self.sigma3_terms) + len(self.cusp_terms),
+            "basis_rank": len(self.terms),
             "dim_M4": dim_M4(self.level),
         }
 
@@ -147,12 +157,12 @@ def derive_formula(alpha: int, beta: int) -> ConvolutionFormula:
     """The formula for W(alpha,beta), solved in a basis that stops at the
     level's Sturm bound, which proves the identity for every n.
 
-    The target series is expressed in the level's basis. A coefficient x_t
-    on the Eisenstein element at scale t folds into the sigma_3(n/t) term
-    as (240 [t=alpha] alpha^2 + 240 [t=beta] beta^2 - 240 x_t) / (1152
-    alpha beta); cusp coefficients pick up -1/(1152 alpha beta). A basis
-    short of dim M4 whose span misses the target is refused with the rank
-    it reached."""
+    The target, sum x_g g in the level's basis, is on q^n, n >= 1, alpha^2
+    E4(q^alpha) + beta^2 E4(q^beta) - 1152 alpha beta W(n) plus sigma terms
+    (target_coefficient_via_sums), so generator g gets (own_g - x_g) / (1152
+    alpha beta), own_g being alpha^2 at E4(alpha), beta^2 at E4(beta) and 0
+    elsewhere. A basis short of dim M4 whose span misses the target is
+    refused with the rank it reached."""
     if not 1 <= alpha < beta:
         raise ValueError(f"derivation requires 1 <= alpha < beta, got ({alpha}, {beta})")
     level = alpha * beta
@@ -178,46 +188,34 @@ def derive_formula(alpha: int, beta: int) -> ConvolutionFormula:
         raise BasisIncomplete(
             f"level {level}: {reach}, and the W({alpha},{beta}) target is not in their span"
         ) from exc
-    denom = 1152 * level
-    sigma3_terms: dict[int, Fraction] = {}
-    cusp_terms: list[tuple[str, Fraction]] = []
-    cusp_quotients: list[EtaQuotient] = []
-    for coeff, element in zip(x, basis.elements):
-        if element.kind == "eisenstein":
-            t = element.t
-            sigma3_terms[t] = Fraction(240 * (t * t if t in (alpha, beta) else 0) - 240 * coeff, denom)
-        else:
-            cusp_terms.append((element.element_id, Fraction(-coeff, denom)))
-            cusp_quotients.append(element.eta)
-    return ConvolutionFormula(alpha, beta, sigma3_terms, tuple(cusp_terms), tuple(cusp_quotients))
+    own = {E4(alpha): alpha * alpha, E4(beta): beta * beta}
+    terms = tuple((e.generator, (own.get(e.generator, 0) - c) / (1152 * level)) for c, e in zip(x, basis.elements))
+    return ConvolutionFormula(alpha, beta, terms)
 
 
 def _scaled_values(formula: ConvolutionFormula, n_max: int) -> tuple[int, list[int]]:
     """(L, [L * value(n) for n = 0..n_max]) with L the lcm of the formula's
     denominators, so every term is an integer product and the sums stay in
-    int. sigma and sigma_3 come from sigma_sieve, which shares no code with
-    the sigma_table that brute_force_W reads; the cusp quotients with a
-    nonzero coefficient are expanded together by expand_eta_quotients."""
+    int. sigma and E4 read sigma_sieve, which shares no code with the
+    sigma_table that brute_force_W reads. Each generator with a nonzero
+    coefficient is expanded to n_max, the eta quotients together by
+    expand_eta_quotients; index 0 holds 0."""
     if n_max < 1:
         raise ValueError("n_max must be positive")
-    coefficients = [
-        *formula.sigma3_terms.values(),
-        *(c for pair in formula.sigma_terms.values() for c in pair),
-        *(c for _, c in formula.cusp_terms),
-    ]
+    coefficients = [c for _, c in formula.terms] + [c for pair in formula.sigma_terms.values() for c in pair]
     scale = lcm(*(c.denominator for c in coefficients))
     values = [0] * (n_max + 1)
-    sigma3 = sigma_sieve(3, n_max)
-    for d, c in formula.sigma3_terms.items():
-        a = int(c * scale)
-        values[d::d] = [v + a * s for v, s in zip(values[d::d], sigma3[1:])]
     sigma1 = sigma_sieve(1, n_max)
     for d, (c0, c1) in formula.sigma_terms.items():
         a0, a1 = int(c0 * scale), int(c1 * scale) * d
         values[d::d] = [v + (a0 + a1 * j) * s for j, (v, s) in enumerate(zip(values[d::d], sigma1[1:]), 1)]
-    cusp = [(int(c * scale), q) for (_, c), q in zip(formula.cusp_terms, formula.cusp_quotients) if c]
-    for (a, _), series in zip(cusp, expand_eta_quotients([q for _, q in cusp], n_max)):
+    live = [(g, int(c * scale)) for g, c in formula.terms if c]
+    quotients = [g for g, _ in live if isinstance(g, EtaQuotient)]
+    batch = dict(zip(quotients, expand_eta_quotients(quotients, n_max)))
+    for g, a in live:
+        series = batch[g] if g in batch else g.expand(n_max)
         values = [v + a * x for v, x in zip(values, series.coeffs)]
+    values[0] = 0
     return scale, values
 
 
@@ -226,9 +224,9 @@ def evaluate_formula(formula: ConvolutionFormula, n_max: int) -> list[Fraction]:
 
     The whole range is summed at once in integers scaled by the lcm of the
     formula's denominators (see _scaled_values) and divided once at the
-    end: sigma_3(n/d) and (c0 + c1 n) sigma(n/d) step through the
-    multiples of d, and each cusp quotient, expanded to n_max, adds its
-    scaled coefficient times its series."""
+    end: (c0 + c1 n) sigma(n/d) steps through the multiples of d, and each
+    generator, expanded to n_max, adds its scaled coefficient times its
+    series."""
     scale, values = _scaled_values(formula, n_max)
     return [Fraction(v, scale) for v in values]
 

@@ -3,10 +3,10 @@
 An eta quotient at level N is a product over divisors d | N of powers of
 eta(d z). The admissibility checker evaluates the classical congruence,
 square, weight and cusp-order conditions under which such a product is a
-modular (resp. cusp) form on Gamma_0(N). The search builds quotients from
-their orders at the cusps, which must be non-negative integers summing to
-weight*mu(N)/12, so it is complete within its exponent bound without
-scanning the exponent box.
+modular (resp. cusp) form on Gamma_0(N). The search builds the weight-4
+quotients from their orders at the cusps, which must be non-negative
+integers summing to 4*mu(N)/12, so it is complete within its exponent bound
+without scanning the exponent box.
 """
 
 from __future__ import annotations
@@ -67,6 +67,9 @@ class EtaQuotient:
     def to_json_dict(self) -> dict:
         return {"level": self.level, "exponents": {str(d): r for d, r in self.exponents}}
 
+    def expand(self, n_max: int) -> QSeries:
+        return expand_eta_quotient(self, n_max)
+
     @classmethod
     def from_json_dict(cls, data) -> "EtaQuotient":
         """Quotient from outside JSON; a malformed document raises ValueError."""
@@ -100,10 +103,6 @@ class AdmissibilityReport:
     @property
     def is_modular_form(self) -> bool:
         return self.cond_i and self.cond_ii and self.cond_iii and self.cond_iv and self.cond_v
-
-    @property
-    def is_cusp_form(self) -> bool:
-        return self.cond_i and self.cond_ii and self.cond_iii and self.cond_iv and self.cond_v_prime
 
     def to_json_dict(self) -> dict:
         return {
@@ -354,31 +353,26 @@ def _order_lattice(level: int) -> tuple:
     return orders, den, list(zip(*scaled)), lattice, phi
 
 
-def walk_eta_quotients(
-    level: int, weight: int, bound: int, strict: bool = False
-) -> Iterator[EtaQuotient]:
-    """The admissible quotients at the level and weight with every exponent
-    in [-bound, bound], lazily, each yielded as the walk over cusp orders
-    reaches it (lexicographic order of the cusp-order vector v).
-
-    By default a quotient qualifies when it is an admissible modular form
-    whose expansion vanishes at infinity (positive leading exponent). With
-    strict=True the all-cusp-orders-strictly-positive condition is required
-    instead; that stricter filter provably misses two of the known level-22
-    basis elements, whose order sum at d = 1 is exactly 0.
+def walk_eta_quotients(level: int, bound: int) -> Iterator[EtaQuotient]:
+    """The admissible weight-4 quotients at the level with every exponent
+    in [-bound, bound] whose expansion vanishes at infinity (positive
+    leading exponent), lazily, each yielded as the walk over cusp orders
+    reaches it (lexicographic order of the cusp-order vector v). Orders at
+    the other cusps may be 0: two of the registered level-22 basis elements
+    have order sum exactly 0 at d = 1.
 
     Method (Rouse & Webb; Kilford): the quotient is built from its cusp
     orders, not found by scanning the exponent box. The order at the cusps
     of denominator d is v_d = sum_delta A[d][delta] r_delta with
     A[d][delta] = N gcd(d,delta)^2 / (24 gcd(d,N/d) d delta). An eta
     quotient has no zeros in the upper half-plane, so the v_d, counted
-    phi(gcd(d,N/d)) times each, sum to T = weight*mu(N)/12; for a modular
+    phi(gcd(d,N/d)) times each, sum to T = 4*mu(N)/12; for a modular
     form they are non-negative integers. The search walks those vectors v,
-    with v_N >= 1 (v_d >= 1 for all d when strict), one coordinate at a
-    time, and keeps r = A^-1 v. Two things keep the walk small: v stays on
-    the lattice of vectors whose r is integral, through a triangular basis
-    of it, and a branch is cut as soon as some r_delta must leave
-    [-bound, bound] whatever the remaining coordinates are. Conditions
+    with v_N >= 1, one coordinate at a time, and keeps r = A^-1 v. Two
+    things keep the walk small: v stays on the lattice of vectors whose r
+    is integral, through a triangular basis of it, and a branch is cut as
+    soon as some r_delta must leave [-bound, bound] whatever the remaining
+    coordinates are. Conditions
     (i), (ii), (iv) and (v) then hold by construction; every survivor
     still goes through check_admissibility, which also decides (iii).
     Every admissible quotient in the box has such a v, so none is missed.
@@ -386,15 +380,13 @@ def walk_eta_quotients(
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    if weight < 2 or weight % 2:
-        raise ValueError("weight must be a positive even integer")
-    total = Fraction(weight * gamma0_index(level), 12)
+    total = Fraction(gamma0_index(level), 3)
     if total.denominator != 1:
         return iter(())
     divs = divisors(level)
     n = len(divs)
     orders, den, columns, lattice, phi = _order_lattice(level)
-    low = [1 if strict or d == level else 0 for d in divs]
+    low = [int(d == level) for d in divs]
     # A has positive entries, so |r| <= bound caps v_d at bound * (row sum)
     top = [int(bound * sum(row)) for row in orders]
     # spend on coordinates j..: at least reserved[j], at most room[j]
@@ -413,8 +405,7 @@ def walk_eta_quotients(
         # fixed so far, which pins v_j modulo lattice[j][j]
         if j == n:
             quotient = EtaQuotient.from_dict(level, {d: a // den for d, a in zip(divs, partial)})
-            report = check_admissibility(quotient)
-            if report.is_cusp_form if strict else report.is_modular_form:
+            if check_admissibility(quotient).is_modular_form:
                 yield quotient
             return
         step, cost, column, basis_row = lattice[j][j], phi[j], columns[j], lattice[j]
@@ -441,7 +432,7 @@ def walk_eta_quotients(
     return walk(0, [0] * n, [0] * n, int(total))
 
 
-def search_eta_quotients(level: int, weight: int, bound: int, strict: bool = False) -> list[EtaQuotient]:
+def search_eta_quotients(level: int, bound: int) -> list[EtaQuotient]:
     """The quotients of walk_eta_quotients in lexicographic exponent order over sorted divisors."""
     divs = divisors(level)
-    return sorted(walk_eta_quotients(level, weight, bound, strict), key=lambda q: [q.as_dict().get(d, 0) for d in divs])
+    return sorted(walk_eta_quotients(level, bound), key=lambda q: [q.as_dict().get(d, 0) for d in divs])

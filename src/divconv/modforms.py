@@ -1,15 +1,16 @@
 """Weight-4 modular form spaces on Gamma_0(N): Eisenstein series, dimension
 formulas, basis assembly, and exact expression of a series in a basis.
 
-A basis is the block E4(q^t), t | N, followed by eta quotients taken
-greedily, in the order given, while they are independent of everything
-kept so far, until it has dim M4(Gamma_0(N)) elements, each expanded to
-q^B, B the Sturm bound, and no further: weight-4 forms on Gamma_0(N) that
-agree on q^0..q^B are equal, so independence there is independence of the
-forms, and a solve there proves the identity for every n. A candidate list
-that runs out first leaves a shorter basis, which still proves every
-identity it can solve (see build_basis). No candidate is pulled once the
-basis is full, so the lazy eta walk of cusp_quotients_for_level stops with it.
+A basis is a list of generators that expand themselves to any q^n: E4(t),
+the series E4(q^t), for each t | N, then eta quotients taken greedily, in
+the order given, while independent of everything kept so far, until it has
+dim M4(Gamma_0(N)) elements, each expanded to q^B, B the Sturm bound, and
+no further: weight-4 forms on Gamma_0(N) that agree on q^0..q^B are equal,
+so independence there is independence of the forms, and a solve there
+proves the identity for every n. A candidate list that runs out first
+leaves a shorter basis, which still proves every identity it can solve
+(see build_basis). No candidate is pulled once the basis is full, so the
+lazy eta walk of cusp_quotients_for_level stops with it.
 
 All linear algebra is the exact elimination of arith (insert_row,
 reduce_row): build_basis inserts each element's row once, tagged with its
@@ -23,10 +24,12 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
-from .arith import divisors, euler_phi, gamma0_index, insert_row, prime_factorization, reduce_row, sigma_table
-from .eta import EtaQuotient, check_admissibility, expand_eta_quotient, walk_eta_quotients
+from .arith import divisors, euler_phi, gamma0_index, insert_row, prime_factorization, reduce_row
+from .arith import sigma_sieve, sigma_table, spread
+from .eta import EtaQuotient, check_admissibility, walk_eta_quotients
 from .qseries import QSeries
 
 
@@ -52,12 +55,14 @@ def eisenstein_L(truncation: int) -> QSeries:
     return QSeries([1] + [-24 * table[n] for n in range(1, truncation + 1)], truncation)
 
 
-def eisenstein_M(truncation: int) -> QSeries:
-    """E4-normalized series 1 + 240 sum sigma_3(n) q^n."""
-    if truncation < 0:
-        raise ValueError("truncation must be >= 0")
-    table = sigma_table(3, truncation)
-    return QSeries([1] + [240 * table[n] for n in range(1, truncation + 1)], truncation)
+@dataclass(frozen=True)
+class E4:
+    """The generator E4(q^t) = 1 + 240 sum sigma_3(n) q^(tn), read from sigma_sieve."""
+
+    t: int
+
+    def expand(self, n_max: int) -> QSeries:
+        return QSeries(spread([1] + [240 * s for s in sigma_sieve(3, n_max // self.t)[1:]], self.t, n_max))
 
 
 # -- Gamma_0(N) invariants and weight-4 dimensions -------------------------
@@ -155,7 +160,7 @@ def cusp_quotients_for_level(level: int) -> Iterable[EtaQuotient]:
     its basis is the E4(q^t) block alone, which spans M4 at level 3."""
     if level in REGISTERED_CUSP_EXPONENTS:
         return registered_cusp_quotients(level)
-    return walk_eta_quotients(level, 4, SEARCH_CAP)
+    return walk_eta_quotients(level, SEARCH_CAP)
 
 
 # -- basis types -----------------------------------------------------------
@@ -163,13 +168,15 @@ def cusp_quotients_for_level(level: int) -> Iterable[EtaQuotient]:
 
 @dataclass(frozen=True)
 class BasisElement:
-    """One basis element: an Eisenstein series M(q^t) or a cusp quotient."""
+    """One basis element: its generator, E4(t) or an eta quotient, and its series to q^B."""
 
-    kind: str  # "eisenstein" | "cusp"
     element_id: str
+    generator: E4 | EtaQuotient
     series: QSeries
-    t: int | None = None
-    eta: EtaQuotient | None = None
+
+    @property
+    def kind(self) -> str:
+        return "eisenstein" if isinstance(self.generator, E4) else "cusp"
 
 
 @dataclass(frozen=True)
@@ -197,39 +204,31 @@ def build_basis(level: int, quotients) -> Basis:
     target outside the span.
 
     Every quotient looked at must be an admissible weight-4 modular form
-    with vanishing constant term (positive leading exponent); two of the
-    registered level-22 quotients have cusp-order sum exactly 0 at d = 1,
-    so the strict all-orders-positive condition is deliberately not
-    required here.
+    with vanishing constant term (positive leading exponent); like the
+    walk, it may have order 0 at the other cusps.
     """
     bound = sturm_bound(level)
     needed = dim_M4(level)
-    elements: list[BasisElement] = []
+    divs = divisors(level)
+    kept: list[tuple[E4 | EtaQuotient, QSeries]] = []
     echelon: list[tuple[list, int]] = []
-
-    def keep(series: QSeries) -> bool:
-        return insert_row(echelon, series.coeffs + [int(j == len(elements)) for j in range(needed)], bound + 1)
-
-    m = eisenstein_M(bound)
-    for t in divisors(level):
-        series = m.substitute(t, cap=bound)
-        if not keep(series):
-            raise SingularSystem(f"basis element E{t} is dependent on the elements before it on q^0..q^{bound}")
-        elements.append(BasisElement("eisenstein", f"E{t}", series, t=t))
-    block = len(elements)
-    quotients = iter(quotients)
-    while len(elements) < needed and (quotient := next(quotients, None)) is not None:
-        if quotient.level != level:
-            raise ValueError(f"cusp quotient level {quotient.level} != {level}")
-        report = check_admissibility(quotient)
-        if not (report.is_modular_form and report.weight == 4):
-            raise ValueError(f"cusp quotient {quotient} is not a weight-4 modular form")
-        series = expand_eta_quotient(quotient, bound)
-        if series.coeffs[0] != 0:
-            raise ValueError(f"cusp quotient {quotient} has nonzero constant term")
-        if keep(series):
-            elements.append(BasisElement("cusp", f"S{level}.{len(elements) - block + 1}", series, eta=quotient))
-    return Basis(level, tuple(elements), tuple(echelon))
+    generators = chain(map(E4, divs), quotients)
+    while len(kept) < needed and (g := next(generators, None)) is not None:
+        if isinstance(g, EtaQuotient):
+            if g.level != level:
+                raise ValueError(f"cusp quotient level {g.level} != {level}")
+            report = check_admissibility(g)
+            if not (report.is_modular_form and report.weight == 4):
+                raise ValueError(f"cusp quotient {g} is not a weight-4 modular form")
+            if g.leading_exponent_numerator == 0:
+                raise ValueError(f"cusp quotient {g} has nonzero constant term")
+        series = g.expand(bound)
+        if insert_row(echelon, series.coeffs + [int(j == len(kept)) for j in range(needed)], bound + 1):
+            kept.append((g, series))
+        elif isinstance(g, E4):
+            raise SingularSystem(f"basis element E{g.t} is dependent on the elements before it on q^0..q^{bound}")
+    ids = [f"E{t}" for t in divs] + [f"S{level}.{i}" for i in range(1, len(kept) - len(divs) + 1)]
+    return Basis(level, tuple(BasisElement(i, *pair) for i, pair in zip(ids, kept)), tuple(echelon))
 
 
 def express_in_basis(target: QSeries, basis: Basis) -> list[Fraction]:

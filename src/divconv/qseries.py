@@ -72,12 +72,6 @@ class QSeries:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other: "QSeries") -> "QSeries":
-        t = min(self.truncation, other.truncation)
-        return QSeries(
-            [a + b for a, b in zip(self.coeffs[: t + 1], other.coeffs[: t + 1])], t
-        )
-
     def __sub__(self, other: "QSeries") -> "QSeries":
         t = min(self.truncation, other.truncation)
         return QSeries(

@@ -153,7 +153,7 @@ def test_criterion_5_dimensions_and_bases(paper_bases):
 
 def test_criterion_6_search_rediscovery():
     for level in (14, 22, 26):
-        found = search_eta_quotients(level, 4, 9)
+        found = search_eta_quotients(level, 9)
         exponents = {q.exponents for q in found}
         for quotient in registered_cusp_quotients(level):
             assert quotient.exponents in exponents, (level, quotient)

@@ -48,6 +48,14 @@ def test_expand_cache_key_includes_truncation(tmp_path):
     assert len(list((tmp_path / "cache").iterdir())) == 2
 
 
+def test_expand_cache_file_name_is_stable(tmp_path):
+    """The entry keeps the name earlier versions gave it, so existing caches stay readable."""
+    cache = tmp_path / "cache"
+    quotient = '{"level": 14, "exponents": {"1": 5, "2": -1, "7": 5, "14": -1}}'
+    assert run("--truncation", "64", "--cache-dir", str(cache), "expand", quotient).exit_code == 0
+    assert [entry.name for entry in cache.iterdir()] == ["8b55bfae4a0ae109.json"]
+
+
 def test_expand_ignores_unreadable_manifest(tmp_path):
     """A manifest.json left in the cache directory is not the cache's: the
     entry is written and the series printed as without a cache."""
@@ -131,7 +139,7 @@ def test_search_contains_family():
 def test_search_bound_defaults_to_search_cap():
     result = run("search", "--level", "14")
     assert result.exit_code == 0
-    assert json.loads(result.output) == [q.to_json_dict() for q in search_eta_quotients(14, 4, SEARCH_CAP)]
+    assert json.loads(result.output) == [q.to_json_dict() for q in search_eta_quotients(14, SEARCH_CAP)]
 
 
 @pytest.mark.parametrize("option", [("--weight", "4"), ("--strict",)], ids=["weight", "strict"])

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import divconv.convolution as convolution_module
+import divconv.modforms as modforms_module
 from divconv.arith import sigma_at
 from divconv.convolution import (
     brute_force_W,
@@ -14,8 +15,9 @@ from divconv.convolution import (
     target_series,
     verify_formula,
 )
-from divconv.eta import expand_eta_quotient
+from divconv.eta import EtaQuotient
 from divconv.modforms import (
+    E4,
     SEARCH_CAP,
     build_basis,
     cusp_quotients_for_level,
@@ -113,8 +115,8 @@ def test_evaluate_formula_past_basis_truncation(formula27):
 
 
 def test_formula_carries_cusp_quotients(formula27, basis14):
-    assert formula27.cusp_quotients == tuple(e.eta for e in basis14.elements if e.kind == "cusp")
-    assert len(formula27.cusp_quotients) == len(formula27.cusp_terms)
+    # the formula's generators are its basis's generators, in order
+    assert [g for g, _ in formula27.terms] == [e.generator for e in basis14.elements]
 
 
 def test_verify_formula_report(formula27):
@@ -124,15 +126,14 @@ def test_verify_formula_report(formula27):
     assert data["mismatches"] == [] and data["checked"] == TRUNC
 
 
+def shift_E4_1(formula, delta):
+    """The formula with delta added to the coefficient of E4(q), so 240 delta to that of sigma_3(n)."""
+    return replace(formula, terms=tuple((g, c + delta if g == E4(1) else c) for g, c in formula.terms))
+
+
 def test_verify_detects_corruption(formula27):
-    broken = formula27.__class__(
-        alpha=formula27.alpha,
-        beta=formula27.beta,
-        sigma3_terms={**formula27.sigma3_terms, 1: Fraction(1, 599)},
-        cusp_terms=formula27.cusp_terms,
-        cusp_quotients=formula27.cusp_quotients,
-    )
-    report = verify_formula(broken, 30)
+    # sigma_3(n) coefficient 1/600 -> 1/599
+    report = verify_formula(shift_E4_1(formula27, Fraction(1, 599 * 600 * 240)), 30)
     assert not report.ok
 
 
@@ -177,7 +178,7 @@ SEARCHED_PICKS_IN_WALK_ORDER = {
 @pytest.mark.parametrize("level", sorted(SEARCHED_PICKS_IN_WALK_ORDER))
 def test_searched_picks_follow_walk_order(level):
     basis = build_basis(level, cusp_quotients_for_level(level))
-    picks = [e.eta.as_dict() for e in basis.elements if e.kind == "cusp"]
+    picks = [e.generator.as_dict() for e in basis.elements if e.kind == "cusp"]
     assert picks == SEARCHED_PICKS_IN_WALK_ORDER[level]
 
 
@@ -231,20 +232,13 @@ def test_brute_force_matches_naive_double_loop(alpha, beta):
 
 def reference_evaluate(formula, n_max):
     """The per-n Fraction loop that the integer evaluation replaced, kept as
-    its reference: sigma by trial division, each quotient expanded alone."""
-    cusp = [
-        (c, expand_eta_quotient(quotient, n_max).coeffs)
-        for (_, c), quotient in zip(formula.cusp_terms, formula.cusp_quotients)
-    ]
+    its reference: each generator expanded alone, sigma by trial division."""
+    terms = [(c, g.expand(n_max).coeffs) for g, c in formula.terms]
     values = [Fraction(0)]
     for n in range(1, n_max + 1):
-        total = Fraction(0)
-        for d, c in formula.sigma3_terms.items():
-            total += c * sigma_at(3, n, d)
+        total = sum(c * coeffs[n] for c, coeffs in terms)
         for d, (c0, c1) in formula.sigma_terms.items():
             total += (c0 + c1 * n) * sigma_at(1, n, d)
-        for c, coeffs in cusp:
-            total += c * coeffs[n]
         values.append(total)
     return values
 
@@ -255,14 +249,15 @@ def reference_evaluate(formula, n_max):
 )
 def test_integer_evaluation_matches_fraction_loop(alpha, beta, max_exponent):
     formula = derive_formula(alpha, beta)
-    assert all(abs(r) <= max_exponent for q in formula.cusp_quotients for _, r in q.exponents)
+    quotients = [g for g, _ in formula.terms if isinstance(g, EtaQuotient)]
+    assert all(abs(r) <= max_exponent for q in quotients for _, r in q.exponents)
     assert evaluate_formula(formula, 500) == reference_evaluate(formula, 500)
 
 
 def test_integer_evaluation_without_cusp_terms():
     # level 3 has no eta quotient of weight 4: the formula is E4(q^t) alone
     formula = derive_formula(1, 3)
-    assert formula.cusp_terms == () and formula.cusp_quotients == ()
+    assert formula.cusp_terms == () and [g for g, _ in formula.terms] == [E4(1), E4(3)]
     values = evaluate_formula(formula, 500)
     assert values == reference_evaluate(formula, 500)
     assert values[1:] == [brute_force_W(1, 3, n) for n in range(1, 501)]
@@ -280,6 +275,7 @@ def test_evaluation_reads_no_oracle_sieve(formula27, monkeypatch):
         raise AssertionError("evaluate_formula read the oracle's sigma_table")
 
     monkeypatch.setattr(convolution_module, "sigma_table", forbidden)
+    monkeypatch.setattr(modforms_module, "sigma_table", forbidden)  # E4 expands from sigma_sieve
     assert evaluate_formula(formula27, 60) == reference_evaluate(formula27, 60)
 
 
@@ -296,7 +292,7 @@ def test_evaluation_skips_zero_cusp_coefficients(monkeypatch):
 
 def test_verify_reports_non_integral_value(formula27):
     # + sigma3(n)/7 leaves a value that rounds down to the oracle at n = 1
-    shifted = replace(formula27, sigma3_terms={**formula27.sigma3_terms, 1: formula27.sigma3_terms[1] + Fraction(1, 7)})
+    shifted = shift_E4_1(formula27, Fraction(1, 1680))
     report = verify_formula(shifted, 30)
     assert report.mismatches[0] == (1, "1/7", 0)
     nonintegral = [n for n in range(1, 31) if sigma_at(3, n, 1) % 7]
@@ -304,7 +300,7 @@ def test_verify_reports_non_integral_value(formula27):
 
 
 def test_verify_reports_negative_value(formula27):
-    shifted = replace(formula27, sigma3_terms={**formula27.sigma3_terms, 1: formula27.sigma3_terms[1] - 1})
+    shifted = shift_E4_1(formula27, Fraction(-1, 240))
     report = verify_formula(shifted, 10)
     assert not report.ok and report.mismatches[0] == (1, "-1/1", 0)
 

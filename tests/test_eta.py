@@ -61,14 +61,14 @@ def test_quotient_construction_validates():
 def test_admissibility_level14_first_family_member():
     q = EtaQuotient.from_dict(14, {1: 5, 2: -1, 7: 5, 14: -1})
     report = check_admissibility(q)
-    assert report.is_cusp_form
+    assert report.is_modular_form and report.cond_v_prime
     assert report.weight == 4
     assert all(report.orders[d] > 0 for d in (1, 2, 7, 14))
 
 
 def test_admissibility_discriminant_quotient():
     report = check_admissibility(EtaQuotient.from_dict(1, {1: 24}))
-    assert report.is_cusp_form and report.weight == 12
+    assert report.is_modular_form and report.cond_v_prime and report.weight == 12
     assert report.orders[1] == 24  # raw order sum; vanishing order is this / 24
 
 
@@ -85,7 +85,7 @@ def test_known_level22_edge_cases_have_zero_order_sum():
         report = check_admissibility(EtaQuotient.from_dict(22, exps))
         assert report.orders[1] == 0
         assert report.cond_v and not report.cond_v_prime
-        assert report.is_modular_form and not report.is_cusp_form
+        assert report.is_modular_form
 
 
 @pytest.mark.parametrize(
@@ -117,28 +117,24 @@ def test_expansion_multiplicative_in_exponents():
     assert expand_eta_quotient(summed, t) == expand_eta_quotient(a, t) * expand_eta_quotient(b, t)
 
 
-def reference_box_search(level, weight, bound, strict=False):
+def reference_box_search(level, bound):
     """The scan the cusp-order enumeration replaced, kept as its reference:
     every exponent vector in [-bound, bound]^(#divisors), the last exponent
-    fixed by the weight, in lexicographic order, filtered by
-    check_admissibility. Skipping vectors that fail condition (i) first
-    changes nothing, since both filters require it."""
+    fixed by weight 4, in lexicographic order, filtered by
+    check_admissibility and a positive leading exponent. Skipping vectors
+    that fail condition (i) first changes nothing, since the filter
+    requires it."""
     divs = divisors(level)
     found = []
     for head in product(range(-bound, bound + 1), repeat=len(divs) - 1):
-        r_last = 2 * weight - sum(head)
+        r_last = 8 - sum(head)
         if not -bound <= r_last <= bound:
             continue
         exps = dict(zip(divs, head + (r_last,)))
         if sum(d * r for d, r in exps.items()) % 24:
             continue
         candidate = EtaQuotient.from_dict(level, exps)
-        report = check_admissibility(candidate)
-        if strict:
-            ok = report.is_cusp_form
-        else:
-            ok = report.is_modular_form and candidate.leading_exponent_numerator > 0
-        if ok:
+        if check_admissibility(candidate).is_modular_form and candidate.leading_exponent_numerator > 0:
             found.append(candidate)
     return found
 
@@ -150,15 +146,13 @@ REFERENCE_BOX = 3000  # largest (2*bound + 1)^(#divisors - 1) compared
 def test_search_equals_box_scan_on_small_boxes(level):
     dims = len(divisors(level)) - 1
     bounds = [b for b in range(1, 10) if (2 * b + 1) ** dims <= REFERENCE_BOX]
-    for bound, weight, strict in product(bounds, (2, 4, 6), (False, True)):
-        expected = reference_box_search(level, weight, bound, strict)
-        assert search_eta_quotients(level, weight, bound, strict) == expected, (bound, weight, strict)
+    for bound in bounds:
+        assert search_eta_quotients(level, bound) == reference_box_search(level, bound), bound
 
 
 @pytest.mark.parametrize("level", [12, 20])
-@pytest.mark.parametrize("strict", [False, True])
-def test_search_equals_box_scan_at_bound_3(level, strict):
-    assert search_eta_quotients(level, 4, 3, strict) == reference_box_search(level, 4, 3, strict)
+def test_search_equals_box_scan_at_bound_3(level):
+    assert search_eta_quotients(level, 3) == reference_box_search(level, 3)
 
 
 def reference_inverse(matrix):
@@ -199,38 +193,32 @@ def test_inverse_of_cusp_order_matrix(level):
 
 def test_search_without_integral_order_sum_is_empty():
     # 4 * mu(21) / 12 = 32/3: cusp orders of a weight-4 quotient cannot sum to it
-    assert search_eta_quotients(21, 4, 50) == []
+    assert search_eta_quotients(21, 50) == []
 
 
 def test_search_level12_bound9_count():
     # the box scan needs 19^5 admissibility checks for this
-    assert len(search_eta_quotients(12, 4, 9)) == 223
+    assert len(search_eta_quotients(12, 9)) == 223
 
 
 def test_search_rediscovers_level14_family():
-    found = {q.exponents for q in search_eta_quotients(14, 4, 6)}
+    found = {q.exponents for q in search_eta_quotients(14, 6)}
     for quotient in registered_cusp_quotients(14):
         assert quotient.exponents in found
 
 
 def test_search_level1_weight4_is_empty():
-    assert search_eta_quotients(1, 4, 8) == []
+    assert search_eta_quotients(1, 8) == []
 
 
 def test_search_results_are_sorted_and_expandable():
-    found = search_eta_quotients(14, 4, 6)
+    found = search_eta_quotients(14, 6)
     assert found == sorted(found, key=lambda q: q.exponents)
     for quotient in found:
         series = expand_eta_quotient(quotient, 20)
         assert series.coeffs[0] == 0
         lead = next(n for n, c in enumerate(series.coeffs) if c)
         assert series.coeffs[lead] == 1
-
-
-def test_strict_search_subset_of_default():
-    strict = {q.exponents for q in search_eta_quotients(22, 4, 6, strict=True)}
-    relaxed = {q.exponents for q in search_eta_quotients(22, 4, 6)}
-    assert strict <= relaxed
 
 
 def test_json_round_trip():

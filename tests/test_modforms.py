@@ -6,8 +6,9 @@ import pytest
 from divconv import eta, modforms
 from divconv.arith import divisors, insert_row, reduce_row, sigma
 from divconv.convolution import derive_formula, target_series
-from divconv.eta import expand_eta_quotient
+from divconv.eta import EtaQuotient, expand_eta_quotient
 from divconv.modforms import (
+    E4,
     Basis,
     Inconsistent,
     SingularSystem,
@@ -16,7 +17,6 @@ from divconv.modforms import (
     cusp_quotients_for_level,
     dim_M4,
     eisenstein_L,
-    eisenstein_M,
     express_in_basis,
     registered_cusp_quotients,
     sturm_bound,
@@ -44,11 +44,11 @@ def test_eisenstein_L_coefficients():
     assert l.coeffs[2] == -72
 
 
-def test_eisenstein_M_coefficients():
-    m = eisenstein_M(10)
-    assert m.coeffs[0] == 1
-    assert m.coeffs[1] == 240
-    assert m.coeffs[2] == 2160
+def test_E4_coefficients():
+    for t in (1, 2, 13, 26):
+        series = E4(t).expand(200)
+        assert series.truncation == 200
+        assert series.coeffs == [1] + [240 * sigma(3, n // t) if n % t == 0 else 0 for n in range(1, 201)], t
 
 
 def test_glaisher_identity():
@@ -76,9 +76,7 @@ def test_dimension_consistency_small_levels():
 
 
 def test_eisenstein_block_is_independent():
-    m = eisenstein_M(14)
-    block = [m.substitute(t, cap=14) for t in divisors(14)]
-    block = [QSeries(s.coeffs[:15], 14) for s in block]
+    block = [E4(t).expand(14) for t in divisors(14)]
     assert reference_rank(block, 14) == 4
 
 
@@ -94,6 +92,13 @@ def test_build_basis_sizes(basis14, basis26):
     ]
 
 
+def test_every_level_keeps_its_E4_block():
+    for level in range(1, 201):
+        elements = build_basis(level, []).elements
+        assert [e.generator for e in elements] == [E4(t) for t in divisors(level)], level
+        assert [e.element_id for e in elements] == [f"E{t}" for t in divisors(level)], level
+
+
 def test_build_basis_element_invariants(basis26):
     for element in (e for e in basis26.elements if e.kind == "eisenstein"):
         assert element.series.coeffs[0] == 1
@@ -107,10 +112,10 @@ def test_build_basis_rejects_duplicates(basis14):
     family = registered_cusp_quotients(14)
     padded = [family[0], family[0]] + family[1:] + [family[1]]
     basis = build_basis(14, padded)
-    assert [e.eta for e in basis.elements if e.kind == "cusp"] == family
+    assert [e.generator for e in basis.elements if e.kind == "cusp"] == family
     assert [e.element_id for e in basis.elements] == [e.element_id for e in basis14.elements]
     short = build_basis(14, [family[0], family[0], family[2], family[3]])
-    assert [e.eta for e in short.elements if e.kind == "cusp"] == [family[0], family[2], family[3]]
+    assert [e.generator for e in short.elements if e.kind == "cusp"] == [family[0], family[2], family[3]]
 
 
 def test_select_independent_prefers_early_candidates():
@@ -118,9 +123,24 @@ def test_select_independent_prefers_early_candidates():
     copy of each quotient is kept, and a reordered list is kept reordered."""
     family = registered_cusp_quotients(14)
     padded = [family[0], family[0]] + family[1:]
-    assert [e.eta for e in build_basis(14, padded).elements if e.kind == "cusp"] == family
+    assert [e.generator for e in build_basis(14, padded).elements if e.kind == "cusp"] == family
     reordered = family[::-1] + family
-    assert [e.eta for e in build_basis(14, reordered).elements if e.kind == "cusp"] == family[::-1]
+    assert [e.generator for e in build_basis(14, reordered).elements if e.kind == "cusp"] == family[::-1]
+
+
+@pytest.mark.parametrize(
+    "level,exponents,message",
+    [
+        (14, {1: 5, 2: -1, 7: 5, 14: -1}, "level 14 != 6"),
+        (6, {1: 24}, "is not a weight-4 modular form"),
+        # eta(z)^16 / eta(2z)^8 is a weight-4 form on Gamma_0(2) with constant term 1
+        (6, {1: 16, 2: -8}, "has nonzero constant term"),
+    ],
+    ids=["other-level", "weight-12", "constant-term"],
+)
+def test_build_basis_refuses_a_quotient_that_cannot_be_a_cusp_candidate(level, exponents, message):
+    with pytest.raises(ValueError, match=message):
+        build_basis(6, [EtaQuotient.from_dict(level, exponents)])
 
 
 def test_build_basis_short_list_stays_below_dim_M4():
@@ -133,6 +153,12 @@ def test_express_basis_element_is_unit_vector(basis14):
     target = basis14.elements[1].series  # the Eisenstein element at t = 2
     x = express_in_basis(target, basis14)
     assert x[1] == 1 and all(c == 0 for i, c in enumerate(x) if i != 1)
+
+
+def combination(x, basis):
+    """sum x_i * element_i, on the q^0..q^B the elements are expanded to."""
+    columns = zip(*(e.series.coeffs for e in basis.elements))
+    return QSeries([sum(c * a for c, a in zip(x, column)) for column in columns])
 
 
 def test_express_zero_series(basis14):
@@ -148,9 +174,7 @@ def test_express_round_trip_random_vectors(basis14, basis26):
                 Fraction(rng.randint(-30, 30), rng.randint(1, 12))
                 for _ in basis.elements
             ]
-            target = QSeries.zero(TRUNC)
-            for coeff, element in zip(x, basis.elements):
-                target = target + element.series.scale(coeff)
+            target = combination(x, basis)
             assert express_in_basis(target, basis) == x
 
 
@@ -169,15 +193,14 @@ def test_build_basis_keeps_reference_greedy_prefix():
     family = registered_cusp_quotients(level)
     padded = [family[0], family[0], family[1], family[0], family[2], family[1]]
     padded += [q for q in family[3:] for _ in range(2)] + family[:3]
-    m = eisenstein_M(truncation)
-    expected, series = [], [m.substitute(t, cap=truncation) for t in divisors(level)]
+    expected, series = [], [E4(t).expand(truncation) for t in divisors(level)]
     for quotient in padded:
         s = expand_eta_quotient(quotient, truncation)
         if reference_rank(series + [s], truncation) == len(series) + 1 and len(series) < dim_M4(level):
             expected.append(quotient)
             series.append(s)
     assert expected == family
-    assert [e.eta for e in build_basis(level, padded).elements if e.kind == "cusp"] == expected
+    assert [e.generator for e in build_basis(level, padded).elements if e.kind == "cusp"] == expected
 
 
 def test_express_rejects_singular_system(monkeypatch):
@@ -239,10 +262,7 @@ def test_express_matches_reference_on_rebuilt_bases():
         bound = sturm_bound(basis.level)
         for _ in range(4):
             x = [Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in basis.elements]
-            target = QSeries.zero(bound)
-            for coeff, element in zip(x, basis.elements):
-                target = target + element.series.scale(coeff)
-            assert _agree(target, basis) == x
+            assert _agree(combination(x, basis), basis) == x
         # bare q: outside the span unless the rows span all of q^0..q^B
         refused = _agree(QSeries([0, 1] + [0] * (bound - 1), bound), basis)
         assert isinstance(refused, str) == (len(basis.elements) <= bound)
@@ -292,14 +312,14 @@ def test_derive_walks_once_and_only_as_far_as_it_pulls(monkeypatch, alpha, beta,
     for module in (eta, modforms):
         monkeypatch.setattr(module, "check_admissibility", lambda q, module=module: checked.append(module) or check(q))
     derive_formula(alpha, beta)
-    assert walks == [(alpha * beta, 4, modforms.SEARCH_CAP)]
+    assert walks == [(alpha * beta, modforms.SEARCH_CAP)]
     assert (checked.count(eta), checked.count(modforms)) == (walked, pulled)
 
 
 def test_searched_candidates_are_distinct():
     candidates = list(cusp_quotients_for_level(20))
     assert len(set(candidates)) == len(candidates)
-    assert set(candidates) == set(eta.search_eta_quotients(20, 4, modforms.SEARCH_CAP))
+    assert set(candidates) == set(eta.search_eta_quotients(20, modforms.SEARCH_CAP))
 
 
 def _failing_after(quotients):

@@ -18,20 +18,6 @@ def sigma_series(truncation):
     return QSeries([0] + [sigma(1, n) for n in range(1, truncation + 1)], truncation)
 
 
-def test_add_cancellation_and_identity():
-    one_plus = QSeries([1, 1], 1)
-    one_minus = QSeries([1, -1], 1)
-    assert (one_plus + one_minus) == QSeries([2, 0], 1)
-    a = QSeries([3, Fraction(1, 2), -5], 2)
-    assert a + QSeries.zero(2) == a
-
-
-def test_add_truncates_to_min():
-    a = QSeries.one(10)
-    b = QSeries.one(5)
-    assert (a + b).truncation == 5
-
-
 def test_mul_geometric_inverse():
     t = 12
     assert QSeries([1, -1], 1).substitute(1) * geometric(t) == QSeries([1], 1)
