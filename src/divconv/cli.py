@@ -1,7 +1,8 @@
 """Command-line front end: JSON/CSV emission and the on-disk series cache.
 
-Exit codes: 0 success, 1 verification mismatch, 2 input error,
-3 basis/solver failure.
+Exit codes: 0 success, 1 verification mismatch, 2 input error (ValueError,
+or OSError reading an @file), 3 the basis cannot express the target
+(modforms.Unsolvable).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 from . import convolution, eta, modforms, representations
 from .arith import rational_to_str
 from .cache import SeriesCache
-from .modforms import SEARCH_CAP, BasisIncomplete, Inconsistent, SingularSystem
+from .modforms import SEARCH_CAP, Unsolvable
 from .qseries import MAX_TRUNCATION
 
 import click
@@ -25,9 +26,6 @@ EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
 
-SOLVER_ERRORS = (BasisIncomplete, SingularSystem, Inconsistent)
-INPUT_ERRORS = (ValueError, OSError, KeyError)
-
 
 class DivconvGroup(click.Group):
     """Maps pipeline exceptions to exit codes for every subcommand."""
@@ -35,9 +33,9 @@ class DivconvGroup(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except SOLVER_ERRORS + INPUT_ERRORS as exc:
+        except (Unsolvable, ValueError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
-            ctx.exit(EXIT_SOLVER if isinstance(exc, SOLVER_ERRORS) else EXIT_INPUT)
+            ctx.exit(EXIT_SOLVER if isinstance(exc, Unsolvable) else EXIT_INPUT)
 
 
 def _parse_quotient(text: str) -> eta.EtaQuotient:
@@ -49,6 +47,12 @@ def _parse_quotient(text: str) -> eta.EtaQuotient:
 
 def _emit_json(data) -> None:
     click.echo(json.dumps(data, indent=2))
+
+
+def _emit_csv(rows) -> None:
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    click.echo(out.getvalue().rstrip("\n"))
 
 
 @click.group(cls=DivconvGroup)
@@ -161,17 +165,10 @@ def rep(a, b, nmax):
     """Octonary representation counts: formula vs oracle as CSV."""
     formula_values = representations.octonary_formula_table(a, b, nmax)
     oracle_values = representations.octonary_count_table(a, b, nmax)
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["n", "formula_value", "oracle_value", "match"])
-    any_mismatch = False
-    for n in range(1, nmax + 1):
-        formula_value, oracle_value = formula_values[n], oracle_values[n]
-        match = formula_value == oracle_value
-        any_mismatch |= not match
-        writer.writerow([n, formula_value, oracle_value, str(match).lower()])
-    click.echo(out.getvalue().rstrip("\n"))
-    if any_mismatch:
+    pairs = zip(formula_values[1:], oracle_values[1:])
+    rows = [(n, f, o, str(f == o).lower()) for n, (f, o) in enumerate(pairs, 1)]
+    _emit_csv([("n", "formula_value", "oracle_value", "match"), *rows])
+    if formula_values[1:] != oracle_values[1:]:
         sys.exit(EXIT_MISMATCH)
 
 
@@ -191,19 +188,17 @@ def _parse_pair(entry: str) -> tuple[int, int]:
 def table(pairs):
     """Render the derived formula coefficients for several pairs as CSV."""
     pair_list = DEFAULT_TABLE_PAIRS if pairs is None else [_parse_pair(entry) for entry in pairs.split(";")]
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(["alpha", "beta", "term", "coefficient"])
+    rows = [("alpha", "beta", "term", "coefficient")]
     for alpha, beta in pair_list:
         formula = convolution.derive_formula(alpha, beta)
         for d, c in formula.sigma3_terms.items():
-            writer.writerow([alpha, beta, f"sigma3(n/{d})", rational_to_str(c)])
+            rows.append((alpha, beta, f"sigma3(n/{d})", rational_to_str(c)))
         for d, (c0, c1) in formula.sigma_terms.items():
-            writer.writerow([alpha, beta, f"sigma(n/{d}).const", rational_to_str(c0)])
-            writer.writerow([alpha, beta, f"sigma(n/{d}).linear", rational_to_str(c1)])
+            rows.append((alpha, beta, f"sigma(n/{d}).const", rational_to_str(c0)))
+            rows.append((alpha, beta, f"sigma(n/{d}).linear", rational_to_str(c1)))
         for eid, c in formula.cusp_terms:
-            writer.writerow([alpha, beta, f"cusp.{eid}", rational_to_str(c)])
-    click.echo(out.getvalue().rstrip("\n"))
+            rows.append((alpha, beta, f"cusp.{eid}", rational_to_str(c)))
+    _emit_csv(rows)
 
 
 if __name__ == "__main__":

@@ -5,12 +5,12 @@ in the level's own weight-4 basis at the Sturm bound (derive_formula), and
 exact range verification.
 
 A formula carries the generators of its basis with their coefficients, so
-evaluate_formula and verify_formula reach any n_max on their own. They
-evaluate the whole range at once in integers: every coefficient is scaled
-by the lcm L of the formula's denominators, the sigma terms step through
-the multiples of their d, each generator expands itself (the eta quotients
-together, their shared passes run once), and the sums are divided by L only
-at the end. The oracle side of verify_formula is brute_force_W_table, the
+verify_formula reaches any n_max on its own. _scaled_values evaluates the
+whole range at once in integers: every coefficient is scaled by the lcm L
+of the formula's denominators, the sigma terms step through the multiples
+of their d, each generator expands itself (the eta quotients together,
+their shared passes run once), and the sums are divided by L only at the
+end. The oracle side of verify_formula is brute_force_W_table, the
 product of the two spread sigma_table series; the per-n reference
 brute_force_W reads trial-division sigma, so it shares no sieve with the
 table it checks. The formula side reads sigma_sieve, so it stays
@@ -24,18 +24,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arith import gamma0_index, rational_to_str, series_product, sigma, sigma_at, sigma_sieve, sigma_table, spread
+from .arith import rational_to_str, series_product, sigma, sigma_at, sigma_sieve, sigma_table, spread
 from .eta import EtaQuotient, expand_eta_quotients
 from .modforms import (
     E4,
-    SEARCH_CAP,
-    BasisIncomplete,
-    Inconsistent,
+    Unsolvable,
     build_basis,
     cusp_quotients_for_level,
     dim_M4,
     eisenstein_L,
     express_in_basis,
+    shortfall,
     sturm_bound,
 )
 from .qseries import QSeries
@@ -161,8 +160,8 @@ def derive_formula(alpha: int, beta: int) -> ConvolutionFormula:
     E4(q^alpha) + beta^2 E4(q^beta) - 1152 alpha beta W(n) plus sigma terms
     (target_coefficient_via_sums), so generator g gets (own_g - x_g) / (1152
     alpha beta), own_g being alpha^2 at E4(alpha), beta^2 at E4(beta) and 0
-    elsewhere. A basis short of dim M4 whose span misses the target is
-    refused with the rank it reached."""
+    elsewhere. A basis short of dim M4 whose span misses the target raises
+    Unsolvable with the rank it reached and why (modforms.shortfall)."""
     if not 1 <= alpha < beta:
         raise ValueError(f"derivation requires 1 <= alpha < beta, got ({alpha}, {beta})")
     level = alpha * beta
@@ -170,23 +169,12 @@ def derive_formula(alpha: int, beta: int) -> ConvolutionFormula:
     basis = build_basis(level, cusp_quotients_for_level(level))
     try:
         x = express_in_basis(target, basis)
-    except Inconsistent as exc:
-        size, needed = len(basis.elements), dim_M4(level)
-        if size == needed:
+    except Unsolvable as exc:
+        rank = len(basis.elements)
+        if rank == dim_M4(level):
             raise
-        total = Fraction(4 * gamma0_index(level), 12)
-        if total.denominator != 1:
-            reach = (
-                f"no weight-4 eta quotient exists (4*mu/12 = {total} is not an integer); "
-                f"E4(q^t) alone reach rank {size} of dim M4 = {needed}"
-            )
-        else:
-            reach = (
-                f"E4(q^t) and the eta quotients with exponents in [-{SEARCH_CAP}, {SEARCH_CAP}] "
-                f"reach rank {size} of dim M4 = {needed}"
-            )
-        raise BasisIncomplete(
-            f"level {level}: {reach}, and the W({alpha},{beta}) target is not in their span"
+        raise Unsolvable(
+            f"level {level}: {shortfall(level, rank)}, and the W({alpha},{beta}) target is not in their span"
         ) from exc
     own = {E4(alpha): alpha * alpha, E4(beta): beta * beta}
     terms = tuple((e.generator, (own.get(e.generator, 0) - c) / (1152 * level)) for c, e in zip(x, basis.elements))
@@ -217,18 +205,6 @@ def _scaled_values(formula: ConvolutionFormula, n_max: int) -> tuple[int, list[i
         values = [v + a * x for v, x in zip(values, series.coeffs)]
     values[0] = 0
     return scale, values
-
-
-def evaluate_formula(formula: ConvolutionFormula, n_max: int) -> list[Fraction]:
-    """The closed form at n = 0..n_max (index 0 holds 0).
-
-    The whole range is summed at once in integers scaled by the lcm of the
-    formula's denominators (see _scaled_values) and divided once at the
-    end: (c0 + c1 n) sigma(n/d) steps through the multiples of d, and each
-    generator, expanded to n_max, adds its scaled coefficient times its
-    series."""
-    scale, values = _scaled_values(formula, n_max)
-    return [Fraction(v, scale) for v in values]
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,6 @@ from .arith import divisors, euler_phi, gamma0_index, insert_row, prime_factoriz
 from .qseries import QSeries
 
 
-class FractionalLeadingExponent(ValueError):
-    """The q-prefactor exponent sum is not divisible by 24."""
-
-
-class NegativeLeadingExponent(ValueError):
-    """The leading exponent is negative; no power-series expansion exists."""
-
-
 @dataclass(frozen=True)
 class EtaQuotient:
     """Level N and one integer exponent per divisor of N (zeros omitted)."""
@@ -220,11 +212,9 @@ def _leading_exponent(f: EtaQuotient) -> int:
     """(sum of d*r_d)/24, which must be a non-negative integer."""
     num = f.leading_exponent_numerator
     if num % 24:
-        raise FractionalLeadingExponent(
-            f"sum of d*r_d = {num} is not divisible by 24; no integral q-expansion"
-        )
+        raise ValueError(f"sum of d*r_d = {num} is not divisible by 24; no integral q-expansion")
     if num < 0:
-        raise NegativeLeadingExponent(f"leading exponent {num // 24} is negative")
+        raise ValueError(f"leading exponent {num // 24} is negative")
     return num // 24
 
 

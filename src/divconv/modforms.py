@@ -12,6 +12,10 @@ leaves a shorter basis, which still proves every identity it can solve
 (see build_basis). No candidate is pulled once the basis is full, so the
 lazy eta walk of cusp_quotients_for_level stops with it.
 
+A basis that cannot express a target raises Unsolvable; every other
+refusal here is a ValueError about the input. shortfall states why the
+candidates of a level leave its basis short of dim M4.
+
 All linear algebra is the exact elimination of arith (insert_row,
 reduce_row): build_basis inserts each element's row once, tagged with its
 unit vector, and keeps that echelon on the Basis, so express_in_basis only
@@ -33,18 +37,10 @@ from .eta import EtaQuotient, check_admissibility, walk_eta_quotients
 from .qseries import QSeries
 
 
-class BasisIncomplete(RuntimeError):
-    """The target lies outside the span of a basis short of dim M4, for
-    want of eta quotients with exponents up to SEARCH_CAP, or of any at all
-    where 4*mu/12 is not an integer and the basis is the E4(q^t) block alone."""
-
-
-class SingularSystem(ArithmeticError):
-    """An E4(q^t) element is dependent on the elements before it at the Sturm bound."""
-
-
-class Inconsistent(ArithmeticError):
-    """The target is not in the span of the basis at the Sturm bound."""
+class Unsolvable(ArithmeticError):
+    """The basis cannot express the target: an E4(q^t) element is dependent
+    on the elements before it, or the target is not in the span at the
+    Sturm bound (of a basis short of dim M4, for the reason shortfall gives)."""
 
 
 def eisenstein_L(truncation: int) -> QSeries:
@@ -142,11 +138,7 @@ REGISTERED_CUSP_EXPONENTS: dict[int, tuple[dict[int, int], ...]] = {
 
 
 def registered_cusp_quotients(level: int) -> list[EtaQuotient]:
-    try:
-        family = REGISTERED_CUSP_EXPONENTS[level]
-    except KeyError:
-        raise KeyError(f"no registered cusp basis for level {level}") from None
-    return [EtaQuotient.from_dict(level, exps) for exps in family]
+    return [EtaQuotient.from_dict(level, exps) for exps in REGISTERED_CUSP_EXPONENTS[level]]
 
 
 SEARCH_CAP = 9  # the exponent bound of the walk cusp_quotients_for_level returns
@@ -161,6 +153,18 @@ def cusp_quotients_for_level(level: int) -> Iterable[EtaQuotient]:
     if level in REGISTERED_CUSP_EXPONENTS:
         return registered_cusp_quotients(level)
     return walk_eta_quotients(level, SEARCH_CAP)
+
+
+def shortfall(level: int, rank: int) -> str:
+    """Why the E4(q^t) block and the candidates of cusp_quotients_for_level
+    reach only this rank, short of dim M4: there is no weight-4 eta quotient
+    at the level, or none with exponents up to SEARCH_CAP completes it."""
+    total = Fraction(4 * gamma0_index(level), 12)
+    if total.denominator != 1:
+        reached = f"no weight-4 eta quotient exists (4*mu/12 = {total} is not an integer); E4(q^t) alone"
+    else:
+        reached = f"E4(q^t) and the eta quotients with exponents in [-{SEARCH_CAP}, {SEARCH_CAP}]"
+    return f"{reached} reach rank {rank} of dim M4 = {dim_M4(level)}"
 
 
 # -- basis types -----------------------------------------------------------
@@ -196,7 +200,7 @@ def build_basis(level: int, quotients) -> Basis:
     Every element is expanded once, to q^B, B the Sturm bound: a
     combination of weight-4 forms on Gamma_0(level) that vanishes on
     q^0..q^B is zero, so these elements are independent as modular forms.
-    An E4(q^t) row that fails to enter the echelon raises SingularSystem.
+    An E4(q^t) row that fails to enter the echelon raises Unsolvable.
 
     A basis short of dim M4 still proves what it solves: the target and
     every element lie in M4(Gamma_0(level)), so a combination that agrees
@@ -226,7 +230,7 @@ def build_basis(level: int, quotients) -> Basis:
         if insert_row(echelon, series.coeffs + [int(j == len(kept)) for j in range(needed)], bound + 1):
             kept.append((g, series))
         elif isinstance(g, E4):
-            raise SingularSystem(f"basis element E{g.t} is dependent on the elements before it on q^0..q^{bound}")
+            raise Unsolvable(f"basis element E{g.t} is dependent on the elements before it on q^0..q^{bound}")
     ids = [f"E{t}" for t in divs] + [f"S{level}.{i}" for i in range(1, len(kept) - len(divs) + 1)]
     return Basis(level, tuple(BasisElement(i, *pair) for i, pair in zip(ids, kept)), tuple(echelon))
 
@@ -248,5 +252,5 @@ def express_in_basis(target: QSeries, basis: Basis) -> list[Fraction]:
     rest = reduce_row(basis.echelon, target.coeffs[: bound + 1] + [0] * dim_M4(basis.level))
     n = next((n for n in range(bound + 1) if rest[n]), None)
     if n is not None:
-        raise Inconsistent(f"target is not in the span of the basis: it leaves {rest[n]} at q^{n}")
+        raise Unsolvable(f"target is not in the span of the basis: it leaves {rest[n]} at q^{n}")
     return [-Fraction(c) for c in rest[bound + 1 : bound + 1 + len(basis.elements)]]

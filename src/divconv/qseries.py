@@ -3,7 +3,8 @@
 Coefficients are exact (int or Fraction); no floating point anywhere.
 Binary operations truncate to the shorter operand. Multiplication runs over
 the nonzero coefficients of the sparser operand, and reciprocal over the
-nonzero tail only. Eta quotients are not expanded through these operations
+nonzero tail only; a zero constant term has no reciprocal and raises
+ZeroDivisionError. Eta quotients are not expanded through these operations
 (eta.expand_eta_quotients applies sparse passes to plain lists); the tests
 use the dense QSeries product as the oracle for that kernel.
 """
@@ -20,10 +21,6 @@ Coeff = int | Fraction
 #: q -> q^t substitution from blowing up memory for large t. The CLI
 #: refuses a larger --truncation or --nmax.
 MAX_TRUNCATION = 1_000_000
-
-
-class ZeroConstantTerm(ArithmeticError):
-    """Raised when inverting a series whose constant term is zero."""
 
 
 class QSeries:
@@ -100,7 +97,7 @@ class QSeries:
         """Series r with self * r = 1 up to the truncation."""
         a0 = self.coeffs[0]
         if not a0:
-            raise ZeroConstantTerm("cannot invert a series with zero constant term")
+            raise ZeroDivisionError("cannot invert a series with zero constant term")
         t = self.truncation
         inv0 = 1 if a0 == 1 else (-1 if a0 == -1 else Fraction(1, 1) / a0)
         # only nonzero tail terms enter the recurrence; eta factors are

@@ -6,7 +6,8 @@ series_product each: octonary_formula_table evaluates the quaternary
 identity from brute_force_W_table and sigma_table, and
 octonary_count_table multiplies the r4 series, whose trial-division sigma
 neither of those reads. The per-n octonary_convolution, r4 and
-octonary_lattice stay as references."""
+octonary_lattice stay as references. A pair outside SUPPORTED_PAIRS, or a
+lattice count past its bound, raises ValueError."""
 
 from __future__ import annotations
 
@@ -23,14 +24,6 @@ R4_LATTICE_BOUND = 200
 OCTONARY_LATTICE_BOUND = 10
 
 SUPPORTED_PAIRS = ((1, 1), (1, 3), (2, 3), (1, 9))
-
-
-class BoundExceeded(ValueError):
-    """Lattice enumeration requested beyond its configured bound."""
-
-
-class UnsupportedPair(ValueError):
-    """No closed formula is implemented for this (a, b)."""
 
 
 @lru_cache(maxsize=None)
@@ -53,7 +46,7 @@ def r4_lattice(n: int) -> int:
     if n < 0:
         raise ValueError("n must be non-negative")
     if n > R4_LATTICE_BOUND:
-        raise BoundExceeded(f"n = {n} exceeds lattice bound {R4_LATTICE_BOUND}")
+        raise ValueError(f"n = {n} exceeds lattice bound {R4_LATTICE_BOUND}")
     count = 0
     for x1 in range(-isqrt(n), isqrt(n) + 1):
         r1 = n - x1 * x1
@@ -73,7 +66,7 @@ def octonary_lattice(a: int, b: int, n: int) -> int:
     if n < 0:
         raise ValueError("n must be non-negative")
     if n > OCTONARY_LATTICE_BOUND:
-        raise BoundExceeded(f"n = {n} exceeds lattice bound {OCTONARY_LATTICE_BOUND}")
+        raise ValueError(f"n = {n} exceeds lattice bound {OCTONARY_LATTICE_BOUND}")
     count = 0
     for first in range(0, n // a + 1):
         rest = n - a * first
@@ -126,7 +119,7 @@ def octonary_formula_table(a: int, b: int, n_max: int) -> list[int]:
     divisor, so W(a,b)(n/4) is the W(a,b) table at q -> q^4.
     """
     if (a, b) not in SUPPORTED_PAIRS:
-        raise UnsupportedPair(f"no formula for (a, b) = ({a}, {b})")
+        raise ValueError(f"no formula for (a, b) = ({a}, {b})")
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     sigma1 = sigma_table(1, n_max)

@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import divconv.representations as representations_module
 from divconv.cli import main
 from divconv.convolution import derive_formula, verify_formula
 from divconv.eta import search_eta_quotients
-from divconv.modforms import SEARCH_CAP, BasisIncomplete
+from divconv.modforms import SEARCH_CAP, Unsolvable
 from divconv.representations import octonary_convolution
 
 A2_QUOTIENT = '{"level": 14, "exponents": {"1": 2, "2": 2, "7": 2, "14": 2}}'
@@ -68,9 +69,29 @@ def test_expand_ignores_unreadable_manifest(tmp_path):
     assert cached.stdout == plain.stdout
 
 
-def test_expand_rejects_bad_congruence():
-    result = run("--truncation", "64", "expand", '{"level": 1, "exponents": {"1": 1}}')
-    assert result.exit_code == 2
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (
+            ("--truncation", "64", "expand", '{"level": 1, "exponents": {"1": 1}}'),
+            "sum of d*r_d = 1 is not divisible by 24; no integral q-expansion",
+        ),
+        (("expand", '{"level": 14, "exponents": {"1": -24}}'), "leading exponent -1 is negative"),
+        (("expand", "@MISSING"), "[Errno 2] No such file or directory: 'MISSING'"),
+        (("derive", "--alpha", "2", "--beta", "4"), "alpha and beta must be coprime, got (2, 4)"),
+        (("derive", "--alpha", "7", "--beta", "2"), "derivation requires 1 <= alpha < beta, got (7, 2)"),
+        (("rep", "--a", "1", "--b", "5", "--nmax", "3"), "no formula for (a, b) = (1, 5)"),
+    ],
+    ids=[
+        "fractional-leading-exponent", "negative-leading-exponent", "missing-file", "not-coprime",
+        "unordered-pair", "unsupported-rep-pair",
+    ],
+)
+def test_input_error_exits_2_with_its_message(tmp_path, args, message):
+    missing = str(tmp_path / "missing.json")
+    result = run(*(arg.replace("MISSING", missing) for arg in args))
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr == f"error: {message.replace('MISSING', missing)}\n"
 
 
 def test_expand_rejects_malformed_json():
@@ -183,10 +204,6 @@ def test_derive_formula_json():
     assert data["cusp"][1] == ["S14.2", "-1/4200"]
 
 
-def test_derive_rejects_bad_pair():
-    assert run("derive", "--alpha", "7", "--beta", "2").exit_code == 2
-
-
 def test_verify_clean_run():
     result = run("--truncation", "64", "verify", "--alpha", "2", "--beta", "7", "--nmax", "64")
     assert result.exit_code == 0
@@ -216,8 +233,16 @@ def test_rep_csv():
     assert lines[2].startswith("2,112,112,true")
 
 
-def test_rep_unsupported_pair():
-    assert run("rep", "--a", "1", "--b", "5", "--nmax", "3").exit_code == 2
+def test_rep_exits_1_on_a_mismatch(monkeypatch):
+    table = representations_module.octonary_formula_table
+
+    def off_at_3(a, b, n_max):
+        return [v + (n == 3) for n, v in enumerate(table(a, b, n_max))]
+
+    monkeypatch.setattr(representations_module, "octonary_formula_table", off_at_3)
+    result = run("rep", "--a", "1", "--b", "1", "--nmax", "4")
+    assert result.exit_code == 1
+    assert [line.rsplit(",", 1)[1] for line in result.stdout.splitlines()[1:]] == ["true", "true", "false", "true"]
 
 
 def test_rep_rows_match_per_n_counts():
@@ -289,7 +314,7 @@ def test_coverage_up_to_level_60():
                 continue
             try:
                 assert verify_formula(derive_formula(alpha, beta), 300).ok, (alpha, beta)
-            except BasisIncomplete:
+            except Unsolvable:
                 refused.add(level)
                 result = run("verify", "--alpha", str(alpha), "--beta", str(beta), "--nmax", "300")
                 assert result.exit_code == 3 and result.output.startswith(f"error: level {level}: ")

@@ -7,10 +7,10 @@ import divconv.convolution as convolution_module
 import divconv.modforms as modforms_module
 from divconv.arith import sigma_at
 from divconv.convolution import (
+    _scaled_values,
     brute_force_W,
     brute_force_W_table,
     derive_formula,
-    evaluate_formula,
     target_coefficient_via_sums,
     target_series,
     verify_formula,
@@ -37,6 +37,12 @@ def basis14():
 @pytest.fixture(scope="module")
 def formula27():
     return derive_formula(2, 7)
+
+
+def evaluate(formula, n_max):
+    """The closed form at n = 0..n_max, from the scaled integers verify_formula reads."""
+    scale, values = _scaled_values(formula, n_max)
+    return [Fraction(v, scale) for v in values]
 
 
 def test_brute_force_small_values():
@@ -100,7 +106,7 @@ def test_derived_formula_27_matches_known_coefficients(formula27):
 
 
 def test_evaluate_formula_against_oracle(formula27):
-    values = evaluate_formula(formula27, TRUNC)
+    values = evaluate(formula27, TRUNC)
     assert len(values) == TRUNC + 1 and values[0] == 0
     assert values[9] == 1 and values[8] == 0 and values[1] == 0
     for n in range(1, TRUNC + 1):
@@ -110,7 +116,7 @@ def test_evaluate_formula_against_oracle(formula27):
 def test_evaluate_formula_past_basis_truncation(formula27):
     # the formula expands its own cusp quotients, so it is not tied to the
     # Sturm bound that the basis it was solved in stops at
-    values = evaluate_formula(formula27, 2 * TRUNC)
+    values = evaluate(formula27, 2 * TRUNC)
     assert values[1:] == [brute_force_W(2, 7, n) for n in range(1, 2 * TRUNC + 1)]
 
 
@@ -251,14 +257,14 @@ def test_integer_evaluation_matches_fraction_loop(alpha, beta, max_exponent):
     formula = derive_formula(alpha, beta)
     quotients = [g for g, _ in formula.terms if isinstance(g, EtaQuotient)]
     assert all(abs(r) <= max_exponent for q in quotients for _, r in q.exponents)
-    assert evaluate_formula(formula, 500) == reference_evaluate(formula, 500)
+    assert evaluate(formula, 500) == reference_evaluate(formula, 500)
 
 
 def test_integer_evaluation_without_cusp_terms():
     # level 3 has no eta quotient of weight 4: the formula is E4(q^t) alone
     formula = derive_formula(1, 3)
     assert formula.cusp_terms == () and [g for g, _ in formula.terms] == [E4(1), E4(3)]
-    values = evaluate_formula(formula, 500)
+    values = evaluate(formula, 500)
     assert values == reference_evaluate(formula, 500)
     assert values[1:] == [brute_force_W(1, 3, n) for n in range(1, 501)]
 
@@ -272,11 +278,11 @@ def test_level3_formula_derives_and_verifies():
 
 def test_evaluation_reads_no_oracle_sieve(formula27, monkeypatch):
     def forbidden(*args):
-        raise AssertionError("evaluate_formula read the oracle's sigma_table")
+        raise AssertionError("the evaluation read the oracle's sigma_table")
 
     monkeypatch.setattr(convolution_module, "sigma_table", forbidden)
     monkeypatch.setattr(modforms_module, "sigma_table", forbidden)  # E4 expands from sigma_sieve
-    assert evaluate_formula(formula27, 60) == reference_evaluate(formula27, 60)
+    assert evaluate(formula27, 60) == reference_evaluate(formula27, 60)
 
 
 def test_evaluation_skips_zero_cusp_coefficients(monkeypatch):
@@ -286,7 +292,7 @@ def test_evaluation_skips_zero_cusp_coefficients(monkeypatch):
     monkeypatch.setattr(
         convolution_module, "expand_eta_quotients", lambda qs, t: expanded.append(len(qs)) or expand(qs, t)
     )
-    evaluate_formula(formula, 50)
+    evaluate(formula, 50)
     assert expanded == [sum(1 for _, c in formula.cusp_terms if c)] == [8]
 
 

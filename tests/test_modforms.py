@@ -10,8 +10,7 @@ from divconv.eta import EtaQuotient, expand_eta_quotient
 from divconv.modforms import (
     E4,
     Basis,
-    Inconsistent,
-    SingularSystem,
+    Unsolvable,
     build_basis,
     cusp_count,
     cusp_quotients_for_level,
@@ -180,7 +179,7 @@ def test_express_round_trip_random_vectors(basis14, basis26):
 
 def test_express_rejects_series_outside_span(basis14):
     outside = QSeries([0, 1] + [0] * (TRUNC - 1), TRUNC)  # bare q is no weight-4 form
-    with pytest.raises(Inconsistent, match=r"not in the span of the basis: it leaves -18 at q\^8$"):
+    with pytest.raises(Unsolvable, match=r"not in the span of the basis: it leaves -18 at q\^8$"):
         express_in_basis(outside, basis14)
 
 
@@ -209,7 +208,7 @@ def test_express_rejects_singular_system(monkeypatch):
     built: build_basis raises before express_in_basis is reached."""
     monkeypatch.setattr(modforms, "dim_M4", lambda n, dim=dim_M4(14): dim)
     monkeypatch.setattr(modforms, "divisors", lambda n: [1, 2, 2, 7, 14])
-    with pytest.raises(SingularSystem, match=r"^basis element E2 is dependent on the elements before it on q\^0\.\.q\^8$"):
+    with pytest.raises(Unsolvable, match=r"^basis element E2 is dependent on the elements before it on q\^0\.\.q\^8$"):
         build_basis(14, registered_cusp_quotients(14))
 
 
@@ -226,14 +225,14 @@ def reference_express(target: QSeries, basis: Basis) -> list[Fraction]:
     rest = reduce_row(echelon, target.coeffs[: bound + 1] + [0] * size)
     n = next((n for n in range(bound + 1) if rest[n]), None)
     if n is not None:
-        raise Inconsistent(f"target is not in the span of the basis: it leaves {rest[n]} at q^{n}")
+        raise Unsolvable(f"target is not in the span of the basis: it leaves {rest[n]} at q^{n}")
     return [-Fraction(c) for c in rest[bound + 1 :]]
 
 
 def _solve(solver, target: QSeries, basis: Basis):
     try:
         return solver(target, basis)
-    except Inconsistent as exc:
+    except Unsolvable as exc:
         return str(exc)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divconv.arith import sigma
-from divconv.qseries import QSeries, ZeroConstantTerm
+from divconv.qseries import QSeries
 
 
 def geometric(truncation):
@@ -42,7 +42,7 @@ def test_reciprocal_geometric():
 
 
 def test_reciprocal_zero_constant_term():
-    with pytest.raises(ZeroConstantTerm):
+    with pytest.raises(ZeroDivisionError, match="zero constant term"):
         QSeries([0, 1], 1).reciprocal()
 
 

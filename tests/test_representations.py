@@ -4,8 +4,6 @@ import divconv.representations as representations_module
 
 from divconv.representations import (
     SUPPORTED_PAIRS,
-    BoundExceeded,
-    UnsupportedPair,
     octonary_1_1_closed_form,
     octonary_convolution,
     octonary_count_table,
@@ -27,7 +25,7 @@ def test_r4_matches_lattice_count():
 
 
 def test_r4_lattice_bound():
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(ValueError, match="exceeds lattice bound 200"):
         r4_lattice(201)
 
 
@@ -78,5 +76,5 @@ def test_count_table_reads_no_sigma_table(monkeypatch):
 
 
 def test_formula_table_unsupported_pair():
-    with pytest.raises(UnsupportedPair):
+    with pytest.raises(ValueError, match=r"no formula for \(a, b\) = \(1, 5\)"):
         octonary_formula_table(1, 5, 10)

@@ -1,10 +1,19 @@
 """Every public function, class and method in src/divconv has a caller.
 
-A caller is an identifier in src/ or in perfbench/, or a name that
-perfbench/tracer.py spells as a string (it wraps functions by name). A name
-that only the tests reach is dead weight: the tests should read the data
-they need directly. Dunders and click commands are exempt, and so are the
-named reference oracles in REFERENCES.
+A caller lives in src/ or in perfbench/, and it must reach the definition
+itself, not just a name spelled the same way:
+
+- a function or class m.name is reached by `from .m import name` or
+  `from divconv.m import name`, by `x.name` where x is bound to the module m
+  (`from . import m`, `from divconv import m`, `import divconv.m as x`), or
+  by a bare `name` inside m itself;
+- a method is reached by an attribute `.name` anywhere;
+- either is reached by a string that perfbench/tracer.py spells (it wraps
+  functions and methods by name).
+
+A name that only the tests reach is dead weight: the tests should read the
+data they need directly. Dunders and click commands are exempt, and so are
+the named reference oracles in REFERENCES.
 """
 
 import ast
@@ -12,24 +21,48 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "divconv").glob("*.py"))
+CALLERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 
 #: independent references that only the tests compare the pipeline against
 REFERENCES = {"target_coefficient_via_sums", "octonary_1_1_closed_form"}
 
 
-def _trees(paths):
-    return [ast.parse(path.read_text(), filename=str(path)) for path in paths]
+def _divconv_module(source: str | None, level: int) -> str | None:
+    """The divconv module an import statement reads from, if any: `.m` and
+    `divconv.m` give m, `.` and `divconv` give the package ""."""
+    if level == 1:
+        return source or ""
+    if source == "divconv":
+        return ""
+    if level == 0 and source and source.startswith("divconv."):
+        return source.removeprefix("divconv.")
+    return None
 
 
-def _identifiers(trees) -> set[str]:
-    names = set()
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+def _reached(path: Path, tree) -> tuple[set[tuple[str, str]], set[str]]:
+    """(module, name) pairs this file reaches by binding, and the attribute names it uses."""
+    own = path.stem if path.parent.name == "divconv" else None
+    reached, attributes, aliases = set(), set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = _divconv_module(node.module, node.level)
+            for alias in node.names if module is not None else ():
+                if module:
+                    reached.add((module, alias.name))
+                else:
+                    aliases[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname and alias.name.startswith("divconv."):
+                    aliases[alias.asname] = alias.name.removeprefix("divconv.")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            attributes.add(node.attr)
+            if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                reached.add((aliases[node.value.id], node.attr))
+        elif isinstance(node, ast.Name) and own is not None:
+            reached.add((own, node.id))
+    return reached, attributes
 
 
 def _is_click_command(node) -> bool:
@@ -40,16 +73,16 @@ def _is_click_command(node) -> bool:
 
 
 def _public_definitions(tree):
-    """(qualified name, name) of each public top-level def or class and of each public method."""
+    """(name, None) of each public top-level def or class, and (method, class) of each public method."""
     for node in tree.body:
         public = isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
         if not public or _is_click_command(node):
             continue
-        yield node.name, node.name
+        yield node.name, None
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
-                    yield f"{node.name}.{member.name}", member.name
+                    yield member.name, node.name
 
 
 def test_every_public_name_has_a_caller():
@@ -59,12 +92,16 @@ def test_every_public_name_has_a_caller():
         for node in ast.walk(tracer)
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     }
-    trees = _trees(SOURCES)
-    called = _identifiers(trees) | _identifiers(_trees(sorted((ROOT / "perfbench").glob("*.py"))))
+    reached, attributes = set(), set()
+    for path in CALLERS:
+        pairs, names = _reached(path, ast.parse(path.read_text(), filename=str(path)))
+        reached |= pairs
+        attributes |= names
     uncalled = [
-        f"{path.stem}.{qualified}"
-        for path, tree in zip(SOURCES, trees)
-        for qualified, name in _public_definitions(tree)
-        if name not in called | spelled | REFERENCES
+        f"{path.stem}.{cls}.{name}" if cls else f"{path.stem}.{name}"
+        for path in SOURCES
+        for name, cls in _public_definitions(ast.parse(path.read_text(), filename=str(path)))
+        if name not in spelled | REFERENCES
+        and (name not in attributes if cls else (path.stem, name) not in reached)
     ]
     assert uncalled == [], f"public names with no caller outside the tests: {uncalled}"
