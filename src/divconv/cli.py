@@ -39,10 +39,15 @@ class DivconvGroup(click.Group):
 
 
 def _parse_quotient(text: str) -> eta.EtaQuotient:
-    """Quotient JSON, inline or @file."""
+    """Quotient JSON, inline or @file; JSON nested past the parser's
+    recursion limit is an input error too."""
     if text.startswith("@"):
         text = Path(text[1:]).read_text()
-    return eta.EtaQuotient.from_json_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("quotient JSON is nested too deeply") from None
+    return eta.EtaQuotient.from_json_dict(data)
 
 
 def _emit_json(data) -> None:
@@ -101,7 +106,7 @@ def ligozat(quotient_json):
 
 
 @main.command()
-@click.option("--level", required=True, type=click.IntRange(min=1))
+@click.option("--level", required=True, type=click.IntRange(1, MAX_TRUNCATION))
 @click.pass_context
 def search(ctx, level):
     """Admissible weight-4 eta quotients vanishing at infinity, all |r_d| <= --bound.
@@ -113,7 +118,7 @@ def search(ctx, level):
 
 
 @main.command()
-@click.option("--level", required=True, type=click.IntRange(min=1))
+@click.option("--level", required=True, type=click.IntRange(1, MAX_TRUNCATION))
 def basis(level):
     """Emit the weight-4 basis at a level: ids, exponents, coefficients q^0..q^B."""
     b = modforms.build_basis(level, modforms.cusp_quotients_for_level(level))

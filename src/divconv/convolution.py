@@ -37,7 +37,7 @@ from .modforms import (
     shortfall,
     sturm_bound,
 )
-from .qseries import QSeries
+from .qseries import MAX_TRUNCATION, QSeries
 
 
 def brute_force_W(alpha: int, beta: int, n: int) -> int:
@@ -165,6 +165,8 @@ def derive_formula(alpha: int, beta: int) -> ConvolutionFormula:
     if not 1 <= alpha < beta:
         raise ValueError(f"derivation requires 1 <= alpha < beta, got ({alpha}, {beta})")
     level = alpha * beta
+    if level > MAX_TRUNCATION:
+        raise ValueError(f"level alpha*beta must be at most {MAX_TRUNCATION}, got {level}")
     target = target_series(alpha, beta, sturm_bound(level))  # refuses a pair that is not coprime
     basis = build_basis(level, cusp_quotients_for_level(level))
     try:

@@ -19,7 +19,8 @@ Coeff = int | Fraction
 
 #: Hard ceiling on the truncation produced by substitute(); prevents a
 #: q -> q^t substitution from blowing up memory for large t. The CLI
-#: refuses a larger --truncation or --nmax.
+#: refuses a larger --truncation or --nmax, and every level above it is
+#: refused before it is factored by trial division.
 MAX_TRUNCATION = 1_000_000
 
 

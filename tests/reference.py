@@ -23,3 +23,13 @@ def reference_rank(series_list, max_index: int) -> int:
         if r == len(rows):
             break
     return r
+
+
+def reference_multiply_pass(g: list[int], terms) -> list[int]:
+    """g * (1 + sum c q^k) truncated to len(g), one coefficient at a time:
+    the plain list loop that eta._multiply_pass packs into one integer."""
+    out = list(g)
+    for k, c in terms:
+        for n in range(k, len(g)):
+            out[n] += c * g[n - k]
+    return out

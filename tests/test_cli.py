@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -81,10 +82,11 @@ def test_expand_ignores_unreadable_manifest(tmp_path):
         (("derive", "--alpha", "2", "--beta", "4"), "alpha and beta must be coprime, got (2, 4)"),
         (("derive", "--alpha", "7", "--beta", "2"), "derivation requires 1 <= alpha < beta, got (7, 2)"),
         (("rep", "--a", "1", "--b", "5", "--nmax", "3"), "no formula for (a, b) = (1, 5)"),
+        (("expand", "[" * 5000 + "]" * 5000), "quotient JSON is nested too deeply"),
     ],
     ids=[
         "fractional-leading-exponent", "negative-leading-exponent", "missing-file", "not-coprime",
-        "unordered-pair", "unsupported-rep-pair",
+        "unordered-pair", "unsupported-rep-pair", "nested-json",
     ],
 )
 def test_input_error_exits_2_with_its_message(tmp_path, args, message):
@@ -348,6 +350,39 @@ def test_level_must_be_positive(command, level):
     result = run(command, "--level", level)
     assert result.exit_code == 2
     assert "Invalid value for '--level'" in result.output
+
+
+MERSENNE_61 = str(2**61 - 1)  # a prime: trial division to its square root takes minutes
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("ligozat", f'{{"level": {MERSENNE_61}, "exponents": {{"1": 24}}}}'), "level must be in 1..1000000"),
+        (("expand", f'{{"level": {MERSENNE_61}, "exponents": {{"1": 24}}}}'), "level must be in 1..1000000"),
+        (("search", "--level", MERSENNE_61), "is not in the range 1<=x<=1000000"),
+        (("basis", "--level", MERSENNE_61), "is not in the range 1<=x<=1000000"),
+        (("derive", "--alpha", "1", "--beta", MERSENNE_61), "level alpha*beta must be at most 1000000"),
+        (("verify", "--alpha", "1", "--beta", MERSENNE_61, "--nmax", "10"), "level alpha*beta must be at most 1000000"),
+        (("table", "--pairs", f"1,{MERSENNE_61}"), "level alpha*beta must be at most 1000000"),
+    ],
+    ids=["ligozat", "expand", "search", "basis", "derive", "verify", "table"],
+)
+def test_level_above_the_ceiling_exits_2_before_factoring(args, message):
+    result = run(*args)
+    assert result.exit_code == 2 and result.stdout == ""
+    assert message in result.stderr and "Traceback" not in result.stderr
+
+
+def test_wide_slot_expansion_is_unchanged():
+    """eta(z)^240 / eta(2z)^120 to q^1000 runs multiply passes with every
+    slot width from 16 bits to over 400; its output is pinned by the sha256
+    of what the list-loop multiply pass printed (108524 bytes)."""
+    result = run("--truncation", "1000", "expand", '{"level": 2, "exponents": {"1": 240, "2": -120}}')
+    assert result.exit_code == 0 and len(result.stdout) == 108524
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+        "d857ebdf172d9f1a3ce18fa411533158679e4e8221e641ed76e41f0344f35e55"
+    )
 
 
 def test_search_bound_must_be_positive():

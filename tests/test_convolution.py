@@ -143,6 +143,14 @@ def test_verify_detects_corruption(formula27):
     assert not report.ok
 
 
+@pytest.mark.parametrize("alpha,beta", [(1, 26), (2, 13)])
+def test_deep_evaluation_matches_the_oracle(alpha, beta):
+    """Every level-26 quotient to q^10000 through the packed multiply pass,
+    checked value by value against brute_force_W_table."""
+    report = verify_formula(derive_formula(alpha, beta), 10000)
+    assert report.ok and report.checked == 10000
+
+
 @pytest.mark.parametrize("alpha,beta", [(2, 3), (2, 5)])
 def test_searched_level_formula_holds_past_sturm_bound(alpha, beta):
     # levels 6 and 10 have no registered family: the cusp quotients come

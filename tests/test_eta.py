@@ -21,6 +21,7 @@ from divconv.eta import (
 )
 from divconv.modforms import REGISTERED_CUSP_EXPONENTS, registered_cusp_quotients
 from divconv.qseries import QSeries
+from reference import reference_multiply_pass
 
 
 def naive_euler_product(truncation):
@@ -261,6 +262,37 @@ def test_jacobi_cube_terms_equal_cubed_euler_F():
         for n, c in jacobi_cube_terms(t):
             dense[n] = c
         assert dense == (euler_F(t) ** 3).coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([1, 5, 13, 29, 61, 100, 400]).flatmap(
+        lambda bits: st.lists(st.integers(-(2**bits), 2**bits), min_size=1, max_size=30)
+    ),
+    st.lists(st.tuples(st.integers(1, 32), st.integers(-60, 60)), max_size=6),
+)
+@example([0] * 6, [(1, 5), (5, -1)])  # all zero
+@example([9], [(1, -3)])  # length 1: every shift passes the end
+@example([-4, 7, -1, 2], [(3, 1), (3, -5), (1, -1)])  # mixed signs; k = 3 reaches the last slot
+@example([-1, -1, -1], [(2, 100)])  # the shift's floor takes the spare slot to -200
+def test_multiply_pass_matches_list_reference(g, terms):
+    assert eta_module._multiply_pass(g, terms) == reference_multiply_pass(g, terms)
+
+
+@pytest.mark.parametrize("bits", [7, 8, 15, 16, 31, 32, 63, 64, 65, 200])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_multiply_pass_reaches_its_slot_bound(bits, sign):
+    """The slot bound (max|g| + 1) * (1 + sum |c|) has exactly `bits` bits
+    and the last coefficient comes within 2 of it: 7, 15, 31 and 63 bits
+    fill 8-, 16-, 32- and 64-bit slots to their edge, one bit more takes
+    the next width, and 64 bits and up take slots wider than 64 bits."""
+    m = 2 ** (bits - 1) - 2
+    g, terms = [sign * m] * 5, [(4, 1)]
+    out = eta_module._multiply_pass(g, terms)
+    assert out == reference_multiply_pass(g, terms)
+    assert out[-1] == sign * 2 * m and (2 * (m + 1)).bit_length() == bits
+    alternating = [(-1) ** i * m for i in range(5)]
+    assert eta_module._multiply_pass(alternating, terms) == reference_multiply_pass(alternating, terms)
 
 
 def reference_expand_eta_quotient(quotient, truncation):
