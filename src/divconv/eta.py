@@ -15,7 +15,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm, sqrt
 from struct import pack, unpack
 
 from .arith import divisors, euler_phi, gamma0_index, insert_row, prime_factorization, rational_to_str, reduce_row
@@ -248,22 +248,51 @@ def _leading_exponent(f: EtaQuotient) -> int:
     return num // 24
 
 
-def _passes(f: EtaQuotient) -> list[tuple[int, bool, bool]]:
-    """The quotient's passes (d, cube, multiply): divisors ascending, and
-    for each, |r_d| // 3 cube passes before |r_d| % 3 pentagonal ones."""
-    return [
-        (d, cube, r > 0)
-        for d, r in f.exponents
-        for cube, count in ((True, abs(r) // 3), (False, abs(r) % 3))
-        for _ in range(count)
-    ]
+def _divide_cost(d: int, r: int) -> float:
+    """Divide-pass terms of F(q^d)^r per sqrt(t): cube sqrt(2/d), pentagonal sqrt(8/3d)."""
+    return (-r // 3 * sqrt(2) + -r % 3 * sqrt(8 / 3)) / sqrt(d) if r < 0 else 0.0
 
 
 @lru_cache(maxsize=256)
-def _pass_terms(d: int, cube: bool, m: int) -> tuple[tuple[int, int], ...]:
-    """The nonzero terms (d*k, c), k = 1..m, of F(q^d)^3 or of F(q^d)."""
-    base = jacobi_cube_terms(m) if cube else [(k, c) for k, c in enumerate(euler_F(m).coeffs) if c and k]
-    return tuple((d * k, c) for k, c in base)
+def _passes(f: EtaQuotient) -> tuple[tuple[int, str, bool], ...]:
+    """The quotient's passes (d, kind, multiply): multiply passes by divisor,
+    then divide passes (measured faster last). Each divisor pair (d, 2d)
+    with a negative exponent, d ascending, first takes n theta factors of
+    one kind by Gauss's identities psi(q^d) = F(q^2d)^2 / F(q^d) (r_d += n,
+    r_2d -= 2n) or phi(-q^d) = F(q^d)^2 / F(q^2d) (r_d -= 2n, r_2d += n),
+    and the new r_2d feeds the pair (2d, 4d). Cost rule: the kind and n
+    that minimise _divide_cost of the pair's exponents, fewest factors on
+    a tie; 3 factors past 2 beyond where the absorbed exponent reaches 0
+    only add two cube divides, so the search stops there. Each r_d left
+    gives |r_d| // 3 cube passes and |r_d| % 3 pentagonal ones."""
+    r = f.as_dict()
+    passes = []
+    for d in divisors(f.level // 2) if f.level % 2 == 0 else []:
+        x, y = r.get(d, 0), r.get(2 * d, 0)
+        if min(x, y) < 0:
+            options = [(n, "psi", x + n, y - 2 * n) for n in range(max(0, -x) + 3)]
+            options += [(n, "phi", x - 2 * n, y + n) for n in range(1, max(0, -y) + 3)]
+            n, kind, r[d], r[2 * d] = min(options, key=lambda o: (_divide_cost(d, o[2]) + _divide_cost(2 * d, o[3]), o[0]))
+            passes += [(d, kind, True)] * n
+    for d, x in r.items():
+        passes += [(d, "cube", x > 0)] * (abs(x) // 3) + [(d, "pentagonal", x > 0)] * (abs(x) % 3)
+    return tuple(sorted(passes, key=lambda p: (not p[2], p)))
+
+
+@lru_cache(maxsize=256)
+def _pass_terms(d: int, kind: str, m: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero terms (d*k, c), k = 1..m, of F(q^d)^3 ("cube"), F(q^d)
+    ("pentagonal"), psi(q^d) = sum_(n>=0) q^(d n(n+1)/2) or
+    phi(-q^d) = 1 + 2 sum_(n>=1) (-1)^n q^(d n^2)."""
+    if kind == "cube":
+        base = jacobi_cube_terms(m)
+    elif kind == "pentagonal":
+        base = [(k, c) for k, c in enumerate(euler_F(m).coeffs) if c and k]
+    elif kind == "psi":
+        base = [(n * (n + 1) // 2, 1) for n in range(1, isqrt(2 * m) + 1)]
+    else:
+        base = [(n * n, 2 * (-1) ** n) for n in range(1, isqrt(m) + 1)]
+    return tuple((d * k, c) for k, c in base if k <= m)
 
 
 def expand_eta_quotients(quotients, truncation: int) -> list[QSeries]:
@@ -275,16 +304,20 @@ def expand_eta_quotients(quotients, truncation: int) -> list[QSeries]:
     with e0 > truncation expands to zero.
 
     Method: prod F(q^d)^(r_d) is built on a plain integer list by sparse
-    passes. Each (d, r) applies |r| // 3 passes with F(q^d)^3 (Jacobi's
-    identity, about sqrt(2t/d) terms) and |r| % 3 passes with F(q^d)
-    (pentagonal, about sqrt(8t/3d) terms). A pass multiplies for r > 0 and
-    divides by the forward recurrence for r < 0, so no dense series product
-    is ever formed and every coefficient is an exact Python int. A multiply
-    pass packs the list into one int, a slot of w bits per coefficient, and
-    applies each term as one big-int shift-and-add; w is the width of
-    (max|g| + 1) * (1 + sum |c|), which bounds every slot before and after
-    the pass, plus a sign bit, so no slot carries into the next and the
-    list read back is exact (_multiply_pass).
+    passes. Gauss's identities psi(q^d) = F(q^2d)^2 / F(q^d) = sum
+    q^(d n(n+1)/2) and phi(-q^d) = F(q^d)^2 / F(q^2d) = 1 + 2 sum (-1)^n
+    q^(d n^2) first absorb exponents at divisor pairs (d, 2d) into multiply
+    passes, as many as minimise the divide-pass terms left (the cost rule
+    in _passes). Each r_d left applies |r| // 3 passes with F(q^d)^3
+    (Jacobi's identity, about sqrt(2t/d) terms) and |r| % 3 passes with
+    F(q^d) (pentagonal, about sqrt(8t/3d) terms). A pass multiplies for
+    r > 0 and divides by the forward recurrence for r < 0, so no dense
+    series product is ever formed and every coefficient is an exact Python
+    int. A multiply pass packs the list into one int, a slot of w bits per
+    coefficient, and applies each term as one big-int shift-and-add; w is
+    the width of (max|g| + 1) * (1 + sum |c|), which bounds every slot
+    before and after the pass, plus a sign bit, so no slot carries into the
+    next and the list read back is exact (_multiply_pass).
 
     The quotients' pass sequences form a prefix tree, walked depth first
     by taking them in sorted order, so a pass that several quotients start
@@ -318,9 +351,9 @@ def expand_eta_quotients(quotients, truncation: int) -> list[QSeries]:
         while saved[-1][0] > resume[k]:
             saved.pop()
         depth, g = saved[-1]
-        for j, (d, cube, multiply) in enumerate(passes[depth:], start=depth + 1):
+        for j, (d, kind, multiply) in enumerate(passes[depth:], start=depth + 1):
             if m := top // d:
-                g = (_multiply_pass if multiply else _divide_pass)(g, _pass_terms(d, cube, m))
+                g = (_multiply_pass if multiply else _divide_pass)(g, _pass_terms(d, kind, m))
             if j in resume[k + 1 :]:
                 saved.append((j, g))
         results[i] = QSeries([0] * e0 + g[: truncation - e0 + 1], truncation)

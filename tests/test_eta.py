@@ -264,6 +264,89 @@ def test_jacobi_cube_terms_equal_cubed_euler_F():
         assert dense == (euler_F(t) ** 3).coeffs
 
 
+def test_theta_terms_equal_gauss_quotients_of_euler_F():
+    """psi(q) = F(q^2)^2 / F(q) and phi(-q) = F(q)^2 / F(q^2), built densely
+    at 200 once: truncated products agree on every prefix."""
+    t = 200
+    f, f2 = euler_F(t), euler_F(t // 2).substitute(2, cap=t)
+    for kind, dense in (("psi", f2**2 * f**-1), ("phi", f**2 * f2**-1)):
+        for m in range(1, t + 1):
+            series = [1] + [0] * m
+            for n, c in eta_module._pass_terms(1, kind, m):
+                series[n] = c
+            assert series == dense.coeffs[: m + 1], (kind, m)
+        assert eta_module._pass_terms(3, kind, 40) == tuple((3 * n, c) for n, c in eta_module._pass_terms(1, kind, 40))
+
+
+@st.composite
+def level16_quotients(draw):
+    """A level-16 quotient with r_2..r_16 in [-6, 6] and r_1 in [-6, 6]
+    the value that makes its leading exponent a non-negative integer."""
+    tail = draw(st.lists(st.integers(-6, 6), min_size=4, max_size=4))
+    rest = sum(d * r for d, r in zip((2, 4, 8, 16), tail))
+    r1 = (6 - rest) % 24 - 6
+    assume(r1 <= 6 and rest + r1 >= 0 and (r1 or any(tail)))
+    return EtaQuotient.from_dict(16, dict(zip((1, 2, 4, 8, 16), [r1, *tail])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(level16_quotients(), st.integers(1, 80))
+@example(EtaQuotient.from_dict(20, {2: -3, 4: 3, 10: 7, 20: 1}), 60)  # a (1,20) walk pick
+@example(EtaQuotient.from_dict(16, {1: -4, 2: -2, 8: 1}), 80)  # psi at 1, then phi at 2
+@example(EtaQuotient.from_dict(16, {1: -4, 2: -4, 4: 3, 8: 3}), 80)  # psi at 1, 2 and 4
+def test_kernel_matches_dense_product_on_chained_level16_quotients(quotient, truncation):
+    """At level 16 the pairs (1,2), (2,4), (4,8), (8,16) chain, so the
+    exponent a theta rewrite leaves at 2d feeds the next pair's rewrite."""
+    assert expand_eta_quotient(quotient, truncation) == dense_eta_product(quotient, truncation)
+
+
+def reference_passes(quotient):
+    """The plan before theta factors, kept as the cost rule's baseline:
+    per divisor, |r_d| // 3 cube passes and |r_d| % 3 pentagonal ones."""
+    return [
+        (d, kind, r > 0)
+        for d, r in quotient.exponents
+        for kind, count in (("cube", abs(r) // 3), ("pentagonal", abs(r) % 3))
+        for _ in range(count)
+    ]
+
+
+def divide_terms(passes, truncation):
+    return sum(len(eta_module._pass_terms(d, kind, truncation // d)) for d, kind, multiply in passes if not multiply)
+
+
+@st.composite
+def even_level_quotients(draw):
+    level = draw(st.sampled_from([2, 4, 8, 12, 16, 20, 24, 36]))
+    exponents = draw(st.lists(st.integers(-9, 9), min_size=len(divisors(level)), max_size=len(divisors(level))))
+    assume(any(exponents))
+    return EtaQuotient.from_dict(level, dict(zip(divisors(level), exponents)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(even_level_quotients())
+# a (1,20) walk pick: its cube divide at 2 has 99 terms at 10^4, one greedy psi
+# leaves two pentagonal ones (228), three psi one cube divide at 4 (70)
+@example(EtaQuotient.from_dict(20, {2: -3, 4: 3, 10: 7, 20: 1}))
+@example(EtaQuotient.from_dict(2, {1: -9, 2: -2}))  # one divide term more than the baseline at t = 100
+def test_theta_rewrite_never_adds_divide_terms(quotient):
+    """The cost rule weighs a divide pass by its term count per sqrt(t), so
+    at a small truncation rounding can make the real count one higher
+    (level 20 at t = 1000 has such cases); at t = 10^4, the deep
+    evaluation range, the plan's divide passes have no more terms than
+    those of the plan without theta factors, and the theta passes only
+    multiply."""
+    plan = eta_module._passes(quotient)
+    assert divide_terms(plan, 10**4) <= divide_terms(reference_passes(quotient), 10**4)
+    assert all(multiply for _, kind, multiply in plan if kind in ("psi", "phi"))
+
+
+@pytest.mark.parametrize("level,divides", [(14, 0), (22, 2), (26, 0)])
+def test_registered_families_keep_few_divide_passes(level, divides):
+    plans = [eta_module._passes(q) for q in registered_cusp_quotients(level)]
+    assert sum(not multiply for plan in plans for _, _, multiply in plan) == divides
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.sampled_from([1, 5, 13, 29, 61, 100, 400]).flatmap(
