@@ -1,13 +1,16 @@
 """Exact integer and rational arithmetic, divisor-sum functions, the exact
 product of two non-negative integer series (series_product, one big-int
-multiplication; spread substitutes q -> q^t), and the package's only exact elimination over Q
-(reduce_row, insert_row), which picks independent rows, solves systems and
-inverts matrices.
+multiplication; spread substitutes q -> q^t), and the package's only exact
+elimination (reduce_row, insert_row), which picks independent rows, solves
+systems and inverts matrices.
 
-Rational values throughout the package are ``fractions.Fraction`` instances
-(always stored reduced, denominator positive), serialized as ``"num/den"``.
-Integer-valued coefficients may be carried as plain ``int`` for speed; the
-two mix freely in arithmetic and compare equal where expected.
+Elimination runs on integer rows: an echelon row is a primitive list of
+ints, and a reduced row is a list of ints with one positive scale, so no
+rational appears until a caller reads off its answer. Rational values
+elsewhere are ``fractions.Fraction`` instances (always stored reduced,
+denominator positive), serialized as ``"num/den"``. Integer-valued
+coefficients may be carried as plain ``int`` for speed; the two mix freely
+in arithmetic and compare equal where expected.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import isqrt
+from math import gcd, isqrt
 
 
 def rational_to_str(x: Fraction | int) -> str:
@@ -180,28 +183,40 @@ def series_product(x, y, n_max: int) -> list[int]:
     return [int.from_bytes(data[k : k + w], "little") for k in range(0, w * (n_max + 1), w)]
 
 
-def reduce_row(echelon: list[tuple[list, int]], row: list) -> list:
-    """row minus the multiples of the (row, pivot column) pairs of the echelon
-    that clear its entries at their pivots; the result is zero at every
-    pivot. Entries past the pivot range act as a tag, so one echelon picks,
-    solves and inverts: with row i of A inserted tagged with e_i, each
-    echelon row is (c A | c), and a row (v | 0) reduces to (v - c A | -c),
+def reduce_row(echelon: list[tuple[list[int], int]], row: list[int]) -> tuple[list[int], int]:
+    """(R, m), m > 0, with R / m the integer row minus the multiples of the
+    (row, pivot column) pairs of the echelon that clear its entries at their
+    pivots; R is zero at every pivot. Fraction-free: with a / b the ratio
+    of the row's and the echelon row's entries at the pivot in lowest
+    terms, b > 0 since echelon pivots are positive, the row becomes
+    b row - a erow and m gains the factor b. The gcd of R and m is divided
+    out once, at the end; each step multiplies the largest entry by at most
+    |b| + max|erow|, erow a stored primitive row, so it gains at most the
+    bits of that per step.
+    Entries past the pivot range act as a tag, so one echelon picks, solves
+    and inverts: with row i of A inserted tagged with e_i, each echelon row
+    is (c A | c) up to scale, and a row (v | 0) reduces to (v - c A | -c),
     which is zero before the tag exactly when v = c A is in the span."""
+    m = 1
     for erow, p in echelon:
-        if row[p]:
-            factor = Fraction(row[p]) / erow[p]
-            row = [a - factor * b if b else a for a, b in zip(row, erow)]
-    return row
+        if a := row[p]:
+            g = gcd(a, erow[p])
+            a, b = a // g, erow[p] // g
+            row = [b * x - a * y for x, y in zip(row, erow)]
+            m *= b
+    g = gcd(m, *row)
+    return [x // g for x in row], m // g
 
 
-def insert_row(echelon: list[tuple[list, int]], row: list, width: int) -> bool:
-    """Reduce row against the echelon; if it is nonzero in its first width
-    entries, append it, pivoting on the first nonzero one; entries past width
-    are a tag (see reduce_row) and never hold a pivot. Rows are not
-    normalised, so int rows stay int until reduced."""
-    row = reduce_row(echelon, row)
+def insert_row(echelon: list[tuple[list[int], int]], row: list[int], width: int) -> bool:
+    """Reduce the integer row against the echelon; if it is nonzero in its
+    first width entries, append it, made primitive with a positive entry at
+    its pivot, the first nonzero one; entries past width are a tag (see
+    reduce_row) and never hold a pivot."""
+    row, _ = reduce_row(echelon, row)
     pivot = next((j for j in range(width) if row[j]), None)
     if pivot is None:
         return False
-    echelon.append((row, pivot))
+    g = gcd(*row) if row[pivot] > 0 else -gcd(*row)
+    echelon.append(([x // g for x in row], pivot))
     return True

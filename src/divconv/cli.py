@@ -121,7 +121,7 @@ def search(ctx, level):
 @click.option("--level", required=True, type=click.IntRange(1, MAX_TRUNCATION))
 def basis(level):
     """Emit the weight-4 basis at a level: ids, exponents, coefficients q^0..q^B."""
-    b = modforms.build_basis(level, modforms.cusp_quotients_for_level(level))
+    b = modforms.level_basis(level)
     _emit_json(
         {
             "level": b.level,

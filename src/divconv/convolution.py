@@ -1,8 +1,9 @@
 """Convolution sums of sigma over al + bm = n: brute-force oracle (one n at
 a time, or the whole range as one exact series product), the squared
 Eisenstein difference target series, closed-formula derivation by solving
-in the level's own weight-4 basis at the Sturm bound (derive_formula), and
-exact range verification.
+in the level's own weight-4 basis at the Sturm bound (derive_formula; the
+basis is built once per level, so pairs at one level share it), and exact
+range verification.
 
 A formula carries the generators of its basis with their coefficients, so
 verify_formula reaches any n_max on its own. _scaled_values evaluates the
@@ -29,11 +30,10 @@ from .eta import EtaQuotient, expand_eta_quotients
 from .modforms import (
     E4,
     Unsolvable,
-    build_basis,
-    cusp_quotients_for_level,
     dim_M4,
     eisenstein_L,
     express_in_basis,
+    level_basis,
     shortfall,
     sturm_bound,
 )
@@ -168,7 +168,7 @@ def derive_formula(alpha: int, beta: int) -> ConvolutionFormula:
     if level > MAX_TRUNCATION:
         raise ValueError(f"level alpha*beta must be at most {MAX_TRUNCATION}, got {level}")
     target = target_series(alpha, beta, sturm_bound(level))  # refuses a pair that is not coprime
-    basis = build_basis(level, cusp_quotients_for_level(level))
+    basis = level_basis(level)
     try:
         x = express_in_basis(target, basis)
     except Unsolvable as exc:

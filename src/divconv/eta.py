@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm, sqrt
+from operator import itemgetter
 from struct import pack, unpack
 
 from .arith import divisors, euler_phi, gamma0_index, insert_row, prime_factorization, rational_to_str, reduce_row
@@ -129,37 +130,46 @@ def euler_F(truncation: int) -> QSeries:
     return QSeries(coeffs, truncation)
 
 
-def _squarefree_part_is_one(factor_exponents: dict[int, int]) -> bool:
-    return all(e % 2 == 0 for e in factor_exponents.values())
+@lru_cache(maxsize=64)
+def _admissibility_columns(level: int) -> tuple[list[int], dict[int, list[int]]]:
+    """The divisors d of the level and, for each divisor delta, its integer
+    column: gcd(d, delta)^2 * n / delta for each d (n the level), so that
+    n * v_d = sum_delta column_delta[d] r_delta, then delta's exponent at
+    each prime of the level."""
+    divs = divisors(level)
+    primes = list(prime_factorization(level))
+    return divs, {
+        delta: [gcd(d, delta) ** 2 * (level // delta) for d in divs]
+        + [prime_factorization(delta).get(p, 0) for p in primes]
+        for delta in divs
+    }
 
 
 def check_admissibility(f: EtaQuotient) -> AdmissibilityReport:
-    """Evaluate all admissibility conditions; nothing raises, the report tells."""
+    """Evaluate all admissibility conditions; nothing raises, the report tells.
+
+    All five are decided on integers, from one sum of the level's cached
+    columns weighted by the exponents. It holds the n v_d, whose rows
+    d = n and d = 1 are n sum d r_d and sum (n/d) r_d, for conditions (i),
+    (ii) and (v), and the prime exponents of prod d^r_d, a rational square
+    iff they are all even (iii), so the huge powers are never formed; (iv)
+    reads the exponent sum 2k (k even)."""
     n = f.level
-    exps = f.as_dict()
-    sum_d_r = sum(d * r for d, r in exps.items())
-    sum_nd_r = sum((n // d) * r for d, r in exps.items())
-    # condition (iii): the product of d^r_d is a rational square iff its
-    # squarefree part is 1; work on prime exponents, never on huge powers
-    prime_exps: dict[int, int] = {}
-    for d, r in exps.items():
-        for p, e in prime_factorization(d).items():
-            prime_exps[p] = prime_exps.get(p, 0) + e * r
-    weight = f.weight
-    # every delta divides n, so n * (order sum) is an integer
-    orders = {
-        d: Fraction(sum(gcd(delta, d) ** 2 * r * (n // delta) for delta, r in exps.items()), n)
-        for d in divisors(n)
-    }
+    divs, columns = _admissibility_columns(n)
+    sums = [0] * len(columns[1])
+    for delta, r in f.exponents:
+        sums = [s + r * c for s, c in zip(sums, columns[delta])]
+    orders, prime_exps = sums[: len(divs)], sums[len(divs) :]
+    total = sum(r for _, r in f.exponents)
     return AdmissibilityReport(
-        cond_i=sum_d_r % 24 == 0,
-        cond_ii=sum_nd_r % 24 == 0,
-        cond_iii=_squarefree_part_is_one(prime_exps),
-        weight=weight,
-        cond_iv=weight.denominator == 1 and weight.numerator % 2 == 0,
-        orders=orders,
-        cond_v=all(o >= 0 for o in orders.values()),
-        cond_v_prime=all(o > 0 for o in orders.values()),
+        cond_i=orders[-1] % (24 * n) == 0,
+        cond_ii=orders[0] % 24 == 0,
+        cond_iii=all(e % 2 == 0 for e in prime_exps),
+        weight=Fraction(total, 2),
+        cond_iv=total % 4 == 0,
+        orders={d: Fraction(v, n) for d, v in zip(divs, orders)},
+        cond_v=min(orders) >= 0,
+        cond_v_prime=min(orders) > 0,
     )
 
 
@@ -266,17 +276,26 @@ def _passes(f: EtaQuotient) -> tuple[tuple[int, str, bool], ...]:
     only add two cube divides, so the search stops there. Each r_d left
     gives |r_d| // 3 cube passes and |r_d| % 3 pentagonal ones."""
     r = f.as_dict()
-    passes = []
-    for d in divisors(f.level // 2) if f.level % 2 == 0 else []:
+    multiply, divide = [], []
+    for d in divisors(f.level // 2) if f.level % 2 == 0 and min(r.values()) < 0 else []:
         x, y = r.get(d, 0), r.get(2 * d, 0)
         if min(x, y) < 0:
-            options = [(n, "psi", x + n, y - 2 * n) for n in range(max(0, -x) + 3)]
-            options += [(n, "phi", x - 2 * n, y + n) for n in range(1, max(0, -y) + 3)]
-            n, kind, r[d], r[2 * d] = min(options, key=lambda o: (_divide_cost(d, o[2]) + _divide_cost(2 * d, o[3]), o[0]))
-            passes += [(d, kind, True)] * n
+            # (cost, n, kind, r_d, r_2d); min by (cost, n) keeps the first option on a tie
+            options = [
+                (_divide_cost(d, x + n) + _divide_cost(2 * d, y - 2 * n), n, "psi", x + n, y - 2 * n)
+                for n in range(max(0, -x) + 3)
+            ]
+            options += [
+                (_divide_cost(d, x - 2 * n) + _divide_cost(2 * d, y + n), n, "phi", x - 2 * n, y + n)
+                for n in range(1, max(0, -y) + 3)
+            ]
+            _, n, kind, r[d], r[2 * d] = min(options, key=itemgetter(0, 1))
+            multiply += [(d, kind, True)] * n
     for d, x in r.items():
-        passes += [(d, "cube", x > 0)] * (abs(x) // 3) + [(d, "pentagonal", x > 0)] * (abs(x) % 3)
-    return tuple(sorted(passes, key=lambda p: (not p[2], p)))
+        (multiply if x > 0 else divide).extend(
+            [(d, "cube", x > 0)] * (abs(x) // 3) + [(d, "pentagonal", x > 0)] * (abs(x) % 3)
+        )
+    return tuple(sorted(multiply) + sorted(divide))
 
 
 @lru_cache(maxsize=256)
@@ -362,14 +381,20 @@ def expand_eta_quotients(quotients, truncation: int) -> list[QSeries]:
 
 def _inverse(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
     """Exact inverse of a nonsingular square matrix A, by the tag trick of
-    arith.reduce_row: with the rows of A inserted tagged, e_i reduces to
-    (0 | -c) with e_i = c A, so minus its tag is row i of A^-1."""
+    arith.reduce_row: with the rows of the integer matrix D A inserted
+    tagged, D the lcm of A's denominators, e_i reduces to (0 | -c) / m with
+    e_i = c D A, so -D c / m is row i of A^-1."""
     n = len(matrix)
+    den = lcm(*(x.denominator for row in matrix for x in row))
     unit = [[int(i == j) for j in range(n)] for i in range(n)]
-    echelon: list[tuple[list, int]] = []
+    echelon: list[tuple[list[int], int]] = []
     for row, tag in zip(matrix, unit):
-        insert_row(echelon, list(row) + tag, n)
-    return [[-x for x in reduce_row(echelon, e + [0] * n)[n:]] for e in unit]
+        insert_row(echelon, [int(x * den) for x in row] + tag, n)
+    inverse = []
+    for e in unit:
+        rest, m = reduce_row(echelon, e + [0] * n)
+        inverse.append([Fraction(-den * x, m) for x in rest[n:]])
+    return inverse
 
 
 def _lower_triangular_basis(rows: list[list[int]], n: int) -> list[list[int]]:
@@ -405,7 +430,7 @@ def _order_lattice(level: int) -> tuple:
     # lattice then has the basis den * dual^-T, whose row i starts at
     # column i, so lattice[j][j] is the step of v_j once v_0..v_{j-1} are set
     dual = _lower_triangular_basis(scaled + [[den * (i == j) for j in range(n)] for i in range(n)], n)
-    dual_inverse = _inverse([[Fraction(x) for x in row] for row in dual])
+    dual_inverse = _inverse(dual)
     lattice = [[int(dual_inverse[j][i] * den) for j in range(n)] for i in range(n)]
     phi = [euler_phi(gcd(d, level // d)) for d in divs]
     return orders, den, list(zip(*scaled)), lattice, phi

@@ -17,10 +17,14 @@ refusal here is a ValueError about the input. shortfall states why the
 candidates of a level leave its basis short of dim M4.
 
 All linear algebra is the exact elimination of arith (insert_row,
-reduce_row): build_basis inserts each element's row once, tagged with its
-unit vector, and keeps that echelon on the Basis, so express_in_basis only
-reduces the target. There is no floating point and therefore no stability
-concern, only reproducibility.
+reduce_row), on integer rows with one scale per row: build_basis inserts
+each element's row once, tagged with its unit vector, and keeps that
+echelon on the Basis, so express_in_basis only clears the target's
+denominators and reduces it, and builds a Fraction only for the
+coefficients it returns. level_basis builds a level's basis once per
+process, so every target at that level reduces against the same echelon.
+There is no floating point and therefore no stability concern, only
+reproducibility.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 
 from .arith import divisors, euler_phi, gamma0_index, insert_row, prime_factorization, reduce_row
 from .arith import sigma_sieve, sigma_table, spread
@@ -187,8 +192,8 @@ class BasisElement:
 class Basis:
     level: int
     elements: tuple[BasisElement, ...]
-    # the q^0..q^B rows, element i's tagged with e_i of width dim M4(level)
-    echelon: tuple[tuple[list, int], ...] = field(compare=False, repr=False)
+    # the primitive integer q^0..q^B rows, element i's tagged with e_i of width dim M4(level)
+    echelon: tuple[tuple[list[int], int], ...] = field(compare=False, repr=False)
 
 
 def build_basis(level: int, quotients) -> Basis:
@@ -215,7 +220,7 @@ def build_basis(level: int, quotients) -> Basis:
     needed = dim_M4(level)
     divs = divisors(level)
     kept: list[tuple[E4 | EtaQuotient, QSeries]] = []
-    echelon: list[tuple[list, int]] = []
+    echelon: list[tuple[list[int], int]] = []
     generators = chain(map(E4, divs), quotients)
     while len(kept) < needed and (g := next(generators, None)) is not None:
         if isinstance(g, EtaQuotient):
@@ -235,6 +240,14 @@ def build_basis(level: int, quotients) -> Basis:
     return Basis(level, tuple(BasisElement(i, *pair) for i, pair in zip(ids, kept)), tuple(echelon))
 
 
+@lru_cache(maxsize=16)
+def level_basis(level: int) -> Basis:
+    """The basis build_basis makes of the level's own candidates
+    (cusp_quotients_for_level), built once per process: it depends on the
+    level alone, so every pair at the level shares it."""
+    return build_basis(level, cusp_quotients_for_level(level))
+
+
 def express_in_basis(target: QSeries, basis: Basis) -> list[Fraction]:
     """The unique rational vector x with target = sum x_i * element_i.
 
@@ -242,15 +255,20 @@ def express_in_basis(target: QSeries, basis: Basis) -> list[Fraction]:
     they agree on q^0..q^B, B the Sturm bound. The target row reduces
     against the basis echelon, whose rows are tagged with the elements' unit
     vectors (see arith.reduce_row): its first B + 1 entries vanish exactly
-    when the target is in the span, and then x is minus its tag.
+    when the target is in the span, and then x is minus its tag over the
+    reduced row's scale.
     """
     bound = sturm_bound(basis.level)
     if target.truncation < bound:
         raise ValueError(
             f"target truncation {target.truncation} is below the level-{basis.level} Sturm bound {bound}"
         )
-    rest = reduce_row(basis.echelon, target.coeffs[: bound + 1] + [0] * dim_M4(basis.level))
+    coeffs = target.coeffs[: bound + 1]
+    den = lcm(*(c.denominator for c in coeffs))
+    row = [c.numerator * (den // c.denominator) for c in coeffs]
+    rest, m = reduce_row(basis.echelon, row + [0] * dim_M4(basis.level))
+    m *= den
     n = next((n for n in range(bound + 1) if rest[n]), None)
     if n is not None:
-        raise Unsolvable(f"target is not in the span of the basis: it leaves {rest[n]} at q^{n}")
-    return [-Fraction(c) for c in rest[bound + 1 : bound + 1 + len(basis.elements)]]
+        raise Unsolvable(f"target is not in the span of the basis: it leaves {Fraction(rest[n], m)} at q^{n}")
+    return [Fraction(-c, m) for c in rest[bound + 1 : bound + 1 + len(basis.elements)]]

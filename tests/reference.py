@@ -33,3 +33,25 @@ def reference_multiply_pass(g: list[int], terms) -> list[int]:
         for n in range(k, len(g)):
             out[n] += c * g[n - k]
     return out
+
+
+def reference_reduce_row(echelon: list[tuple[list, int]], row: list) -> list:
+    """The elimination over Q that arith.reduce_row replaced, kept as its
+    oracle: row minus the multiples of the (row, pivot column) pairs of the
+    echelon that clear its entries at their pivots, one Fraction per entry."""
+    for erow, p in echelon:
+        if row[p]:
+            factor = Fraction(row[p]) / erow[p]
+            row = [a - factor * b if b else a for a, b in zip(row, erow)]
+    return row
+
+
+def reference_insert_row(echelon: list[tuple[list, int]], row: list, width: int) -> bool:
+    """Reduce row with reference_reduce_row; if it is nonzero in its first
+    width entries, append it unnormalised, pivoting on the first nonzero one."""
+    row = reference_reduce_row(echelon, row)
+    pivot = next((j for j in range(width) if row[j]), None)
+    if pivot is None:
+        return False
+    echelon.append((row, pivot))
+    return True

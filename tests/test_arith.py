@@ -2,21 +2,24 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divconv.arith import (
     divisors,
     euler_phi,
+    insert_row,
     prime_factorization,
     rational_from_str,
     rational_to_str,
+    reduce_row,
     series_product,
     sigma,
     sigma_at,
     sigma_sieve,
     sigma_table,
 )
+from reference import reference_insert_row, reference_reduce_row
 
 
 @pytest.mark.parametrize(
@@ -171,3 +174,45 @@ def test_series_product_rejects_negative_coefficients(x, position, size):
 def test_series_product_rejects_negative_n_max():
     with pytest.raises(ValueError):
         series_product([1], [1], -1)
+
+
+def cleared(row: list) -> tuple[list[int], int]:
+    """The integer row den * row, with den the lcm of the entries' denominators."""
+    den = math.lcm(*(Fraction(x).denominator for x in row))
+    return [int(x * den) for x in row], den
+
+
+entries = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)))
+
+
+@st.composite
+def elimination_cases(draw):
+    """Rows of width + tag entries, integer or rational, with few distinct
+    values so that many are dependent, and one row to reduce."""
+    width, tag = draw(st.integers(1, 6)), draw(st.integers(0, 3))
+    row = st.lists(entries, min_size=width + tag, max_size=width + tag)
+    return width, draw(st.lists(row, max_size=8)), draw(row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(elimination_cases())
+@example((2, [[2, 4, 1, 0], [1, 2, 0, 1]], [3, 6, 0, 0]))  # dependent rows: tag records the combination
+@example((2, [[Fraction(1, 3), -2], [0, Fraction(-4, 3)]], [1, 1]))  # rational rows, negative pivot
+def test_integer_elimination_matches_the_rational_oracle(case):
+    """Echelons built from the same rows, cleared of denominators for
+    insert_row, keep the same rows on the same pivots, each stored row a
+    primitive multiple of the oracle's with a positive pivot, and
+    reduce_row's R / m is the oracle's reduced row entry by entry."""
+    width, rows, target = case
+    echelon, oracle = [], []
+    for row in rows:
+        kept = insert_row(echelon, cleared(row)[0], width)
+        assert kept == reference_insert_row(oracle, row, width)
+    assert [p for _, p in echelon] == [p for _, p in oracle]
+    for (erow, p), (orow, _) in zip(echelon, oracle):
+        assert all(type(x) is int for x in erow) and erow[p] > 0 and math.gcd(*erow) == 1
+        assert all(x * orow[p] == y * erow[p] for x, y in zip(erow, orow))
+    scaled, den = cleared(target)
+    rest, m = reduce_row(echelon, scaled)
+    assert all(type(x) is int for x in rest) and type(m) is int and m > 0
+    assert [Fraction(x, m * den) for x in rest] == reference_reduce_row(oracle, target)

@@ -305,22 +305,33 @@ def test_derive_ignores_bound(alpha, beta):
         assert (bounded.exit_code, bounded.output) == (plain.exit_code, plain.output)
 
 
+# sha256 of the derive JSON, as the CLI prints it, of the 66 pairs that derive
+# in test_coverage_up_to_level_60, concatenated in its order; computed with
+# the elimination over Fraction rows
+DERIVE_UP_TO_60_SHA256 = "1d84a6087e9c2a7a9af069521b5d9a262ba7d68edc5f97e7e92302cc64b7608b"
+
+
 def test_coverage_up_to_level_60():
     """Every coprime pair alpha < beta with alpha*beta <= 60 verifies to 300
-    or is refused with exit 3 for want of a basis spanning the target."""
+    or is refused with exit 3 for want of a basis spanning the target, and
+    the formulas are byte for byte those of DERIVE_UP_TO_60_SHA256."""
     refused = set()
+    derived = hashlib.sha256()
     for level in range(2, 61):
         for alpha in (a for a in range(1, level) if level % a == 0 and a * a < level):
             beta = level // alpha
             if gcd(alpha, beta) != 1:
                 continue
             try:
-                assert verify_formula(derive_formula(alpha, beta), 300).ok, (alpha, beta)
+                formula = derive_formula(alpha, beta)
+                assert verify_formula(formula, 300).ok, (alpha, beta)
+                derived.update((json.dumps(formula.to_json_dict(), indent=2) + "\n").encode())
             except Unsolvable:
                 refused.add(level)
                 result = run("verify", "--alpha", str(alpha), "--beta", str(beta), "--nmax", "300")
                 assert result.exit_code == 3 and result.output.startswith(f"error: level {level}: ")
     assert refused == {7, 11, 13, 17, 19, 21, 23, 29, 31, 33, 37, 38, 39, 41, 43, 46, 47, 49, 51, 53, 55, 57, 58, 59}
+    assert derived.hexdigest() == DERIVE_UP_TO_60_SHA256
 
 
 def test_level_without_eta_quotients_derives_from_E4_alone():

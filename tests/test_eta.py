@@ -1,7 +1,7 @@
 import tracemalloc
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import divconv.eta as eta_module
 from divconv.arith import divisors
 from divconv.eta import (
+    AdmissibilityReport,
     EtaQuotient,
     _inverse,
     check_admissibility,
@@ -85,6 +86,47 @@ def test_known_level22_edge_cases_have_zero_order_sum():
         assert report.orders[1] == 0
         assert report.cond_v and not report.cond_v_prime
         assert report.is_modular_form
+
+
+def reference_admissibility(f: EtaQuotient) -> AdmissibilityReport:
+    """The conditions read off their definitions over Q: Fraction order
+    sums, and the product of the d^r_d formed and tested for a square."""
+    n, exps = f.level, f.as_dict()
+    product = Fraction(1)
+    for d, r in exps.items():
+        product *= Fraction(d) ** r
+    weight = Fraction(sum(exps.values()), 2)
+    orders = {d: sum(Fraction(gcd(d, delta) ** 2 * r, delta) for delta, r in exps.items()) for d in divisors(n)}
+    return AdmissibilityReport(
+        cond_i=sum(d * r for d, r in exps.items()) % 24 == 0,
+        cond_ii=sum(Fraction(n, d) * r for d, r in exps.items()) % 24 == 0,
+        cond_iii=all(isqrt(x) ** 2 == x for x in (product.numerator, product.denominator)),
+        weight=weight,
+        cond_iv=weight.denominator == 1 and weight.numerator % 2 == 0,
+        orders=orders,
+        cond_v=all(o >= 0 for o in orders.values()),
+        cond_v_prime=all(o > 0 for o in orders.values()),
+    )
+
+
+@st.composite
+def any_quotients(draw):
+    level = draw(st.sampled_from([1, 2, 4, 6, 12, 14, 22, 26, 36, 60, 100]))
+    exponents = draw(st.lists(st.integers(-12, 12), min_size=len(divisors(level)), max_size=len(divisors(level))))
+    assume(any(exponents))
+    return EtaQuotient.from_dict(level, dict(zip(divisors(level), exponents)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_quotients())
+# each fails exactly one condition: (i), (ii), (iii), (iv), (v)
+@example(EtaQuotient.from_dict(4, {1: -2, 2: 2, 4: 4}))
+@example(EtaQuotient.from_dict(4, {1: 4, 2: -2, 4: 6}))
+@example(EtaQuotient.from_dict(12, {1: 4, 2: -5, 4: 6, 6: 5, 12: 2}))
+@example(EtaQuotient.from_dict(4, {1: 4, 2: 2, 4: 4}))
+@example(EtaQuotient.from_dict(6, {1: -5, 2: -5, 3: -1, 6: -1}))
+def test_admissibility_matches_definitions(quotient):
+    assert check_admissibility(quotient) == reference_admissibility(quotient)
 
 
 @pytest.mark.parametrize(

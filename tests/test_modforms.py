@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -218,15 +219,17 @@ def reference_express(target: QSeries, basis: Basis) -> list[Fraction]:
     reduced against it."""
     bound = sturm_bound(basis.level)
     size = len(basis.elements)
-    echelon: list[tuple[list, int]] = []
+    echelon: list[tuple[list[int], int]] = []
     for i, element in enumerate(basis.elements):
         tag = [int(i == j) for j in range(size)]
         assert insert_row(echelon, element.series.coeffs[: bound + 1] + tag, bound + 1)
-    rest = reduce_row(echelon, target.coeffs[: bound + 1] + [0] * size)
+    coeffs = [Fraction(c) for c in target.coeffs[: bound + 1]]
+    den = lcm(*(c.denominator for c in coeffs))
+    rest, m = reduce_row(echelon, [int(c * den) for c in coeffs] + [0] * size)
     n = next((n for n in range(bound + 1) if rest[n]), None)
     if n is not None:
-        raise Unsolvable(f"target is not in the span of the basis: it leaves {rest[n]} at q^{n}")
-    return [-Fraction(c) for c in rest[bound + 1 :]]
+        raise Unsolvable(f"target is not in the span of the basis: it leaves {Fraction(rest[n], m * den)} at q^{n}")
+    return [Fraction(-c, m * den) for c in rest[bound + 1 :]]
 
 
 def _solve(solver, target: QSeries, basis: Basis):
@@ -275,6 +278,13 @@ def test_express_matches_reference_on_short_basis_refusal():
     assert message.startswith("target is not in the span of the basis: it leaves ")
 
 
+@pytest.fixture(autouse=True)
+def fresh_level_bases():
+    """derive_formula reuses the level's basis for the life of the process,
+    so a test that counts the work of building one starts without it."""
+    modforms.level_basis.cache_clear()
+
+
 def test_each_basis_row_is_eliminated_once(monkeypatch):
     calls = []
 
@@ -283,7 +293,7 @@ def test_each_basis_row_is_eliminated_once(monkeypatch):
         return insert_row(*args)
 
     monkeypatch.setattr(modforms, "insert_row", counting_insert_row)
-    for (alpha, beta), expected in (((2, 7), 8), ((1, 26), 13)):
+    for (alpha, beta), other, expected in (((2, 7), (1, 14), 8), ((1, 26), (2, 13), 13)):
         calls.clear()
         basis = build_basis(alpha * beta, registered_cusp_quotients(alpha * beta))
         assert len(calls) == expected
@@ -291,6 +301,9 @@ def test_each_basis_row_is_eliminated_once(monkeypatch):
         assert len(calls) == expected
         calls.clear()
         derive_formula(alpha, beta)
+        assert len(calls) == expected
+        # the other pair at the level reuses the basis derive_formula built
+        derive_formula(*other)
         assert len(calls) == expected
 
 
