@@ -1,8 +1,8 @@
 """Exact integer and rational arithmetic, divisor-sum functions, the exact
-product of two non-negative integer series (series_product, one big-int
-multiplication; spread substitutes q -> q^t), and the package's only exact
-elimination (reduce_row, insert_row), which picks independent rows, solves
-systems and inverts matrices.
+product x(q^a) y(q^b) of two non-negative integer series (series_product,
+one big-int multiplication per residue class; spread substitutes q -> q^t),
+and the package's only exact elimination (reduce_row, insert_row), which
+picks independent rows, solves systems and inverts matrices.
 
 Elimination runs on integer rows: an echelon row is a primitive list of
 ints, and a reduced row is a list of ints with one positive scale, so no
@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 
 def rational_to_str(x: Fraction | int) -> str:
@@ -154,33 +154,50 @@ def spread(series, t: int, n_max: int) -> list[int]:
     return out
 
 
-def series_product(x, y, n_max: int) -> list[int]:
-    """Coefficients q^0..q^n_max of the product of two series with
-    non-negative int coefficients x and y (x[i] the coefficient of q^i).
+def series_product(x, a: int, y, b: int, n_max: int) -> list[int]:
+    """Coefficients q^0..q^n_max of x(q^a) y(q^b), for a, b >= 1 and series
+    x and y with non-negative int coefficients (x[i] the coefficient of q^i).
 
-    Kronecker substitution: each series is packed into one int, one
-    coefficient per slot of w bytes, the two ints are multiplied once and
-    the product is read back slot by slot. No coefficient of the product
-    exceeds max(x) * max(y) * min(len(x), len(y)), and w is the width of
-    that bound, so no slot carries into the next one and the result is
-    exact. A negative coefficient would borrow across slots, so one among
-    q^0..q^n_max is refused.
+    With g = gcd(a, b), a = g a' and b = g b', x[r + b' i] y[s + a' j] lands
+    on q^(a r + b s + g a' b' (i + j)), and for r < b' and s < a' the offsets
+    a r + b s meet each multiple of g mod g a' b' once. So the product is one
+    dense product x[r::b'] y[s::a'] per residue class, written by slice into
+    its class; a class with no term up to q^n_max is skipped. Each is one
+    Kronecker substitution: both factors are packed into one int, one
+    coefficient per slot of w bytes, multiplied once and read back slot by
+    slot. No coefficient exceeds max(x) * max(y) * min(len(x), len(y)), and
+    w is the width of that bound, so no slot carries into the next one and
+    the result is exact. A negative coefficient would borrow across slots,
+    so one that can reach q^n_max is refused.
     """
-    if n_max < 0:
-        raise ValueError(f"series_product requires n_max >= 0, got {n_max}")
-    x, y = list(x[: n_max + 1]), list(y[: n_max + 1])
+    if a < 1 or b < 1 or n_max < 0:
+        raise ValueError(f"series_product requires a, b >= 1 and n_max >= 0, got {a}, {b}, {n_max}")
+    x, y = list(x[: n_max // a + 1]), list(y[: n_max // b + 1])
     if min(x, default=0) < 0 or min(y, default=0) < 0:
         raise ValueError("series_product requires non-negative coefficients")
+    out = [0] * (n_max + 1)
     bound = max(x, default=0) * max(y, default=0) * min(len(x), len(y))
     if not bound:
-        return [0] * (n_max + 1)
+        return out
     w = (bound.bit_length() + 7) // 8
 
-    def pack(series: list[int]) -> int:
-        return int.from_bytes(b"".join(map(int.to_bytes, series, repeat(w), repeat("little"))), "little")
+    def pack(series: list[int]) -> tuple[int, int]:
+        packed = b"".join(map(int.to_bytes, series, repeat(w), repeat("little")))
+        return int.from_bytes(packed, "little"), len(series)
 
-    data = (pack(x) * pack(y)).to_bytes(w * (n_max + 1 + len(x) + len(y)), "little")
-    return [int.from_bytes(data[k : k + w], "little") for k in range(0, w * (n_max + 1), w)]
+    step = lcm(a, b)  # g a' b'
+    a1, b1 = step // b, step // a
+    y_classes = [pack(y[s::a1]) for s in range(min(a1, len(y)))]
+    for r in range(min(b1, len(x))):
+        px, nx = pack(x[r::b1])
+        for s, (py, ny) in enumerate(y_classes):
+            start = a * r + b * s
+            if start > n_max:
+                break
+            count = (n_max - start) // step + 1
+            data = (px * py).to_bytes(w * (count + nx + ny), "little")
+            out[start::step] = [int.from_bytes(data[k : k + w], "little") for k in range(0, w * count, w)]
+    return out
 
 
 def reduce_row(echelon: list[tuple[list[int], int]], row: list[int]) -> tuple[list[int], int]:

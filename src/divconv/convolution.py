@@ -12,12 +12,13 @@ of the formula's denominators, the sigma terms step through the multiples
 of their d, each generator expands itself (the eta quotients together,
 their shared passes run once), and the sums are divided by L only at the
 end. The oracle side of verify_formula is brute_force_W_table, the
-product of the two spread sigma_table series; the per-n reference
-brute_force_W reads trial-division sigma, so it shares no sieve with the
-table it checks. The formula side reads sigma_sieve, so it stays
-independent of both oracles. A report carries the formula's certificate,
-its Sturm bound and basis rank against dim M4, next to the range the oracle
-agreed on."""
+product of the sigma_table series at q^alpha and at q^beta, which
+series_product forms one residue class at a time, never spreading either
+series to q^n_max; the per-n reference brute_force_W reads trial-division
+sigma, so it shares no sieve with the table it checks. The formula side
+reads sigma_sieve, so it stays independent of both oracles. A report
+carries the formula's certificate, its Sturm bound and basis rank against
+dim M4, next to the range the oracle agreed on."""
 
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arith import rational_to_str, series_product, sigma, sigma_at, sigma_sieve, sigma_table, spread
+from .arith import rational_to_str, series_product, sigma, sigma_at, sigma_sieve, sigma_table
 from .eta import EtaQuotient, expand_eta_quotients
 from .modforms import (
     E4,
@@ -65,11 +66,11 @@ def brute_force_W_table(alpha: int, beta: int, n_max: int) -> list[int]:
 
     W(alpha,beta) is the q-series product of sum sigma(l) q^(alpha l) and
     sum sigma(m) q^(beta m), so the whole range is one exact series_product
-    of the sigma_table series spread to the multiples of alpha and of beta."""
+    of the sigma_table series at q^alpha and at q^beta."""
     if alpha < 1 or beta < 1 or n_max < 0:
         raise ValueError("brute_force_W_table requires alpha, beta >= 1 and n_max >= 0")
     table = sigma_table(1, n_max)
-    return series_product(spread(table, alpha, n_max), spread(table, beta, n_max), n_max)
+    return series_product(table, alpha, table, beta, n_max)
 
 
 def target_series(alpha: int, beta: int, truncation: int) -> QSeries:

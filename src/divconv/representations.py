@@ -1,13 +1,13 @@
 """Representation numbers: sums of four squares and the octonary forms
 a(x1^2+..+x4^2) + b(x5^2+..+x8^2), with independent lattice-count oracles.
 
-Both columns of a whole-range comparison are tables built by one exact
-series_product each: octonary_formula_table evaluates the quaternary
-identity from brute_force_W_table and sigma_table, and
-octonary_count_table multiplies the r4 series, whose trial-division sigma
-neither of those reads. The per-n octonary_convolution, r4 and
-octonary_lattice stay as references. A pair outside SUPPORTED_PAIRS, or a
-lattice count past its bound, raises ValueError."""
+Both columns of a whole-range comparison are tables built by exact
+series_products: octonary_formula_table evaluates the quaternary identity
+from brute_force_W_table and sigma_table, and octonary_count_table is the
+lattice count itself, theta(q^a)^4 theta(q^b)^4 with theta = 1 + 2 sum
+q^(m^2), so it reads no divisor sum at all. The per-n octonary_convolution,
+r4 and octonary_lattice stay as references. A pair outside SUPPORTED_PAIRS,
+or a lattice count past its bound, raises ValueError."""
 
 from __future__ import annotations
 
@@ -32,8 +32,9 @@ def r4(n: int) -> int:
     1 for n = 0, else 8 sigma(n) - 32 sigma(n/4).
 
     Memoised, because octonary_convolution asks for the same r4(l) at every
-    n >= l. Trial-division sigma is kept on purpose: this oracle shares no
-    sieve with brute_force_W_table and octonary_formula_table."""
+    n >= l. This is Jacobi's four-square theorem, read per n by trial
+    division; it is the reference that the theta^4 series of
+    octonary_count_table is checked against."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
@@ -91,15 +92,20 @@ def octonary_convolution(a: int, b: int, n: int) -> int:
 
 
 def octonary_count_table(a: int, b: int, n_max: int) -> list[int]:
-    """octonary_convolution(a, b, n) for n = 0..n_max: the product of the
-    r4 series at q^a and at q^b, as one exact series_product. It reads r4,
-    so it shares no sigma source with octonary_formula_table."""
+    """octonary_convolution(a, b, n) for n = 0..n_max as the lattice count
+    itself, theta(q^a)^4 theta(q^b)^4 with theta = 1 + 2 sum q^(m^2): it
+    reads no divisor sum, so it shares nothing with octonary_formula_table."""
     if a < 1 or b < 1:
         raise ValueError("a and b must be positive")
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    theta = [r4(m) for m in range(n_max // min(a, b) + 1)]
-    return series_product(spread(theta, a, n_max), spread(theta, b, n_max), n_max)
+    m_max = n_max // min(a, b)
+    theta = [1] + [0] * m_max
+    for m in range(1, isqrt(m_max) + 1):
+        theta[m * m] = 2
+    theta2 = series_product(theta, 1, theta, 1, m_max)
+    theta4 = series_product(theta2, 1, theta2, 1, m_max)
+    return series_product(theta4, a, theta4, b, n_max)
 
 
 def octonary_formula_table(a: int, b: int, n_max: int) -> list[int]:

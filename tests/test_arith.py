@@ -126,12 +126,13 @@ def test_rational_string_has_explicit_denominator():
             rational_from_str(text)
 
 
-def naive_product(x, y, n_max):
+def naive_product(x, y, n_max, a=1, b=1):
+    """The q^0..q^n_max coefficients of x(q^a) y(q^b), term by term."""
     out = [0] * (n_max + 1)
-    for i, a in enumerate(x):
-        for j, b in enumerate(y):
-            if i + j <= n_max:
-                out[i + j] += a * b
+    for i, u in enumerate(x):
+        for j, v in enumerate(y):
+            if a * i + b * j <= n_max:
+                out[a * i + b * j] += u * v
     return out
 
 
@@ -142,7 +143,22 @@ series = st.lists(st.integers(min_value=0, max_value=2**200), max_size=40)
 def test_series_product_matches_double_loop(x, y, n_max):
     # n_max ranges below and above the input lengths, and entries up to
     # 2^200 need slots of up to 76 bytes
-    assert series_product(x, y, n_max) == naive_product(x, y, n_max)
+    assert series_product(x, 1, y, 1, n_max) == naive_product(x, y, n_max)
+
+
+@given(
+    series,
+    series,
+    st.integers(min_value=1, max_value=15),
+    st.integers(min_value=1, max_value=15),
+    st.integers(min_value=0, max_value=120),
+)
+@example([1] * 40, [1] * 40, 4, 6, 120)  # common factor 2
+@example([2**200] * 40, [3] * 40, 9, 15, 120)  # common factor 3, a' b' = 15
+@example([1] * 40, [1] * 40, 13, 14, 120)  # a b > n_max: 182 classes, most past q^120
+@example([5, 0, 7], [1, 2], 15, 15, 0)
+def test_series_product_at_q_a_and_q_b_matches_double_loop(x, y, a, b, n_max):
+    assert series_product(x, a, y, b, n_max) == naive_product(x, y, n_max, a, b)
 
 
 @pytest.mark.parametrize("bits", [1, 7, 8, 63, 64, 200])
@@ -151,29 +167,55 @@ def test_series_product_reaches_its_slot_bound(bits):
     # coefficient, the largest a slot must hold
     top = 2**bits - 1
     x, y = [top] * 9, [top] * 5
-    product = series_product(x, y, 20)
+    product = series_product(x, 1, y, 1, 20)
     assert product == naive_product(x, y, 20)
     assert max(product) == top * top * 5
 
 
+@pytest.mark.parametrize("bits", [1, 7, 8, 63, 64, 200])
+@pytest.mark.parametrize("a,b", [(2, 3), (4, 6)])
+def test_series_product_at_q_a_and_q_b_reaches_its_class_bound(a, b, bits):
+    # with a' = 2 and b' = 3 the classes of x are x[r::3], three terms each,
+    # and those of y are y[s::2], three and two terms; the class products
+    # x[r::3] y[0::2] attain top^2 * 3, at q^12 for (2, 3) and q^24 for (4, 6)
+    top = 2**bits - 1
+    x, y = [top] * 9, [top] * 5
+    product = series_product(x, a, y, b, 60)
+    assert product == naive_product(x, y, 60, a, b)
+    assert max(product) == top * top * 3 == product[12 * (a // 2)]
+
+
 def test_series_product_small_cases():
-    assert series_product([1, 1], [1, 1], 4) == [1, 2, 1, 0, 0]
-    assert series_product([1, 1], [1, 1], 1) == [1, 2]
-    assert series_product([], [3], 2) == [0, 0, 0]
-    assert series_product([0, 0], [5, 5], 0) == [0]
+    assert series_product([1, 1], 1, [1, 1], 1, 4) == [1, 2, 1, 0, 0]
+    assert series_product([1, 1], 1, [1, 1], 1, 1) == [1, 2]
+    assert series_product([], 1, [3], 1, 2) == [0, 0, 0]
+    assert series_product([0, 0], 1, [5, 5], 1, 0) == [0]
 
 
 @given(series, st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=2**200))
 def test_series_product_rejects_negative_coefficients(x, position, size):
     with pytest.raises(ValueError):
-        series_product(x[:position] + [-size] + x[position:], [1], 60)
+        series_product(x[:position] + [-size] + x[position:], 1, [1], 1, 60)
     with pytest.raises(ValueError):
-        series_product([1], x[:position] + [-size] + x[position:], 60)
+        series_product([1], 1, x[:position] + [-size] + x[position:], 1, 60)
 
 
 def test_series_product_rejects_negative_n_max():
     with pytest.raises(ValueError):
-        series_product([1], [1], -1)
+        series_product([1], 1, [1], 1, -1)
+
+
+@pytest.mark.parametrize("a,b", [(0, 1), (1, 0), (-2, 3)])
+def test_series_product_rejects_a_or_b_below_1(a, b):
+    with pytest.raises(ValueError):
+        series_product([1], a, [1], b, 10)
+
+
+def test_series_product_ignores_a_negative_coefficient_past_q_n_max():
+    # x[3] lands on q^6 at a = 2, past q^5, so it is never multiplied
+    assert series_product([1, 1, 1, -1], 2, [1], 1, 5) == [1, 0, 1, 0, 1, 0]
+    with pytest.raises(ValueError):
+        series_product([1, 1, 1, -1], 2, [1], 1, 6)
 
 
 def cleared(row: list) -> tuple[list[int], int]:

@@ -254,6 +254,20 @@ def test_rep_rows_match_per_n_counts():
     assert result.output.strip().splitlines()[1:] == [f"{n},{c},{c},true" for n, c in enumerate(counts, 1)]
 
 
+# sha256 of the rep CSV at --nmax 2000 of the four pairs, concatenated in this
+# order; computed with both tables formed by the spread-then-multiply product
+REP_2000_SHA256 = "e9e05998e76c745910acb8c8be4542a1bbe921de9932850dcb0220f83d056dbc"
+
+
+def test_rep_output_is_unchanged():
+    digest = hashlib.sha256()
+    for a, b in ((1, 1), (1, 3), (2, 3), (1, 9)):
+        result = run("rep", "--a", str(a), "--b", str(b), "--nmax", "2000")
+        assert result.exit_code == 0
+        digest.update(result.stdout.encode())
+    assert digest.hexdigest() == REP_2000_SHA256
+
+
 def test_table_csv():
     result = run("--truncation", "64", "table", "--pairs", "2,7")
     assert result.exit_code == 0

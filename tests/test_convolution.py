@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -322,13 +323,27 @@ def test_verify_reports_negative_value(formula27):
 @pytest.mark.parametrize(
     "alpha,beta,n_max",
     [pytest.param(a, b, 600, id=f"{a}-{b}") for a, b in [(1, 1), (2, 2), (2, 12), (4, 6), (3, 8), (1, 26)]]
-    + [(1, 26, 1025), (2, 3, 1)],
+    + [(1, 26, 1025), (2, 3, 1)]
+    # far-apart levels near 10^6, where most residue classes hold no term up to q^n_max
+    + [(1, 999983, 300), (997, 1009, 300)],
 )
 def test_brute_force_table_matches_per_n_oracle(alpha, beta, n_max):
     # the table's sieve is exactly n_max long, so its last entries are checked too
     table = brute_force_W_table(alpha, beta, n_max)
     assert len(table) == n_max + 1 and table[0] == 0
     assert table[1:] == [brute_force_W(alpha, beta, n) for n in range(1, n_max + 1)]
+
+
+# sha256 of repr(brute_force_W_table(alpha, beta, 3000)) for the five paper
+# pairs in this order, as the spread-then-multiply product computed them
+PAPER_W_TABLES_SHA256 = "d4e243d910174b23c04b311986f6c802e04d28a014d13fc2360df99172172d08"
+
+
+def test_paper_brute_force_tables_are_unchanged():
+    digest = hashlib.sha256()
+    for alpha, beta in ((2, 7), (1, 22), (2, 11), (1, 26), (2, 13)):
+        digest.update(repr(brute_force_W_table(alpha, beta, 3000)).encode())
+    assert digest.hexdigest() == PAPER_W_TABLES_SHA256
 
 
 def test_per_n_oracle_reads_no_sigma_table(monkeypatch):

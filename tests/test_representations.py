@@ -67,12 +67,23 @@ def test_formula_table_matches_1_1_closed_form():
 
 
 def test_count_table_reads_no_sigma_table(monkeypatch):
-    # the count column and the formula column share no sigma source
-    def forbidden(*args):
-        raise AssertionError("octonary_count_table read sigma_table")
+    # the count column is the lattice count itself: it reads no divisor sum,
+    # neither the formula column's sigma_table nor the per-n r4
+    expected = [octonary_convolution(2, 3, n) for n in range(1, 61)]
+    for name in ("sigma_table", "sigma", "sigma_at", "r4"):
 
-    monkeypatch.setattr(representations_module, "sigma_table", forbidden)
-    assert octonary_count_table(2, 3, 60)[1:] == [octonary_convolution(2, 3, n) for n in range(1, 61)]
+        def forbidden(*args, name=name):
+            raise AssertionError(f"octonary_count_table read {name}")
+
+        monkeypatch.setattr(representations_module, name, forbidden)
+    assert octonary_count_table(2, 3, 60)[1:] == expected
+
+
+def test_count_table_theta4_is_jacobis_r4():
+    # with b past n_max the second factor is 1, so the table is theta^4 alone,
+    # checked against trial-division r4 over the whole range
+    n_max = 2000
+    assert octonary_count_table(1, n_max + 1, n_max) == [r4(n) for n in range(n_max + 1)]
 
 
 def test_formula_table_unsupported_pair():
