@@ -20,6 +20,10 @@ from functools import lru_cache
 from itertools import repeat
 from math import gcd, isqrt, lcm
 
+#: Ceiling on the CLI's --truncation, --nmax and --level, and on any level
+#: before trial division factors it.
+MAX_TRUNCATION = 1_000_000
+
 
 def rational_to_str(x: Fraction | int) -> str:
     """Serialize an exact rational as "num/den" in lowest terms ("25/1" style)."""

@@ -28,14 +28,18 @@ class SeriesCache:
         return self.directory / f"{key}.json"
 
     def get(self, params: dict) -> QSeries | None:
-        """The stored series or None; a corrupt entry raises ValueError."""
+        """The stored series or None. A corrupt entry raises ValueError, as does
+        one nested too deeply to parse or filed under another truncation."""
         path = self.path_for(cache_key(params))
         if not path.exists():
             return None
         try:
-            return QSeries.from_json_dict(json.loads(path.read_text()))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            series = QSeries.from_json_dict(json.loads(path.read_text()))
+            if series.truncation != params["truncation"]:
+                raise ValueError(f"truncation {series.truncation} is not the key's {params['truncation']}")
+        except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
             raise ValueError(f"corrupt cache entry {path}: {exc}") from None
+        return series
 
     def put(self, params: dict, series: QSeries) -> bytes:
         """Write atomically (temp file + rename); returns the stored bytes."""

@@ -15,10 +15,9 @@ from pathlib import Path
 
 # divconv before click: importing in this order keeps a command's peak RSS down.
 from . import convolution, eta, modforms, representations
-from .arith import rational_to_str
+from .arith import MAX_TRUNCATION, rational_to_str
 from .cache import SeriesCache
 from .modforms import SEARCH_CAP, Unsolvable
-from .qseries import MAX_TRUNCATION
 
 import click
 
@@ -133,7 +132,7 @@ def basis(level):
                     "kind": e.kind,
                     "t": e.generator.t if e.kind == "eisenstein" else None,
                     "eta": e.generator.to_json_dict() if e.kind == "cusp" else None,
-                    "coeffs": [str(c) for c in e.series.coeffs],
+                    "coeffs": [str(c) for c in e.series],
                 }
                 for e in b.elements
             ],

@@ -3,7 +3,8 @@ a time, or the whole range as one exact series product), the squared
 Eisenstein difference target series, closed-formula derivation by solving
 in the level's own weight-4 basis at the Sturm bound (derive_formula; the
 basis is built once per level, so pairs at one level share it), and exact
-range verification.
+range verification. Every series here is a plain list of its integer
+coefficients q^0..q^n_max.
 
 A formula carries the generators of its basis with their coefficients, so
 verify_formula reaches any n_max on its own. _scaled_values evaluates the
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arith import rational_to_str, series_product, sigma, sigma_at, sigma_sieve, sigma_table
+from .arith import MAX_TRUNCATION, rational_to_str, series_product, sigma, sigma_at, sigma_sieve, sigma_table, spread
 from .eta import EtaQuotient, expand_eta_quotients
 from .modforms import (
     E4,
@@ -38,7 +39,6 @@ from .modforms import (
     shortfall,
     sturm_bound,
 )
-from .qseries import MAX_TRUNCATION, QSeries
 
 
 def brute_force_W(alpha: int, beta: int, n: int) -> int:
@@ -73,17 +73,21 @@ def brute_force_W_table(alpha: int, beta: int, n_max: int) -> list[int]:
     return series_product(table, alpha, table, beta, n_max)
 
 
-def target_series(alpha: int, beta: int, truncation: int) -> QSeries:
-    """(alpha L(q^alpha) - beta L(q^beta))^2, constant term (alpha-beta)^2."""
+def target_series(alpha: int, beta: int, truncation: int) -> list[int]:
+    """(alpha L(q^alpha) - beta L(q^beta))^2, constant term (alpha-beta)^2;
+    the square runs over the nonzero terms of the difference alone."""
     if gcd(alpha, beta) != 1:
         raise ValueError(f"alpha and beta must be coprime, got ({alpha}, {beta})")
     l = eisenstein_L(truncation)
-
-    def at(t: int) -> QSeries:
-        return l.substitute(t, cap=truncation).scale(t)
-
-    diff = at(alpha) - at(beta)
-    return diff * diff
+    diff = [alpha * x - beta * y for x, y in zip(spread(l, alpha, truncation), spread(l, beta, truncation))]
+    terms = [(i, c) for i, c in enumerate(diff) if c]
+    square = [0] * (truncation + 1)
+    for i, a in terms:
+        for j, b in terms:
+            if i + j > truncation:
+                break
+            square[i + j] += a * b
+    return square
 
 
 def target_coefficient_via_sums(alpha: int, beta: int, n: int) -> int:
@@ -205,7 +209,7 @@ def _scaled_values(formula: ConvolutionFormula, n_max: int) -> tuple[int, list[i
     batch = dict(zip(quotients, expand_eta_quotients(quotients, n_max)))
     for g, a in live:
         series = batch[g] if g in batch else g.expand(n_max)
-        values = [v + a * x for v, x in zip(values, series.coeffs)]
+        values = [v + a * x for v, x in zip(values, series)]
     values[0] = 0
     return scale, values
 

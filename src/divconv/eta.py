@@ -1,4 +1,6 @@
-"""Dedekind eta quotients: expansion, admissibility checks, search.
+"""Dedekind eta quotients: expansion to plain integer lists, admissibility
+checks, search. Only expand_eta_quotient wraps its list in a QSeries, for
+expand and the cache; euler_F stays a QSeries for perfbench/micro.py.
 
 An eta quotient at level N is a product over divisors d | N of powers of
 eta(d z). The admissibility checker evaluates the classical congruence,
@@ -19,8 +21,9 @@ from math import gcd, isqrt, lcm, sqrt
 from operator import itemgetter
 from struct import pack, unpack
 
-from .arith import divisors, euler_phi, gamma0_index, insert_row, prime_factorization, rational_to_str, reduce_row
-from .qseries import MAX_TRUNCATION, QSeries
+from .arith import MAX_TRUNCATION, divisors, euler_phi, gamma0_index, insert_row, prime_factorization
+from .arith import rational_to_str, reduce_row
+from .qseries import QSeries
 
 
 @dataclass(frozen=True)
@@ -60,8 +63,8 @@ class EtaQuotient:
     def to_json_dict(self) -> dict:
         return {"level": self.level, "exponents": {str(d): r for d, r in self.exponents}}
 
-    def expand(self, n_max: int) -> QSeries:
-        return expand_eta_quotient(self, n_max)
+    def expand(self, n_max: int) -> list[int]:
+        return expand_eta_quotients([self], n_max)[0]
 
     @classmethod
     def from_json_dict(cls, data) -> "EtaQuotient":
@@ -243,9 +246,9 @@ def _divide_pass(g: list[int], terms: Sequence[tuple[int, int]]) -> list[int]:
 
 
 def expand_eta_quotient(f: EtaQuotient, truncation: int) -> QSeries:
-    """q-expansion of one quotient up to the given truncation: the
-    one-element case of expand_eta_quotients, which documents the method."""
-    return expand_eta_quotients([f], truncation)[0]
+    """The one-element case of expand_eta_quotients, which documents the
+    method, as the QSeries that expand prints and the cache stores."""
+    return QSeries(f.expand(truncation), truncation)
 
 
 def _leading_exponent(f: EtaQuotient) -> int:
@@ -314,9 +317,9 @@ def _pass_terms(d: int, kind: str, m: int) -> tuple[tuple[int, int], ...]:
     return tuple((d * k, c) for k, c in base if k <= m)
 
 
-def expand_eta_quotients(quotients, truncation: int) -> list[QSeries]:
+def expand_eta_quotients(quotients, truncation: int) -> list[list[int]]:
     """q-expansions of the quotients up to the given truncation, in the
-    order given.
+    order given, each the integer list of its coefficients q^0..q^truncation.
 
     Every quotient needs its q-prefactor exponent e0 = (sum of d*r_d)/24
     to be a non-negative integer, which holds for every cusp candidate; one
@@ -347,18 +350,12 @@ def expand_eta_quotients(quotients, truncation: int) -> list[QSeries]:
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    results: list[QSeries | None] = [None] * len(quotients)
-    jobs = []
-    for i, f in enumerate(quotients):
-        e0 = _leading_exponent(f)
-        if e0 > truncation:
-            results[i] = QSeries.zero(truncation)
-        else:
-            jobs.append((_passes(f), e0, i))
+    e0s = [_leading_exponent(f) for f in quotients]
+    results = [[0] * (truncation + 1) if e0 > truncation else None for e0 in e0s]
+    jobs = sorted((_passes(f), e0, i) for i, (f, e0) in enumerate(zip(quotients, e0s)) if e0 <= truncation)
     if not jobs:
         return results
     top = truncation - min(e0 for _, e0, _ in jobs)
-    jobs.sort()
     # resume[k] = the passes sorted job k shares with job k - 1; saved holds
     # (depth, product after that many passes) at the depths a later job resumes at
     resume = [0] + [
@@ -375,7 +372,7 @@ def expand_eta_quotients(quotients, truncation: int) -> list[QSeries]:
                 g = (_multiply_pass if multiply else _divide_pass)(g, _pass_terms(d, kind, m))
             if j in resume[k + 1 :]:
                 saved.append((j, g))
-        results[i] = QSeries([0] * e0 + g[: truncation - e0 + 1], truncation)
+        results[i] = [0] * e0 + g[: truncation - e0 + 1]
     return results
 
 

@@ -19,9 +19,10 @@ candidates of a level leave its basis short of dim M4.
 All linear algebra is the exact elimination of arith (insert_row,
 reduce_row), on integer rows with one scale per row: build_basis inserts
 each element's row once, tagged with its unit vector, and keeps that
-echelon on the Basis, so express_in_basis only clears the target's
-denominators and reduces it, and builds a Fraction only for the
-coefficients it returns. level_basis builds a level's basis once per
+echelon on the Basis, so express_in_basis only reduces the target's
+row, and builds a Fraction only for the coefficients it returns: every
+series here, a target or an element's, is a plain list of its integer
+coefficients q^0..q^n_max. level_basis builds a level's basis once per
 process, so every target at that level reduces against the same echelon.
 There is no floating point and therefore no stability concern, only
 reproducibility.
@@ -34,12 +35,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 
 from .arith import divisors, euler_phi, gamma0_index, insert_row, prime_factorization, reduce_row
 from .arith import sigma_sieve, sigma_table, spread
 from .eta import EtaQuotient, check_admissibility, walk_eta_quotients
-from .qseries import QSeries
 
 
 class Unsolvable(ArithmeticError):
@@ -48,12 +48,12 @@ class Unsolvable(ArithmeticError):
     Sturm bound (of a basis short of dim M4, for the reason shortfall gives)."""
 
 
-def eisenstein_L(truncation: int) -> QSeries:
+def eisenstein_L(truncation: int) -> list[int]:
     """E2-normalized series 1 - 24 sum sigma(n) q^n."""
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     table = sigma_table(1, truncation)
-    return QSeries([1] + [-24 * table[n] for n in range(1, truncation + 1)], truncation)
+    return [1] + [-24 * table[n] for n in range(1, truncation + 1)]
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,8 @@ class E4:
 
     t: int
 
-    def expand(self, n_max: int) -> QSeries:
-        return QSeries(spread([1] + [240 * s for s in sigma_sieve(3, n_max // self.t)[1:]], self.t, n_max))
+    def expand(self, n_max: int) -> list[int]:
+        return spread([1] + [240 * s for s in sigma_sieve(3, n_max // self.t)[1:]], self.t, n_max)
 
 
 # -- Gamma_0(N) invariants and weight-4 dimensions -------------------------
@@ -181,7 +181,7 @@ class BasisElement:
 
     element_id: str
     generator: E4 | EtaQuotient
-    series: QSeries
+    series: list[int]
 
     @property
     def kind(self) -> str:
@@ -219,7 +219,7 @@ def build_basis(level: int, quotients) -> Basis:
     bound = sturm_bound(level)
     needed = dim_M4(level)
     divs = divisors(level)
-    kept: list[tuple[E4 | EtaQuotient, QSeries]] = []
+    kept: list[tuple[E4 | EtaQuotient, list[int]]] = []
     echelon: list[tuple[list[int], int]] = []
     generators = chain(map(E4, divs), quotients)
     while len(kept) < needed and (g := next(generators, None)) is not None:
@@ -232,7 +232,7 @@ def build_basis(level: int, quotients) -> Basis:
             if g.leading_exponent_numerator == 0:
                 raise ValueError(f"cusp quotient {g} has nonzero constant term")
         series = g.expand(bound)
-        if insert_row(echelon, series.coeffs + [int(j == len(kept)) for j in range(needed)], bound + 1):
+        if insert_row(echelon, series + [int(j == len(kept)) for j in range(needed)], bound + 1):
             kept.append((g, series))
         elif isinstance(g, E4):
             raise Unsolvable(f"basis element E{g.t} is dependent on the elements before it on q^0..q^{bound}")
@@ -248,7 +248,7 @@ def level_basis(level: int) -> Basis:
     return build_basis(level, cusp_quotients_for_level(level))
 
 
-def express_in_basis(target: QSeries, basis: Basis) -> list[Fraction]:
+def express_in_basis(target: list[int], basis: Basis) -> list[Fraction]:
     """The unique rational vector x with target = sum x_i * element_i.
 
     Both sides are weight-4 forms on Gamma_0(level), so they are equal when
@@ -259,15 +259,11 @@ def express_in_basis(target: QSeries, basis: Basis) -> list[Fraction]:
     reduced row's scale.
     """
     bound = sturm_bound(basis.level)
-    if target.truncation < bound:
+    if len(target) - 1 < bound:
         raise ValueError(
-            f"target truncation {target.truncation} is below the level-{basis.level} Sturm bound {bound}"
+            f"target truncation {len(target) - 1} is below the level-{basis.level} Sturm bound {bound}"
         )
-    coeffs = target.coeffs[: bound + 1]
-    den = lcm(*(c.denominator for c in coeffs))
-    row = [c.numerator * (den // c.denominator) for c in coeffs]
-    rest, m = reduce_row(basis.echelon, row + [0] * dim_M4(basis.level))
-    m *= den
+    rest, m = reduce_row(basis.echelon, target[: bound + 1] + [0] * dim_M4(basis.level))
     n = next((n for n in range(bound + 1) if rest[n]), None)
     if n is not None:
         raise Unsolvable(f"target is not in the span of the basis: it leaves {Fraction(rest[n], m)} at q^{n}")

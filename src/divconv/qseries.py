@@ -1,27 +1,20 @@
-"""Truncated formal power series in q with exact rational coefficients.
-
-Coefficients are exact (int or Fraction); no floating point anywhere.
-Binary operations truncate to the shorter operand. Multiplication runs over
-the nonzero coefficients of the sparser operand, and reciprocal over the
-nonzero tail only; a zero constant term has no reciprocal and raises
-ZeroDivisionError. Eta quotients are not expanded through these operations
-(eta.expand_eta_quotients applies sparse passes to plain lists); the tests
-use the dense QSeries product as the oracle for that kernel.
+"""Truncated power series in q with exact coefficients (int or Fraction):
+the record that expand prints and the cache stores (to_json_dict,
+from_json_dict). The pipeline runs on plain integer lists; only
+eta.expand_eta_quotient wraps one in a QSeries. The ring members __mul__,
+__pow__, reciprocal, one and substitute remain only as what
+perfbench/micro.py times and as the tests' dense oracle for the eta
+kernel; they belong in tests/reference.py once the benchmark stops timing
+them. A product truncates to the shorter operand and runs over the nonzero
+coefficients of the sparser one; reciprocal runs over the nonzero tail, and
+raises ZeroDivisionError on a zero constant term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import rational_from_str, rational_to_str, spread
-
-Coeff = int | Fraction
-
-#: Hard ceiling on the truncation produced by substitute(); prevents a
-#: q -> q^t substitution from blowing up memory for large t. The CLI
-#: refuses a larger --truncation or --nmax, and every level above it is
-#: refused before it is factored by trial division.
-MAX_TRUNCATION = 1_000_000
+from .arith import MAX_TRUNCATION, rational_from_str, rational_to_str, spread
 
 
 class QSeries:
@@ -45,10 +38,6 @@ class QSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, truncation: int) -> "QSeries":
-        return cls([0] * (truncation + 1), truncation)
-
-    @classmethod
     def one(cls, truncation: int) -> "QSeries":
         c = [0] * (truncation + 1)
         c[0] = 1
@@ -69,15 +58,6 @@ class QSeries:
         return f"QSeries([{head}{tail}], truncation={self.truncation})"
 
     # -- ring operations ---------------------------------------------------
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        t = min(self.truncation, other.truncation)
-        return QSeries(
-            [a - b for a, b in zip(self.coeffs[: t + 1], other.coeffs[: t + 1])], t
-        )
-
-    def scale(self, c: Coeff) -> "QSeries":
-        return QSeries([c * a for a in self.coeffs], self.truncation)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         t = min(self.truncation, other.truncation)
@@ -104,7 +84,7 @@ class QSeries:
         # only nonzero tail terms enter the recurrence; eta factors are
         # pentagonal-sparse so this is far below O(t^2)
         tail = [(k, ak) for k, ak in enumerate(self.coeffs[1:], start=1) if ak]
-        r: list[Coeff] = [inv0] + [0] * t
+        r: list[int | Fraction] = [inv0] + [0] * t
         for n in range(1, t + 1):
             acc = 0
             for k, ak in tail:

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 
 def reference_rank(series_list, max_index: int) -> int:
-    """Rank over Q of the rows q^0..q^max_index of the series, by
+    """Rank over Q of the rows q^0..q^max_index of the integer series, by
     column-pivot Gaussian elimination: it shares no code with the
     arith.insert_row echelon that build_basis picks its elements with."""
-    rows = [list(s.coeffs[: max_index + 1]) for s in series_list]
+    rows = [list(s[: max_index + 1]) for s in series_list]
     r = 0
     for col in range(max_index + 1):
         pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)

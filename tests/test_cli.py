@@ -108,8 +108,10 @@ def test_expand_rejects_malformed_json():
         "garbage",
         "[1, 2]",
         '{"version": 1, "kind": "qseries", "truncation": 0, "coeffs": ["1/0"]}',
+        "[" * 100000,
+        '{"version": 1, "kind": "qseries", "truncation": 1, "coeffs": ["0/1", "0/1"]}',
     ],
-    ids=["truncated", "not-json", "not-a-series", "zero-denominator"],
+    ids=["truncated", "not-json", "not-a-series", "zero-denominator", "nested", "wrong-truncation"],
 )
 def test_expand_rejects_corrupt_cache_entry(tmp_path, garbage):
     cache = tmp_path / "cache"
@@ -323,6 +325,20 @@ def test_derive_ignores_bound(alpha, beta):
 # in test_coverage_up_to_level_60, concatenated in its order; computed with
 # the elimination over Fraction rows
 DERIVE_UP_TO_60_SHA256 = "1d84a6087e9c2a7a9af069521b5d9a262ba7d68edc5f97e7e92302cc64b7608b"
+
+# sha256 of the basis JSON, as the CLI prints it, at levels 14, 22 and 26
+# (registered families), 33 (short of dim M4) and 36 (walk picks),
+# concatenated in this order; computed with every series a QSeries
+BASIS_LEVELS_SHA256 = "17b4aaddea6ef663f55ffe24cef16c75234d184c3fdb13a73bf17acfb77e399a"
+
+
+def test_basis_output_is_unchanged():
+    digest = hashlib.sha256()
+    for level in (14, 22, 26, 33, 36):
+        result = run("basis", "--level", str(level))
+        assert result.exit_code == 0
+        digest.update(result.stdout.encode())
+    assert digest.hexdigest() == BASIS_LEVELS_SHA256
 
 
 def test_coverage_up_to_level_60():

@@ -39,22 +39,22 @@ def basis26():
 
 def test_eisenstein_L_coefficients():
     l = eisenstein_L(10)
-    assert l.coeffs[0] == 1
-    assert l.coeffs[1] == -24
-    assert l.coeffs[2] == -72
+    assert l[0] == 1
+    assert l[1] == -24
+    assert l[2] == -72
 
 
 def test_E4_coefficients():
     for t in (1, 2, 13, 26):
         series = E4(t).expand(200)
-        assert series.truncation == 200
-        assert series.coeffs == [1] + [240 * sigma(3, n // t) if n % t == 0 else 0 for n in range(1, 201)], t
+        assert len(series) == 201
+        assert series == [1] + [240 * sigma(3, n // t) if n % t == 0 else 0 for n in range(1, 201)], t
 
 
 def test_glaisher_identity():
     t = 150
     l = eisenstein_L(t)
-    square = l * l
+    square = QSeries(l) * QSeries(l)
     assert square.coeffs[0] == 1
     for n in range(1, t + 1):
         assert square.coeffs[n] == 240 * sigma(3, n) - 288 * n * sigma(1, n)
@@ -101,11 +101,11 @@ def test_every_level_keeps_its_E4_block():
 
 def test_build_basis_element_invariants(basis26):
     for element in (e for e in basis26.elements if e.kind == "eisenstein"):
-        assert element.series.coeffs[0] == 1
+        assert element.series[0] == 1
     for element in (e for e in basis26.elements if e.kind == "cusp"):
-        assert element.series.coeffs[0] == 0
-        lead = next(n for n, c in enumerate(element.series.coeffs) if c)
-        assert element.series.coeffs[lead] == 1
+        assert element.series[0] == 0
+        lead = next(n for n, c in enumerate(element.series) if c)
+        assert element.series[lead] == 1
 
 
 def test_build_basis_rejects_duplicates(basis14):
@@ -155,31 +155,47 @@ def test_express_basis_element_is_unit_vector(basis14):
     assert x[1] == 1 and all(c == 0 for i, c in enumerate(x) if i != 1)
 
 
+def integral(x):
+    """x times the lcm of its denominators, so that its combination of the
+    integer basis elements is an integer series."""
+    den = lcm(*(c.denominator for c in x))
+    return [den * c for c in x]
+
+
 def combination(x, basis):
-    """sum x_i * element_i, on the q^0..q^B the elements are expanded to."""
-    columns = zip(*(e.series.coeffs for e in basis.elements))
-    return QSeries([sum(c * a for c, a in zip(x, column)) for column in columns])
+    """sum x_i * element_i, on the q^0..q^B the elements are expanded to;
+    x must be integral, since express_in_basis takes integer targets."""
+    columns = zip(*(e.series for e in basis.elements))
+    values = [sum(c * a for c, a in zip(x, column)) for column in columns]
+    assert all(v.denominator == 1 for v in values)
+    return [int(v) for v in values]
 
 
 def test_express_zero_series(basis14):
-    x = express_in_basis(QSeries.zero(TRUNC), basis14)
+    x = express_in_basis([0] * (TRUNC + 1), basis14)
     assert all(c == 0 for c in x)
+
+
+def test_express_refuses_target_below_sturm_bound(basis14):
+    short = basis14.elements[0].series[:8]  # E4 itself, one coefficient short of q^0..q^8
+    with pytest.raises(ValueError, match=r"^target truncation 7 is below the level-14 Sturm bound 8$"):
+        express_in_basis(short, basis14)
 
 
 def test_express_round_trip_random_vectors(basis14, basis26):
     rng = random.Random(7)
     for basis in (basis14, basis26):
         for _ in range(3):
-            x = [
+            x = integral([
                 Fraction(rng.randint(-30, 30), rng.randint(1, 12))
                 for _ in basis.elements
-            ]
+            ])
             target = combination(x, basis)
             assert express_in_basis(target, basis) == x
 
 
 def test_express_rejects_series_outside_span(basis14):
-    outside = QSeries([0, 1] + [0] * (TRUNC - 1), TRUNC)  # bare q is no weight-4 form
+    outside = [0, 1] + [0] * (TRUNC - 1)  # bare q is no weight-4 form
     with pytest.raises(Unsolvable, match=r"not in the span of the basis: it leaves -18 at q\^8$"):
         express_in_basis(outside, basis14)
 
@@ -195,7 +211,7 @@ def test_build_basis_keeps_reference_greedy_prefix():
     padded += [q for q in family[3:] for _ in range(2)] + family[:3]
     expected, series = [], [E4(t).expand(truncation) for t in divisors(level)]
     for quotient in padded:
-        s = expand_eta_quotient(quotient, truncation)
+        s = expand_eta_quotient(quotient, truncation).coeffs
         if reference_rank(series + [s], truncation) == len(series) + 1 and len(series) < dim_M4(level):
             expected.append(quotient)
             series.append(s)
@@ -213,7 +229,7 @@ def test_express_rejects_singular_system(monkeypatch):
         build_basis(14, registered_cusp_quotients(14))
 
 
-def reference_express(target: QSeries, basis: Basis) -> list[Fraction]:
+def reference_express(target: list[int], basis: Basis) -> list[Fraction]:
     """The solve before the basis kept its echelon: a fresh echelon of the
     elements' q^0..q^B rows, element i's tagged with e_i, then the target
     reduced against it."""
@@ -222,8 +238,8 @@ def reference_express(target: QSeries, basis: Basis) -> list[Fraction]:
     echelon: list[tuple[list[int], int]] = []
     for i, element in enumerate(basis.elements):
         tag = [int(i == j) for j in range(size)]
-        assert insert_row(echelon, element.series.coeffs[: bound + 1] + tag, bound + 1)
-    coeffs = [Fraction(c) for c in target.coeffs[: bound + 1]]
+        assert insert_row(echelon, element.series[: bound + 1] + tag, bound + 1)
+    coeffs = [Fraction(c) for c in target[: bound + 1]]
     den = lcm(*(c.denominator for c in coeffs))
     rest, m = reduce_row(echelon, [int(c * den) for c in coeffs] + [0] * size)
     n = next((n for n in range(bound + 1) if rest[n]), None)
@@ -232,14 +248,14 @@ def reference_express(target: QSeries, basis: Basis) -> list[Fraction]:
     return [Fraction(-c, m * den) for c in rest[bound + 1 :]]
 
 
-def _solve(solver, target: QSeries, basis: Basis):
+def _solve(solver, target: list[int], basis: Basis):
     try:
         return solver(target, basis)
     except Unsolvable as exc:
         return str(exc)
 
 
-def _agree(target: QSeries, basis: Basis):
+def _agree(target: list[int], basis: Basis):
     expected = _solve(reference_express, target, basis)
     assert _solve(express_in_basis, target, basis) == expected
     return expected
@@ -263,10 +279,10 @@ def test_express_matches_reference_on_rebuilt_bases():
     for basis in bases:
         bound = sturm_bound(basis.level)
         for _ in range(4):
-            x = [Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in basis.elements]
+            x = integral([Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in basis.elements])
             assert _agree(combination(x, basis), basis) == x
         # bare q: outside the span unless the rows span all of q^0..q^B
-        refused = _agree(QSeries([0, 1] + [0] * (bound - 1), bound), basis)
+        refused = _agree([0, 1] + [0] * (bound - 1), basis)
         assert isinstance(refused, str) == (len(basis.elements) <= bound)
 
 

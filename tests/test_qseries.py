@@ -63,7 +63,7 @@ def test_substitute():
 def test_substitute_of_eisenstein_difference():
     from divconv.modforms import eisenstein_L
 
-    l = eisenstein_L(4)
+    l = QSeries(eisenstein_L(4))
     assert l.substitute(7).coeffs[14] == -24 * sigma(1, 2)
 
 
