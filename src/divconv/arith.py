@@ -1,8 +1,10 @@
-"""Exact integer and rational arithmetic, divisor-sum functions, the exact
-product x(q^a) y(q^b) of two non-negative integer series (series_product,
-one big-int multiplication per residue class; spread substitutes q -> q^t),
-and the package's only exact elimination (reduce_row, insert_row), which
-picks independent rows, solves systems and inverts matrices.
+"""Exact integer and rational arithmetic, divisor-sum functions, the
+package's one signed Kronecker codec (slot_bytes, pack, unpack: every
+series multiplied as one big int is packed by it), the exact product
+x(q^a) y(q^b) of two integer series (series_product, one big-int
+multiplication per residue class; spread substitutes q -> q^t), and the
+package's only exact elimination (reduce_row, insert_row), which picks
+independent rows, solves systems and inverts matrices.
 
 Elimination runs on integer rows: an echelon row is a primitive list of
 ints, and a reduced row is a list of ints with one positive scale, so no
@@ -15,9 +17,9 @@ in arithmetic and compare equal where expected.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from math import gcd, isqrt, lcm
 
 #: Ceiling on the CLI's --truncation, --nmax and --level, and on any level
@@ -158,49 +160,75 @@ def spread(series, t: int, n_max: int) -> list[int]:
     return out
 
 
+_STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def slot_bytes(bound: int) -> int:
+    """Bytes per signed slot that holds every integer of absolute value at
+    most bound with a sign bit to spare: 1, 2, 4 or 8, else whole bytes."""
+    size = bound.bit_length() // 8 + 1
+    return 1 << (size - 1).bit_length() if size <= 8 else size
+
+
+def pack(series, size: int) -> int:
+    """sum series[i] 2^(w (n - 1 - i)), w = 8 * size, n = len(series): q^0
+    in the top slot. Each slot is written in two's complement, by struct or
+    int by int; XOR with off = 2^(w-1) per slot adds 2^(w-1) to each."""
+    code = _STRUCT_CODES.get(size)
+    if code:
+        raw = struct.pack(f">{len(series)}{code}", *series)
+    else:
+        raw = b"".join([a.to_bytes(size, "big", signed=True) for a in series])
+    off = int.from_bytes((b"\x80" + bytes(size - 1)) * len(series), "big")
+    return (int.from_bytes(raw, "big") ^ off) - off
+
+
+def unpack(value: int, size: int, slots: int, count: int) -> list[int]:
+    """c_0..c_(count-1) of value = sum c_i 2^(w (slots - 1 - i)), |c_i| <
+    2^(w-1): each slot of value + off is in [0, 2^w), so none borrows, and
+    XOR with off leaves each its value in two's complement (see pack)."""
+    off = int.from_bytes((b"\x80" + bytes(size - 1)) * slots, "big")
+    data = ((value + off) ^ off).to_bytes(size * slots, "big")
+    code = _STRUCT_CODES.get(size)
+    if code:
+        return list(struct.unpack_from(f">{count}{code}", data))
+    return [int.from_bytes(data[i : i + size], "big", signed=True) for i in range(0, size * count, size)]
+
+
 def series_product(x, a: int, y, b: int, n_max: int) -> list[int]:
-    """Coefficients q^0..q^n_max of x(q^a) y(q^b), for a, b >= 1 and series
-    x and y with non-negative int coefficients (x[i] the coefficient of q^i).
+    """Coefficients q^0..q^n_max of x(q^a) y(q^b), for a, b >= 1 and integer
+    series x and y (x[i] the coefficient of q^i).
 
     With g = gcd(a, b), a = g a' and b = g b', x[r + b' i] y[s + a' j] lands
     on q^(a r + b s + g a' b' (i + j)), and for r < b' and s < a' the offsets
     a r + b s meet each multiple of g mod g a' b' once. So the product is one
     dense product x[r::b'] y[s::a'] per residue class, written by slice into
     its class; a class with no term up to q^n_max is skipped. Each is one
-    Kronecker substitution: both factors are packed into one int, one
-    coefficient per slot of w bytes, multiplied once and read back slot by
-    slot. No coefficient exceeds max(x) * max(y) * min(len(x), len(y)), and
-    w is the width of that bound, so no slot carries into the next one and
-    the result is exact. A negative coefficient would borrow across slots,
-    so one that can reach q^n_max is refused.
+    Kronecker substitution: both factors are packed, multiplied once as
+    ints and unpacked. No coefficient exceeds max|x| * max|y| * min(len(x),
+    len(y)) in absolute value, the bound given to slot_bytes, so the
+    result is exact.
     """
     if a < 1 or b < 1 or n_max < 0:
         raise ValueError(f"series_product requires a, b >= 1 and n_max >= 0, got {a}, {b}, {n_max}")
     x, y = list(x[: n_max // a + 1]), list(y[: n_max // b + 1])
-    if min(x, default=0) < 0 or min(y, default=0) < 0:
-        raise ValueError("series_product requires non-negative coefficients")
     out = [0] * (n_max + 1)
-    bound = max(x, default=0) * max(y, default=0) * min(len(x), len(y))
+    bound = max(map(abs, x), default=0) * max(map(abs, y), default=0) * min(len(x), len(y))
     if not bound:
         return out
-    w = (bound.bit_length() + 7) // 8
-
-    def pack(series: list[int]) -> tuple[int, int]:
-        packed = b"".join(map(int.to_bytes, series, repeat(w), repeat("little")))
-        return int.from_bytes(packed, "little"), len(series)
-
+    size = slot_bytes(bound)
     step = lcm(a, b)  # g a' b'
     a1, b1 = step // b, step // a
-    y_classes = [pack(y[s::a1]) for s in range(min(a1, len(y)))]
-    for r in range(min(b1, len(x))):
-        px, nx = pack(x[r::b1])
+    y_classes = [(pack(c, size), len(c)) for c in (y[s::a1] for s in range(min(a1, len(y))))]
+    for r, xr in enumerate(x[r::b1] for r in range(min(b1, len(x)))):
+        px = pack(xr, size)
         for s, (py, ny) in enumerate(y_classes):
             start = a * r + b * s
             if start > n_max:
                 break
-            count = (n_max - start) // step + 1
-            data = (px * py).to_bytes(w * (count + nx + ny), "little")
-            out[start::step] = [int.from_bytes(data[k : k + w], "little") for k in range(0, w * count, w)]
+            slots = len(xr) + ny - 1
+            count = min((n_max - start) // step + 1, slots)
+            out[start : start + step * count : step] = unpack(px * py, size, slots, count)
     return out
 
 

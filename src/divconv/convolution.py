@@ -1,10 +1,10 @@
 """Convolution sums of sigma over al + bm = n: brute-force oracle (one n at
 a time, or the whole range as one exact series product), the squared
-Eisenstein difference target series, closed-formula derivation by solving
-in the level's own weight-4 basis at the Sturm bound (derive_formula; the
-basis is built once per level, so pairs at one level share it), and exact
-range verification. Every series here is a plain list of its integer
-coefficients q^0..q^n_max.
+Eisenstein difference target series (a signed series product), formula
+derivation by solving in the level's own weight-4 basis at the Sturm bound
+(derive_formula; the basis is built once per level, so pairs at one level
+share it), and exact range verification. Every series here is a plain
+list of its integer coefficients q^0..q^n_max.
 
 A formula carries the generators of its basis with their coefficients, so
 verify_formula reaches any n_max on its own. _scaled_values evaluates the
@@ -75,19 +75,12 @@ def brute_force_W_table(alpha: int, beta: int, n_max: int) -> list[int]:
 
 def target_series(alpha: int, beta: int, truncation: int) -> list[int]:
     """(alpha L(q^alpha) - beta L(q^beta))^2, constant term (alpha-beta)^2;
-    the square runs over the nonzero terms of the difference alone."""
+    the difference has signed coefficients, and series_product squares it."""
     if gcd(alpha, beta) != 1:
         raise ValueError(f"alpha and beta must be coprime, got ({alpha}, {beta})")
     l = eisenstein_L(truncation)
     diff = [alpha * x - beta * y for x, y in zip(spread(l, alpha, truncation), spread(l, beta, truncation))]
-    terms = [(i, c) for i, c in enumerate(diff) if c]
-    square = [0] * (truncation + 1)
-    for i, a in terms:
-        for j, b in terms:
-            if i + j > truncation:
-                break
-            square[i + j] += a * b
-    return square
+    return series_product(diff, 1, diff, 1, truncation)
 
 
 def target_coefficient_via_sums(alpha: int, beta: int, n: int) -> int:

@@ -19,10 +19,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm, sqrt
 from operator import itemgetter
-from struct import pack, unpack
 
-from .arith import MAX_TRUNCATION, divisors, euler_phi, gamma0_index, insert_row, prime_factorization
-from .arith import rational_to_str, reduce_row
+from .arith import MAX_TRUNCATION, divisors, euler_phi, gamma0_index, insert_row, pack, prime_factorization
+from .arith import rational_to_str, reduce_row, slot_bytes, unpack
 from .qseries import QSeries
 
 
@@ -190,33 +189,17 @@ def jacobi_cube_terms(truncation: int) -> list[tuple[int, int]]:
 def _multiply_pass(g: list[int], terms: Sequence[tuple[int, int]]) -> list[int]:
     """g * (1 + sum c q^k) truncated to len(g); every k >= 1.
 
-    Kronecker packing, top slot first: g and one spare zero coefficient go
-    into one int, coefficient i in slot n - i of w bits (n = len(g)). Then
-    q^k is a right shift by w*k, which drops the slots past the truncation
-    as it goes, and each term is one C-level big-int step, out += c *
-    (packed >> w*k). The part a shift drops is less than one unit of the
-    bottom slot in absolute value, so flooring it subtracts 0 or 1 there,
-    in the spare slot, and leaves every other slot exact. No slot, spare
-    included, exceeds bound = (max|g| + 1) * (1 + sum |c|) in absolute
-    value, and w (1, 2, 4 or 8 bytes, else whole bytes) is at least
-    bits(bound) + 1. So with off = 2^(w-1) in every slot, each slot of
-    out + off lies in [0, 2^w): nothing carries between slots, and XOR
-    with off leaves each slot its value in w-bit two's complement, read
-    back by struct or, past 8 bytes, int by int.
+    arith.pack puts g and a spare zero slot into one int, coefficient i in
+    slot n - i of w bits (n = len(g)). So q^k is a right shift by w*k that
+    drops the slots past the truncation, and each term is one big-int step,
+    out += c * (packed >> w*k). What a shift drops is under one unit of the
+    bottom slot, so flooring it subtracts 0 or 1 in the spare slot alone.
+    No slot's absolute value exceeds (max|g| + 1) * (1 + sum |c|), the
+    bound given to arith.slot_bytes, so arith.unpack reads the product exactly.
     """
-    n = len(g)
-    bound = (max(map(abs, g)) + 1) * (1 + sum(abs(c) for _, c in terms))
-    size = bound.bit_length() // 8 + 1
-    if size <= 8:
-        size = 1 << (size - 1).bit_length()
-    code = {1: "b", 2: "h", 4: "i", 8: "q"}.get(size)
-    if code:
-        raw = pack(f">{n + 1}{code}", *g, 0)
-    else:
-        raw = b"".join(a.to_bytes(size, "big", signed=True) for a in [*g, 0])
+    size = slot_bytes((max(map(abs, g)) + 1) * (1 + sum(abs(c) for _, c in terms)))
     w = 8 * size
-    off = int.from_bytes((b"\x80" + bytes(size - 1)) * (n + 1), "big")
-    packed = (int.from_bytes(raw, "big") ^ off) - off
+    packed = pack([*g, 0], size)
     out = packed
     for k, c in terms:
         if c == 1:
@@ -225,10 +208,7 @@ def _multiply_pass(g: list[int], terms: Sequence[tuple[int, int]]) -> list[int]:
             out -= packed >> w * k
         else:
             out += c * (packed >> w * k)
-    data = ((out + off) ^ off).to_bytes(size * n + size, "big")
-    if code:
-        return list(unpack(f">{n + 1}{code}", data)[:n])
-    return [int.from_bytes(data[i : i + size], "big", signed=True) for i in range(0, size * n, size)]
+    return unpack(out, size, len(g) + 1, len(g))
 
 
 def _divide_pass(g: list[int], terms: Sequence[tuple[int, int]]) -> list[int]:
@@ -335,11 +315,10 @@ def expand_eta_quotients(quotients, truncation: int) -> list[list[int]]:
     F(q^d) (pentagonal, about sqrt(8t/3d) terms). A pass multiplies for
     r > 0 and divides by the forward recurrence for r < 0, so no dense
     series product is ever formed and every coefficient is an exact Python
-    int. A multiply pass packs the list into one int, a slot of w bits per
-    coefficient, and applies each term as one big-int shift-and-add; w is
-    the width of (max|g| + 1) * (1 + sum |c|), which bounds every slot
-    before and after the pass, plus a sign bit, so no slot carries into the
-    next and the list read back is exact (_multiply_pass).
+    int. A multiply pass packs the list into one int by arith's signed
+    Kronecker codec and applies each term as one big-int shift-and-add; its
+    slots hold (max|g| + 1) * (1 + sum |c|), a bound on every slot before
+    and after the pass, so the list read back is exact (_multiply_pass).
 
     The quotients' pass sequences form a prefix tree, walked depth first
     by taking them in sorted order, so a pass that several quotients start

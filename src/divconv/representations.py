@@ -2,12 +2,12 @@
 a(x1^2+..+x4^2) + b(x5^2+..+x8^2), with independent lattice-count oracles.
 
 Both columns of a whole-range comparison are tables built by exact
-series_products: octonary_formula_table evaluates the quaternary identity
-from brute_force_W_table and sigma_table, and octonary_count_table is the
-lattice count itself, theta(q^a)^4 theta(q^b)^4 with theta = 1 + 2 sum
-q^(m^2), so it reads no divisor sum at all. The per-n octonary_convolution,
-r4 and octonary_lattice stay as references. A pair outside SUPPORTED_PAIRS,
-or a lattice count past its bound, raises ValueError."""
+series_products (arith's signed codec): octonary_formula_table evaluates
+the quaternary identity from brute_force_W_table and sigma_table, and
+octonary_count_table is the lattice count theta(q^a)^4 theta(q^b)^4 with
+theta = 1 + 2 sum q^(m^2), reading no divisor sum. The per-n references
+octonary_convolution, r4 and octonary_lattice stay. A pair outside
+SUPPORTED_PAIRS, or a lattice count past its bound, raises ValueError."""
 
 from __future__ import annotations
 

@@ -9,6 +9,7 @@ from divconv.arith import (
     divisors,
     euler_phi,
     insert_row,
+    pack,
     prime_factorization,
     rational_from_str,
     rational_to_str,
@@ -18,6 +19,8 @@ from divconv.arith import (
     sigma_at,
     sigma_sieve,
     sigma_table,
+    slot_bytes,
+    unpack,
 )
 from reference import reference_insert_row, reference_reduce_row
 
@@ -136,13 +139,18 @@ def naive_product(x, y, n_max, a=1, b=1):
     return out
 
 
-series = st.lists(st.integers(min_value=0, max_value=2**200), max_size=40)
+def alternating(top, n):
+    """[top, -top, top, ...] of length n."""
+    return [(-1) ** i * top for i in range(n)]
+
+
+series = st.lists(st.integers(min_value=-(2**200), max_value=2**200), max_size=40)
 
 
 @given(series, series, st.integers(min_value=0, max_value=60))
 def test_series_product_matches_double_loop(x, y, n_max):
     # n_max ranges below and above the input lengths, and entries up to
-    # 2^200 need slots of up to 76 bytes
+    # 2^200 in absolute value need slots of up to 51 bytes
     assert series_product(x, 1, y, 1, n_max) == naive_product(x, y, n_max)
 
 
@@ -170,6 +178,29 @@ def test_series_product_reaches_its_slot_bound(bits):
     product = series_product(x, 1, y, 1, 20)
     assert product == naive_product(x, y, 20)
     assert max(product) == top * top * 5
+    # the same bound with signs: all -top against +top, and alternating
+    # signs, whose q^k coefficient has sign (-1)^k and no cancellation
+    product = series_product([-top] * 9, 1, y, 1, 20)
+    assert product == naive_product([-top] * 9, y, 20)
+    assert min(product) == -top * top * 5
+    x, y = alternating(top, 9), alternating(top, 5)
+    product = series_product(x, 1, y, 1, 20)
+    assert product == naive_product(x, y, 20)
+    assert max(product) == top * top * 5 == -min(product)
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 8, 9])
+def test_series_product_fills_each_slot_width_to_its_sign_edge(size):
+    # top is the largest value whose bound 5 top^2 still fits a signed slot
+    # of size bytes, and both signs of the bound are reached
+    edge = 2 ** (8 * size - 1) - 1
+    top = math.isqrt(edge // 5)
+    assert slot_bytes(5 * top * top) == size < slot_bytes(5 * (top + 1) ** 2)
+    for x, y in ([-top] * 9, [top] * 5), (alternating(top, 9), alternating(top, 5)):
+        product = series_product(x, 1, y, 1, 20)
+        assert product == naive_product(x, y, 20)
+        assert min(product) == -5 * top * top
+    assert max(product) == 5 * top * top
 
 
 @pytest.mark.parametrize("bits", [1, 7, 8, 63, 64, 200])
@@ -183,6 +214,11 @@ def test_series_product_at_q_a_and_q_b_reaches_its_class_bound(a, b, bits):
     product = series_product(x, a, y, b, 60)
     assert product == naive_product(x, y, 60, a, b)
     assert max(product) == top * top * 3 == product[12 * (a // 2)]
+    product = series_product([-top] * 9, a, y, b, 60)
+    assert product == naive_product([-top] * 9, y, 60, a, b)
+    assert min(product) == -top * top * 3 == product[12 * (a // 2)]
+    x, y = alternating(top, 9), alternating(top, 5)
+    assert series_product(x, a, y, b, 60) == naive_product(x, y, 60, a, b)
 
 
 def test_series_product_small_cases():
@@ -193,11 +229,11 @@ def test_series_product_small_cases():
 
 
 @given(series, st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=2**200))
-def test_series_product_rejects_negative_coefficients(x, position, size):
-    with pytest.raises(ValueError):
-        series_product(x[:position] + [-size] + x[position:], 1, [1], 1, 60)
-    with pytest.raises(ValueError):
-        series_product([1], 1, x[:position] + [-size] + x[position:], 1, 60)
+def test_series_product_multiplies_a_negative_coefficient(x, position, size):
+    signed = x[:position] + [-size] + x[position:]
+    for other in [1], [-1, 2]:
+        assert series_product(signed, 1, other, 1, 60) == naive_product(signed, other, 60)
+        assert series_product(other, 1, signed, 1, 60) == naive_product(other, signed, 60)
 
 
 def test_series_product_rejects_negative_n_max():
@@ -211,11 +247,31 @@ def test_series_product_rejects_a_or_b_below_1(a, b):
         series_product([1], a, [1], b, 10)
 
 
-def test_series_product_ignores_a_negative_coefficient_past_q_n_max():
-    # x[3] lands on q^6 at a = 2, past q^5, so it is never multiplied
+def test_series_product_reads_a_negative_coefficient_up_to_q_n_max():
+    # x[3] lands on q^6 at a = 2: past q^5 it is never multiplied
     assert series_product([1, 1, 1, -1], 2, [1], 1, 5) == [1, 0, 1, 0, 1, 0]
-    with pytest.raises(ValueError):
-        series_product([1, 1, 1, -1], 2, [1], 1, 6)
+    assert series_product([1, 1, 1, -1], 2, [1], 1, 6) == [1, 0, 1, 0, 1, 0, -1]
+    assert series_product([1, 1, 1, -1], 2, [1, -2], 3, 6) == [1, 0, 1, -2, 1, -2, -1]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 8, 9, 16])
+def test_pack_unpack_round_trip_at_the_sign_edge(size):
+    # 1, 2, 4 and 8 bytes go through struct, 3, 9 and 16 int by int
+    edge = 2 ** (8 * size - 1) - 1
+    s = [0, edge, -edge, 0, -edge, -edge, edge, edge, 0]
+    packed = pack(s, size)
+    assert packed == sum(c << 8 * size * (len(s) - 1 - i) for i, c in enumerate(s))  # q^0 in the top slot
+    assert unpack(packed, size, len(s), len(s)) == s
+    assert unpack(packed, size, len(s), 4) == s[:4]
+
+
+@pytest.mark.parametrize("bits,size", [(7, 1), (8, 2), (15, 2), (16, 4), (31, 4), (32, 8), (63, 8), (64, 9)])
+def test_slot_bytes_keeps_a_sign_bit(bits, size):
+    # every bound of that bit length takes the same width, and fits it with either sign
+    assert slot_bytes(2 ** (bits - 1)) == slot_bytes(2**bits - 1) == size
+    bound = 2**bits - 1
+    assert unpack(pack([bound, -bound], size), size, 2, 2) == [bound, -bound]
+    assert slot_bytes(0) == 1
 
 
 def cleared(row: list) -> tuple[list[int], int]:

@@ -14,6 +14,9 @@ itself, not just a name spelled the same way:
 A name that only the tests reach is dead weight: the tests should read the
 data they need directly. Dunders and click commands are exempt, and so are
 the named reference oracles in REFERENCES.
+
+The slot format of a series packed into one int is decided in arith alone:
+no other module imports struct or calls int.from_bytes or int.to_bytes.
 """
 
 import ast
@@ -105,3 +108,18 @@ def test_every_public_name_has_a_caller():
         and (name not in attributes if cls else (path.stem, name) not in reached)
     ]
     assert uncalled == [], f"public names with no caller outside the tests: {uncalled}"
+
+
+def test_only_arith_packs_integers_into_bytes():
+    offenders = []
+    for path in SOURCES:
+        if path.name == "arith.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "struct" for a in node.names):
+                offenders.append(f"{path.name}:{node.lineno} imports struct")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "struct":
+                offenders.append(f"{path.name}:{node.lineno} imports from struct")
+            elif isinstance(node, ast.Attribute) and node.attr in ("from_bytes", "to_bytes"):
+                offenders.append(f"{path.name}:{node.lineno} uses .{node.attr}")
+    assert offenders == [], f"slot packing outside arith: {offenders}"
