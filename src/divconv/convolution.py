@@ -9,14 +9,14 @@ list of its integer coefficients q^0..q^n_max.
 A formula carries the generators of its basis with their coefficients, so
 verify_formula reaches any n_max on its own. _scaled_values evaluates the
 whole range at once in integers: every coefficient is scaled by the lcm L
-of the formula's denominators, the sigma terms step through the multiples
-of their d, each generator expands itself (the eta quotients together,
-their shared passes run once), and the sums are divided by L only at the
-end. The oracle side of verify_formula is brute_force_W_table, the
-product of the sigma_table series at q^alpha and at q^beta, which
-series_product forms one residue class at a time, never spreading either
-series to q^n_max; the per-n reference brute_force_W reads trial-division
-sigma, so it shares no sieve with the table it checks. The formula side
+of the formula's denominators, each sigma and sigma3 term is added onto
+the multiples of its divisor, the eta quotients expand together (their
+shared passes run once), and the sums are divided by L only at the end.
+The oracle side of verify_formula is brute_force_W_table, the product of
+the sigma_table series at q^alpha and at q^beta, which series_product
+forms one residue class at a time, never spreading either series to
+q^n_max; the per-n reference brute_force_W reads trial-division sigma, so
+it shares no sieve with the table it checks. The formula side
 reads sigma_sieve, so it stays independent of both oracles. A report
 carries the formula's certificate, its Sturm bound and basis rank against
 dim M4, next to the range the oracle agreed on."""
@@ -184,24 +184,25 @@ def derive_formula(alpha: int, beta: int) -> ConvolutionFormula:
 def _scaled_values(formula: ConvolutionFormula, n_max: int) -> tuple[int, list[int]]:
     """(L, [L * value(n) for n = 0..n_max]) with L the lcm of the formula's
     denominators, so every term is an integer product and the sums stay in
-    int. sigma and E4 read sigma_sieve, which shares no code with the
-    sigma_table that brute_force_W reads. Each generator with a nonzero
-    coefficient is expanded to n_max, the eta quotients together by
-    expand_eta_quotients; index 0 holds 0."""
+    int. Each c sigma_k(n/t) term (k = 1, 3) is added onto the slice of
+    multiples of t from one sigma_sieve per k, which shares no code with
+    the sigma_table that brute_force_W reads; the eta quotients with a
+    nonzero coefficient are expanded to n_max in one expand_eta_quotients
+    batch. Index 0 holds 0."""
     if n_max < 1:
         raise ValueError("n_max must be positive")
     coefficients = [c for _, c in formula.terms] + [c for pair in formula.sigma_terms.values() for c in pair]
     scale = lcm(*(c.denominator for c in coefficients))
     values = [0] * (n_max + 1)
-    sigma1 = sigma_sieve(1, n_max)
+    sigma1, sigma3 = sigma_sieve(1, n_max), sigma_sieve(3, n_max)
     for d, (c0, c1) in formula.sigma_terms.items():
         a0, a1 = int(c0 * scale), int(c1 * scale) * d
         values[d::d] = [v + (a0 + a1 * j) * s for j, (v, s) in enumerate(zip(values[d::d], sigma1[1:]), 1)]
-    live = [(g, int(c * scale)) for g, c in formula.terms if c]
-    quotients = [g for g, _ in live if isinstance(g, EtaQuotient)]
-    batch = dict(zip(quotients, expand_eta_quotients(quotients, n_max)))
-    for g, a in live:
-        series = batch[g] if g in batch else g.expand(n_max)
+    for t, c in formula.sigma3_terms.items():
+        a = int(c * scale)
+        values[t::t] = [v + a * s for v, s in zip(values[t::t], sigma3[1:])]
+    live = [(g, int(c * scale)) for g, c in formula.terms if c and isinstance(g, EtaQuotient)]
+    for (_, a), series in zip(live, expand_eta_quotients([g for g, _ in live], n_max)):
         values = [v + a * x for v, x in zip(values, series)]
     values[0] = 0
     return scale, values

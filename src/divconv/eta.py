@@ -1,6 +1,7 @@
 """Dedekind eta quotients: expansion to plain integer lists, admissibility
 checks, search. Only expand_eta_quotient wraps its list in a QSeries, for
-expand and the cache; euler_F stays a QSeries for perfbench/micro.py.
+expand and the cache; the passes read closed-form term lists, so euler_F
+serves only perfbench/micro.py and the tests.
 
 An eta quotient at level N is a product over divisors d | N of powers of
 eta(d z). The admissibility checker evaluates the classical congruence,
@@ -49,10 +50,6 @@ class EtaQuotient:
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.exponents)
-
-    @property
-    def weight(self) -> Fraction:
-        return Fraction(sum(r for _, r in self.exponents), 2)
 
     @property
     def leading_exponent_numerator(self) -> int:
@@ -175,17 +172,6 @@ def check_admissibility(f: EtaQuotient) -> AdmissibilityReport:
     )
 
 
-def jacobi_cube_terms(truncation: int) -> list[tuple[int, int]]:
-    """Nonzero terms (n, c_n), n >= 1, of F^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2),
-    Jacobi's identity, up to the truncation; the constant term 1 is implied."""
-    terms = []
-    k = 1
-    while (e := k * (k + 1) // 2) <= truncation:
-        terms.append((e, -(2 * k + 1) if k % 2 else 2 * k + 1))
-        k += 1
-    return terms
-
-
 def _multiply_pass(g: list[int], terms: Sequence[tuple[int, int]]) -> list[int]:
     """g * (1 + sum c q^k) truncated to len(g); every k >= 1.
 
@@ -283,18 +269,22 @@ def _passes(f: EtaQuotient) -> tuple[tuple[int, str, bool], ...]:
 
 @lru_cache(maxsize=256)
 def _pass_terms(d: int, kind: str, m: int) -> tuple[tuple[int, int], ...]:
-    """The nonzero terms (d*k, c), k = 1..m, of F(q^d)^3 ("cube"), F(q^d)
-    ("pentagonal"), psi(q^d) = sum_(n>=0) q^(d n(n+1)/2) or
-    phi(-q^d) = 1 + 2 sum_(n>=1) (-1)^n q^(d n^2)."""
+    """The nonzero terms (d*e, c), 1 <= e <= m, of one pass's series, each
+    written from its closed form: F(q^d)^3 = sum_(k>=0) (-1)^k (2k+1)
+    q^(d k(k+1)/2) ("cube", Jacobi), F(q^d) = 1 + sum_(k>=1) (-1)^k
+    (q^(d k(3k-1)/2) + q^(d k(3k+1)/2)) ("pentagonal", Euler), psi(q^d) =
+    sum_(k>=0) q^(d k(k+1)/2) or phi(-q^d) = 1 + 2 sum_(k>=1) (-1)^k
+    q^(d k^2). e grows with k, so the terms come out sorted, and k up to
+    isqrt(2m) reaches every e <= m."""
     if kind == "cube":
-        base = jacobi_cube_terms(m)
+        base = [(k * (k + 1) // 2, (-1) ** k * (2 * k + 1)) for k in range(1, isqrt(2 * m) + 1)]
     elif kind == "pentagonal":
-        base = [(k, c) for k, c in enumerate(euler_F(m).coeffs) if c and k]
+        base = [(k * (3 * k + s) // 2, (-1) ** k) for k in range(1, isqrt(2 * m) + 1) for s in (-1, 1)]
     elif kind == "psi":
-        base = [(n * (n + 1) // 2, 1) for n in range(1, isqrt(2 * m) + 1)]
+        base = [(k * (k + 1) // 2, 1) for k in range(1, isqrt(2 * m) + 1)]
     else:
-        base = [(n * n, 2 * (-1) ** n) for n in range(1, isqrt(m) + 1)]
-    return tuple((d * k, c) for k, c in base if k <= m)
+        base = [(k * k, 2 * (-1) ** k) for k in range(1, isqrt(m) + 1)]
+    return tuple((d * e, c) for e, c in base if e <= m)
 
 
 def expand_eta_quotients(quotients, truncation: int) -> list[list[int]]:

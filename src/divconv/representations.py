@@ -1,20 +1,22 @@
 """Representation numbers: sums of four squares and the octonary forms
 a(x1^2+..+x4^2) + b(x5^2+..+x8^2), with independent lattice-count oracles.
 
-Both columns of a whole-range comparison are tables built by exact
-series_products (arith's signed codec): octonary_formula_table evaluates
-the quaternary identity from brute_force_W_table and sigma_table, and
-octonary_count_table is the lattice count theta(q^a)^4 theta(q^b)^4 with
-theta = 1 + 2 sum q^(m^2), reading no divisor sum. The per-n references
-octonary_convolution, r4 and octonary_lattice stay. A pair outside
-SUPPORTED_PAIRS, or a lattice count past its bound, raises ValueError."""
+Both columns of a whole-range comparison are whole-range tables.
+octonary_formula_table evaluates the quaternary identity from
+brute_force_W_table and sigma_table, adding each term onto the multiples
+of its divisor; octonary_count_table is the lattice count theta(q^a)^4
+theta(q^b)^4 with theta = 1 + 2 sum q^(m^2), formed by exact
+series_products (arith's signed codec) and reading no divisor sum. The
+per-n references octonary_convolution, r4 and octonary_lattice stay. A
+pair outside SUPPORTED_PAIRS, or a lattice count past its bound, raises
+ValueError."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import isqrt
 
-from .arith import series_product, sigma, sigma_at, sigma_table, spread
+from .arith import series_product, sigma, sigma_at, sigma_table
 from .convolution import brute_force_W_table
 
 #: direct 4-square lattice counts are only sensible at desk scale
@@ -120,9 +122,10 @@ def octonary_formula_table(a: int, b: int, n_max: int) -> list[int]:
         + 64 W(a,b)(n) + 1024 W(a,b)(n/4) - 256 [W(4a,b)(n) + W(a,4b)(n)]
 
     with sigma and W zero at non-integer arguments. So (2, 3) needs W(2,3),
-    W(3,8) and W(2,12), not the W(1,3)/W(1,12) of the (1, 3) case. Each
-    term is read from a whole-range table spread to the multiples of its
-    divisor, so W(a,b)(n/4) is the W(a,b) table at q -> q^4.
+    W(3,8) and W(2,12), not the W(1,3)/W(1,12) of the (1, 3) case. The
+    three W tables over the whole range start the column, and each term
+    c f(n/t) is then added onto the slice of multiples of t, so
+    W(a,b)(n/4) is the W(a,b) table added at every fourth n.
     """
     if (a, b) not in SUPPORTED_PAIRS:
         raise ValueError(f"no formula for (a, b) = ({a}, {b})")
@@ -130,20 +133,13 @@ def octonary_formula_table(a: int, b: int, n_max: int) -> list[int]:
         raise ValueError("n_max must be non-negative")
     sigma1 = sigma_table(1, n_max)
     w = brute_force_W_table(a, b, n_max)
-    columns = zip(
-        spread(sigma1, a, n_max),
-        spread(sigma1, b, n_max),
-        spread(sigma1, 4 * a, n_max),
-        spread(sigma1, 4 * b, n_max),
-        w,
-        spread(w, 4, n_max),
-        brute_force_W_table(4 * a, b, n_max),
-        brute_force_W_table(a, 4 * b, n_max),
-    )
     values = [
-        8 * (sa + sb) - 32 * (s4a + s4b) + 64 * wab + 1024 * wab4 - 256 * (w4ab + wa4b)
-        for sa, sb, s4a, s4b, wab, wab4, w4ab, wa4b in columns
+        64 * wab - 256 * (w4ab + wa4b)
+        for wab, w4ab, wa4b in zip(w, brute_force_W_table(4 * a, b, n_max), brute_force_W_table(a, 4 * b, n_max))
     ]
+    for t, c in ((a, 8), (b, 8), (4 * a, -32), (4 * b, -32)):
+        values[t::t] = [v + c * s for v, s in zip(values[t::t], sigma1[1:])]
+    values[::4] = [v + 1024 * x for v, x in zip(values[::4], w)]
     values[0] = 1
     return values
 

@@ -10,6 +10,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import divconv.eta as eta_module
+import divconv.modforms as modforms_module
+import divconv.qseries as qseries_module
 import divconv.representations as representations_module
 from divconv.cli import main
 from divconv.convolution import derive_formula, verify_formula
@@ -254,6 +257,29 @@ def test_rep_rows_match_per_n_counts():
     assert result.exit_code == 0
     counts = [octonary_convolution(2, 3, n) for n in range(1, 81)]
     assert result.output.strip().splitlines()[1:] == [f"{n},{c},{c},true" for n, c in enumerate(counts, 1)]
+
+
+def test_pipeline_commands_build_no_qseries(monkeypatch):
+    """table, derive, basis, verify (whose level-22 quotients take a divide
+    pass) and rep run on plain integer lists: with QSeries construction made
+    to raise, each exits 0. The cached pass terms and bases are emptied
+    first, so nothing an earlier test built hides a path."""
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a pipeline command built a QSeries")
+
+    monkeypatch.setattr(qseries_module.QSeries, "__init__", refuse)
+    eta_module._pass_terms.cache_clear()
+    modforms_module.level_basis.cache_clear()
+    for args in (
+        ("table",),
+        ("derive", "--alpha", "2", "--beta", "7"),
+        ("basis", "--level", "22"),
+        ("verify", "--alpha", "1", "--beta", "22", "--nmax", "300"),
+        ("rep", "--a", "1", "--b", "3", "--nmax", "50"),
+    ):
+        result = run(*args)
+        assert result.exit_code == 0, (args, result.exception)
 
 
 # sha256 of the rep CSV at --nmax 2000 of the four pairs, concatenated in this

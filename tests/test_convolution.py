@@ -147,9 +147,15 @@ def test_verify_detects_corruption(formula27):
 @pytest.mark.parametrize("alpha,beta", [(1, 26), (2, 13)])
 def test_deep_evaluation_matches_the_oracle(alpha, beta):
     """Every level-26 quotient to q^10000 through the packed multiply pass,
-    checked value by value against brute_force_W_table."""
-    report = verify_formula(derive_formula(alpha, beta), 10000)
+    checked value by value against brute_force_W_table; and the shortest
+    ranges, where the sigma3(n/26) slice (and below 13 the sigma3(n/13)
+    slice) holds no term."""
+    formula = derive_formula(alpha, beta)
+    report = verify_formula(formula, 10000)
     assert report.ok and report.checked == 10000
+    for n_max in (1, 2, 13):
+        report = verify_formula(formula, n_max)
+        assert report.ok and report.checked == n_max, n_max
 
 
 @pytest.mark.parametrize("alpha,beta", [(2, 3), (2, 5)])

@@ -17,7 +17,6 @@ from divconv.eta import (
     euler_F,
     expand_eta_quotient,
     expand_eta_quotients,
-    jacobi_cube_terms,
     search_eta_quotients,
 )
 from divconv.modforms import REGISTERED_CUSP_EXPONENTS, registered_cusp_quotients
@@ -55,7 +54,7 @@ def test_quotient_construction_validates():
         EtaQuotient.from_dict(14, {1: 0})  # all exponents zero
     q = EtaQuotient.from_dict(14, {"1": 5, "2": -1, "7": 5, "14": -1})
     assert q.as_dict().get(2, 0) == -1 and q.as_dict().get(14, 0) == -1
-    assert q.weight == 4
+    assert check_admissibility(q).weight == 4
 
 
 def test_admissibility_level14_first_family_member():
@@ -298,12 +297,20 @@ def test_kernel_matches_dense_product_on_random_level12_quotients(tail, truncati
         assert not any(got.coeffs)
 
 
-def test_jacobi_cube_terms_equal_cubed_euler_F():
-    for t in range(1, 201):
-        dense = [1] + [0] * t
-        for n, c in jacobi_cube_terms(t):
-            dense[n] = c
-        assert dense == (euler_F(t) ** 3).coeffs
+def test_cube_and_pentagonal_pass_terms_equal_dense_products():
+    """The closed-form terms of F(q^d)^3 and F(q^d), sorted and on the
+    multiples of d, spread into dense lists at q^(1/d) equal the dense cube
+    of euler_F and the naive product (1-q)(1-q^2)... up to every q^m, m <= 200."""
+    for m in range(1, 201):
+        cube, pentagonal = (euler_F(m) ** 3).coeffs, naive_euler_product(m)
+        for d in (1, 2, 3):
+            for kind, expected in (("cube", cube), ("pentagonal", pentagonal)):
+                terms = eta_module._pass_terms(d, kind, m)
+                assert list(terms) == sorted(terms) and all(n % d == 0 for n, _ in terms), (kind, d, m)
+                dense = [1] + [0] * m
+                for n, c in terms:
+                    dense[n // d] = c
+                assert dense == expected, (kind, d, m)
 
 
 def test_theta_terms_equal_gauss_quotients_of_euler_F():
@@ -433,7 +440,7 @@ def reference_expand_eta_quotient(quotient, truncation):
         if m == 0:
             continue
         pentagonal = [(d * k, c) for k, c in enumerate(euler_F(m).coeffs) if c and k]
-        cube = [(d * k, c) for k, c in jacobi_cube_terms(m)]
+        cube = [(d * k, c) for k, c in enumerate((euler_F(m) ** 3).coeffs) if c and k]
         for terms in [cube] * (abs(r) // 3) + [pentagonal] * (abs(r) % 3):
             h = list(g)
             if r > 0:
