@@ -208,9 +208,14 @@ def series_product(x, a: int, y, b: int, n_max: int) -> list[int]:
     ints and unpacked. No coefficient exceeds max|x| * max|y| * min(len(x),
     len(y)) in absolute value, the bound given to slot_bytes, so the
     result is exact.
+
+    A square, x is y and a == b, has one class, packed once: px and py are
+    then one int, and CPython multiplies an int by itself by squaring,
+    which is faster than a general product of the same size.
     """
     if a < 1 or b < 1 or n_max < 0:
         raise ValueError(f"series_product requires a, b >= 1 and n_max >= 0, got {a}, {b}, {n_max}")
+    square = x is y and a == b
     x, y = list(x[: n_max // a + 1]), list(y[: n_max // b + 1])
     out = [0] * (n_max + 1)
     bound = max(map(abs, x), default=0) * max(map(abs, y), default=0) * min(len(x), len(y))
@@ -221,7 +226,7 @@ def series_product(x, a: int, y, b: int, n_max: int) -> list[int]:
     a1, b1 = step // b, step // a
     y_classes = [(pack(c, size), len(c)) for c in (y[s::a1] for s in range(min(a1, len(y))))]
     for r, xr in enumerate(x[r::b1] for r in range(min(b1, len(x)))):
-        px = pack(xr, size)
+        px = y_classes[0][0] if square else pack(xr, size)
         for s, (py, ny) in enumerate(y_classes):
             start = a * r + b * s
             if start > n_max:

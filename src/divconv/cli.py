@@ -1,5 +1,8 @@
 """Command-line front end: JSON/CSV emission and the on-disk series cache.
 
+Start-up imports only what the non-expand commands run: the cache, and
+through it hashlib and QSeries, load inside expand, their only reader.
+
 Exit codes: 0 success, 1 verification mismatch, 2 input error (ValueError,
 or OSError reading an @file), 3 the basis cannot express the target
 (modforms.Unsolvable).
@@ -16,7 +19,6 @@ from pathlib import Path
 # divconv before click: importing in this order keeps a command's peak RSS down.
 from . import convolution, eta, modforms, representations
 from .arith import MAX_TRUNCATION, rational_to_str
-from .cache import SeriesCache
 from .modforms import SEARCH_CAP, Unsolvable
 
 import click
@@ -85,6 +87,8 @@ def main(truncation, cache_dir, search_bound):
 @click.pass_context
 def expand(ctx, quotient_json):
     """Expand an eta quotient (JSON, inline or @file) to a q-series."""
+    from .cache import SeriesCache
+
     truncation, cache_dir = ctx.parent.params["truncation"], ctx.parent.params["cache_dir"]
     quotient = _parse_quotient(quotient_json)
     params = {"kind": "eta", **quotient.to_json_dict(), "truncation": truncation}

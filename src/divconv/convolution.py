@@ -23,9 +23,9 @@ dim M4, next to the range the oracle agreed on."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .arith import MAX_TRUNCATION, rational_to_str, series_product, sigma, sigma_at, sigma_sieve, sigma_table, spread
 from .eta import EtaQuotient, expand_eta_quotients
@@ -96,8 +96,7 @@ def target_coefficient_via_sums(alpha: int, beta: int, n: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class ConvolutionFormula:
+class ConvolutionFormula(NamedTuple):
     """Closed form for W(alpha,beta)(n): (c0 + c1 n) sigma(n/d) for d in
     (alpha, beta), plus a rational coefficient on the q^n coefficient of
     each generator in terms, E4(q^t) or an eta quotient, in basis order."""
@@ -208,8 +207,7 @@ def _scaled_values(formula: ConvolutionFormula, n_max: int) -> tuple[int, list[i
     return scale, values
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """A formula checked against the oracle on 1..checked, with the
     formula's Sturm-bound certificate (ConvolutionFormula.certificate)."""
 

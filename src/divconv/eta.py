@@ -1,7 +1,8 @@
 """Dedekind eta quotients: expansion to plain integer lists, admissibility
 checks, search. Only expand_eta_quotient wraps its list in a QSeries, for
 expand and the cache; the passes read closed-form term lists, so euler_F
-serves only perfbench/micro.py and the tests.
+serves only perfbench/micro.py and the tests. Both import qseries on the
+call, so no other command loads it.
 
 An eta quotient at level N is a product over divisors d | N of powers of
 eta(d z). The admissibility checker evaluates the classical congruence,
@@ -15,19 +16,20 @@ without scanning the exponent box.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm, sqrt
 from operator import itemgetter
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import MAX_TRUNCATION, divisors, euler_phi, gamma0_index, insert_row, pack, prime_factorization
 from .arith import rational_to_str, reduce_row, slot_bytes, unpack
-from .qseries import QSeries
+
+if TYPE_CHECKING:
+    from .qseries import QSeries
 
 
-@dataclass(frozen=True)
-class EtaQuotient:
+class EtaQuotient(NamedTuple):
     """Level N and one integer exponent per divisor of N (zeros omitted)."""
 
     level: int
@@ -75,8 +77,7 @@ class EtaQuotient:
         return cls.from_dict(data["level"], exponents)
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     """Outcome of the eta-quotient admissibility conditions at one level.
 
     orders maps each divisor d of the level to the cusp-order sum
@@ -111,6 +112,8 @@ class AdmissibilityReport:
 
 def euler_F(truncation: int) -> QSeries:
     """Product of (1 - q^n) for n >= 1, via the pentagonal number theorem."""
+    from .qseries import QSeries
+
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     coeffs = [0] * (truncation + 1)
@@ -214,6 +217,8 @@ def _divide_pass(g: list[int], terms: Sequence[tuple[int, int]]) -> list[int]:
 def expand_eta_quotient(f: EtaQuotient, truncation: int) -> QSeries:
     """The one-element case of expand_eta_quotients, which documents the
     method, as the QSeries that expand prints and the cache stores."""
+    from .qseries import QSeries
+
     return QSeries(f.expand(truncation), truncation)
 
 

@@ -31,11 +31,11 @@ reproducibility.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd
+from typing import NamedTuple
 
 from .arith import divisors, euler_phi, gamma0_index, insert_row, prime_factorization, reduce_row
 from .arith import sigma_sieve, sigma_table, spread
@@ -56,8 +56,7 @@ def eisenstein_L(truncation: int) -> list[int]:
     return [1] + [-24 * table[n] for n in range(1, truncation + 1)]
 
 
-@dataclass(frozen=True)
-class E4:
+class E4(NamedTuple):
     """The generator E4(q^t) = 1 + 240 sum sigma_3(n) q^(tn), read from sigma_sieve."""
 
     t: int
@@ -175,8 +174,7 @@ def shortfall(level: int, rank: int) -> str:
 # -- basis types -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(NamedTuple):
     """One basis element: its generator, E4(t) or an eta quotient, and its series to q^B."""
 
     element_id: str
@@ -188,12 +186,13 @@ class BasisElement:
         return "eisenstein" if isinstance(self.generator, E4) else "cusp"
 
 
-@dataclass(frozen=True)
-class Basis:
+class Basis(NamedTuple):
     level: int
     elements: tuple[BasisElement, ...]
-    # the primitive integer q^0..q^B rows, element i's tagged with e_i of width dim M4(level)
-    echelon: tuple[tuple[list[int], int], ...] = field(compare=False, repr=False)
+    # the primitive integer q^0..q^B rows, element i's tagged with e_i of width
+    # dim M4(level); build_basis derives them from the elements alone, so
+    # comparing them adds nothing to comparing the elements
+    echelon: tuple[tuple[list[int], int], ...]
 
 
 def build_basis(level: int, quotients) -> Basis:

@@ -169,6 +169,15 @@ def test_series_product_at_q_a_and_q_b_matches_double_loop(x, y, a, b, n_max):
     assert series_product(x, a, y, b, n_max) == naive_product(x, y, n_max, a, b)
 
 
+@given(series, st.integers(min_value=1, max_value=15), st.integers(min_value=0, max_value=120))
+@example(alternating(2**63 - 1, 40), 1, 60)  # alternating signs at the 8-byte slot edge
+@example([-(2**200)] * 40, 3, 120)
+def test_series_product_square_matches_two_pack_path(x, a, n_max):
+    # x passed twice squares one packed int; a copy of x packs both factors
+    square = series_product(x, a, x, a, n_max)
+    assert square == series_product(x, a, list(x), a, n_max) == naive_product(x, x, n_max, a, a)
+
+
 @pytest.mark.parametrize("bits", [1, 7, 8, 63, 64, 200])
 def test_series_product_reaches_its_slot_bound(bits):
     # all-maximal inputs attain max(x) * max(y) * min(len) at the middle

@@ -491,3 +491,17 @@ def test_module_entry_point_lists_every_command():
     listing = result.stdout.split("Commands:", 1)[1].splitlines()
     commands = [line.split()[0] for line in listing if line.strip()]
     assert commands == ["basis", "derive", "expand", "ligozat", "rep", "search", "table", "verify"]
+
+
+def test_startup_loads_no_expand_only_module():
+    """Importing the CLI loads what table, verify, derive and rep run, and
+    not the expand-only cache (with hashlib, and so OpenSSL), QSeries or
+    dataclasses; expand imports them when it runs."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import divconv.cli, sys; print(' '.join(sorted(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "divconv.convolution" in loaded
+    assert loaded & {"hashlib", "_hashlib", "dataclasses", "divconv.cache", "divconv.qseries"} == set()

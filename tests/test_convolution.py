@@ -1,5 +1,4 @@
 import hashlib
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -135,7 +134,7 @@ def test_verify_formula_report(formula27):
 
 def shift_E4_1(formula, delta):
     """The formula with delta added to the coefficient of E4(q), so 240 delta to that of sigma_3(n)."""
-    return replace(formula, terms=tuple((g, c + delta if g == E4(1) else c) for g, c in formula.terms))
+    return formula._replace(terms=tuple((g, c + delta if g == E4(1) else c) for g, c in formula.terms))
 
 
 def test_verify_detects_corruption(formula27):

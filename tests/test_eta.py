@@ -19,7 +19,7 @@ from divconv.eta import (
     expand_eta_quotients,
     search_eta_quotients,
 )
-from divconv.modforms import REGISTERED_CUSP_EXPONENTS, registered_cusp_quotients
+from divconv.modforms import registered_cusp_quotients
 from divconv.qseries import QSeries
 from reference import reference_multiply_pass
 
