@@ -1,42 +1,30 @@
-"""Command-line front end: JSON/CSV emission and the on-disk series cache.
+"""Command-line front end: one argparse parser over the pipeline, and JSON/CSV emission.
 
 Start-up imports only what the non-expand commands run: the cache, and
 through it hashlib and QSeries, load inside expand, their only reader.
 
-Exit codes: 0 success, 1 verification mismatch, 2 input error (ValueError,
-or OSError reading an @file), 3 the basis cannot express the target
-(modforms.Unsolvable).
+Exit codes: 0 success, 1 verification mismatch, 2 input error (a usage error,
+ValueError, or OSError reading an @file), 3 the basis cannot express the
+target (modforms.Unsolvable).
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
-# divconv before click: importing in this order keeps a command's peak RSS down.
 from . import convolution, eta, modforms, representations
 from .arith import MAX_TRUNCATION, rational_to_str
 from .modforms import SEARCH_CAP, Unsolvable
 
-import click
-
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
-
-
-class DivconvGroup(click.Group):
-    """Maps pipeline exceptions to exit codes for every subcommand."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (Unsolvable, ValueError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            ctx.exit(EXIT_SOLVER if isinstance(exc, Unsolvable) else EXIT_INPUT)
 
 
 def _parse_quotient(text: str) -> eta.EtaQuotient:
@@ -51,85 +39,62 @@ def _parse_quotient(text: str) -> eta.EtaQuotient:
     return eta.EtaQuotient.from_json_dict(data)
 
 
+def _emit(text: str) -> None:
+    """Print a command's output. A reader that closed the pipe early (`| head`)
+    is no error: the rest goes to the null device, and the exit code stands."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit_json(data) -> None:
-    click.echo(json.dumps(data, indent=2))
+    _emit(json.dumps(data, indent=2))
 
 
 def _emit_csv(rows) -> None:
     out = io.StringIO()
     csv.writer(out).writerows(rows)
-    click.echo(out.getvalue().rstrip("\n"))
+    _emit(out.getvalue().rstrip("\n"))
 
 
-@click.group(cls=DivconvGroup)
-@click.option(
-    "--truncation",
-    default=1000,
-    show_default=True,
-    type=click.IntRange(1, MAX_TRUNCATION),
-    help="Series length for expand only; bases and formulas live at the Sturm bound.",
-)
-@click.option("--cache-dir", default=None, type=click.Path(), help="q-expansion cache directory for expand.")
-@click.option(
-    "--bound",
-    "search_bound",
-    default=SEARCH_CAP,
-    show_default=True,
-    type=click.IntRange(min=1),
-    help="Exponent bound for search.",
-)
-def main(truncation, cache_dir, search_bound):
-    """Exact evaluation of divisor-sum convolution identities."""
-
-
-@main.command()
-@click.argument("quotient_json")
-@click.pass_context
-def expand(ctx, quotient_json):
+def expand(opts):
     """Expand an eta quotient (JSON, inline or @file) to a q-series."""
     from .cache import SeriesCache
 
-    truncation, cache_dir = ctx.parent.params["truncation"], ctx.parent.params["cache_dir"]
-    quotient = _parse_quotient(quotient_json)
-    params = {"kind": "eta", **quotient.to_json_dict(), "truncation": truncation}
-    cache = SeriesCache(cache_dir) if cache_dir else None
+    quotient = _parse_quotient(opts.quotient_json)
+    params = {"kind": "eta", **quotient.to_json_dict(), "truncation": opts.truncation}
+    cache = SeriesCache(opts.cache_dir) if opts.cache_dir else None
     series = cache.get(params) if cache is not None else None
     if series is None:
-        series = eta.expand_eta_quotient(quotient, truncation)
+        series = eta.expand_eta_quotient(quotient, opts.truncation)
         if cache is not None:
             cache.put(params, series)
-    click.echo(json.dumps(series.to_json_dict()))
+    _emit(json.dumps(series.to_json_dict()))
 
 
-@main.command()
-@click.argument("quotient_json")
-def ligozat(quotient_json):
+def ligozat(opts):
     """Print the admissibility report for an eta quotient as JSON."""
-    _emit_json(eta.check_admissibility(_parse_quotient(quotient_json)).to_json_dict())
+    _emit_json(eta.check_admissibility(_parse_quotient(opts.quotient_json)).to_json_dict())
 
 
-@main.command()
-@click.option("--level", required=True, type=click.IntRange(1, MAX_TRUNCATION))
-@click.pass_context
-def search(ctx, level):
+def search(opts):
     """Admissible weight-4 eta quotients vanishing at infinity, all |r_d| <= --bound.
 
     Built from cusp-order vectors, so complete within that bound; a level
     where 4*mu/12 is not an integer has none."""
-    found = eta.search_eta_quotients(level, ctx.parent.params["search_bound"])
+    found = eta.search_eta_quotients(opts.level, opts.bound)
     _emit_json([q.to_json_dict() for q in found])
 
 
-@main.command()
-@click.option("--level", required=True, type=click.IntRange(1, MAX_TRUNCATION))
-def basis(level):
+def basis(opts):
     """Emit the weight-4 basis at a level: ids, exponents, coefficients q^0..q^B."""
-    b = modforms.level_basis(level)
+    b = modforms.level_basis(opts.level)
     _emit_json(
         {
             "level": b.level,
-            "sturm_bound": modforms.sturm_bound(level),
-            "dim_M4": modforms.dim_M4(level),
+            "sturm_bound": modforms.sturm_bound(opts.level),
+            "dim_M4": modforms.dim_M4(opts.level),
             "elements": [
                 {
                     "id": e.element_id,
@@ -144,43 +109,26 @@ def basis(level):
     )
 
 
-@main.command()
-@click.option("--alpha", required=True, type=int)
-@click.option("--beta", required=True, type=int)
-def derive(alpha, beta):
+def derive(opts):
     """Derive the closed convolution-sum formula for (alpha, beta)."""
-    formula = convolution.derive_formula(alpha, beta)
-    _emit_json(formula.to_json_dict())
+    _emit_json(convolution.derive_formula(opts.alpha, opts.beta).to_json_dict())
 
 
-@main.command()
-@click.option("--alpha", required=True, type=int)
-@click.option("--beta", required=True, type=int)
-@click.option("--nmax", required=True, type=click.IntRange(1, MAX_TRUNCATION))
-def verify(alpha, beta, nmax):
+def verify(opts):
     """Derive and check the formula against brute force on 1..nmax."""
-    report = convolution.verify_formula(convolution.derive_formula(alpha, beta), nmax)
+    report = convolution.verify_formula(convolution.derive_formula(opts.alpha, opts.beta), opts.nmax)
     _emit_json(report.to_json_dict())
-    if not report.ok:
-        sys.exit(EXIT_MISMATCH)
+    return 0 if report.ok else EXIT_MISMATCH
 
 
-@main.command()
-@click.option("--a", "a", required=True, type=int)
-@click.option("--b", "b", required=True, type=int)
-@click.option("--nmax", required=True, type=click.IntRange(1, MAX_TRUNCATION))
-def rep(a, b, nmax):
+def rep(opts):
     """Octonary representation counts: formula vs oracle as CSV."""
-    formula_values = representations.octonary_formula_table(a, b, nmax)
-    oracle_values = representations.octonary_count_table(a, b, nmax)
+    formula_values = representations.octonary_formula_table(opts.a, opts.b, opts.nmax)
+    oracle_values = representations.octonary_count_table(opts.a, opts.b, opts.nmax)
     pairs = zip(formula_values[1:], oracle_values[1:])
     rows = [(n, f, o, str(f == o).lower()) for n, (f, o) in enumerate(pairs, 1)]
     _emit_csv([("n", "formula_value", "oracle_value", "match"), *rows])
-    if formula_values[1:] != oracle_values[1:]:
-        sys.exit(EXIT_MISMATCH)
-
-
-DEFAULT_TABLE_PAIRS = ((2, 7), (1, 22), (2, 11), (1, 26), (2, 13))
+    return 0 if formula_values[1:] == oracle_values[1:] else EXIT_MISMATCH
 
 
 def _parse_pair(entry: str) -> tuple[int, int]:
@@ -191,13 +139,10 @@ def _parse_pair(entry: str) -> tuple[int, int]:
     return alpha, beta
 
 
-@main.command()
-@click.option("--pairs", default=None, help="Semicolon-separated alpha,beta pairs, e.g. '2,7;1,22'.")
-def table(pairs):
+def table(opts):
     """Render the derived formula coefficients for several pairs as CSV."""
-    pair_list = DEFAULT_TABLE_PAIRS if pairs is None else [_parse_pair(entry) for entry in pairs.split(";")]
     rows = [("alpha", "beta", "term", "coefficient")]
-    for alpha, beta in pair_list:
+    for alpha, beta in [_parse_pair(entry) for entry in opts.pairs.split(";")]:
         formula = convolution.derive_formula(alpha, beta)
         for d, c in formula.sigma3_terms.items():
             rows.append((alpha, beta, f"sigma3(n/{d})", rational_to_str(c)))
@@ -207,6 +152,75 @@ def table(pairs):
         for eid, c in formula.cusp_terms:
             rows.append((alpha, beta, f"cusp.{eid}", rational_to_str(c)))
     _emit_csv(rows)
+
+
+def _int_range(low, high=None):
+    """An option type: an integer from low up to high, or with no upper end."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < low or high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range {low}<=x" + (f"<={high}" if high else ""))
+        return value
+
+    return integer
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    size = {"required": True, "type": _int_range(1, MAX_TRUNCATION)}
+    number = {"required": True, "type": int}
+    parser = argparse.ArgumentParser(
+        prog="divconv",
+        description="Exact evaluation of divisor-sum convolution identities.",
+        formatter_class=argparse.RawDescriptionHelpFormatter,  # keeps the command list's lines
+        allow_abbrev=False,
+    )
+    parser.add_argument(
+        "--truncation",
+        default=1000,
+        type=_int_range(1, MAX_TRUNCATION),
+        help="Series length for expand only; bases and formulas live at the Sturm bound (default: %(default)s).",
+    )
+    parser.add_argument("--cache-dir", help="q-expansion cache directory for expand.")
+    parser.add_argument(
+        "--bound", default=SEARCH_CAP, type=_int_range(1), help="Exponent bound for search (default: %(default)s)."
+    )
+    commands = parser.add_subparsers(metavar="COMMAND", dest="command", required=True, help="See Commands below.")
+    for run, *arguments in (
+        (basis, ("--level", size)),
+        (derive, ("--alpha", number), ("--beta", number)),
+        (expand, ("quotient_json", {})),
+        (ligozat, ("quotient_json", {})),
+        (rep, ("--a", number), ("--b", number), ("--nmax", size)),
+        (search, ("--level", size)),
+        (table, ("--pairs", {"default": "2,7;1,22;2,11;1,26;2,13", "help": "alpha,beta pairs (default: %(default)s)"})),
+        (verify, ("--alpha", number), ("--beta", number), ("--nmax", size)),
+    ):
+        command = commands.add_parser(run.__name__, description=run.__doc__, allow_abbrev=False)
+        for name, keywords in arguments:
+            command.add_argument(name, **keywords)
+        command.set_defaults(run=run)
+    listing = (f"  {name:8} {sub.description.splitlines()[0]}" for name, sub in commands.choices.items())
+    parser.epilog = "Commands:\n" + "\n".join(listing)
+    return parser
+
+
+#: built once, at import, so that a command's time does not include it
+PARSER = _build_parser()
+
+
+def main(args=None, standalone_mode=True):
+    """Run one command on args (default sys.argv[1:]) and exit with its code, or, with
+    standalone_mode=False, return it. A usage error exits 2, and --help 0, in either mode."""
+    opts = PARSER.parse_args(args)
+    try:
+        code = opts.run(opts) or 0
+    except (Unsolvable, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_SOLVER if isinstance(exc, Unsolvable) else EXIT_INPUT
+    if standalone_mode:
+        sys.exit(code)
+    return code
 
 
 if __name__ == "__main__":

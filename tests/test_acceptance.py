@@ -7,9 +7,6 @@ by hand or was computed by the independent brute-force oracles."""
 import time
 from fractions import Fraction as F
 
-from click.testing import CliRunner
-
-from divconv.cli import main as cli_main
 from divconv.convolution import (
     derive_formula,
     target_coefficient_via_sums,
@@ -34,6 +31,7 @@ from divconv.representations import (
     r4_lattice,
 )
 from divconv.qseries import QSeries
+from conftest import run_cli
 from reference import reference_rank
 
 NMAX = 1000
@@ -203,12 +201,11 @@ def test_criterion_9_octonary_counts():
 
 
 def test_criterion_10_determinism():
-    runner = CliRunner()
     args = ["--truncation", "1000", "table", "--pairs", "2,7;1,22;2,11;1,26;2,13"]
-    first = runner.invoke(cli_main, args)
-    second = runner.invoke(cli_main, args)
+    first = run_cli(*args)
+    second = run_cli(*args)
     assert first.exit_code == 0 and second.exit_code == 0
     assert first.output == second.output
     derive_args = ["--truncation", "1000", "derive", "--alpha", "1", "--beta", "26"]
-    assert runner.invoke(cli_main, derive_args).output == runner.invoke(cli_main, derive_args).output
+    assert run_cli(*derive_args).output == run_cli(*derive_args).output
     _ok(10, "repeated pipeline runs emit byte-identical output")

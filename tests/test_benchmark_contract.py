@@ -11,9 +11,7 @@ import random
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
-
-from divconv.cli import main
+from conftest import run_cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -27,7 +25,7 @@ def perfbench(monkeypatch):
 def run_checked(workloads, command, cache_dir):
     """Run one benchmark command in process and return its check status."""
     args = [a.replace(workloads.CACHE_DIR, str(cache_dir)) for a in command.args]
-    result = CliRunner().invoke(main, args)
+    result = run_cli(*args)
     status, reason = workloads.check(command, result.exit_code, result.stdout, result.stderr)
     assert status in ("ok", "refused"), (args, reason)
     return status

@@ -8,12 +8,12 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import divconv.eta as eta_module
 import divconv.modforms as modforms_module
 import divconv.qseries as qseries_module
 import divconv.representations as representations_module
+from conftest import run_cli as run
 from divconv.cli import main
 from divconv.convolution import derive_formula, verify_formula
 from divconv.eta import search_eta_quotients
@@ -21,10 +21,6 @@ from divconv.modforms import SEARCH_CAP, Unsolvable
 from divconv.representations import octonary_convolution
 
 A2_QUOTIENT = '{"level": 14, "exponents": {"1": 2, "2": 2, "7": 2, "14": 2}}'
-
-
-def run(*args):
-    return CliRunner().invoke(main, args)
 
 
 def test_expand_leading_coefficients(tmp_path):
@@ -173,7 +169,7 @@ def test_search_bound_defaults_to_search_cap():
 @pytest.mark.parametrize("option", [("--weight", "4"), ("--strict",)], ids=["weight", "strict"])
 def test_search_takes_only_level(option):
     result = run("search", "--level", "14", *option)
-    assert result.exit_code == 2 and "No such option" in result.output
+    assert result.exit_code == 2 and f"unrecognized arguments: {' '.join(option)}" in result.output
 
 
 def test_basis_output():
@@ -279,7 +275,7 @@ def test_pipeline_commands_build_no_qseries(monkeypatch):
         ("rep", "--a", "1", "--b", "3", "--nmax", "50"),
     ):
         result = run(*args)
-        assert result.exit_code == 0, (args, result.exception)
+        assert result.exit_code == 0, (args, result.stderr)
 
 
 # sha256 of the rep CSV at --nmax 2000 of the four pairs, concatenated in this
@@ -416,7 +412,7 @@ def test_rep_nmax_must_be_positive():
 def test_level_must_be_positive(command, level):
     result = run(command, "--level", level)
     assert result.exit_code == 2
-    assert "Invalid value for '--level'" in result.output
+    assert "argument --level: " in result.output
 
 
 MERSENNE_61 = str(2**61 - 1)  # a prime: trial division to its square root takes minutes
@@ -468,7 +464,7 @@ def test_search_bound_must_be_positive():
 def test_impossible_size_is_input_error(args):
     result = run(*args)
     assert result.exit_code == 2
-    assert "Invalid value" in result.output and "Traceback" not in result.output
+    assert "is not in the range 1<=x<=1000000" in result.output and "Traceback" not in result.output
 
 
 def test_readme_examples_run():
@@ -496,7 +492,8 @@ def test_module_entry_point_lists_every_command():
 def test_startup_loads_no_expand_only_module():
     """Importing the CLI loads what table, verify, derive and rep run, and
     not the expand-only cache (with hashlib, and so OpenSSL), QSeries or
-    dataclasses; expand imports them when it runs."""
+    dataclasses; expand imports them when it runs. Nor does it load click or
+    the modules click brings (inspect, uuid, platform, datetime)."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = "import divconv.cli, sys; print(' '.join(sorted(sys.modules)))"
@@ -505,3 +502,23 @@ def test_startup_loads_no_expand_only_module():
     loaded = set(result.stdout.split())
     assert "divconv.convolution" in loaded
     assert loaded & {"hashlib", "_hashlib", "dataclasses", "divconv.cache", "divconv.qseries"} == set()
+    assert loaded & {"click", "inspect", "uuid", "platform", "datetime"} == set()
+
+
+def test_closed_stdout_is_not_an_error():
+    """`divconv rep ... | head -1` once head has exited: the output has no
+    reader, which is not an input error, so the command exits 0 and writes
+    nothing to stderr. The pipe's read end is closed before the command
+    starts, so the first write fails whatever the pipe's capacity."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "divconv.cli", "rep", "--a", "1", "--b", "1", "--nmax", "20000"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (0, b"")

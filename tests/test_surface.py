@@ -12,8 +12,8 @@ itself, not just a name spelled the same way:
   functions and methods by name).
 
 A name that only the tests reach is dead weight: the tests should read the
-data they need directly. Dunders and click commands are exempt, and so are
-the named reference oracles in REFERENCES.
+data they need directly. Dunders are exempt, and so are the named reference
+oracles in REFERENCES.
 
 The slot format of a series packed into one int is decided in arith alone:
 no other module imports struct or calls int.from_bytes or int.to_bytes.
@@ -68,18 +68,11 @@ def _reached(path: Path, tree) -> tuple[set[tuple[str, str]], set[str]]:
     return reached, attributes
 
 
-def _is_click_command(node) -> bool:
-    return any(
-        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr in ("command", "group")
-        for d in node.decorator_list
-    )
-
-
 def _public_definitions(tree):
     """(name, None) of each public top-level def or class, and (method, class) of each public method."""
     for node in tree.body:
         public = isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-        if not public or _is_click_command(node):
+        if not public:
             continue
         yield node.name, None
         if isinstance(node, ast.ClassDef):
