@@ -522,3 +522,26 @@ def test_closed_stdout_is_not_an_error():
     finally:
         os.close(write_end)
     assert (result.returncode, result.stderr) == (0, b"")
+
+
+@pytest.mark.parametrize(
+    "args,sha256",
+    [
+        (("table",), "c39426f653897efd86d459cc8818306057ef41a8b767a5c2451d03801ea82033"),
+        (
+            ("rep", "--a", "1", "--b", "3", "--nmax", "50"),
+            "59030a092ed910daac9ec0dbb0b6da668291820a03cec69cc6b6d9d8f5a3c177",
+        ),
+    ],
+    ids=["table", "rep"],
+)
+def test_csv_commands_write_the_same_bytes(args, sha256):
+    """The raw stdout of a CSV command, "\\r\\n" line ends included, as a
+    console script writes it: run_cli reads "\\r\\n" as "\\n", so the pins
+    above would not see a change of line terminator."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-m", "divconv.cli", *args], env=env, capture_output=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert b"\r\n" in result.stdout
+    assert hashlib.sha256(result.stdout).hexdigest() == sha256

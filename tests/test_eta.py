@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import divconv.eta as eta_module
 from divconv.arith import divisors
+from divconv.convolution import derive_formula
 from divconv.eta import (
     AdmissibilityReport,
     EtaQuotient,
@@ -459,6 +461,28 @@ def test_shared_expansion_matches_reference_on_registered_families(level):
     expected = [reference_expand_eta_quotient(q, 3000) for q in family]
     assert expand_eta_quotients(family, 3000) == expected
     assert [expand_eta_quotient(q, 3000) for q in family] == [QSeries(e, 3000) for e in expected]
+
+
+# sha256 of repr(expand_eta_quotients(quotients, 3000)), taken with the
+# list-in/list-out multiply pass, for the registered families and for the
+# quotients of derive_formula(1, 36), whose walk-order picks carry larger
+# exponents and so wider slots
+SHARED_EXPANSION_3000_SHA256 = {
+    14: "022aa70463913b721bd4de789f0d5ed23a73e48916a525d3eef9d9bf5a75d39b",
+    22: "9c1f50a670fa566676f6d71e979cc06d6b71efd3cfc4b64d00b07def57ca2f0c",
+    26: "6d5b3dcd19d4f7d7aaa714b7720c340a32b2197e6691081b7e4102818f69b25d",
+    36: "dab074fba2942e7a8c7a5502bd9f337802da679f9efaf5fd6256fd2878e36e91",
+}
+
+
+@pytest.mark.parametrize("level", sorted(SHARED_EXPANSION_3000_SHA256))
+def test_shared_expansion_is_unchanged_to_3000(level):
+    if level == 36:
+        quotients = [g for g, _ in derive_formula(1, 36).terms if isinstance(g, EtaQuotient)]
+    else:
+        quotients = registered_cusp_quotients(level)
+    digest = hashlib.sha256(repr(expand_eta_quotients(quotients, 3000)).encode()).hexdigest()
+    assert digest == SHARED_EXPANSION_3000_SHA256[level]
 
 
 LEVEL12_DIVISORS = (1, 2, 3, 4, 6, 12)
