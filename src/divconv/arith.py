@@ -1,6 +1,7 @@
 """Exact integer and rational arithmetic, divisor-sum functions, the
 package's one signed Kronecker codec (slot_bytes, pack, unpack: every
-series multiplied as one big int is packed by it), the exact product
+series multiplied as one big int is packed by it; slot_bits and widen
+check and widen the slots of a packed int without unpacking), the product
 x(q^a) y(q^b) of two integer series (series_product, one big-int
 multiplication per residue class; spread substitutes q -> q^t), and the
 package's only exact elimination (reduce_row, insert_row), which picks
@@ -193,6 +194,31 @@ def unpack(value: int, size: int, slots: int, count: int) -> list[int]:
     if code:
         return list(struct.unpack_from(f">{count}{code}", data))
     return [int.from_bytes(data[i : i + size], "big", signed=True) for i in range(0, size * count, size)]
+
+
+def slot_bits(value: int, size: int, bits: int) -> int:
+    """The least b >= max(bits, 1) with every slot of value, packed at w =
+    8 * size bits, in [-2^(b-1), 2^(b-1)): exactly when a = value + 2^(b-1)
+    per slot is >= 0 with no slot's bits b..w-1 set. b = w always holds, and
+    no slot past the bottom value.bit_length() // w + 2 is nonzero."""
+    w = 8 * size
+    unit = int.from_bytes((bytes(size - 1) + b"\x01") * (value.bit_length() // w + 2), "big")  # 1 per slot
+    b = max(bits, 1)
+    while (a := value + (unit << b - 1)) < 0 or a & (unit << w) - (unit << b):
+        b += 1
+    return b
+
+
+def widen(value: int, size: int, wide: int) -> int:
+    """value with each slot moved to wide >= size bytes, in offset binary:
+    plus 2^(w-1) each slot is in [0, 2^w), so one to_bytes, one strided copy
+    per byte of the old slot and the offset taken off at the new width."""
+    slots, off = value.bit_length() // (8 * size) + 2, b"\x80" + bytes(size - 1)
+    old = (value + int.from_bytes(off * slots, "big")).to_bytes(size * slots, "big")
+    new = bytearray(wide * slots)
+    for b in range(size):
+        new[wide - size + b :: wide] = old[b::size]
+    return int.from_bytes(new, "big") - int.from_bytes((bytes(wide - size) + off) * slots, "big")
 
 
 def series_product(x, a: int, y, b: int, n_max: int) -> list[int]:

@@ -1,8 +1,8 @@
-"""Dedekind eta quotients: expansion to plain integer lists, admissibility
-checks, search. Only expand_eta_quotient wraps its list in a QSeries, for
-expand and the cache; the passes read closed-form term lists, so euler_F
-serves only perfbench/micro.py and the tests. Both import qseries on the
-call, so no other command loads it.
+"""Dedekind eta quotients: expansion to integer lists (multiply passes on
+one packed int), admissibility checks, search. Only expand_eta_quotient
+wraps its list in a QSeries, for expand and the cache; the passes read
+closed-form term lists, so euler_F serves only perfbench/micro.py and the
+tests. Both import qseries on the call, so no other command loads it.
 
 An eta quotient at level N is a product over divisors d | N of powers of
 eta(d z). The admissibility checker evaluates the classical congruence,
@@ -23,7 +23,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import MAX_TRUNCATION, divisors, euler_phi, gamma0_index, insert_row, pack, prime_factorization
-from .arith import rational_to_str, reduce_row, slot_bytes, unpack
+from .arith import rational_to_str, reduce_row, slot_bits, slot_bytes, unpack, widen
 
 if TYPE_CHECKING:
     from .qseries import QSeries
@@ -175,29 +175,30 @@ def check_admissibility(f: EtaQuotient) -> AdmissibilityReport:
     )
 
 
-def _multiply_pass(g: list[int], terms: Sequence[tuple[int, int]]) -> list[int]:
-    """g * (1 + sum c q^k) truncated to len(g); every k >= 1.
-
-    arith.pack puts g and a spare zero slot into one int, coefficient i in
-    slot n - i of w bits (n = len(g)). So q^k is a right shift by w*k that
-    drops the slots past the truncation, and each term is one big-int step,
-    out += c * (packed >> w*k). What a shift drops is under one unit of the
-    bottom slot, so flooring it subtracts 0 or 1 in the spare slot alone.
-    No slot's absolute value exceeds (max|g| + 1) * (1 + sum |c|), the
-    bound given to arith.slot_bytes, so arith.unpack reads the product exactly.
-    """
-    size = slot_bytes((max(map(abs, g)) + 1) * (1 + sum(abs(c) for _, c in terms)))
-    w = 8 * size
-    packed = pack([*g, 0], size)
-    out = packed
+def _multiply_pass(state: tuple[int, int], terms: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """The packed state (value, size) of g times (1 + sum c q^k) truncated to
+    len(g), every k >= 1. value holds g and a spare slot below it as
+    arith.pack writes them, w = 8 * size bits each, q^0 on top, so q^k is a
+    right shift by w*k and each term is one step, out += c * (value >> w*k),
+    whose floor subtracts 0 or 1 in the spare slot alone, carried and bounded
+    like the rest. With S = 1 + sum |c|, slots in [-2^(v-1), 2^(v-1)) stay
+    within (2^(v-1) + 1) S: arith.slot_bits checks v = w - 1 - bitlen(S)
+    exactly, else finds the least v that holds, and arith.widen moves the
+    slots to arith.slot_bytes of that bound."""
+    value, size = state
+    total = 1 + sum(abs(c) for _, c in terms)
+    bits = slot_bits(value, size, 8 * size - 1 - total.bit_length())
+    if (wide := slot_bytes(((1 << bits - 1) + 1) * total)) != size:  # not when the first check holds
+        value, size = widen(value, size, wide), wide
+    out, w = value, 8 * size
     for k, c in terms:
         if c == 1:
-            out += packed >> w * k
+            out += value >> w * k
         elif c == -1:
-            out -= packed >> w * k
+            out -= value >> w * k
         else:
-            out += c * (packed >> w * k)
-    return unpack(out, size, len(g) + 1, len(g))
+            out += c * (value >> w * k)
+    return out, size
 
 
 def _divide_pass(g: list[int], terms: Sequence[tuple[int, int]]) -> list[int]:
@@ -310,15 +311,16 @@ def expand_eta_quotients(quotients, truncation: int) -> list[list[int]]:
     F(q^d) (pentagonal, about sqrt(8t/3d) terms). A pass multiplies for
     r > 0 and divides by the forward recurrence for r < 0, so no dense
     series product is ever formed and every coefficient is an exact Python
-    int. A multiply pass packs the list into one int by arith's signed
-    Kronecker codec and applies each term as one big-int shift-and-add; its
-    slots hold (max|g| + 1) * (1 + sum |c|), a bound on every slot before
-    and after the pass, so the list read back is exact (_multiply_pass).
+    int. The multiply passes come first and run on one int packed by
+    arith's signed Kronecker codec, each term one big-int shift-and-add,
+    after an exact check of its slots that widens them only when the
+    product could outgrow them (_multiply_pass). The series is unpacked
+    once, before its first divide pass or at the end.
 
     The quotients' pass sequences form a prefix tree, walked depth first
     by taking them in sorted order, so a pass that several quotients start
-    with runs once. Only the products that a later quotient resumes from
-    are kept, so memory does not grow with the number of passes. Every
+    with runs once, packed or not. Only the products that a later quotient
+    resumes from are kept, so memory does not grow with the passes. Every
     pass runs on q^0..q^top with top = truncation - min e0; a quotient with
     a larger e0 reads a prefix, since truncated products agree on it.
     """
@@ -336,17 +338,19 @@ def expand_eta_quotients(quotients, truncation: int) -> list[list[int]]:
         next((j for j, (a, b) in enumerate(zip(p, q)) if a != b), min(len(p), len(q)))
         for (p, _, _), (q, _, _) in zip(jobs, jobs[1:])
     ]
-    saved = [(0, [1] + [0] * top)]
+    saved = [(0, (pack([1] + [0] * (top + 1), 1), 1))]
     for k, (passes, e0, i) in enumerate(jobs):
         while saved[-1][0] > resume[k]:
             saved.pop()
         depth, g = saved[-1]
         for j, (d, kind, multiply) in enumerate(passes[depth:], start=depth + 1):
             if m := top // d:
+                if not multiply and type(g) is tuple:  # the first divide pass: every later pass divides
+                    g = unpack(*g, top + 2, top + 1)
                 g = (_multiply_pass if multiply else _divide_pass)(g, _pass_terms(d, kind, m))
             if j in resume[k + 1 :]:
                 saved.append((j, g))
-        results[i] = [0] * e0 + g[: truncation - e0 + 1]
+        results[i] = [0] * e0 + (g if type(g) is list else unpack(*g, top + 2, top + 1))[: truncation - e0 + 1]
     return results
 
 

@@ -19,8 +19,10 @@ from divconv.arith import (
     sigma_at,
     sigma_sieve,
     sigma_table,
+    slot_bits,
     slot_bytes,
     unpack,
+    widen,
 )
 from reference import reference_insert_row, reference_reduce_row
 
@@ -281,6 +283,43 @@ def test_slot_bytes_keeps_a_sign_bit(bits, size):
     bound = 2**bits - 1
     assert unpack(pack([bound, -bound], size), size, 2, 2) == [bound, -bound]
     assert slot_bytes(0) == 1
+
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 8, 9])
+@pytest.mark.parametrize("position", [0, 4, 8], ids=["top", "middle", "bottom"])
+def test_slot_bits_is_exact_at_each_edge(size, position):
+    """A slot at exactly -2^(v-1) or 2^(v-1) - 1 takes v bits; one past
+    either takes v + 1, in the top, a middle or the bottom slot, with the
+    other slots at their own extremes of v - 1 bits."""
+    w = 8 * size
+    for v in sorted({1, 2, 3, w // 2, w - 1}):
+        low, high = -(2 ** (v - 1)), 2 ** (v - 1) - 1
+        for edge, need in ((low, v), (high, v), (low - 1, v + 1), (high + 1, v + 1)):
+            series = [(-1) ** i * (2 ** (v - 2) if v > 1 else 0) for i in range(9)]
+            series[position] = edge
+            value = pack(series, size)
+            assert slot_bits(value, size, v) == need, (v, edge)
+            assert slot_bits(value, size, 1) == max(1, *((c if c >= 0 else ~c).bit_length() + 1 for c in series))
+    assert slot_bits(pack([0, 2 ** (w - 1) - 1, 0], size), size, 1) == w  # the whole slot
+    assert slot_bits(0, size, -5) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 4, 8, 9, 16]).flatmap(
+        lambda size: st.tuples(
+            st.just(size),
+            st.lists(st.integers(-(2 ** (8 * size - 1)), 2 ** (8 * size - 1) - 1), min_size=1, max_size=40),
+            st.sampled_from([1, 2, 4, 8, 9, 16, 40]).filter(lambda wide: wide >= size),
+        )
+    )
+)
+@example((1, [-128, 127, -128, 0], 2))  # both sign edges, and a zero slot
+@example((8, [0, 0, -1], 9))  # leading zero slots
+def test_widen_matches_packing_at_the_wider_size(case):
+    size, series, wide = case
+    assert widen(pack(series, size), size, wide) == pack(series, wide)
 
 
 def cleared(row: list) -> tuple[list[int], int]:

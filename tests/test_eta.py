@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import divconv.eta as eta_module
-from divconv.arith import divisors
+from divconv.arith import divisors, pack, slot_bytes, unpack
 from divconv.convolution import derive_formula
 from divconv.eta import (
     AdmissibilityReport,
@@ -398,6 +398,14 @@ def test_registered_families_keep_few_divide_passes(level, divides):
     assert sum(not multiply for plan in plans for _, _, multiply in plan) == divides
 
 
+def packed_pass(g, terms):
+    """eta._multiply_pass on g packed by arith with a spare zero slot, at the
+    narrowest width that holds g, and read back: (product, slot bytes)."""
+    size = slot_bytes(max(map(abs, g)))
+    value, size = eta_module._multiply_pass((pack([*g, 0], size), size), terms)
+    return unpack(value, size, len(g) + 1, len(g)), size
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.sampled_from([1, 5, 13, 29, 61, 100, 400]).flatmap(
@@ -410,23 +418,78 @@ def test_registered_families_keep_few_divide_passes(level, divides):
 @example([-4, 7, -1, 2], [(3, 1), (3, -5), (1, -1)])  # mixed signs; k = 3 reaches the last slot
 @example([-1, -1, -1], [(2, 100)])  # the shift's floor takes the spare slot to -200
 def test_multiply_pass_matches_list_reference(g, terms):
-    assert eta_module._multiply_pass(g, terms) == reference_multiply_pass(g, terms)
+    assert packed_pass(g, terms)[0] == reference_multiply_pass(g, terms)
 
 
 @pytest.mark.parametrize("bits", [7, 8, 15, 16, 31, 32, 63, 64, 65, 200])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_multiply_pass_reaches_its_slot_bound(bits, sign):
-    """The slot bound (max|g| + 1) * (1 + sum |c|) has exactly `bits` bits
-    and the last coefficient comes within 2 of it: 7, 15, 31 and 63 bits
-    fill 8-, 16-, 32- and 64-bit slots to their edge, one bit more takes
-    the next width, and 64 bits and up take slots wider than 64 bits."""
+    """g's slots take exactly `bits` bits and the last coefficient of the
+    product comes within 2 of (max|g| + 1) * (1 + sum |c|), which has
+    `bits` bits too. The packed width is then arith.slot_bytes of the
+    check's bound (2^(bits-1) + 1) * (1 + sum |c|), with bits + 1 bits: 7
+    bits of g take 16-bit slots, 15 and 31 bits the next width up, and 63
+    bits and up take slots wider than 64 bits."""
     m = 2 ** (bits - 1) - 2
     g, terms = [sign * m] * 5, [(4, 1)]
-    out = eta_module._multiply_pass(g, terms)
+    out, size = packed_pass(g, terms)
     assert out == reference_multiply_pass(g, terms)
     assert out[-1] == sign * 2 * m and (2 * (m + 1)).bit_length() == bits
+    assert size == slot_bytes(2**bits + 2)
     alternating = [(-1) ** i * m for i in range(5)]
-    assert eta_module._multiply_pass(alternating, terms) == reference_multiply_pass(alternating, terms)
+    assert packed_pass(alternating, terms) == (reference_multiply_pass(alternating, terms), size)
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 8, 9])
+@pytest.mark.parametrize("position", [0, 3, 6], ids=["top", "middle", "spare"])
+def test_multiply_pass_keeps_its_width_up_to_the_edge(size, position):
+    """With 1 + sum |c| = 4 (3 bits), a slot at either edge of
+    [-2^(v-1), 2^(v-1)), v = 8 size - 4, keeps the width; one past either
+    edge, the spare slot below g included, takes the width of the bound
+    (2^v + 1) * 4, and a slot of 8 size bits widens it. The product is
+    exact in every case."""
+    terms, w = [(1, 2), (2, -1)], 8 * size
+    v = w - 4
+    low, high = -(2 ** (v - 1)), 2 ** (v - 1) - 1
+    for edge, bits in ((low, v), (high, v), (low - 1, v + 1), (high + 1, v + 1), (-(2 ** (w - 2)) - 1, w)):
+        slots = [(-1) ** i * 2 ** (v - 2) for i in range(7)]
+        slots[position] = edge
+        value, out = eta_module._multiply_pass((pack(slots, size), size), terms)
+        assert out == slot_bytes(((1 << bits - 1) + 1) * 4) and (out == size) is (bits < w), edge
+        assert unpack(value, out, 7, 6) == reference_multiply_pass(slots[:6], terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([1, 5, 13, 29, 61, 100, 400]).flatmap(
+        lambda bits: st.lists(st.integers(-(2**bits), 2**bits), min_size=1, max_size=40)
+    ),
+    st.lists(
+        st.lists(st.tuples(st.integers(1, 40), st.integers(-(2**20), 2**20)), max_size=5), min_size=1, max_size=8
+    ),
+)
+@example([-1, -1, -1], [[(2, 100)], [(1, -1)], [(2, 100)]])  # the spare slot's floor, carried twice
+def test_packed_chain_matches_the_list_reference_in_sequence(g, chain):
+    """One packed state through a chain of passes, the spare slot carried
+    from pass to pass as the expansion does, read back after every pass."""
+    size = slot_bytes(max(map(abs, g)))
+    state = (pack([*g, 0], size), size)
+    for terms in chain:
+        state = eta_module._multiply_pass(state, terms)
+        g = reference_multiply_pass(g, terms)
+        assert unpack(*state, len(g) + 1, len(g)) == g
+
+
+def test_packed_chain_crosses_every_width():
+    """From 1-byte slots through 2, 4 and 8 to more than 8 bytes, exact after every pass."""
+    g, terms = [1] + [0] * 39, [(1, 7), (2, -3)]
+    state, sizes = (pack([*g, 0], 1), 1), [1]
+    for _ in range(24):
+        state = eta_module._multiply_pass(state, terms)
+        g = reference_multiply_pass(g, terms)
+        assert unpack(*state, 41, 40) == g
+        sizes.append(state[1])
+    assert {1, 2, 4, 8} < set(sizes) and sizes[-1] > 8 and sizes == sorted(sizes)
 
 
 def reference_expand_eta_quotient(quotient, truncation):
