@@ -1,8 +1,8 @@
-"""Dedekind eta quotients: expansion to integer lists (multiply passes on
-one packed int), admissibility checks, search. Only expand_eta_quotient
-wraps its list in a QSeries, for expand and the cache; the passes read
-closed-form term lists, so euler_F serves only perfbench/micro.py and the
-tests. Both import qseries on the call, so no other command loads it.
+"""Dedekind eta quotients: expansion to integer lists (packed multiply
+passes, then divides by F(q^d)^3), admissibility checks, search. Only
+expand_eta_quotient wraps its list in a QSeries, for expand and the cache;
+the passes read closed-form term lists, so euler_F serves only
+perfbench/micro.py and the tests. Both import qseries on the call.
 
 An eta quotient at level N is a product over divisors d | N of powers of
 eta(d z). The admissibility checker evaluates the classical congruence,
@@ -74,6 +74,9 @@ class EtaQuotient(NamedTuple):
             or not all(d.isdecimal() and int(d) > 0 and type(r) is int for d, r in exponents.items())
         ):
             raise ValueError('quotient JSON must be {"level": int, "exponents": {divisor: int, ...}}')
+        if len(given := {int(d): d for d in exponents}) < len(exponents):  # "1" and "01" name one divisor
+            d = next(d for d in exponents if given[int(d)] != d)
+            raise ValueError(f"divisor {int(d)} is given twice, as {d!r} and {given[int(d)]!r}")
         return cls.from_dict(data["level"], exponents)
 
 
@@ -234,22 +237,23 @@ def _leading_exponent(f: EtaQuotient) -> int:
 
 
 def _divide_cost(d: int, r: int) -> float:
-    """Divide-pass terms of F(q^d)^r per sqrt(t): cube sqrt(2/d), pentagonal sqrt(8/3d)."""
-    return (-r // 3 * sqrt(2) + -r % 3 * sqrt(8 / 3)) / sqrt(d) if r < 0 else 0.0
+    """Divide-pass terms of F(q^d)^r per sqrt(2t): ceil(-r/3) cube divides of about sqrt(2t/d) terms."""
+    return -(r // 3) / sqrt(d) if r < 0 else 0.0
 
 
 @lru_cache(maxsize=256)
-def _passes(f: EtaQuotient) -> tuple[tuple[int, str, bool], ...]:
-    """The quotient's passes (d, kind, multiply): multiply passes by divisor,
-    then divide passes (measured faster last). Each divisor pair (d, 2d)
-    with a negative exponent, d ascending, first takes n theta factors of
-    one kind by Gauss's identities psi(q^d) = F(q^2d)^2 / F(q^d) (r_d += n,
-    r_2d -= 2n) or phi(-q^d) = F(q^d)^2 / F(q^2d) (r_d -= 2n, r_2d += n),
-    and the new r_2d feeds the pair (2d, 4d). Cost rule: the kind and n
-    that minimise _divide_cost of the pair's exponents, fewest factors on
-    a tie; 3 factors past 2 beyond where the absorbed exponent reaches 0
-    only add two cube divides, so the search stops there. Each r_d left
-    gives |r_d| // 3 cube passes and |r_d| % 3 pentagonal ones."""
+def _passes(f: EtaQuotient) -> tuple[tuple[tuple[int, str], ...], tuple[int, ...]]:
+    """The quotient's plan: its multiply passes (d, kind) and the divisors d
+    of its divides by F(q^d)^3, which run last (measured faster), each
+    sorted. Each divisor pair (d, 2d) with a negative exponent, d ascending,
+    first takes n theta factors of one kind by Gauss's identities psi(q^d) =
+    F(q^2d)^2 / F(q^d) (r_d += n, r_2d -= 2n) or phi(-q^d) = F(q^d)^2 /
+    F(q^2d) (r_d -= 2n, r_2d += n), the new r_2d feeding the pair (2d, 4d):
+    the kind and n that minimise _divide_cost of the pair's exponents,
+    fewest factors on a tie, n stopping where the absorbed exponent reaches
+    0, past which the cost cannot fall. Each r_d left is (F(q^d)^3)^(r // 3)
+    F(q^d)^(r % 3): |r // 3| cube passes, dividing for r < 0, and r % 3
+    pentagonal multiplies."""
     r = f.as_dict()
     multiply, divide = [], []
     for d in divisors(f.level // 2) if f.level % 2 == 0 and min(r.values()) < 0 else []:
@@ -258,19 +262,18 @@ def _passes(f: EtaQuotient) -> tuple[tuple[int, str, bool], ...]:
             # (cost, n, kind, r_d, r_2d); min by (cost, n) keeps the first option on a tie
             options = [
                 (_divide_cost(d, x + n) + _divide_cost(2 * d, y - 2 * n), n, "psi", x + n, y - 2 * n)
-                for n in range(max(0, -x) + 3)
+                for n in range(max(0, -x) + 1)
             ]
             options += [
                 (_divide_cost(d, x - 2 * n) + _divide_cost(2 * d, y + n), n, "phi", x - 2 * n, y + n)
-                for n in range(1, max(0, -y) + 3)
+                for n in range(1, max(0, -y) + 1)
             ]
             _, n, kind, r[d], r[2 * d] = min(options, key=itemgetter(0, 1))
-            multiply += [(d, kind, True)] * n
-    for d, x in r.items():
-        (multiply if x > 0 else divide).extend(
-            [(d, "cube", x > 0)] * (abs(x) // 3) + [(d, "pentagonal", x > 0)] * (abs(x) % 3)
-        )
-    return tuple(sorted(multiply) + sorted(divide))
+            multiply += [(d, kind)] * n
+    for d, x in r.items():  # a list times a negative count is empty
+        multiply += [(d, "cube")] * (x // 3) + [(d, "pentagonal")] * (x % 3)
+        divide += [d] * -(x // 3)
+    return tuple(sorted(multiply)), tuple(sorted(divide))
 
 
 @lru_cache(maxsize=256)
@@ -301,56 +304,53 @@ def expand_eta_quotients(quotients, truncation: int) -> list[list[int]]:
     to be a non-negative integer, which holds for every cusp candidate; one
     with e0 > truncation expands to zero.
 
-    Method: prod F(q^d)^(r_d) is built on a plain integer list by sparse
-    passes. Gauss's identities psi(q^d) = F(q^2d)^2 / F(q^d) = sum
-    q^(d n(n+1)/2) and phi(-q^d) = F(q^d)^2 / F(q^2d) = 1 + 2 sum (-1)^n
-    q^(d n^2) first absorb exponents at divisor pairs (d, 2d) into multiply
-    passes, as many as minimise the divide-pass terms left (the cost rule
-    in _passes). Each r_d left applies |r| // 3 passes with F(q^d)^3
-    (Jacobi's identity, about sqrt(2t/d) terms) and |r| % 3 passes with
-    F(q^d) (pentagonal, about sqrt(8t/3d) terms). A pass multiplies for
-    r > 0 and divides by the forward recurrence for r < 0, so no dense
-    series product is ever formed and every coefficient is an exact Python
-    int. The multiply passes come first and run on one int packed by
-    arith's signed Kronecker codec, each term one big-int shift-and-add,
-    after an exact check of its slots that widens them only when the
-    product could outgrow them (_multiply_pass). The series is unpacked
-    once, before its first divide pass or at the end.
+    Method: prod F(q^d)^(r_d) is built by the sparse passes that _passes
+    plans, each reading closed-form terms (_pass_terms), so no dense series
+    product is ever formed and every coefficient is an exact Python int.
+    The multiply passes run on one int packed by arith's signed Kronecker
+    codec, each term one big-int shift-and-add, after an exact check of its
+    slots that widens them only when the product could outgrow them
+    (_multiply_pass). Each quotient then unpacks its own q^0..q^(truncation
+    - e0) once and runs its cube divides on that list by the forward
+    recurrence (_divide_pass).
 
-    The quotients' pass sequences form a prefix tree, walked depth first
-    by taking them in sorted order, so a pass that several quotients start
-    with runs once, packed or not. Only the products that a later quotient
-    resumes from are kept, so memory does not grow with the passes. Every
-    pass runs on q^0..q^top with top = truncation - min e0; a quotient with
-    a larger e0 reads a prefix, since truncated products agree on it.
+    The quotients' multiply passes form a prefix tree, walked depth first
+    by taking them in sorted order, so a multiply pass that several
+    quotients start with runs once. Only the packed products that a later
+    quotient resumes from are kept, so memory does not grow with the
+    passes. Every multiply pass runs on q^0..q^top with top = truncation -
+    min e0; a quotient with a larger e0 reads a prefix, since truncated
+    products agree on it.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     e0s = [_leading_exponent(f) for f in quotients]
     results = [[0] * (truncation + 1) if e0 > truncation else None for e0 in e0s]
-    jobs = sorted((_passes(f), e0, i) for i, (f, e0) in enumerate(zip(quotients, e0s)) if e0 <= truncation)
+    jobs = sorted((*_passes(f), e0, i) for i, (f, e0) in enumerate(zip(quotients, e0s)) if e0 <= truncation)
     if not jobs:
         return results
-    top = truncation - min(e0 for _, e0, _ in jobs)
-    # resume[k] = the passes sorted job k shares with job k - 1; saved holds
-    # (depth, product after that many passes) at the depths a later job resumes at
+    top = truncation - min(e0 for *_, e0, _ in jobs)
+    # resume[k] = the multiply passes sorted job k shares with job k - 1; saved
+    # holds (depth, packed product after that many passes) where a later job resumes
     resume = [0] + [
         next((j for j, (a, b) in enumerate(zip(p, q)) if a != b), min(len(p), len(q)))
-        for (p, _, _), (q, _, _) in zip(jobs, jobs[1:])
+        for (p, *_), (q, *_) in zip(jobs, jobs[1:])
     ]
     saved = [(0, (pack([1] + [0] * (top + 1), 1), 1))]
-    for k, (passes, e0, i) in enumerate(jobs):
+    for k, (multiply, divide, e0, i) in enumerate(jobs):
         while saved[-1][0] > resume[k]:
             saved.pop()
-        depth, g = saved[-1]
-        for j, (d, kind, multiply) in enumerate(passes[depth:], start=depth + 1):
+        depth, state = saved[-1]
+        for j, (d, kind) in enumerate(multiply[depth:], start=depth + 1):
             if m := top // d:
-                if not multiply and type(g) is tuple:  # the first divide pass: every later pass divides
-                    g = unpack(*g, top + 2, top + 1)
-                g = (_multiply_pass if multiply else _divide_pass)(g, _pass_terms(d, kind, m))
+                state = _multiply_pass(state, _pass_terms(d, kind, m))
             if j in resume[k + 1 :]:
-                saved.append((j, g))
-        results[i] = [0] * e0 + (g if type(g) is list else unpack(*g, top + 2, top + 1))[: truncation - e0 + 1]
+                saved.append((j, state))
+        g = unpack(*state, top + 2, truncation - e0 + 1)
+        for d in divide:
+            if m := (truncation - e0) // d:
+                g = _divide_pass(g, _pass_terms(d, "cube", m))
+        results[i] = [0] * e0 + g
     return results
 
 

@@ -145,6 +145,14 @@ def test_malformed_quotient_is_input_error(capsys, command, quotient):
     assert captured.out == "" and captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["expand", "ligozat"])
+def test_quotient_naming_a_divisor_twice_is_input_error(command):
+    """"1" and "01" name one divisor; neither value may silently win."""
+    result = run(command, '{"level": 2, "exponents": {"1": 24, "01": -12}}')
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr == "error: divisor 1 is given twice, as '1' and '01'\n"
+
+
 def test_ligozat_report():
     result = run("ligozat", '{"level": 14, "exponents": {"1": 5, "2": -1, "7": 5, "14": -1}}')
     assert result.exit_code == 0

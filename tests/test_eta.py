@@ -2,7 +2,7 @@ import hashlib
 import tracemalloc
 from fractions import Fraction
 from itertools import product
-from math import gcd, isqrt
+from math import ceil, gcd, isqrt, sqrt
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -366,10 +366,14 @@ def divide_terms(passes, truncation):
     return sum(len(eta_module._pass_terms(d, kind, truncation // d)) for d, kind, multiply in passes if not multiply)
 
 
+def cube_divide_terms(divide, truncation):
+    return sum(len(eta_module._pass_terms(d, "cube", truncation // d)) for d in divide)
+
+
 @st.composite
-def even_level_quotients(draw):
+def even_level_quotients(draw, bound=9):
     level = draw(st.sampled_from([2, 4, 8, 12, 16, 20, 24, 36]))
-    exponents = draw(st.lists(st.integers(-9, 9), min_size=len(divisors(level)), max_size=len(divisors(level))))
+    exponents = draw(st.lists(st.integers(-bound, bound), min_size=len(divisors(level)), max_size=len(divisors(level))))
     assume(any(exponents))
     return EtaQuotient.from_dict(level, dict(zip(divisors(level), exponents)))
 
@@ -384,18 +388,70 @@ def test_theta_rewrite_never_adds_divide_terms(quotient):
     """The cost rule weighs a divide pass by its term count per sqrt(t), so
     at a small truncation rounding can make the real count one higher
     (level 20 at t = 1000 has such cases); at t = 10^4, the deep
-    evaluation range, the plan's divide passes have no more terms than
-    those of the plan without theta factors, and the theta passes only
-    multiply."""
-    plan = eta_module._passes(quotient)
-    assert divide_terms(plan, 10**4) <= divide_terms(reference_passes(quotient), 10**4)
-    assert all(multiply for _, kind, multiply in plan if kind in ("psi", "phi"))
+    evaluation range, the plan's cube divides have no more terms than the
+    cube and pentagonal divides of the plan without theta factors, and the
+    theta passes only multiply: a divide is a bare divisor of the level."""
+    multiply, divide = eta_module._passes(quotient)
+    assert cube_divide_terms(divide, 10**4) <= divide_terms(reference_passes(quotient), 10**4)
+    assert {kind for _, kind in multiply} <= {"cube", "pentagonal", "psi", "phi"}
+    assert all(type(d) is int and quotient.level % d == 0 for d in divide)
+
+
+def reference_plan(quotient):
+    """_passes with the theta options searched past where the absorbed
+    exponent reaches 0, to n = max(0, -x) + 2 and max(0, -y) + 2, and the
+    cost rule written out again: ceil(-r/3) cube divides of about
+    sqrt(2t/d) terms each."""
+
+    def cost(d, r):
+        return ceil(-r / 3) / sqrt(d) if r < 0 else 0.0
+
+    r, multiply, divide = quotient.as_dict(), [], []
+    for d in divisors(quotient.level // 2) if quotient.level % 2 == 0 else []:
+        x, y = r.get(d, 0), r.get(2 * d, 0)
+        if min(x, y) < 0:
+            psi = [(x + n, y - 2 * n, n, "psi") for n in range(max(0, -x) + 3)]
+            phi = [(x - 2 * n, y + n, n, "phi") for n in range(1, max(0, -y) + 3)]
+            r[d], r[2 * d], n, kind = min(psi + phi, key=lambda o: (cost(d, o[0]) + cost(2 * d, o[1]), o[2]))
+            multiply += [(d, kind)] * n
+    for d, x in r.items():
+        if x > 0:
+            multiply += [(d, "cube")] * (x // 3) + [(d, "pentagonal")] * (x % 3)
+        elif x < 0:
+            multiply += [(d, "pentagonal")] * (x % 3)
+            divide += [d] * ceil(-x / 3)
+    return tuple(sorted(multiply)), tuple(sorted(divide))
+
+
+@settings(max_examples=300, deadline=None)
+@given(even_level_quotients(bound=12))
+@example(EtaQuotient.from_dict(2, {1: -12, 2: -12}))
+@example(EtaQuotient.from_dict(16, {1: -4, 2: -2, 8: 1}))  # psi at 1, then phi at 2
+def test_planner_search_stops_where_the_absorbed_exponent_reaches_0(quotient):
+    assert eta_module._passes(quotient) == reference_plan(quotient)
+
+
+@pytest.mark.parametrize(
+    "quotient",
+    [EtaQuotient.from_dict(5, {1: -1, 5: 5}), EtaQuotient.from_dict(7, {1: -2, 7: 14})],
+    ids=["level5", "level7"],
+)
+def test_odd_level_negative_exponent_takes_cube_divides_and_pentagonal_multiplies(quotient):
+    """No theta factor applies at an odd level, so r_1 = -1 (2 mod 3) and
+    r_1 = -2 (1 mod 3) each give ceil(|r|/3) = 1 cube divide and r mod 3
+    pentagonal multiplies."""
+    (_, r), *_ = quotient.exponents
+    multiply, divide = eta_module._passes(quotient)
+    assert divide == (1,) * ceil(-r / 3)
+    assert multiply.count((1, "pentagonal")) == r % 3
+    assert expand_eta_quotient(quotient, 300) == dense_eta_product(quotient, 300)
 
 
 @pytest.mark.parametrize("level,divides", [(14, 0), (22, 2), (26, 0)])
 def test_registered_families_keep_few_divide_passes(level, divides):
     plans = [eta_module._passes(q) for q in registered_cusp_quotients(level)]
-    assert sum(not multiply for plan in plans for _, _, multiply in plan) == divides
+    assert sum(len(divide) for _, divide in plans) == divides
+    assert all(divide in ((), (2,)) for _, divide in plans)  # level 22: one cube divide at d = 2 each
 
 
 def packed_pass(g, terms):
@@ -587,14 +643,20 @@ def test_shared_expansion_matches_reference_on_level12_lists(quotients, truncati
 
 
 def test_shared_expansion_runs_each_shared_pass_once(monkeypatch):
+    """Each multiply prefix that the quotients share runs once, however many
+    copies of the family are expanded; each cube divide runs once per copy."""
     ran = []
     for name in ("_multiply_pass", "_divide_pass"):
         kernel = getattr(eta_module, name)
         monkeypatch.setattr(eta_module, name, lambda g, terms, kernel=kernel: ran.append(1) or kernel(g, terms))
-    family = registered_cusp_quotients(26)
-    prefixes = {tuple(eta_module._passes(q)[:i]) for q in family for i in range(1, len(eta_module._passes(q)) + 1)}
-    expand_eta_quotients(family + family, 500)
-    assert len(ran) == len(prefixes) < sum(len(eta_module._passes(q)) for q in family)
+    for level, divides in ((26, 0), (22, 2)):
+        ran.clear()
+        plans = [eta_module._passes(q) for q in registered_cusp_quotients(level)]
+        prefixes = {multiply[:i] for multiply, _ in plans for i in range(1, len(multiply) + 1)}
+        assert sum(len(divide) for _, divide in plans) == divides
+        expand_eta_quotients(registered_cusp_quotients(level) * 2, 500)
+        assert len(ran) == len(prefixes) + 2 * divides
+        assert len(prefixes) < sum(len(multiply) for multiply, _ in plans)
 
 
 def test_shared_expansion_validates_every_quotient():

@@ -17,6 +17,8 @@ oracles in REFERENCES.
 
 The slot format of a series packed into one int is decided in arith alone:
 no other module imports struct or calls int.from_bytes or int.to_bytes.
+
+Every name that a module in src/divconv or tests imports is read in it.
 """
 
 import ast
@@ -24,6 +26,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "divconv").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 CALLERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 
 #: independent references that only the tests compare the pipeline against
@@ -116,3 +119,24 @@ def test_only_arith_packs_integers_into_bytes():
             elif isinstance(node, ast.Attribute) and node.attr in ("from_bytes", "to_bytes"):
                 offenders.append(f"{path.name}:{node.lineno} uses .{node.attr}")
     assert offenders == [], f"slot packing outside arith: {offenders}"
+
+
+def _unread_imports(tree) -> list[str]:
+    """The names that the module's imports bind and that no expression of it
+    reads (`from __future__` binds none)."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [
+        f"{node.lineno}: {name}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for name in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        if name not in read
+    ]
+
+
+def test_every_import_is_read():
+    assert _unread_imports(ast.parse("from math import sqrt\nfrom operator import itemgetter\nx = sqrt(2)")) == [
+        "2: itemgetter"
+    ]
+    unread = [f"{path.name}:{at}" for path in SOURCES + TESTS for at in _unread_imports(ast.parse(path.read_text()))]
+    assert unread == [], f"imported names that the module never reads: {unread}"
