@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import convolution, eta, modforms, representations
-from .arith import MAX_TRUNCATION, rational_to_str
+from .arith import MAX_TRUNCATION
 from .modforms import SEARCH_CAP, Unsolvable
 
 EXIT_MISMATCH = 1
@@ -27,13 +27,23 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 
 
+def _distinct_keys(pairs: list) -> dict:
+    """A JSON object whose keys are all distinct; json.loads would keep the last of a repeated key."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"quotient JSON gives the key {key!r} twice")
+        data[key] = value
+    return data
+
+
 def _parse_quotient(text: str) -> eta.EtaQuotient:
-    """Quotient JSON, inline or @file; JSON nested past the parser's
-    recursion limit is an input error too."""
+    """Quotient JSON, inline or @file; a repeated key, or JSON nested past
+    the parser's recursion limit, is an input error too."""
     if text.startswith("@"):
         text = Path(text[1:]).read_text()
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_distinct_keys)
     except RecursionError:
         raise ValueError("quotient JSON is nested too deeply") from None
     return eta.EtaQuotient.from_json_dict(data)
@@ -143,14 +153,11 @@ def table(opts):
     """Render the derived formula coefficients for several pairs as CSV."""
     rows = [("alpha", "beta", "term", "coefficient")]
     for alpha, beta in [_parse_pair(entry) for entry in opts.pairs.split(";")]:
-        formula = convolution.derive_formula(alpha, beta)
-        for d, c in formula.sigma3_terms.items():
-            rows.append((alpha, beta, f"sigma3(n/{d})", rational_to_str(c)))
-        for d, (c0, c1) in formula.sigma_terms.items():
-            rows.append((alpha, beta, f"sigma(n/{d}).const", rational_to_str(c0)))
-            rows.append((alpha, beta, f"sigma(n/{d}).linear", rational_to_str(c1)))
-        for eid, c in formula.cusp_terms:
-            rows.append((alpha, beta, f"cusp.{eid}", rational_to_str(c)))
+        terms = convolution.derive_formula(alpha, beta).rendered_terms()
+        rows += [(alpha, beta, f"sigma3(n/{d})", c) for d, c in terms["sigma3"].items()]
+        for d, (c0, c1) in terms["sigma"].items():
+            rows += [(alpha, beta, f"sigma(n/{d}).const", c0), (alpha, beta, f"sigma(n/{d}).linear", c1)]
+        rows += [(alpha, beta, f"cusp.{eid}", c) for eid, c in terms["cusp"]]
     _emit_csv(rows)
 
 

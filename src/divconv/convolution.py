@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .arith import MAX_TRUNCATION, rational_to_str, series_product, sigma, sigma_at, sigma_sieve, sigma_table, spread
+from .arith import MAX_TRUNCATION, rational_to_str, series_product, sigma, sigma_sieve, sigma_table, spread
 from .eta import EtaQuotient, expand_eta_quotients
 from .modforms import (
     E4,
@@ -83,19 +83,6 @@ def target_series(alpha: int, beta: int, truncation: int) -> list[int]:
     return series_product(diff, 1, diff, 1, truncation)
 
 
-def target_coefficient_via_sums(alpha: int, beta: int, n: int) -> int:
-    """The q^n coefficient of target_series computed without any series:
-    240 a^2 sigma3(n/a) + 240 b^2 sigma3(n/b) + 48 a (b - 6n) sigma(n/a)
-    + 48 b (a - 6n) sigma(n/b) - 1152 a b W(a,b,n)."""
-    return (
-        240 * alpha**2 * sigma_at(3, n, alpha)
-        + 240 * beta**2 * sigma_at(3, n, beta)
-        + 48 * alpha * (beta - 6 * n) * sigma_at(1, n, alpha)
-        + 48 * beta * (alpha - 6 * n) * sigma_at(1, n, beta)
-        - 1152 * alpha * beta * brute_force_W(alpha, beta, n)
-    )
-
-
 class ConvolutionFormula(NamedTuple):
     """Closed form for W(alpha,beta)(n): (c0 + c1 n) sigma(n/d) for d in
     (alpha, beta), plus a rational coefficient on the q^n coefficient of
@@ -134,31 +121,29 @@ class ConvolutionFormula(NamedTuple):
             "dim_M4": dim_M4(self.level),
         }
 
-    def to_json_dict(self) -> dict:
+    def rendered_terms(self) -> dict:
+        """The sigma3, sigma and cusp coefficients as strings, as derive prints and table lists them."""
         return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "level": self.level,
-            **self.certificate(),
             "sigma3": {str(d): rational_to_str(c) for d, c in self.sigma3_terms.items()},
-            "sigma": {
-                str(d): [rational_to_str(c0), rational_to_str(c1)]
-                for d, (c0, c1) in self.sigma_terms.items()
-            },
+            "sigma": {str(d): [rational_to_str(c0), rational_to_str(c1)] for d, (c0, c1) in self.sigma_terms.items()},
             "cusp": [[eid, rational_to_str(c)] for eid, c in self.cusp_terms],
         }
+
+    def to_json_dict(self) -> dict:
+        pair = {"alpha": self.alpha, "beta": self.beta, "level": self.level}
+        return {**pair, **self.certificate(), **self.rendered_terms()}
 
 
 def derive_formula(alpha: int, beta: int) -> ConvolutionFormula:
     """The formula for W(alpha,beta), solved in a basis that stops at the
     level's Sturm bound, which proves the identity for every n.
 
-    The target, sum x_g g in the level's basis, is on q^n, n >= 1, alpha^2
-    E4(q^alpha) + beta^2 E4(q^beta) - 1152 alpha beta W(n) plus sigma terms
-    (target_coefficient_via_sums), so generator g gets (own_g - x_g) / (1152
-    alpha beta), own_g being alpha^2 at E4(alpha), beta^2 at E4(beta) and 0
-    elsewhere. A basis short of dim M4 whose span misses the target raises
-    Unsolvable with the rank it reached and why (modforms.shortfall)."""
+    The target (target_series), sum x_g g in the level's basis, is on q^n,
+    n >= 1, alpha^2 E4(q^alpha) + beta^2 E4(q^beta) - 1152 alpha beta W(n)
+    plus sigma terms, so generator g gets (own_g - x_g) / (1152 alpha beta),
+    own_g being alpha^2 at E4(alpha), beta^2 at E4(beta) and 0 elsewhere. A
+    basis short of dim M4 whose span misses the target raises Unsolvable
+    with the rank it reached and why (modforms.shortfall)."""
     if not 1 <= alpha < beta:
         raise ValueError(f"derivation requires 1 <= alpha < beta, got ({alpha}, {beta})")
     level = alpha * beta

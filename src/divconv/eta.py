@@ -1,8 +1,7 @@
 """Dedekind eta quotients: expansion to integer lists (packed multiply
 passes, then divides by F(q^d)^3), admissibility checks, search. Only
-expand_eta_quotient wraps its list in a QSeries, for expand and the cache;
-the passes read closed-form term lists, so euler_F serves only
-perfbench/micro.py and the tests. Both import qseries on the call.
+expand_eta_quotient (expand, the cache) and euler_F (perfbench/micro.py,
+the tests) return a QSeries; both import qseries on the call.
 
 An eta quotient at level N is a product over divisors d | N of powers of
 eta(d z). The admissibility checker evaluates the classical congruence,
@@ -66,14 +65,16 @@ class EtaQuotient(NamedTuple):
 
     @classmethod
     def from_json_dict(cls, data) -> "EtaQuotient":
-        """Quotient from outside JSON; a malformed document raises ValueError."""
+        """Quotient from outside JSON; a malformed document raises ValueError.
+        Divisors are ASCII digits: isdecimal alone passes other scripts' too."""
         exponents = data.get("exponents") if isinstance(data, dict) else None
-        if (
-            not isinstance(exponents, dict)
-            or type(data.get("level")) is not int
-            or not all(d.isdecimal() and int(d) > 0 and type(r) is int for d, r in exponents.items())
-        ):
+        if not isinstance(exponents, dict) or type(data.get("level")) is not int:
             raise ValueError('quotient JSON must be {"level": int, "exponents": {divisor: int, ...}}')
+        if unknown := [key for key in data if key not in ("level", "exponents")]:
+            raise ValueError(f"quotient JSON has the unknown key {unknown[0]!r}")
+        for d, r in exponents.items():
+            if not (d.isascii() and d.isdecimal() and int(d) > 0 and type(r) is int):
+                raise ValueError(f"exponents key {d!r} must be a positive divisor in ASCII digits with an int value")
         if len(given := {int(d): d for d in exponents}) < len(exponents):  # "1" and "01" name one divisor
             d = next(d for d in exponents if given[int(d)] != d)
             raise ValueError(f"divisor {int(d)} is given twice, as {d!r} and {given[int(d)]!r}")
@@ -101,37 +102,19 @@ class AdmissibilityReport(NamedTuple):
         return self.cond_i and self.cond_ii and self.cond_iii and self.cond_iv and self.cond_v
 
     def to_json_dict(self) -> dict:
-        return {
-            "cond_i": self.cond_i,
-            "cond_ii": self.cond_ii,
-            "cond_iii": self.cond_iii,
-            "weight": rational_to_str(self.weight),
-            "cond_iv": self.cond_iv,
-            "orders": {str(d): rational_to_str(o) for d, o in self.orders.items()},
-            "cond_v": self.cond_v,
-            "cond_v_prime": self.cond_v_prime,
-        }
+        orders = {str(d): rational_to_str(o) for d, o in self.orders.items()}
+        return {**self._asdict(), "weight": rational_to_str(self.weight), "orders": orders}
 
 
 def euler_F(truncation: int) -> QSeries:
-    """Product of (1 - q^n) for n >= 1, via the pentagonal number theorem."""
+    """Product of (1 - q^n) for n >= 1: the pentagonal pass terms of F(q)."""
     from .qseries import QSeries
 
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    coeffs = [0] * (truncation + 1)
-    coeffs[0] = 1
-    k = 1
-    while True:
-        e1 = k * (3 * k - 1) // 2
-        if e1 > truncation:
-            break
-        sign = -1 if k % 2 else 1
-        coeffs[e1] = sign
-        e2 = k * (3 * k + 1) // 2
-        if e2 <= truncation:
-            coeffs[e2] = sign
-        k += 1
+    coeffs = [1] + [0] * truncation
+    for k, c in _pass_terms(1, "pentagonal", truncation):
+        coeffs[k] = c
     return QSeries(coeffs, truncation)
 
 

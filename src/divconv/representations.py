@@ -143,10 +143,3 @@ def octonary_formula_table(a: int, b: int, n_max: int) -> list[int]:
     values[0] = 1
     return values
 
-
-def octonary_1_1_closed_form(n: int) -> int:
-    """The purely multiplicative form of the (1,1) count:
-    16 sigma3(n) - 32 sigma3(n/2) + 256 sigma3(n/4)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return 16 * sigma(3, n) - 32 * sigma_at(3, n, 2) + 256 * sigma_at(3, n, 4)

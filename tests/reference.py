@@ -1,6 +1,9 @@
-"""Independent references that more than one test module checks against."""
+"""Independent references that the tests check the pipeline against."""
 
 from fractions import Fraction
+
+from divconv.arith import sigma, sigma_at
+from divconv.convolution import brute_force_W
 
 
 def reference_rank(series_list, max_index: int) -> int:
@@ -55,3 +58,24 @@ def reference_insert_row(echelon: list[tuple[list, int]], row: list, width: int)
         return False
     echelon.append((row, pivot))
     return True
+
+
+def target_coefficient_via_sums(alpha: int, beta: int, n: int) -> int:
+    """The q^n coefficient of convolution.target_series computed without any series:
+    240 a^2 sigma3(n/a) + 240 b^2 sigma3(n/b) + 48 a (b - 6n) sigma(n/a)
+    + 48 b (a - 6n) sigma(n/b) - 1152 a b W(a,b,n)."""
+    return (
+        240 * alpha**2 * sigma_at(3, n, alpha)
+        + 240 * beta**2 * sigma_at(3, n, beta)
+        + 48 * alpha * (beta - 6 * n) * sigma_at(1, n, alpha)
+        + 48 * beta * (alpha - 6 * n) * sigma_at(1, n, beta)
+        - 1152 * alpha * beta * brute_force_W(alpha, beta, n)
+    )
+
+
+def octonary_1_1_closed_form(n: int) -> int:
+    """The purely multiplicative form of the (1,1) octonary count:
+    16 sigma3(n) - 32 sigma3(n/2) + 256 sigma3(n/4)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return 16 * sigma(3, n) - 32 * sigma_at(3, n, 2) + 256 * sigma_at(3, n, 4)

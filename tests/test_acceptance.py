@@ -9,7 +9,6 @@ from fractions import Fraction as F
 
 from divconv.convolution import (
     derive_formula,
-    target_coefficient_via_sums,
     target_series,
     verify_formula,
 )
@@ -24,7 +23,6 @@ from divconv.modforms import (
     sturm_bound,
 )
 from divconv.representations import (
-    octonary_1_1_closed_form,
     octonary_convolution,
     octonary_formula_table,
     r4,
@@ -32,7 +30,7 @@ from divconv.representations import (
 )
 from divconv.qseries import QSeries
 from conftest import run_cli
-from reference import reference_rank
+from reference import octonary_1_1_closed_form, reference_rank, target_coefficient_via_sums
 
 NMAX = 1000
 PAIRS = ((2, 7), (1, 22), (2, 11), (1, 26), (2, 13))

@@ -124,25 +124,32 @@ def test_expand_rejects_corrupt_cache_entry(tmp_path, garbage):
 
 @pytest.mark.parametrize("command", ["expand", "ligozat"])
 @pytest.mark.parametrize(
-    "quotient",
+    "quotient,named",
     [
-        "[]",
-        "7",
-        '{"level": 14, "exponents": [1, 2]}',
-        '{"level": "14", "exponents": {"1": 2, "2": 2, "7": 2, "14": 2}}',
-        '{"level": 14, "exponents": null}',
-        '{"level": 14, "exponents": {"1": 2.5, "2": 2, "7": 2, "14": 2}}',
-        '{"level": 14, "exponents": {"0": 8}}',
+        ("[]", ""),
+        ("7", ""),
+        ('{"level": 14, "exponents": [1, 2]}', ""),
+        ('{"level": "14", "exponents": {"1": 2, "2": 2, "7": 2, "14": 2}}', ""),
+        ('{"level": 14, "exponents": null}', ""),
+        ('{"level": 14, "exponents": {"1": 2.5, "2": 2, "7": 2, "14": 2}}', ""),
+        ('{"level": 14, "exponents": {"0": 8}}', ""),
+        ('{"level": 2, "exponents": {"1": 24, "1": -12}}', "'1' twice"),
+        ('{"level": 2, "level": 2, "exponents": {"1": 24}}', "'level' twice"),
+        ('{"level": 2, "exponents": {"\\u0661": 24}}', "'\u0661'"),
+        ('{"level": 2, "exponents": {"\\uff12": 24}}', "'\uff12'"),
+        ('{"level": 2, "exponents": {"1": 24}, "weight": 4}', "'weight'"),
     ],
     ids=[
         "array", "number", "exponents-array", "level-string", "exponents-null", "fractional-exponent",
-        "divisor-zero",
+        "divisor-zero", "repeated-divisor", "repeated-level", "arabic-indic-digit", "fullwidth-digit", "unknown-key",
     ],
 )
-def test_malformed_quotient_is_input_error(capsys, command, quotient):
+def test_malformed_quotient_is_input_error(capsys, command, quotient, named):
+    """A repeated key, a divisor in digits other than ASCII (int reads them)
+    and an unknown key are refused too, each by name."""
     assert main(["--truncation", "64", command, quotient], standalone_mode=False) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error:")
+    assert captured.out == "" and captured.err.startswith("error:") and named in captured.err
 
 
 @pytest.mark.parametrize("command", ["expand", "ligozat"])
@@ -158,6 +165,21 @@ def test_ligozat_report():
     assert result.exit_code == 0
     report = json.loads(result.output)
     assert report["cond_v_prime"] is True and report["weight"] == "4/1"
+
+
+# sha256 of the raw ligozat stdout of the four registered level-14 quotients
+# and eta(z)^3 / eta(7z)^2 (weight 1/2, negative orders), concatenated in
+# this order; computed with every report field rendered by name
+LIGOZAT_SHA256 = "5142e3a6ae16e7802516949128a46160fd9789d1a0403f8c82289fe9b5b383e2"
+
+
+def test_ligozat_output_is_unchanged(capsys):
+    quotients = [json.dumps(q.to_json_dict()) for q in modforms_module.registered_cusp_quotients(14)]
+    digest = hashlib.sha256()
+    for quotient in [*quotients, '{"level": 14, "exponents": {"1": 3, "7": -2}}']:
+        assert main(["ligozat", quotient], standalone_mode=False) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == LIGOZAT_SHA256
 
 
 def test_search_contains_family():

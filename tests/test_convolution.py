@@ -11,7 +11,6 @@ from divconv.convolution import (
     brute_force_W,
     brute_force_W_table,
     derive_formula,
-    target_coefficient_via_sums,
     target_series,
     verify_formula,
 )
@@ -25,6 +24,7 @@ from divconv.modforms import (
     registered_cusp_quotients,
     sturm_bound,
 )
+from reference import target_coefficient_via_sums
 
 TRUNC = 80
 

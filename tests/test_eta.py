@@ -38,8 +38,10 @@ def naive_euler_product(truncation):
 
 
 def test_euler_F_matches_naive_product():
-    t = 60
-    assert euler_F(t).coeffs == naive_euler_product(t)
+    """Every truncation up to 200, so every pentagonal exponent k(3k -+ 1)/2 is crossed."""
+    naive = naive_euler_product(200)
+    for t in range(1, 201):
+        assert euler_F(t).coeffs == naive[: t + 1], t
 
 
 def test_euler_F_known_prefix():

@@ -118,7 +118,7 @@ def test_build_basis_rejects_duplicates(basis14):
     assert [e.generator for e in short.elements if e.kind == "cusp"] == [family[0], family[2], family[3]]
 
 
-def test_select_independent_prefers_early_candidates():
+def test_build_basis_keeps_candidates_greedily_in_given_order():
     """build_basis keeps candidates greedily in the order given: the first
     copy of each quotient is kept, and a reordered list is kept reordered."""
     family = registered_cusp_quotients(14)

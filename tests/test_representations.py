@@ -4,7 +4,6 @@ import divconv.representations as representations_module
 
 from divconv.representations import (
     SUPPORTED_PAIRS,
-    octonary_1_1_closed_form,
     octonary_convolution,
     octonary_count_table,
     octonary_formula_table,
@@ -12,6 +11,7 @@ from divconv.representations import (
     r4,
     r4_lattice,
 )
+from reference import octonary_1_1_closed_form
 
 
 @pytest.mark.parametrize("n,expected", [(0, 1), (1, 8), (2, 24), (4, 24), (7, 64)])

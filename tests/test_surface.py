@@ -12,8 +12,9 @@ itself, not just a name spelled the same way:
   functions and methods by name).
 
 A name that only the tests reach is dead weight: the tests should read the
-data they need directly. Dunders are exempt, and so are the named reference
-oracles in REFERENCES.
+data they need directly, and the references they check against live in
+tests/reference.py. Dunders are exempt. A private top-level name (`_name`)
+in src/divconv is read by its own module.
 
 The slot format of a series packed into one int is decided in arith alone:
 no other module imports struct or calls int.from_bytes or int.to_bytes.
@@ -28,9 +29,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "divconv").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
 CALLERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
-
-#: independent references that only the tests compare the pipeline against
-REFERENCES = {"target_coefficient_via_sums", "octonary_1_1_closed_form"}
 
 
 def _divconv_module(source: str | None, level: int) -> str | None:
@@ -100,10 +98,31 @@ def test_every_public_name_has_a_caller():
         f"{path.stem}.{cls}.{name}" if cls else f"{path.stem}.{name}"
         for path in SOURCES
         for name, cls in _public_definitions(ast.parse(path.read_text(), filename=str(path)))
-        if name not in spelled | REFERENCES
+        if name not in spelled
         and (name not in attributes if cls else (path.stem, name) not in reached)
     ]
     assert uncalled == [], f"public names with no caller outside the tests: {uncalled}"
+
+
+def _unread_private_names(tree) -> list[str]:
+    """The private top-level names (`_name`, dunders aside) that the module
+    defines or assigns and that no expression of it reads."""
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [target.id for target in targets if isinstance(target, ast.Name)]
+    return [name for name in defined if name.startswith("_") and not name.endswith("__") and name not in read]
+
+
+def test_every_private_name_is_read_by_its_module():
+    sample = "_A = 1\n__all__ = []\ndef _f(): return _A\ndef _g(): pass"
+    assert _unread_private_names(ast.parse(sample)) == ["_f", "_g"]
+    unread = [f"{path.stem}.{name}" for path in SOURCES for name in _unread_private_names(ast.parse(path.read_text()))]
+    assert unread == [], f"private top-level names that their own module never reads: {unread}"
 
 
 def test_only_arith_packs_integers_into_bytes():
