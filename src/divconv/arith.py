@@ -86,11 +86,8 @@ def gamma0_index(n: int) -> int:
 
 
 def sigma(k: int, n: int) -> int:
-    """Sum of k-th powers of the positive divisors of n; 0 when n <= 0.
-
-    The zero convention for non-positive n mirrors the usual one for
-    sigma of a non-integer argument (see sigma_at).
-    """
+    """sigma_k(n) by trial division, 0 when n <= 0; it shares no code with
+    either sieve, so the per-n references that read it check both."""
     if k < 0:
         raise ValueError(f"sigma requires k >= 0, got {k}")
     if n <= 0:
@@ -98,21 +95,12 @@ def sigma(k: int, n: int) -> int:
     return sum(d**k for d in divisors(n))
 
 
-def sigma_at(k: int, n: int, delta: int) -> int:
-    """sigma(k, n/delta) when delta | n, else 0."""
-    if delta < 1:
-        raise ValueError(f"sigma_at requires delta >= 1, got {delta}")
-    if n % delta:
-        return 0
-    return sigma(k, n // delta)
-
-
 @lru_cache(maxsize=16)
 def sigma_table(k: int, n_max: int) -> tuple[int, ...]:
     """sigma_k(n) for n = 0..n_max as a tuple (index 0 holds 0).
 
-    Divisor sieve, O(n_max log n_max); backs the brute-force oracles that
-    need O(n) sigma lookups per evaluation.
+    Divisor sieve, O(n_max log n_max); the brute-force oracle tables read
+    it, and nothing on the formula side does.
     """
     if k < 0 or n_max < 0:
         raise ValueError("sigma_table requires k >= 0 and n_max >= 0")
@@ -130,8 +118,8 @@ def sigma_sieve(k: int, n_max: int) -> list[int]:
     Multiplicative sieve over smallest prime factors, O(n_max log log
     n_max): with p = spf(n) and p^e the power of p in n, sigma_k(n) is
     sigma_k(n/p) + n^k when n = p^e, else sigma_k(p^e) sigma_k(n/p^e).
-    It shares no code with sigma_table, so formula evaluation, which reads
-    this, stays independent of the brute-force oracles, which read that.
+    It shares no code with sigma_table, so the formula side (derivation and
+    evaluation) reads this, independent of the oracles, which read that.
     """
     if k < 0 or n_max < 0:
         raise ValueError("sigma_sieve requires k >= 0 and n_max >= 0")

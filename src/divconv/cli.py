@@ -27,26 +27,11 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 
 
-def _distinct_keys(pairs: list) -> dict:
-    """A JSON object whose keys are all distinct; json.loads would keep the last of a repeated key."""
-    data = {}
-    for key, value in pairs:
-        if key in data:
-            raise ValueError(f"quotient JSON gives the key {key!r} twice")
-        data[key] = value
-    return data
-
-
 def _parse_quotient(text: str) -> eta.EtaQuotient:
-    """Quotient JSON, inline or @file; a repeated key, or JSON nested past
-    the parser's recursion limit, is an input error too."""
+    """Quotient JSON, inline or @file."""
     if text.startswith("@"):
         text = Path(text[1:]).read_text()
-    try:
-        data = json.loads(text, object_pairs_hook=_distinct_keys)
-    except RecursionError:
-        raise ValueError("quotient JSON is nested too deeply") from None
-    return eta.EtaQuotient.from_json_dict(data)
+    return eta.EtaQuotient.from_json(text)
 
 
 def _emit(text: str) -> None:

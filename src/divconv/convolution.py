@@ -1,7 +1,7 @@
-"""Convolution sums of sigma over al + bm = n: brute-force oracle (one n at
-a time, or the whole range as one exact series product), the squared
-Eisenstein difference target series (a signed series product), formula
-derivation by solving in the level's own weight-4 basis at the Sturm bound
+"""Convolution sums of sigma over al + bm = n: the brute-force oracle (the
+whole range as one exact series product), the squared Eisenstein
+difference target series (a signed series product), formula derivation by
+solving in the level's own weight-4 basis at the Sturm bound
 (derive_formula; the basis is built once per level, so pairs at one level
 share it), and exact range verification. Every series here is a plain
 list of its integer coefficients q^0..q^n_max.
@@ -12,14 +12,11 @@ whole range at once in integers: every coefficient is scaled by the lcm L
 of the formula's denominators, each sigma and sigma3 term is added onto
 the multiples of its divisor, the eta quotients expand together (their
 shared passes run once), and the sums are divided by L only at the end.
-The oracle side of verify_formula is brute_force_W_table, the product of
-the sigma_table series at q^alpha and at q^beta, which series_product
-forms one residue class at a time, never spreading either series to
-q^n_max; the per-n reference brute_force_W reads trial-division sigma, so
-it shares no sieve with the table it checks. The formula side
-reads sigma_sieve, so it stays independent of both oracles. A report
-carries the formula's certificate, its Sturm bound and basis rank against
-dim M4, next to the range the oracle agreed on."""
+Each side of the proof has one source of divisor sums: the target and the
+values of the formula read sigma_sieve, and the oracle, brute_force_W_table,
+is one series_product of the sigma_table series at q^alpha and at q^beta.
+A report carries the formula's certificate, its Sturm bound and basis rank
+against dim M4, next to the range the oracle agreed on."""
 
 from __future__ import annotations
 
@@ -27,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .arith import MAX_TRUNCATION, rational_to_str, series_product, sigma, sigma_sieve, sigma_table, spread
+from .arith import MAX_TRUNCATION, rational_to_str, series_product, sigma_sieve, sigma_table, spread
 from .eta import EtaQuotient, expand_eta_quotients
 from .modforms import (
     E4,
@@ -41,32 +38,11 @@ from .modforms import (
 )
 
 
-def brute_force_W(alpha: int, beta: int, n: int) -> int:
-    """Sum of sigma(l) sigma(m) over l, m >= 0 with alpha*l + beta*m = n.
-
-    Terms with l = 0 or m = 0 vanish since sigma(0) = 0. Accepts any
-    positive alpha, beta (no coprimality requirement). sigma is found by
-    trial division, not read from the sigma_table of brute_force_W_table."""
-    if alpha < 1 or beta < 1 or n < 1:
-        raise ValueError("brute_force_W requires alpha, beta, n >= 1")
-    # alpha*l = n (mod beta) is solvable iff g | n, and then exactly on one
-    # residue class l = l0 (mod beta/g); every other l contributes nothing
-    g = gcd(alpha, beta)
-    if n % g:
-        return 0
-    step = beta // g
-    l0 = (n // g) * pow(alpha // g, -1, step) % step or step
-    return sum(
-        sigma(1, l) * sigma(1, (n - alpha * l) // beta) for l in range(l0, (n - 1) // alpha + 1, step)
-    )
-
-
 def brute_force_W_table(alpha: int, beta: int, n_max: int) -> list[int]:
-    """brute_force_W(alpha, beta, n) for n = 0..n_max (index 0 holds 0).
-
-    W(alpha,beta) is the q-series product of sum sigma(l) q^(alpha l) and
-    sum sigma(m) q^(beta m), so the whole range is one exact series_product
-    of the sigma_table series at q^alpha and at q^beta."""
+    """W(alpha,beta)(n), the sum of sigma(l) sigma(m) over l, m >= 1 with
+    alpha l + beta m = n, for n = 0..n_max (index 0 holds 0) and any positive
+    alpha, beta: the product of sum sigma(l) q^(alpha l) and sum sigma(m)
+    q^(beta m), one exact series_product of the sigma_table series."""
     if alpha < 1 or beta < 1 or n_max < 0:
         raise ValueError("brute_force_W_table requires alpha, beta >= 1 and n_max >= 0")
     table = sigma_table(1, n_max)
@@ -170,7 +146,7 @@ def _scaled_values(formula: ConvolutionFormula, n_max: int) -> tuple[int, list[i
     denominators, so every term is an integer product and the sums stay in
     int. Each c sigma_k(n/t) term (k = 1, 3) is added onto the slice of
     multiples of t from one sigma_sieve per k, which shares no code with
-    the sigma_table that brute_force_W reads; the eta quotients with a
+    the sigma_table that brute_force_W_table reads; the eta quotients with a
     nonzero coefficient are expanded to n_max in one expand_eta_quotients
     batch. Index 0 holds 0."""
     if n_max < 1:
@@ -207,13 +183,8 @@ class VerificationReport(NamedTuple):
         return not self.mismatches
 
     def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            **self.certificate,
-            "checked": self.checked,
-            "mismatches": [list(m) for m in self.mismatches],
-        }
+        pair, mismatches = {"alpha": self.alpha, "beta": self.beta}, [list(m) for m in self.mismatches]
+        return {**pair, **self.certificate, "checked": self.checked, "mismatches": mismatches}
 
 
 def verify_formula(formula: ConvolutionFormula, n_max: int) -> VerificationReport:
@@ -228,10 +199,4 @@ def verify_formula(formula: ConvolutionFormula, n_max: int) -> VerificationRepor
         num, oracle = values[n], oracles[n]
         if num % scale or num // scale != oracle or num < 0:
             mismatches.append((n, rational_to_str(Fraction(num, scale)), oracle))
-    return VerificationReport(
-        alpha=formula.alpha,
-        beta=formula.beta,
-        certificate=formula.certificate(),
-        checked=n_max,
-        mismatches=tuple(mismatches),
-    )
+    return VerificationReport(formula.alpha, formula.beta, formula.certificate(), n_max, tuple(mismatches))

@@ -14,6 +14,7 @@ without scanning the exponent box.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
@@ -64,8 +65,19 @@ class EtaQuotient(NamedTuple):
         return expand_eta_quotients([self], n_max)[0]
 
     @classmethod
+    def from_json(cls, text: str) -> "EtaQuotient":
+        """Quotient from outside JSON text, through from_json_dict. A repeated
+        key, a key or integer of more digits than int reads, and nesting past
+        the parser's recursion limit raise ValueError too."""
+        try:
+            data = json.loads(text, object_pairs_hook=_json_object, parse_int=_json_int)
+        except RecursionError:
+            raise ValueError("quotient JSON is nested too deeply") from None
+        return cls.from_json_dict(data)
+
+    @classmethod
     def from_json_dict(cls, data) -> "EtaQuotient":
-        """Quotient from outside JSON; a malformed document raises ValueError.
+        """Quotient from decoded outside JSON; a malformed document raises ValueError.
         Divisors are ASCII digits: isdecimal alone passes other scripts' too."""
         exponents = data.get("exponents") if isinstance(data, dict) else None
         if not isinstance(exponents, dict) or type(data.get("level")) is not int:
@@ -79,6 +91,32 @@ class EtaQuotient(NamedTuple):
             d = next(d for d in exponents if given[int(d)] != d)
             raise ValueError(f"divisor {int(d)} is given twice, as {d!r} and {given[int(d)]!r}")
         return cls.from_dict(data["level"], exponents)
+
+
+class _LongInt(str):
+    """The digits of a JSON integer that int refuses for their number."""
+
+
+def _json_int(digits: str) -> int | _LongInt:
+    try:
+        return int(digits)
+    except ValueError:
+        return _LongInt(digits)
+
+
+def _json_object(pairs: list) -> dict:
+    """A JSON object; a repeated key (json.loads keeps the last) and a digit
+    key or integer value that int refuses for its length raise ValueError."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"quotient JSON gives the key {key!r} twice")
+        if key.isdecimal() and isinstance(_json_int(key), _LongInt):
+            raise ValueError(f"quotient JSON gives the key '{key[:10]}...' of {len(key)} digits, too many to read")
+        if isinstance(value, _LongInt):
+            raise ValueError(f"quotient JSON gives the key {key!r} an integer too long to read")
+        data[key] = value
+    return data
 
 
 class AdmissibilityReport(NamedTuple):

@@ -38,7 +38,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .arith import divisors, euler_phi, gamma0_index, insert_row, prime_factorization, reduce_row
-from .arith import sigma_sieve, sigma_table, spread
+from .arith import sigma_sieve, spread
 from .eta import EtaQuotient, check_admissibility, walk_eta_quotients
 
 
@@ -49,11 +49,10 @@ class Unsolvable(ArithmeticError):
 
 
 def eisenstein_L(truncation: int) -> list[int]:
-    """E2-normalized series 1 - 24 sum sigma(n) q^n."""
+    """E2-normalized series 1 - 24 sum sigma(n) q^n, read from sigma_sieve."""
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    table = sigma_table(1, truncation)
-    return [1] + [-24 * table[n] for n in range(1, truncation + 1)]
+    return [1] + [-24 * s for s in sigma_sieve(1, truncation)[1:]]
 
 
 class E4(NamedTuple):

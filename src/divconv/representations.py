@@ -2,21 +2,21 @@
 a(x1^2+..+x4^2) + b(x5^2+..+x8^2), with independent lattice-count oracles.
 
 Both columns of a whole-range comparison are whole-range tables.
-octonary_formula_table evaluates the quaternary identity from
-brute_force_W_table and sigma_table, adding each term onto the multiples
-of its divisor; octonary_count_table is the lattice count theta(q^a)^4
-theta(q^b)^4 with theta = 1 + 2 sum q^(m^2), formed by exact
-series_products (arith's signed codec) and reading no divisor sum. The
-per-n references octonary_convolution, r4 and octonary_lattice stay. A
-pair outside SUPPORTED_PAIRS, or a lattice count past its bound, raises
-ValueError."""
+octonary_formula_table evaluates the quaternary identity from the oracle
+side's divisor sums, brute_force_W_table and sigma_table, adding each term
+onto the multiples of its divisor; octonary_count_table is the lattice
+count theta(q^a)^4 theta(q^b)^4 with theta = 1 + 2 sum q^(m^2), formed by
+exact series_products (arith's signed codec) and reading no divisor sum.
+The per-n references octonary_convolution, r4 (by trial-division sigma)
+and octonary_lattice stay. A pair outside SUPPORTED_PAIRS, or a lattice
+count past its bound, raises ValueError."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import isqrt
 
-from .arith import series_product, sigma, sigma_at, sigma_table
+from .arith import series_product, sigma, sigma_table
 from .convolution import brute_force_W_table
 
 #: direct 4-square lattice counts are only sensible at desk scale
@@ -31,7 +31,7 @@ SUPPORTED_PAIRS = ((1, 1), (1, 3), (2, 3), (1, 9))
 @lru_cache(maxsize=None)
 def r4(n: int) -> int:
     """Number of ways to write n as a sum of four integer squares:
-    1 for n = 0, else 8 sigma(n) - 32 sigma(n/4).
+    1 for n = 0, else 8 sigma(n) - 32 sigma(n/4), the second term only when 4 | n.
 
     Memoised, because octonary_convolution asks for the same r4(l) at every
     n >= l. This is Jacobi's four-square theorem, read per n by trial
@@ -41,7 +41,7 @@ def r4(n: int) -> int:
         raise ValueError("n must be non-negative")
     if n == 0:
         return 1
-    return 8 * sigma(1, n) - 32 * sigma_at(1, n, 4)
+    return 8 * sigma(1, n) - (32 * sigma(1, n // 4) if n % 4 == 0 else 0)
 
 
 def r4_lattice(n: int) -> int:

