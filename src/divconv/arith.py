@@ -23,8 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
-#: Ceiling on the CLI's --truncation, --nmax and --level, and on any level
-#: before trial division factors it.
+#: Ceiling on the CLI's --truncation, --nmax and --level, on any level
+#: before trial division factors it, and on |r| for an eta exponent read from JSON.
 MAX_TRUNCATION = 1_000_000
 
 
@@ -112,34 +112,36 @@ def sigma_table(k: int, n_max: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-def sigma_sieve(k: int, n_max: int) -> list[int]:
-    """sigma_k(n) for n = 0..n_max as a list (index 0 holds 0).
+def sigma_sieve(ks, n_max: int) -> list[list[int]]:
+    """sigma_k(n) for n = 0..n_max, one list per k in ks (index 0 holds 0).
 
     Multiplicative sieve over smallest prime factors, O(n_max log log
-    n_max): with p = spf(n) and p^e the power of p in n, sigma_k(n) is
-    sigma_k(n/p) + n^k when n = p^e, else sigma_k(p^e) sigma_k(n/p^e).
-    It shares no code with sigma_table, so the formula side (derivation and
-    evaluation) reads this, independent of the oracles, which read that.
+    n_max), built once for every k: with p = spf(n) and p^e the power of p
+    in n, sigma_k(n) is sigma_k(n/p) + n^k when n = p^e, else sigma_k(p^e)
+    sigma_k(n/p^e). It shares no code with sigma_table, so the formula side
+    (derivation and evaluation) reads this, independent of the oracles,
+    which read that.
     """
-    if k < 0 or n_max < 0:
-        raise ValueError("sigma_sieve requires k >= 0 and n_max >= 0")
+    if min(ks, default=0) < 0 or n_max < 0:
+        raise ValueError("sigma_sieve requires every k >= 0 and n_max >= 0")
     spf = list(range(n_max + 1))
     for p in range(2, isqrt(n_max) + 1):
         if spf[p] == p:
             for m in range(p * p, n_max + 1, p):
                 if spf[m] == m:
                     spf[m] = p
-    values = [0] * (n_max + 1)
     power = [1] * (n_max + 1)  # p^e, the full power of spf(n) in n
-    if n_max >= 1:
-        values[1] = 1
     for n in range(2, n_max + 1):
         p = spf[n]
-        m = n // p
-        power[n] = power[m] * p if spf[m] == p else p
-        rest = n // power[n]
-        values[n] = values[m] + n**k if rest == 1 else values[power[n]] * values[rest]
-    return values
+        power[n] = power[n // p] * p if spf[n // p] == p else p
+    tables = []
+    for k in ks:
+        values = ([0, 1] + [0] * (n_max - 1))[: n_max + 1]
+        for n in range(2, n_max + 1):
+            q = power[n]
+            values[n] = values[n // spf[n]] + n**k if q == n else values[q] * values[n // q]
+        tables.append(values)
+    return tables
 
 
 def spread(series, t: int, n_max: int) -> list[int]:
@@ -184,17 +186,30 @@ def unpack(value: int, size: int, slots: int, count: int) -> list[int]:
     return [int.from_bytes(data[i : i + size], "big", signed=True) for i in range(0, size * count, size)]
 
 
-def slot_bits(value: int, size: int, bits: int) -> int:
+def slot_unit(size: int, slots: int) -> int:
+    """1 in each of slots slots of 8 * size bits: the unit slot_bits reads."""
+    return int.from_bytes((bytes(size - 1) + b"\x01") * slots, "big")
+
+
+def slot_bits(value: int, size: int, bits: int, unit: int = 0) -> int:
     """The least b >= max(bits, 1) with every slot of value, packed at w =
     8 * size bits, in [-2^(b-1), 2^(b-1)): exactly when a = value + 2^(b-1)
-    per slot is >= 0 with no slot's bits b..w-1 set. b = w always holds, and
-    no slot past the bottom value.bit_length() // w + 2 is nonzero."""
+    per slot is >= 0 with no slot's bits b..w-1 set. Every b >= w holds;
+    max(bits, 1) is checked first, then the least b is bisected. unit is
+    slot_unit(size, s) for any s >= value.bit_length() // w + 2, past which
+    no slot is nonzero, built here when not given."""
     w = 8 * size
-    unit = int.from_bytes((bytes(size - 1) + b"\x01") * (value.bit_length() // w + 2), "big")  # 1 per slot
-    b = max(bits, 1)
-    while (a := value + (unit << b - 1)) < 0 or a & (unit << w) - (unit << b):
-        b += 1
-    return b
+    unit = unit or slot_unit(size, value.bit_length() // w + 2)
+    low, high = max(bits, 1) - 1, max(bits, 1, w)  # the least b that holds is in (low, high]
+    b = low + 1
+    while high - low > 1:
+        a = value + (unit << b - 1)
+        if a < 0 or a & (unit << w) - (unit << b):
+            low = b
+        else:
+            high = b
+        b = (low + high) // 2
+    return high
 
 
 def widen(value: int, size: int, wide: int) -> int:

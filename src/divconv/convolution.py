@@ -4,17 +4,19 @@ difference target series (a signed series product), formula derivation by
 solving in the level's own weight-4 basis at the Sturm bound
 (derive_formula; the basis is built once per level, so pairs at one level
 share it), and exact range verification. Every series here is a plain
-list of its integer coefficients q^0..q^n_max.
+list of its integer coefficients q^0..q^n_max, but the evaluation that
+verify_formula checks, which stays packed (arith.pack).
 
 A formula carries the generators of its basis with their coefficients, so
 verify_formula reaches any n_max on its own. _scaled_values evaluates the
 whole range at once in integers: every coefficient is scaled by the lcm L
 of the formula's denominators, each sigma and sigma3 term is added onto
-the multiples of its divisor, the eta quotients expand together (their
-shared passes run once), and the sums are divided by L only at the end.
-Each side of the proof has one source of divisor sums: the target and the
-values of the formula read sigma_sieve, and the oracle, brute_force_W_table,
-is one series_product of the sigma_table series at q^alpha and at q^beta.
+the multiples of its divisor, the eta quotients are summed packed
+(eta.sum_eta_quotients), and the sum is compared with L times the packed
+oracle column as one int, unpacked only when they differ. Each side of
+the proof has one source of divisor sums: the target and the values of
+the formula read sigma_sieve, and the oracle, brute_force_W_table, is one
+series_product of the sigma_table series at q^alpha and at q^beta.
 A report carries the formula's certificate, its Sturm bound and basis rank
 against dim M4, next to the range the oracle agreed on."""
 
@@ -24,8 +26,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .arith import MAX_TRUNCATION, rational_to_str, series_product, sigma_sieve, sigma_table, spread
-from .eta import EtaQuotient, expand_eta_quotients
+from .arith import MAX_TRUNCATION, pack, rational_to_str, series_product, sigma_sieve, sigma_table, slot_bytes
+from .arith import spread, unpack, widen
+from .eta import EtaQuotient, sum_eta_quotients
 from .modforms import (
     E4,
     Unsolvable,
@@ -141,20 +144,22 @@ def derive_formula(alpha: int, beta: int) -> ConvolutionFormula:
     return ConvolutionFormula(alpha, beta, terms)
 
 
-def _scaled_values(formula: ConvolutionFormula, n_max: int) -> tuple[int, list[int]]:
-    """(L, [L * value(n) for n = 0..n_max]) with L the lcm of the formula's
-    denominators, so every term is an integer product and the sums stay in
-    int. Each c sigma_k(n/t) term (k = 1, 3) is added onto the slice of
-    multiples of t from one sigma_sieve per k, which shares no code with
-    the sigma_table that brute_force_W_table reads; the eta quotients with a
-    nonzero coefficient are expanded to n_max in one expand_eta_quotients
-    batch. Index 0 holds 0."""
+def _scaled_values(formula: ConvolutionFormula, n_max: int) -> tuple[int, int, int]:
+    """(L, size, value): value packs L * value(n) for n = 0..n_max in slots
+    of size bytes (arith.pack), with L the lcm of the formula's
+    denominators, so every term is an integer product. Each c sigma_k(n/t)
+    term (k = 1, 3) is added onto the list slice of multiples of t, from one
+    sigma_sieve of both k, which shares no code with the sigma_table that
+    brute_force_W_table reads. The list is packed once and added to the
+    eta.sum_eta_quotients of the quotients with a nonzero coefficient, in
+    slots that hold both bounds; the spare slot is rounded away. Slot 0
+    holds 0, as every quotient of a formula is a cusp form."""
     if n_max < 1:
         raise ValueError("n_max must be positive")
     coefficients = [c for _, c in formula.terms] + [c for pair in formula.sigma_terms.values() for c in pair]
     scale = lcm(*(c.denominator for c in coefficients))
     values = [0] * (n_max + 1)
-    sigma1, sigma3 = sigma_sieve(1, n_max), sigma_sieve(3, n_max)
+    sigma1, sigma3 = sigma_sieve((1, 3), n_max)
     for d, (c0, c1) in formula.sigma_terms.items():
         a0, a1 = int(c0 * scale), int(c1 * scale) * d
         values[d::d] = [v + (a0 + a1 * j) * s for j, (v, s) in enumerate(zip(values[d::d], sigma1[1:]), 1)]
@@ -162,10 +167,11 @@ def _scaled_values(formula: ConvolutionFormula, n_max: int) -> tuple[int, list[i
         a = int(c * scale)
         values[t::t] = [v + a * s for v, s in zip(values[t::t], sigma3[1:])]
     live = [(g, int(c * scale)) for g, c in formula.terms if c and isinstance(g, EtaQuotient)]
-    for (_, a), series in zip(live, expand_eta_quotients([g for g, _ in live], n_max)):
-        values = [v + a * x for v, x in zip(values, series)]
-    values[0] = 0
-    return scale, values
+    cusp, width, bound = sum_eta_quotients([g for g, _ in live], [a for _, a in live], n_max)
+    if (size := max(width, slot_bytes(bound + max(map(abs, values))))) > width:
+        cusp = widen(cusp, width, size)
+    total = pack(values + [0], size) + cusp
+    return scale, size, (total + (1 << 8 * size - 1)) >> 8 * size
 
 
 class VerificationReport(NamedTuple):
@@ -190,13 +196,18 @@ class VerificationReport(NamedTuple):
 def verify_formula(formula: ConvolutionFormula, n_max: int) -> VerificationReport:
     """Check formula == brute force (and integrality) for 1 <= n <= n_max.
 
-    The oracle column is brute_force_W_table over the whole range.
-    Mismatches are collected in the report, never raised."""
-    scale, values = _scaled_values(formula, n_max)
+    L times the packed oracle column (brute_force_W_table) is compared with
+    _scaled_values as one int, in its slots, since two packings with every
+    slot in range are equal exactly when each slot is; as W(n) >= 0, that
+    proves integrality too. Only a column too wide for the slots or a
+    difference is checked n by n. Mismatches are reported, never raised."""
+    scale, size, value = _scaled_values(formula, n_max)
     oracles = brute_force_W_table(formula.alpha, formula.beta, n_max)
     mismatches: list[tuple[int, str, int]] = []
-    for n in range(1, n_max + 1):
-        num, oracle = values[n], oracles[n]
-        if num % scale or num // scale != oracle or num < 0:
-            mismatches.append((n, rational_to_str(Fraction(num, scale)), oracle))
+    if slot_bytes(scale * max(oracles)) > size or value != scale * pack(oracles, size):
+        values = unpack(value, size, n_max + 1, n_max + 1)
+        for n in range(1, n_max + 1):
+            num, oracle = values[n], oracles[n]
+            if num % scale or num // scale != oracle or num < 0:
+                mismatches.append((n, rational_to_str(Fraction(num, scale)), oracle))
     return VerificationReport(formula.alpha, formula.beta, formula.certificate(), n_max, tuple(mismatches))

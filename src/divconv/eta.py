@@ -1,5 +1,6 @@
 """Dedekind eta quotients: expansion to integer lists (packed multiply
-passes, then divides by F(q^d)^3), admissibility checks, search. Only
+passes, then divides by F(q^d)^3) or to one packed weighted sum from the
+same walk over the passes, admissibility checks, search. Only
 expand_eta_quotient (expand, the cache) and euler_F (perfbench/micro.py,
 the tests) return a QSeries; both import qseries on the call.
 
@@ -23,7 +24,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import MAX_TRUNCATION, divisors, euler_phi, gamma0_index, insert_row, pack, prime_factorization
-from .arith import rational_to_str, reduce_row, slot_bits, slot_bytes, unpack, widen
+from .arith import rational_to_str, reduce_row, slot_bits, slot_bytes, slot_unit, unpack, widen
 
 if TYPE_CHECKING:
     from .qseries import QSeries
@@ -87,6 +88,8 @@ class EtaQuotient(NamedTuple):
         for d, r in exponents.items():
             if not (d.isascii() and d.isdecimal() and int(d) > 0 and type(r) is int):
                 raise ValueError(f"exponents key {d!r} must be a positive divisor in ASCII digits with an int value")
+            if abs(r) > MAX_TRUNCATION:  # past it, sum d*r_d may be too long to print in a message
+                raise ValueError(f"the exponent of divisor {int(d)} must be in -{MAX_TRUNCATION}..{MAX_TRUNCATION}")
         if len(given := {int(d): d for d in exponents}) < len(exponents):  # "1" and "01" name one divisor
             d = next(d for d in exponents if given[int(d)] != d)
             raise ValueError(f"divisor {int(d)} is given twice, as {d!r} and {given[int(d)]!r}")
@@ -199,7 +202,7 @@ def check_admissibility(f: EtaQuotient) -> AdmissibilityReport:
     )
 
 
-def _multiply_pass(state: tuple[int, int], terms: Sequence[tuple[int, int]]) -> tuple[int, int]:
+def _multiply_pass(state: tuple[int, int], terms: Sequence[tuple[int, int]], unit: int = 0) -> tuple[int, int]:
     """The packed state (value, size) of g times (1 + sum c q^k) truncated to
     len(g), every k >= 1. value holds g and a spare slot below it as
     arith.pack writes them, w = 8 * size bits each, q^0 on top, so q^k is a
@@ -208,10 +211,10 @@ def _multiply_pass(state: tuple[int, int], terms: Sequence[tuple[int, int]]) -> 
     like the rest. With S = 1 + sum |c|, slots in [-2^(v-1), 2^(v-1)) stay
     within (2^(v-1) + 1) S: arith.slot_bits checks v = w - 1 - bitlen(S)
     exactly, else finds the least v that holds, and arith.widen moves the
-    slots to arith.slot_bytes of that bound."""
+    slots to arith.slot_bytes of that bound. unit, if given, is slot_bits's unit for state."""
     value, size = state
     total = 1 + sum(abs(c) for _, c in terms)
-    bits = slot_bits(value, size, 8 * size - 1 - total.bit_length())
+    bits = slot_bits(value, size, 8 * size - 1 - total.bit_length(), unit)
     if (wide := slot_bytes(((1 << bits - 1) + 1) * total)) != size:  # not when the first check holds
         value, size = widen(value, size, wide), wide
     out, w = value, 8 * size
@@ -331,26 +334,69 @@ def expand_eta_quotients(quotients, truncation: int) -> list[list[int]]:
     The multiply passes run on one int packed by arith's signed Kronecker
     codec, each term one big-int shift-and-add, after an exact check of its
     slots that widens them only when the product could outgrow them
-    (_multiply_pass). Each quotient then unpacks its own q^0..q^(truncation
-    - e0) once and runs its cube divides on that list by the forward
-    recurrence (_divide_pass).
+    (_multiply_pass). Each quotient then unpacks its q^0..q^truncation
+    once and runs its cube divides on that list by the forward recurrence
+    (_series).
 
     The quotients' multiply passes form a prefix tree, walked depth first
-    by taking them in sorted order, so a multiply pass that several
+    by taking them in sorted order (_walk), so a multiply pass that several
     quotients start with runs once. Only the packed products that a later
     quotient resumes from are kept, so memory does not grow with the
     passes. Every multiply pass runs on q^0..q^top with top = truncation -
     min e0; a quotient with a larger e0 reads a prefix, since truncated
-    products agree on it.
+    products agree on it, shifted down to its own q^e0.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
+    results = [None] * len(quotients)
+    for i, e0, state, divide in _walk(quotients, truncation):
+        results[i] = _series(state, e0, divide, truncation)
+    return [g or [0] * (truncation + 1) for g in results]
+
+
+def sum_eta_quotients(quotients, weights, truncation: int) -> tuple[int, int, int]:
+    """(value, size, bound): sum weights[i] quotients[i] to q^truncation,
+    packed as _walk yields each product, every slot at most bound < 2^(8
+    size - 1) in absolute value. arith.slot_bits bounds a product with no
+    divide on the packed int, first at the bits of the one before; one with
+    cube divides is unpacked, divided and packed at the width of the sum."""
+    value, size, bound, bits = 0, 1, 0, 1
+    for i, e0, (product, width), divide in _walk(quotients, truncation):
+        if divide:
+            g = _series((product, width), e0, divide, truncation)
+            most, width = max(map(abs, g)), 1
+        else:
+            bits = slot_bits(product, width, bits)
+            most = 1 << bits - 1
+        bound += abs(weights[i]) * most
+        if (wide := max(slot_bytes(bound), width)) > size:
+            value, size = widen(value, size, wide), wide
+        if divide:
+            product, width = pack(g + [0], size), size
+        value += weights[i] * (widen(product, width, size) if width < size else product)
+    return value, size, bound
+
+
+def _series(state: tuple[int, int], e0: int, divide: Sequence[int], truncation: int) -> list[int]:
+    """A quotient's q^0..q^truncation from its product as _walk yields it,
+    divided by F(q^d)^3 for each d in divide (_divide_pass)."""
+    g = unpack(*state, truncation + 2, truncation + 1)
+    for d in divide:
+        if m := (truncation - e0) // d:
+            g[e0:] = _divide_pass(g[e0:], _pass_terms(d, "cube", m))
+    return g
+
+
+def _walk(quotients, truncation: int) -> Iterator[tuple[int, int, tuple[int, int], tuple[int, ...]]]:
+    """(i, e0, (value, size), divide) for each quotient i with e0 <=
+    truncation, in walk order (see expand_eta_quotients): value packs its
+    multiply product shifted right by e0 - min e0 slots, q^0..q^truncation
+    and a spare slot that takes the shift's floor; divide is still to run."""
     e0s = [_leading_exponent(f) for f in quotients]
-    results = [[0] * (truncation + 1) if e0 > truncation else None for e0 in e0s]
     jobs = sorted((*_passes(f), e0, i) for i, (f, e0) in enumerate(zip(quotients, e0s)) if e0 <= truncation)
     if not jobs:
-        return results
-    top = truncation - min(e0 for *_, e0, _ in jobs)
+        return
+    top = truncation - (low := min(e0 for *_, e0, _ in jobs))
     # resume[k] = the multiply passes sorted job k shares with job k - 1; saved
     # holds (depth, packed product after that many passes) where a later job resumes
     resume = [0] + [
@@ -358,21 +404,19 @@ def expand_eta_quotients(quotients, truncation: int) -> list[list[int]]:
         for (p, *_), (q, *_) in zip(jobs, jobs[1:])
     ]
     saved = [(0, (pack([1] + [0] * (top + 1), 1), 1))]
+    unit = (0, 0)  # (size, its arith.slot_unit), built once per run of passes at one size
     for k, (multiply, divide, e0, i) in enumerate(jobs):
         while saved[-1][0] > resume[k]:
             saved.pop()
         depth, state = saved[-1]
         for j, (d, kind) in enumerate(multiply[depth:], start=depth + 1):
             if m := top // d:
-                state = _multiply_pass(state, _pass_terms(d, kind, m))
+                if unit[0] != state[1]:
+                    unit = state[1], slot_unit(state[1], top + 3)
+                state = _multiply_pass(state, _pass_terms(d, kind, m), unit[1])
             if j in resume[k + 1 :]:
                 saved.append((j, state))
-        g = unpack(*state, top + 2, truncation - e0 + 1)
-        for d in divide:
-            if m := (truncation - e0) // d:
-                g = _divide_pass(g, _pass_terms(d, "cube", m))
-        results[i] = [0] * e0 + g
-    return results
+        yield i, e0, (state[0] >> 8 * state[1] * (e0 - low), state[1]), divide
 
 
 def _inverse(matrix: list[list[Fraction]]) -> list[list[Fraction]]:

@@ -52,7 +52,7 @@ def eisenstein_L(truncation: int) -> list[int]:
     """E2-normalized series 1 - 24 sum sigma(n) q^n, read from sigma_sieve."""
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    return [1] + [-24 * s for s in sigma_sieve(1, truncation)[1:]]
+    return [1] + [-24 * s for s in sigma_sieve((1,), truncation)[0][1:]]
 
 
 class E4(NamedTuple):
@@ -61,7 +61,7 @@ class E4(NamedTuple):
     t: int
 
     def expand(self, n_max: int) -> list[int]:
-        return spread([1] + [240 * s for s in sigma_sieve(3, n_max // self.t)[1:]], self.t, n_max)
+        return spread([1] + [240 * s for s in sigma_sieve((3,), n_max // self.t)[0][1:]], self.t, n_max)
 
 
 # -- Gamma_0(N) invariants and weight-4 dimensions -------------------------

@@ -1,9 +1,11 @@
 """Independent references that the tests check the pipeline against."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from divconv.arith import sigma
+from divconv.arith import rational_to_str, sigma
+from divconv.convolution import VerificationReport, brute_force_W_table
+from divconv.eta import EtaQuotient, expand_eta_quotients
 
 
 def sigma_at(k: int, n: int, delta: int) -> int:
@@ -109,3 +111,39 @@ def octonary_1_1_closed_form(n: int) -> int:
     if n < 1:
         raise ValueError("n must be positive")
     return 16 * sigma(3, n) - 32 * sigma_at(3, n, 2) + 256 * sigma_at(3, n, 4)
+
+
+def reference_scaled_values(formula, n_max: int) -> tuple[int, list[int]]:
+    """The list evaluation that convolution._scaled_values packed, kept as
+    its reference: (L, [L * value(n) for n = 0..n_max]), each sigma and
+    sigma3 term added onto its slice of multiples, sigma by trial division,
+    then each eta quotient expanded to a list and added coefficient by
+    coefficient."""
+    coefficients = [c for _, c in formula.terms] + [c for pair in formula.sigma_terms.values() for c in pair]
+    scale = lcm(*(c.denominator for c in coefficients))
+    values = [0] * (n_max + 1)
+    sigma1, sigma3 = ([sigma(k, n) for n in range(n_max + 1)] for k in (1, 3))
+    for d, (c0, c1) in formula.sigma_terms.items():
+        a0, a1 = int(c0 * scale), int(c1 * scale) * d
+        values[d::d] = [v + (a0 + a1 * j) * s for j, (v, s) in enumerate(zip(values[d::d], sigma1[1:]), 1)]
+    for t, c in formula.sigma3_terms.items():
+        a = int(c * scale)
+        values[t::t] = [v + a * s for v, s in zip(values[t::t], sigma3[1:])]
+    live = [(g, int(c * scale)) for g, c in formula.terms if c and isinstance(g, EtaQuotient)]
+    for (_, a), series in zip(live, expand_eta_quotients([g for g, _ in live], n_max)):
+        values = [v + a * x for v, x in zip(values, series)]
+    values[0] = 0
+    return scale, values
+
+
+def reference_verify(formula, n_max: int) -> VerificationReport:
+    """The report of convolution.verify_formula from reference_scaled_values,
+    every n checked on its own against brute_force_W_table."""
+    scale, values = reference_scaled_values(formula, n_max)
+    oracles = brute_force_W_table(formula.alpha, formula.beta, n_max)
+    mismatches = tuple(
+        (n, rational_to_str(Fraction(values[n], scale)), oracles[n])
+        for n in range(1, n_max + 1)
+        if values[n] % scale or values[n] // scale != oracles[n] or values[n] < 0
+    )
+    return VerificationReport(formula.alpha, formula.beta, formula.certificate(), n_max, mismatches)

@@ -74,15 +74,18 @@ def test_sigma_table_matches_pointwise():
 
 @pytest.mark.parametrize("n_max", [0, 1, 2, 5000])
 def test_sigma_sieve_matches_trial_division(n_max):
-    for k in range(4):
-        assert sigma_sieve(k, n_max) == [sigma(k, n) for n in range(n_max + 1)], k
+    # one sieve serves every k asked for, in the order asked
+    expected = [[sigma(k, n) for n in range(n_max + 1)] for k in range(4)]
+    assert sigma_sieve((0, 1, 2, 3), n_max) == expected
+    assert sigma_sieve((3, 1), n_max) == [expected[3], expected[1]]
+    assert sigma_sieve((), n_max) == []
 
 
 def test_sigma_sieve_rejects_negative_arguments():
     with pytest.raises(ValueError):
-        sigma_sieve(-1, 10)
+        sigma_sieve((1, -1), 10)
     with pytest.raises(ValueError):
-        sigma_sieve(1, -1)
+        sigma_sieve((1,), -1)
 
 
 def test_divisors():

@@ -22,6 +22,7 @@ from divconv.representations import octonary_convolution
 
 A2_QUOTIENT = '{"level": 14, "exponents": {"1": 2, "2": 2, "7": 2, "14": 2}}'
 LONG = "1" * 5000  # more digits than int reads by default (4300)
+NINES = "9" * 4300  # int reads it, but sum d*r_d has 4301 digits
 
 
 def test_expand_leading_coefficients(tmp_path):
@@ -142,11 +143,12 @@ def test_expand_rejects_corrupt_cache_entry(tmp_path, garbage):
         (f'{{"level": 2, "exponents": {{"{LONG}": 24}}}}', "key '1111111111...' of 5000 digits"),
         (f'{{"level": 2, "exponents": {{"1": -{LONG}}}}}', "key '1' an integer too long"),
         (f'{{"level": {LONG}, "exponents": {{"1": 24}}}}', "key 'level' an integer too long"),
+        (f'{{"level": 2, "exponents": {{"1": 24, "2": {NINES}}}}}', "exponent of divisor 2 must be in"),
     ],
     ids=[
         "array", "number", "exponents-array", "level-string", "exponents-null", "fractional-exponent",
         "divisor-zero", "repeated-divisor", "repeated-level", "arabic-indic-digit", "fullwidth-digit", "unknown-key",
-        "long-divisor", "long-exponent", "long-level",
+        "long-divisor", "long-exponent", "long-level", "huge-exponent",
     ],
 )
 def test_malformed_quotient_is_input_error(capsys, command, quotient, named):
@@ -582,3 +584,16 @@ def test_csv_commands_write_the_same_bytes(args, sha256):
     assert result.returncode == 0, result.stderr
     assert b"\r\n" in result.stdout
     assert hashlib.sha256(result.stdout).hexdigest() == sha256
+
+
+def test_exponent_past_the_ceiling_is_refused_by_its_divisor():
+    """An exponent that int reads but that is past -10^6..10^6 is refused
+    where the quotient is read, naming its divisor, before any message
+    formats a number too long to print; the ceiling itself is accepted."""
+    result = run("--truncation", "10", "expand", f'{{"level": 2, "exponents": {{"1": 24, "2": {NINES}}}}}')
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr == "error: the exponent of divisor 2 must be in -1000000..1000000\n"
+    result = run("ligozat", '{"level": 2, "exponents": {"1": 1000000, "2": -1000001}}')
+    assert result.exit_code == 2 and "exponent of divisor 2" in result.stderr
+    result = run("ligozat", '{"level": 2, "exponents": {"1": 1000000, "2": -1000000}}')
+    assert result.exit_code == 0 and json.loads(result.output)["weight"] == "0/1"

@@ -1,13 +1,17 @@
 import hashlib
 import importlib
+from functools import cache
 import pkgutil
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import divconv
 import divconv.arith as arith_module
 import divconv.convolution as convolution_module
+import divconv.eta as eta_module
 import divconv.modforms as modforms_module
 import reference
 from divconv.convolution import (
@@ -17,6 +21,7 @@ from divconv.convolution import (
     target_series,
     verify_formula,
 )
+from divconv.arith import unpack
 from divconv.eta import EtaQuotient
 from divconv.modforms import (
     E4,
@@ -27,7 +32,7 @@ from divconv.modforms import (
     registered_cusp_quotients,
     sturm_bound,
 )
-from reference import brute_force_W, sigma_at, target_coefficient_via_sums
+from reference import brute_force_W, reference_verify, sigma_at, target_coefficient_via_sums
 
 TRUNC = 80
 
@@ -42,9 +47,15 @@ def formula27():
     return derive_formula(2, 7)
 
 
+def scaled(formula, n_max):
+    """(L, [L * value(n) for n = 0..n_max]), unpacked from the packed scaled integers verify_formula reads."""
+    scale, size, value = _scaled_values(formula, n_max)
+    return scale, unpack(value, size, n_max + 1, n_max + 1)
+
+
 def evaluate(formula, n_max):
-    """The closed form at n = 0..n_max, from the scaled integers verify_formula reads."""
-    scale, values = _scaled_values(formula, n_max)
+    """The closed form at n = 0..n_max."""
+    scale, values = scaled(formula, n_max)
     return [Fraction(v, scale) for v in values]
 
 
@@ -320,7 +331,7 @@ def test_evaluation_reads_no_oracle_sieve(formula27, monkeypatch):
         assert evaluate(formula27, 60) == reference_evaluate(formula27, 60)
         for pair in PAPER_PAIRS:
             assert derive_formula(*pair) == formulas[pair]
-            scale, values = _scaled_values(formulas[pair], 300)
+            scale, values = scaled(formulas[pair], 300)
             assert values[1:] == [scale * w for w in tables[pair][1:]]
     with monkeypatch.context() as patch:
         forbid(patch, "sigma_sieve")
@@ -331,9 +342,9 @@ def test_evaluation_reads_no_oracle_sieve(formula27, monkeypatch):
 def test_evaluation_skips_zero_cusp_coefficients(monkeypatch):
     formula = derive_formula(1, 26)
     expanded = []
-    expand = convolution_module.expand_eta_quotients
+    add = convolution_module.sum_eta_quotients
     monkeypatch.setattr(
-        convolution_module, "expand_eta_quotients", lambda qs, t: expanded.append(len(qs)) or expand(qs, t)
+        convolution_module, "sum_eta_quotients", lambda qs, ws, t: expanded.append(len(qs)) or add(qs, ws, t)
     )
     evaluate(formula, 50)
     assert expanded == [sum(1 for _, c in formula.cusp_terms if c)] == [8]
@@ -417,3 +428,57 @@ def test_verify_report_states_its_certificate(formula27):
     assert {k: data[k] for k in ("sturm_bound", "basis_rank", "dim_M4")} == {
         k: formula_data[k] for k in ("sturm_bound", "basis_rank", "dim_M4")
     } == {"sturm_bound": 8, "basis_rank": 8, "dim_M4": 8}
+
+
+@cache
+def cached_formula(alpha, beta):
+    return derive_formula(alpha, beta)
+
+
+def perturbed(formula, index, delta):
+    """The formula with delta added to the coefficient of its term index."""
+    terms = list(formula.terms)
+    generator, c = terms[index]
+    terms[index] = (generator, c + delta)
+    return formula._replace(terms=tuple(terms))
+
+
+def first_divided(formula):
+    """The index of the formula's first eta quotient with a cube divide."""
+    return next(i for i, (g, _) in enumerate(formula.terms) if isinstance(g, EtaQuotient) and eta_module._passes(g)[1])
+
+
+# levels 14, 22 (two quotients with a cube divide), 26, and 20, whose
+# quotients come from the cusp-order walk
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(2, 7), (1, 22), (2, 11), (1, 26), (4, 5)]),
+    st.integers(0, 16),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**6)) | st.just(Fraction(0)),
+    st.integers(1, 120),
+)
+@example((1, 22), 10, Fraction(10**30, 7), 60)  # past 8-byte slots, on a quotient with a divide
+@example((1, 26), 12, Fraction(-(10**30), 3), 60)  # past 8-byte slots, on a multiply-only quotient
+@example((1, 26), 9, Fraction(1, 2040), 1)  # the zero cusp coefficient, made live
+def test_packed_verification_matches_the_list_reference(pair, index, delta, n_max):
+    formula = cached_formula(*pair)
+    formula = perturbed(formula, index % len(formula.terms), delta)
+    assert verify_formula(formula, n_max) == reference_verify(formula, n_max)
+
+
+@pytest.mark.parametrize("pair", [(1, 22), (2, 11)])
+def test_wide_perturbation_of_a_divided_quotient_is_reported_exactly(pair):
+    formula = cached_formula(*pair)
+    formula = perturbed(formula, first_divided(formula), Fraction(10**30, 7))
+    assert _scaled_values(formula, 80)[1] > 8  # wider than any struct slot
+    report = verify_formula(formula, 80)
+    assert report == reference_verify(formula, 80) and not report.ok
+
+
+def test_passing_deep_verify_unpacks_no_quotient(monkeypatch):
+    formula = derive_formula(1, 26)
+    unpacked = []
+    for module in (eta_module, convolution_module):
+        monkeypatch.setattr(module, "unpack", lambda *args, f=module.unpack: unpacked.append(args[1:]) or f(*args))
+    assert verify_formula(formula, 3000).ok
+    assert unpacked == []

@@ -20,6 +20,7 @@ from divconv.eta import (
     expand_eta_quotient,
     expand_eta_quotients,
     search_eta_quotients,
+    sum_eta_quotients,
 )
 from divconv.modforms import registered_cusp_quotients
 from divconv.qseries import QSeries
@@ -650,7 +651,7 @@ def test_shared_expansion_runs_each_shared_pass_once(monkeypatch):
     ran = []
     for name in ("_multiply_pass", "_divide_pass"):
         kernel = getattr(eta_module, name)
-        monkeypatch.setattr(eta_module, name, lambda g, terms, kernel=kernel: ran.append(1) or kernel(g, terms))
+        monkeypatch.setattr(eta_module, name, lambda *args, kernel=kernel: ran.append(1) or kernel(*args))
     for level, divides in ((26, 0), (22, 2)):
         ran.clear()
         plans = [eta_module._passes(q) for q in registered_cusp_quotients(level)]
@@ -688,3 +689,21 @@ def test_expansion_memory_does_not_grow_with_the_passes():
     many = _traced_peak(EtaQuotient.from_dict(2, {1: 60, 2: -30}), 200)
     few = _traced_peak(EtaQuotient.from_dict(2, {1: 6, 2: -3}), 200)
     assert many < 4 * few
+
+
+@pytest.mark.parametrize("level", [22, 26])
+@pytest.mark.parametrize("truncation", [3, 300])
+def test_weighted_sum_matches_the_lists(level, truncation):
+    """sum_eta_quotients packs sum a_i quotient_i exactly, with weights
+    that keep 4-byte slots and with weights that need more than 8 bytes,
+    over the level-22 quotients with a cube divide too, and at a truncation
+    below some quotients' e0; the spare slot is within the bound as well."""
+    family = registered_cusp_quotients(level)
+    lists = expand_eta_quotients(family, truncation)
+    for weights in ([1 - 2 * i for i in range(len(family))], [(-3) ** (40 + i) for i in range(len(family))]):
+        value, size, bound = sum_eta_quotients(family, weights, truncation)
+        expected = [sum(a * g[n] for a, g in zip(weights, lists)) for n in range(truncation + 1)]
+        slots = unpack(value, size, truncation + 2, truncation + 2)
+        assert slots[:-1] == expected
+        assert max(map(abs, slots)) <= bound < 2 ** (8 * size - 1)
+    assert sum_eta_quotients([], [], truncation) == (0, 1, 0)
