@@ -1,11 +1,13 @@
 """Exact integer and rational arithmetic, divisor-sum functions, the
 package's one signed Kronecker codec (slot_bytes, pack, unpack: every
 series multiplied as one big int is packed by it; slot_bits and widen
-check and widen the slots of a packed int without unpacking), the product
-x(q^a) y(q^b) of two integer series (series_product, one big-int
-multiplication per residue class; spread substitutes q -> q^t), and the
-package's only exact elimination (reduce_row, insert_row), which picks
-independent rows, solves systems and inverts matrices.
+check and widen the slots of a packed int without unpacking), the sparse
+multiply pass on a packed series (multiply_pass, one shift-and-add per
+term; eta's multiply passes and the octonary count's theta passes run on
+it), the product x(q^a) y(q^b) of two integer series (series_product, one
+big-int multiplication per residue class; spread substitutes q -> q^t),
+and the package's only exact elimination (reduce_row, insert_row), which
+picks independent rows, solves systems and inverts matrices.
 
 Elimination runs on integer rows: an echelon row is a primitive list of
 ints, and a reduced row is a list of ints with one positive scale, so no
@@ -19,6 +21,7 @@ in arithmetic and compare equal where expected.
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
@@ -99,16 +102,20 @@ def sigma(k: int, n: int) -> int:
 def sigma_table(k: int, n_max: int) -> tuple[int, ...]:
     """sigma_k(n) for n = 0..n_max as a tuple (index 0 holds 0).
 
-    Divisor sieve, O(n_max log n_max); the brute-force oracle tables read
+    Divisor-pair sieve: each n = d m with d <= m is reached once, from its
+    smaller divisor d <= isqrt(n_max), which adds d^k + m^k onto the slice
+    of multiples d m, m >= d, and takes d^k back once at d^2, where d = m.
+    That is isqrt(n_max) slice updates; the brute-force oracle tables read
     it, and nothing on the formula side does.
     """
     if k < 0 or n_max < 0:
         raise ValueError("sigma_table requires k >= 0 and n_max >= 0")
     table = [0] * (n_max + 1)
-    for d in range(1, n_max + 1):
+    for d in range(1, isqrt(n_max) + 1):
         dk = d**k
-        for m in range(d, n_max + 1, d):
-            table[m] += dk
+        pairs = range(d + dk, n_max // d + dk + 1) if k == 1 else [dk + m**k for m in range(d, n_max // d + 1)]
+        table[d * d :: d] = [t + s for t, s in zip(table[d * d :: d], pairs)]
+        table[d * d] -= dk
     return tuple(table)
 
 
@@ -163,9 +170,12 @@ def slot_bytes(bound: int) -> int:
 
 def pack(series, size: int) -> int:
     """sum series[i] 2^(w (n - 1 - i)), w = 8 * size, n = len(series): q^0
-    in the top slot. Each slot is written in two's complement, by struct or
+    in the top slot. Each slot is written in two's complement, by struct,
+    else at a narrower struct width that holds max|series| and widened, else
     int by int; XOR with off = 2^(w-1) per slot adds 2^(w-1) to each."""
     code = _STRUCT_CODES.get(size)
+    if not code and (narrow := slot_bytes(max(map(abs, series), default=0))) < min(size, 9):
+        return widen(pack(series, narrow), narrow, size)
     if code:
         raw = struct.pack(f">{len(series)}{code}", *series)
     else:
@@ -222,6 +232,32 @@ def widen(value: int, size: int, wide: int) -> int:
     for b in range(size):
         new[wide - size + b :: wide] = old[b::size]
     return int.from_bytes(new, "big") - int.from_bytes((bytes(wide - size) + off) * slots, "big")
+
+
+def multiply_pass(state: tuple[int, int], terms: Sequence[tuple[int, int]], unit: int = 0) -> tuple[int, int]:
+    """The packed state (value, size) of g times (1 + sum c q^k) truncated to
+    len(g), every k >= 1. value holds g and a spare slot below it as
+    pack writes them, w = 8 * size bits each, q^0 on top, so q^k is a
+    right shift by w*k and each term is one step, out += c * (value >> w*k),
+    whose floor subtracts 0 or 1 in the spare slot alone, carried and bounded
+    like the rest. With S = 1 + sum |c|, slots in [-2^(v-1), 2^(v-1)) stay
+    within (2^(v-1) + 1) S: slot_bits checks v = w - 1 - bitlen(S)
+    exactly, else finds the least v that holds, and widen moves the
+    slots to slot_bytes of that bound. unit, if given, is slot_bits's unit for state."""
+    value, size = state
+    total = 1 + sum(abs(c) for _, c in terms)
+    bits = slot_bits(value, size, 8 * size - 1 - total.bit_length(), unit)
+    if (wide := slot_bytes(((1 << bits - 1) + 1) * total)) != size:  # not when the first check holds
+        value, size = widen(value, size, wide), wide
+    out, w = value, 8 * size
+    for k, c in terms:
+        if c == 1:
+            out += value >> w * k
+        elif c == -1:
+            out -= value >> w * k
+        else:
+            out += c * (value >> w * k)
+    return out, size
 
 
 def series_product(x, a: int, y, b: int, n_max: int) -> list[int]:

@@ -1,8 +1,9 @@
-"""Dedekind eta quotients: expansion to integer lists (packed multiply
-passes, then divides by F(q^d)^3) or to one packed weighted sum from the
-same walk over the passes, admissibility checks, search. Only
-expand_eta_quotient (expand, the cache) and euler_F (perfbench/micro.py,
-the tests) return a QSeries; both import qseries on the call.
+"""Dedekind eta quotients: expansion to integer lists (multiply passes on
+closed-form terms by arith.multiply_pass, then divides by F(q^d)^3) or to
+one packed weighted sum from the same walk over the passes, admissibility
+checks, search. Only expand_eta_quotient (expand, the cache) and euler_F
+(perfbench/micro.py, the tests) return a QSeries; both import qseries on
+the call.
 
 An eta quotient at level N is a product over divisors d | N of powers of
 eta(d z). The admissibility checker evaluates the classical congruence,
@@ -23,8 +24,8 @@ from math import gcd, isqrt, lcm, sqrt
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import MAX_TRUNCATION, divisors, euler_phi, gamma0_index, insert_row, pack, prime_factorization
-from .arith import rational_to_str, reduce_row, slot_bits, slot_bytes, slot_unit, unpack, widen
+from .arith import MAX_TRUNCATION, divisors, euler_phi, gamma0_index, insert_row, multiply_pass, pack
+from .arith import prime_factorization, rational_to_str, reduce_row, slot_bits, slot_bytes, slot_unit, unpack, widen
 
 if TYPE_CHECKING:
     from .qseries import QSeries
@@ -202,32 +203,6 @@ def check_admissibility(f: EtaQuotient) -> AdmissibilityReport:
     )
 
 
-def _multiply_pass(state: tuple[int, int], terms: Sequence[tuple[int, int]], unit: int = 0) -> tuple[int, int]:
-    """The packed state (value, size) of g times (1 + sum c q^k) truncated to
-    len(g), every k >= 1. value holds g and a spare slot below it as
-    arith.pack writes them, w = 8 * size bits each, q^0 on top, so q^k is a
-    right shift by w*k and each term is one step, out += c * (value >> w*k),
-    whose floor subtracts 0 or 1 in the spare slot alone, carried and bounded
-    like the rest. With S = 1 + sum |c|, slots in [-2^(v-1), 2^(v-1)) stay
-    within (2^(v-1) + 1) S: arith.slot_bits checks v = w - 1 - bitlen(S)
-    exactly, else finds the least v that holds, and arith.widen moves the
-    slots to arith.slot_bytes of that bound. unit, if given, is slot_bits's unit for state."""
-    value, size = state
-    total = 1 + sum(abs(c) for _, c in terms)
-    bits = slot_bits(value, size, 8 * size - 1 - total.bit_length(), unit)
-    if (wide := slot_bytes(((1 << bits - 1) + 1) * total)) != size:  # not when the first check holds
-        value, size = widen(value, size, wide), wide
-    out, w = value, 8 * size
-    for k, c in terms:
-        if c == 1:
-            out += value >> w * k
-        elif c == -1:
-            out -= value >> w * k
-        else:
-            out += c * (value >> w * k)
-    return out, size
-
-
 def _divide_pass(g: list[int], terms: Sequence[tuple[int, int]]) -> list[int]:
     """g / (1 + sum c q^k) truncated to len(g), by the forward recurrence
     over the sparse tail; terms sorted by k >= 1."""
@@ -334,7 +309,7 @@ def expand_eta_quotients(quotients, truncation: int) -> list[list[int]]:
     The multiply passes run on one int packed by arith's signed Kronecker
     codec, each term one big-int shift-and-add, after an exact check of its
     slots that widens them only when the product could outgrow them
-    (_multiply_pass). Each quotient then unpacks its q^0..q^truncation
+    (arith.multiply_pass). Each quotient then unpacks its q^0..q^truncation
     once and runs its cube divides on that list by the forward recurrence
     (_series).
 
@@ -413,7 +388,7 @@ def _walk(quotients, truncation: int) -> Iterator[tuple[int, int, tuple[int, int
             if m := top // d:
                 if unit[0] != state[1]:
                     unit = state[1], slot_unit(state[1], top + 3)
-                state = _multiply_pass(state, _pass_terms(d, kind, m), unit[1])
+                state = multiply_pass(state, _pass_terms(d, kind, m), unit[1])
             if j in resume[k + 1 :]:
                 saved.append((j, state))
         yield i, e0, (state[0] >> 8 * state[1] * (e0 - low), state[1]), divide

@@ -6,7 +6,8 @@ octonary_formula_table evaluates the quaternary identity from the oracle
 side's divisor sums, brute_force_W_table and sigma_table, adding each term
 onto the multiples of its divisor; octonary_count_table is the lattice
 count theta(q^a)^4 theta(q^b)^4 with theta = 1 + 2 sum q^(m^2), formed by
-exact series_products (arith's signed codec) and reading no divisor sum.
+eight sparse multiply passes on one packed int (arith.multiply_pass), so
+it reads no divisor sum and shares no product code with the formula column.
 The per-n references octonary_convolution, r4 (by trial-division sigma)
 and octonary_lattice stay. A pair outside SUPPORTED_PAIRS, or a lattice
 count past its bound, raises ValueError."""
@@ -16,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import isqrt
 
-from .arith import series_product, sigma, sigma_table
+from .arith import multiply_pass, pack, sigma, sigma_table, unpack
 from .convolution import brute_force_W_table
 
 #: direct 4-square lattice counts are only sensible at desk scale
@@ -95,19 +96,19 @@ def octonary_convolution(a: int, b: int, n: int) -> int:
 
 def octonary_count_table(a: int, b: int, n_max: int) -> list[int]:
     """octonary_convolution(a, b, n) for n = 0..n_max as the lattice count
-    itself, theta(q^a)^4 theta(q^b)^4 with theta = 1 + 2 sum q^(m^2): it
-    reads no divisor sum, so it shares nothing with octonary_formula_table."""
+    itself, theta(q^a)^4 theta(q^b)^4 with theta = 1 + 2 sum q^(m^2): one
+    packed int, 1 to start, takes four multiply passes by theta(q^a) and four
+    by theta(q^b), whose terms (t m^2, 2) are the m <= isqrt(n_max // t) that
+    reach q^n_max, and is unpacked once. It reads no divisor sum, so it
+    shares nothing with octonary_formula_table."""
     if a < 1 or b < 1:
         raise ValueError("a and b must be positive")
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    m_max = n_max // min(a, b)
-    theta = [1] + [0] * m_max
-    for m in range(1, isqrt(m_max) + 1):
-        theta[m * m] = 2
-    theta2 = series_product(theta, 1, theta, 1, m_max)
-    theta4 = series_product(theta2, 1, theta2, 1, m_max)
-    return series_product(theta4, a, theta4, b, n_max)
+    state = (pack([1] + [0] * (n_max + 1), 1), 1)
+    for t in (a, a, a, a, b, b, b, b):
+        state = multiply_pass(state, [(t * m * m, 2) for m in range(1, isqrt(n_max // t) + 1)])
+    return unpack(*state, n_max + 2, n_max + 1)
 
 
 def octonary_formula_table(a: int, b: int, n_max: int) -> list[int]:

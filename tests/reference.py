@@ -1,9 +1,9 @@
 """Independent references that the tests check the pipeline against."""
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
-from divconv.arith import rational_to_str, sigma
+from divconv.arith import rational_to_str, series_product, sigma
 from divconv.convolution import VerificationReport, brute_force_W_table
 from divconv.eta import EtaQuotient, expand_eta_quotients
 
@@ -62,12 +62,35 @@ def reference_rank(series_list, max_index: int) -> int:
 
 def reference_multiply_pass(g: list[int], terms) -> list[int]:
     """g * (1 + sum c q^k) truncated to len(g), one coefficient at a time:
-    the plain list loop that eta._multiply_pass packs into one integer."""
+    the plain list loop that arith.multiply_pass packs into one integer."""
     out = list(g)
     for k, c in terms:
         for n in range(k, len(g)):
             out[n] += c * g[n - k]
     return out
+
+
+def reference_pack(series, size: int) -> int:
+    """The slot-by-slot path of arith.pack, kept as its reference past 8
+    bytes: each slot written by int.to_bytes in two's complement, and the
+    bytes read back as sum series[i] 2^(w (n - 1 - i)), w = 8 * size."""
+    raw = b"".join([c.to_bytes(size, "big", signed=True) for c in series])
+    off = int.from_bytes((b"\x80" + bytes(size - 1)) * len(series), "big")
+    return (int.from_bytes(raw, "big") ^ off) - off
+
+
+def reference_octonary_count_table(a: int, b: int, n_max: int) -> list[int]:
+    """The dense theta products that representations.octonary_count_table
+    replaced, kept as its reference: theta = 1 + 2 sum q^(m^2) as a list to
+    q^(n_max // min(a, b)), theta^2 and theta^4 by series_product, and the
+    count theta^4(q^a) theta^4(q^b) as one more."""
+    m_max = n_max // min(a, b)
+    theta = [1] + [0] * m_max
+    for m in range(1, isqrt(m_max) + 1):
+        theta[m * m] = 2
+    theta2 = series_product(theta, 1, theta, 1, m_max)
+    theta4 = series_product(theta2, 1, theta2, 1, m_max)
+    return series_product(theta4, a, theta4, b, n_max)
 
 
 def reference_reduce_row(echelon: list[tuple[list, int]], row: list) -> list:

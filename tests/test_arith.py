@@ -23,7 +23,7 @@ from divconv.arith import (
     unpack,
     widen,
 )
-from reference import reference_insert_row, reference_reduce_row, sigma_at
+from reference import reference_insert_row, reference_pack, reference_reduce_row, sigma_at
 
 
 @pytest.mark.parametrize(
@@ -64,12 +64,10 @@ def test_sigma_multiplicative_on_coprime_pairs():
 
 
 def test_sigma_table_matches_pointwise():
-    table1 = sigma_table(1, 300)
-    table3 = sigma_table(3, 300)
-    for n in range(1, 301):
-        assert table1[n] == sigma(1, n)
-        assert table3[n] == sigma(3, n)
-    assert table1[0] == 0
+    # each n = d m is reached from its divisor pairs d <= m; at a perfect square d = m once
+    for n_max in (0, 1, 2, 3, 4, 8, 9, 10, 300, 5000):
+        for k in range(4):
+            assert sigma_table(k, n_max) == tuple(sigma(k, n) for n in range(n_max + 1)), (k, n_max)
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 2, 5000])
@@ -276,6 +274,16 @@ def test_pack_unpack_round_trip_at_the_sign_edge(size):
     assert packed == sum(c << 8 * size * (len(s) - 1 - i) for i, c in enumerate(s))  # q^0 in the top slot
     assert unpack(packed, size, len(s), len(s)) == s
     assert unpack(packed, size, len(s), 4) == s[:4]
+
+
+@pytest.mark.parametrize("size", [9, 12, 16])
+def test_pack_past_8_bytes_matches_the_per_slot_path(size):
+    # below 2^63 pack writes at the struct width that holds max|series| and
+    # widens; from 2^63 up no struct width does, and it writes slot by slot
+    for most in (0, 1, 127, 128, 2**31, 2**63 - 1, 2**63, 2**64, 2 ** (8 * size - 1) - 1):
+        for series in ([most, -most, 0, -most, 3], [-most] * 5, [0, 0, most, 0], [-1, 2, most]):
+            assert pack(series, size) == reference_pack(series, size), (most, series)
+    assert pack([], size) == reference_pack([], size) == 0
 
 
 @pytest.mark.parametrize("bits,size", [(7, 1), (8, 2), (15, 2), (16, 4), (31, 4), (32, 8), (63, 8), (64, 9)])

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import divconv.eta as eta_module
-from divconv.arith import divisors, pack, slot_bytes, unpack
+from divconv.arith import divisors, multiply_pass, pack, slot_bytes, unpack
 from divconv.convolution import derive_formula
 from divconv.eta import (
     AdmissibilityReport,
@@ -458,10 +458,10 @@ def test_registered_families_keep_few_divide_passes(level, divides):
 
 
 def packed_pass(g, terms):
-    """eta._multiply_pass on g packed by arith with a spare zero slot, at the
+    """arith.multiply_pass on g packed by arith with a spare zero slot, at the
     narrowest width that holds g, and read back: (product, slot bytes)."""
     size = slot_bytes(max(map(abs, g)))
-    value, size = eta_module._multiply_pass((pack([*g, 0], size), size), terms)
+    value, size = multiply_pass((pack([*g, 0], size), size), terms)
     return unpack(value, size, len(g) + 1, len(g)), size
 
 
@@ -513,7 +513,7 @@ def test_multiply_pass_keeps_its_width_up_to_the_edge(size, position):
     for edge, bits in ((low, v), (high, v), (low - 1, v + 1), (high + 1, v + 1), (-(2 ** (w - 2)) - 1, w)):
         slots = [(-1) ** i * 2 ** (v - 2) for i in range(7)]
         slots[position] = edge
-        value, out = eta_module._multiply_pass((pack(slots, size), size), terms)
+        value, out = multiply_pass((pack(slots, size), size), terms)
         assert out == slot_bytes(((1 << bits - 1) + 1) * 4) and (out == size) is (bits < w), edge
         assert unpack(value, out, 7, 6) == reference_multiply_pass(slots[:6], terms)
 
@@ -534,7 +534,7 @@ def test_packed_chain_matches_the_list_reference_in_sequence(g, chain):
     size = slot_bytes(max(map(abs, g)))
     state = (pack([*g, 0], size), size)
     for terms in chain:
-        state = eta_module._multiply_pass(state, terms)
+        state = multiply_pass(state, terms)
         g = reference_multiply_pass(g, terms)
         assert unpack(*state, len(g) + 1, len(g)) == g
 
@@ -544,7 +544,7 @@ def test_packed_chain_crosses_every_width():
     g, terms = [1] + [0] * 39, [(1, 7), (2, -3)]
     state, sizes = (pack([*g, 0], 1), 1), [1]
     for _ in range(24):
-        state = eta_module._multiply_pass(state, terms)
+        state = multiply_pass(state, terms)
         g = reference_multiply_pass(g, terms)
         assert unpack(*state, 41, 40) == g
         sizes.append(state[1])
@@ -649,7 +649,7 @@ def test_shared_expansion_runs_each_shared_pass_once(monkeypatch):
     """Each multiply prefix that the quotients share runs once, however many
     copies of the family are expanded; each cube divide runs once per copy."""
     ran = []
-    for name in ("_multiply_pass", "_divide_pass"):
+    for name in ("multiply_pass", "_divide_pass"):
         kernel = getattr(eta_module, name)
         monkeypatch.setattr(eta_module, name, lambda *args, kernel=kernel: ran.append(1) or kernel(*args))
     for level, divides in ((26, 0), (22, 2)):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import divconv.representations as representations_module
 
@@ -11,7 +13,7 @@ from divconv.representations import (
     r4,
     r4_lattice,
 )
-from reference import octonary_1_1_closed_form
+from reference import octonary_1_1_closed_form, reference_octonary_count_table
 
 
 @pytest.mark.parametrize("n,expected", [(0, 1), (1, 8), (2, 24), (4, 24), (7, 64)])
@@ -66,6 +68,16 @@ def test_formula_table_matches_1_1_closed_form():
     assert table[:3] == [1, 16, 112]
     assert octonary_1_1_closed_form(2) == 16 * 9 - 32
     assert table[1:] == [octonary_1_1_closed_form(n) for n in range(1, 501)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 400))
+@example(5, 5, 400)  # a == b: eight passes of one theta
+@example(7, 3, 5)  # a > n_max: the four theta(q^a) passes have no term
+@example(12, 9, 8)  # both past n_max: the table is 1 and zeros
+@example(1, 1, 0)
+def test_count_table_matches_the_dense_theta_products(a, b, n_max):
+    assert octonary_count_table(a, b, n_max) == reference_octonary_count_table(a, b, n_max)
 
 
 def test_count_table_reads_no_sigma_table(monkeypatch):
