@@ -3,9 +3,11 @@ package's one signed Kronecker codec (slot_bytes, pack, unpack: every
 series multiplied as one big int is packed by it; slot_bits and widen
 check and widen the slots of a packed int without unpacking), the sparse
 multiply pass on a packed series (multiply_pass, one shift-and-add per
-term; eta's multiply passes and the octonary count's theta passes run on
-it), the product x(q^a) y(q^b) of two integer series (series_product, one
-big-int multiplication per residue class; spread substitutes q -> q^t),
+term, each run of terms that share a coefficient scaled once; eta's
+multiply passes and the octonary count's theta passes run on it), the
+product x(q^a) y(q^b) of two integer series (series_product, one big-int
+multiplication per residue class, its slots sized by the lesser of a
+product bound and the Cauchy-Schwarz bound; spread substitutes q -> q^t),
 and the package's only exact elimination (reduce_row, insert_row), which
 picks independent rows, solves systems and inverts matrices.
 
@@ -25,6 +27,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
+from operator import mul
 
 #: Ceiling on the CLI's --truncation, --nmax and --level, on any level
 #: before trial division factors it, and on |r| for an eta exponent read from JSON.
@@ -238,25 +241,35 @@ def multiply_pass(state: tuple[int, int], terms: Sequence[tuple[int, int]], unit
     """The packed state (value, size) of g times (1 + sum c q^k) truncated to
     len(g), every k >= 1. value holds g and a spare slot below it as
     pack writes them, w = 8 * size bits each, q^0 on top, so q^k is a
-    right shift by w*k and each term is one step, out += c * (value >> w*k),
-    whose floor subtracts 0 or 1 in the spare slot alone, carried and bounded
-    like the rest. With S = 1 + sum |c|, slots in [-2^(v-1), 2^(v-1)) stay
-    within (2^(v-1) + 1) S: slot_bits checks v = w - 1 - bitlen(S)
-    exactly, else finds the least v that holds, and widen moves the
-    slots to slot_bytes of that bound. unit, if given, is slot_bits's unit for state."""
+    right shift by w*k, out += c * (value >> w*k), whose floor subtracts 0
+    or 1 in the spare slot alone, carried and bounded like the rest. A term
+    with c = +-1 is one shift-and-add; the others are taken in runs of one
+    c, each run's shifted values summed, then scaled and added once, so
+    callers list the terms that share a c together. With S = 1 + sum |c|,
+    slots in [-2^(v-1), 2^(v-1)) stay within (2^(v-1) + 1) S: slot_bits
+    checks v = w - 1 - bitlen(S) exactly, else finds the least v that
+    holds, and widen moves the slots to slot_bytes of that bound. unit, if
+    given, is slot_bits's unit for state."""
     value, size = state
     total = 1 + sum(abs(c) for _, c in terms)
     bits = slot_bits(value, size, 8 * size - 1 - total.bit_length(), unit)
     if (wide := slot_bytes(((1 << bits - 1) + 1) * total)) != size:  # not when the first check holds
         value, size = widen(value, size, wide), wide
     out, w = value, 8 * size
+    run, shifted = 0, 0  # the coefficient of the run being summed, and its shifted values' sum
     for k, c in terms:
         if c == 1:
             out += value >> w * k
         elif c == -1:
             out -= value >> w * k
+        elif c == run:
+            shifted += value >> w * k
         else:
-            out += c * (value >> w * k)
+            if run:
+                out += run * shifted
+            run, shifted = c, value >> w * k
+    if run:
+        out += run * shifted
     return out, size
 
 
@@ -271,8 +284,11 @@ def series_product(x, a: int, y, b: int, n_max: int) -> list[int]:
     its class; a class with no term up to q^n_max is skipped. Each is one
     Kronecker substitution: both factors are packed, multiplied once as
     ints and unpacked. No coefficient exceeds max|x| * max|y| * min(len(x),
-    len(y)) in absolute value, the bound given to slot_bytes, so the
-    result is exact.
+    len(y)) in absolute value, nor, by Cauchy-Schwarz, sqrt(sum x^2 sum
+    y^2), so nor its isqrt, as coefficients are ints; the slots hold the
+    lesser of the two, so the result is exact. The second is at least
+    max|x| * max|y|, so it is summed only when that takes narrower slots
+    than the first.
 
     A square, x is y and a == b, has one class, packed once: px and py are
     then one int, and CPython multiplies an int by itself by squaring,
@@ -283,10 +299,13 @@ def series_product(x, a: int, y, b: int, n_max: int) -> list[int]:
     square = x is y and a == b
     x, y = list(x[: n_max // a + 1]), list(y[: n_max // b + 1])
     out = [0] * (n_max + 1)
-    bound = max(map(abs, x), default=0) * max(map(abs, y), default=0) * min(len(x), len(y))
-    if not bound:
+    peak = max(map(abs, x), default=0) * max(map(abs, y), default=0)
+    if not peak:
         return out
-    size = slot_bytes(bound)
+    size = slot_bytes(peak * min(len(x), len(y)))
+    if slot_bytes(peak) < size:  # sqrt(sum x^2 sum y^2) >= peak, so only then can it narrow the slots
+        xx = sum(map(mul, x, x))
+        size = min(size, slot_bytes(isqrt(xx * (xx if square else sum(map(mul, y, y))))))
     step = lcm(a, b)  # g a' b'
     a1, b1 = step // b, step // a
     y_classes = [(pack(c, size), len(c)) for c in (y[s::a1] for s in range(min(a1, len(y))))]

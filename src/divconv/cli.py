@@ -11,8 +11,6 @@ target (modforms.Unsolvable).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -47,10 +45,11 @@ def _emit_json(data) -> None:
     _emit(json.dumps(data, indent=2))
 
 
-def _emit_csv(rows) -> None:
-    out = io.StringIO()
-    csv.writer(out).writerows(rows)
-    _emit(out.getvalue().rstrip("\n"))
+def _emit_csv(rows: list[str]) -> None:
+    """Print CSV rows, each already joined by commas from fields that need no
+    quoting, with the "\\r\\n" line ends of the csv module; print writes the
+    last one's "\\n"."""
+    _emit("\r\n".join(rows) + "\r")
 
 
 def expand(opts):
@@ -121,8 +120,8 @@ def rep(opts):
     formula_values = representations.octonary_formula_table(opts.a, opts.b, opts.nmax)
     oracle_values = representations.octonary_count_table(opts.a, opts.b, opts.nmax)
     pairs = zip(formula_values[1:], oracle_values[1:])
-    rows = [(n, f, o, str(f == o).lower()) for n, (f, o) in enumerate(pairs, 1)]
-    _emit_csv([("n", "formula_value", "oracle_value", "match"), *rows])
+    rows = [f"{n},{f},{o},{'true' if f == o else 'false'}" for n, (f, o) in enumerate(pairs, 1)]
+    _emit_csv(["n,formula_value,oracle_value,match", *rows])
     return 0 if formula_values[1:] == oracle_values[1:] else EXIT_MISMATCH
 
 
@@ -136,13 +135,13 @@ def _parse_pair(entry: str) -> tuple[int, int]:
 
 def table(opts):
     """Render the derived formula coefficients for several pairs as CSV."""
-    rows = [("alpha", "beta", "term", "coefficient")]
+    rows = ["alpha,beta,term,coefficient"]
     for alpha, beta in [_parse_pair(entry) for entry in opts.pairs.split(";")]:
         terms = convolution.derive_formula(alpha, beta).rendered_terms()
-        rows += [(alpha, beta, f"sigma3(n/{d})", c) for d, c in terms["sigma3"].items()]
+        rows += [f"{alpha},{beta},sigma3(n/{d}),{c}" for d, c in terms["sigma3"].items()]
         for d, (c0, c1) in terms["sigma"].items():
-            rows += [(alpha, beta, f"sigma(n/{d}).const", c0), (alpha, beta, f"sigma(n/{d}).linear", c1)]
-        rows += [(alpha, beta, f"cusp.{eid}", c) for eid, c in terms["cusp"]]
+            rows += [f"{alpha},{beta},sigma(n/{d}).const,{c0}", f"{alpha},{beta},sigma(n/{d}).linear,{c1}"]
+        rows += [f"{alpha},{beta},cusp.{eid},{c}" for eid, c in terms["cusp"]]
     _emit_csv(rows)
 
 

@@ -283,7 +283,9 @@ def _pass_terms(d: int, kind: str, m: int) -> tuple[tuple[int, int], ...]:
     (q^(d k(3k-1)/2) + q^(d k(3k+1)/2)) ("pentagonal", Euler), psi(q^d) =
     sum_(k>=0) q^(d k(k+1)/2) or phi(-q^d) = 1 + 2 sum_(k>=1) (-1)^k
     q^(d k^2). e grows with k, so the terms come out sorted, and k up to
-    isqrt(2m) reaches every e <= m."""
+    isqrt(2m) reaches every e <= m; phi's come as its odd k, then its even
+    k, so that each coefficient, -2 then 2, is one run of
+    arith.multiply_pass, scaled once."""
     if kind == "cube":
         base = [(k * (k + 1) // 2, (-1) ** k * (2 * k + 1)) for k in range(1, isqrt(2 * m) + 1)]
     elif kind == "pentagonal":
@@ -291,7 +293,7 @@ def _pass_terms(d: int, kind: str, m: int) -> tuple[tuple[int, int], ...]:
     elif kind == "psi":
         base = [(k * (k + 1) // 2, 1) for k in range(1, isqrt(2 * m) + 1)]
     else:
-        base = [(k * k, 2 * (-1) ** k) for k in range(1, isqrt(m) + 1)]
+        base = [(k * k, 2 * (-1) ** k) for parity in (1, 2) for k in range(parity, isqrt(m) + 1, 2)]
     return tuple((d * e, c) for e, c in base if e <= m)
 
 
@@ -307,7 +309,8 @@ def expand_eta_quotients(quotients, truncation: int) -> list[list[int]]:
     plans, each reading closed-form terms (_pass_terms), so no dense series
     product is ever formed and every coefficient is an exact Python int.
     The multiply passes run on one int packed by arith's signed Kronecker
-    codec, each term one big-int shift-and-add, after an exact check of its
+    codec, each term one big-int shift-and-add (a run of terms that share
+    a coefficient other than +-1 is scaled once), after an exact check of its
     slots that widens them only when the product could outgrow them
     (arith.multiply_pass). Each quotient then unpacks its q^0..q^truncation
     once and runs its cube divides on that list by the forward recurrence

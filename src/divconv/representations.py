@@ -6,8 +6,10 @@ octonary_formula_table evaluates the quaternary identity from the oracle
 side's divisor sums, brute_force_W_table and sigma_table, adding each term
 onto the multiples of its divisor; octonary_count_table is the lattice
 count theta(q^a)^4 theta(q^b)^4 with theta = 1 + 2 sum q^(m^2), formed by
-eight sparse multiply passes on one packed int (arith.multiply_pass), so
-it reads no divisor sum and shares no product code with the formula column.
+eight sparse multiply passes on one packed int (arith.multiply_pass), each
+of whose terms has the coefficient 2, so a pass sums its shifted values
+and adds the sum doubled once; it reads no divisor sum and shares no
+product code with the formula column.
 The per-n references octonary_convolution, r4 (by trial-division sigma)
 and octonary_lattice stay. A pair outside SUPPORTED_PAIRS, or a lattice
 count past its bound, raises ValueError."""
@@ -99,8 +101,10 @@ def octonary_count_table(a: int, b: int, n_max: int) -> list[int]:
     itself, theta(q^a)^4 theta(q^b)^4 with theta = 1 + 2 sum q^(m^2): one
     packed int, 1 to start, takes four multiply passes by theta(q^a) and four
     by theta(q^b), whose terms (t m^2, 2) are the m <= isqrt(n_max // t) that
-    reach q^n_max, and is unpacked once. It reads no divisor sum, so it
-    shares nothing with octonary_formula_table."""
+    reach q^n_max, and is unpacked once. The terms share their coefficient,
+    so each pass is one run: a shift-and-add per term into a sum, then the
+    sum doubled and added. It reads no divisor sum, so it shares nothing
+    with octonary_formula_table."""
     if a < 1 or b < 1:
         raise ValueError("a and b must be positive")
     if n_max < 0:

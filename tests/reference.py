@@ -1,9 +1,11 @@
 """Independent references that the tests check the pipeline against."""
 
+import csv
+import io
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from divconv.arith import rational_to_str, series_product, sigma
+from divconv.arith import rational_to_str, series_product, sigma, slot_bits, slot_bytes, widen
 from divconv.convolution import VerificationReport, brute_force_W_table
 from divconv.eta import EtaQuotient, expand_eta_quotients
 
@@ -68,6 +70,29 @@ def reference_multiply_pass(g: list[int], terms) -> list[int]:
         for n in range(k, len(g)):
             out[n] += c * g[n - k]
     return out
+
+
+def reference_packed_multiply_pass(state: tuple[int, int], terms) -> tuple[int, int]:
+    """The packed multiply pass before runs of one coefficient were summed
+    first, kept as the reference of arith.multiply_pass: the same exact
+    slot check and widening, then one shift, scale and add per term."""
+    value, size = state
+    total = 1 + sum(abs(c) for _, c in terms)
+    bits = slot_bits(value, size, 8 * size - 1 - total.bit_length())
+    if (wide := slot_bytes(((1 << bits - 1) + 1) * total)) != size:
+        value, size = widen(value, size, wide), wide
+    out = value
+    for k, c in terms:
+        out += c * (value >> 8 * size * k)
+    return out, size
+
+
+def reference_csv(rows) -> str:
+    """The rows as the csv module writes them, excel dialect: the text that
+    the CSV commands wrote through csv.writer, and must still write."""
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
 
 
 def reference_pack(series, size: int) -> int:

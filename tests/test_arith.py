@@ -5,10 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import divconv.arith as arith_module
+import divconv.eta as eta_module
 from divconv.arith import (
     divisors,
     euler_phi,
     insert_row,
+    multiply_pass,
     pack,
     prime_factorization,
     rational_from_str,
@@ -23,7 +26,14 @@ from divconv.arith import (
     unpack,
     widen,
 )
-from reference import reference_insert_row, reference_pack, reference_reduce_row, sigma_at
+from reference import (
+    reference_insert_row,
+    reference_multiply_pass,
+    reference_pack,
+    reference_packed_multiply_pass,
+    reference_reduce_row,
+    sigma_at,
+)
 
 
 @pytest.mark.parametrize(
@@ -232,6 +242,56 @@ def test_series_product_at_q_a_and_q_b_reaches_its_class_bound(a, b, bits):
     assert series_product(x, a, y, b, 60) == naive_product(x, y, 60, a, b)
 
 
+def packing_sizes(monkeypatch) -> list[int]:
+    """The slot widths that arith.pack is called with, recorded as it packs."""
+    sizes = []
+    monkeypatch.setattr(arith_module, "pack", lambda series, size, pack=pack: sizes.append(size) or pack(series, size))
+    return sizes
+
+
+# four squares that sum to 2^(8 size - 1) - 1, the largest |coefficient| a
+# slot of size bytes holds
+FOUR_SQUARES_AT_THE_EDGE = {
+    1: [11, 2, 1, 1],
+    2: [181, 2, 1, 1],
+    4: [46339, 425, 10, 1],
+    8: [3037000499, 76994, 671, 23],
+}
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 8])
+@pytest.mark.parametrize("past", [0, 1], ids=["below", "above"])
+def test_series_product_is_exact_at_the_cauchy_schwarz_bound(monkeypatch, size, past):
+    """Two families attain the bound isqrt(sum x^2 sum y^2) at a
+    coefficient: x = y = [M] * 3, at q^2, 3 M^2, which is also max|x|
+    max|y| min(len), and v against v reversed, at the middle, sum v^2,
+    below that product bound when v is not constant. Each is taken just
+    below a slot-width step and just above it: v sums to the slot's largest
+    value 2^(w-1) - 1, or to 2^(w-1) itself. The product packs at the
+    width of its largest coefficient and is exact with either sign, as a
+    square and as two factors."""
+    edge = 2 ** (8 * size - 1) - 1
+    v = FOUR_SQUARES_AT_THE_EDGE[size] if not past else [2 ** (4 * size - 1)] * 2 + [0]
+    assert sum(c * c for c in v) == edge + past
+    m = math.isqrt(edge // 3) + past
+    sizes = packing_sizes(monkeypatch)
+    same, signed = [m] * 3, [(-1) ** i * c for i, c in enumerate(v)]
+    for x, y, top in (
+        (same, same, 3 * m * m),
+        ([m] * 3, [-m] * 3, 3 * m * m),
+        (alternating(m, 3), alternating(m, 3), 3 * m * m),
+        (v, v[::-1], edge + past),
+        (v, [-c for c in reversed(v)], edge + past),
+        (signed, signed[::-1], edge + past),
+    ):
+        sizes.clear()
+        product = series_product(x, 1, y, 1, 8)
+        assert product == naive_product(x, y, 8)
+        assert max(map(abs, product)) == top
+        # pack past 8 bytes may pack narrower first and widen, so the outer call is the widest
+        assert max(sizes) == slot_bytes(top) and (slot_bytes(top) == size) is not past, (x, y, sizes)
+
+
 def test_series_product_small_cases():
     assert series_product([1, 1], 1, [1, 1], 1, 4) == [1, 2, 1, 0, 0]
     assert series_product([1, 1], 1, [1, 1], 1, 1) == [1, 2]
@@ -330,6 +390,48 @@ def test_slot_bits_is_exact_at_each_edge(size, position):
 def test_widen_matches_packing_at_the_wider_size(case):
     size, series, wide = case
     assert widen(pack(series, size), size, wide) == pack(series, wide)
+
+
+coefficients = st.one_of(st.sampled_from([1, -1, 2, -2]), st.integers(-(2**20), 2**20))
+# runs of terms that share a coefficient, drawn run by run
+term_runs = st.lists(st.tuples(coefficients, st.lists(st.integers(1, 40), min_size=1, max_size=6)), max_size=6).map(
+    lambda runs: [(k, c) for c, ks in runs for k in ks]
+)
+digits = [3, -1, 4, 1, -5, 9, -2, 6] * 5
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([1, 5, 13, 29, 61, 100, 400]).flatmap(
+        lambda bits: st.lists(st.integers(-(2**bits), 2**bits), min_size=1, max_size=40)
+    ),
+    term_runs,
+)
+@example([1] + [0] * 40, [(m * m, 2) for m in range(1, 7)])  # a theta pass: one run of 2
+@example(digits, list(eta_module._pass_terms(1, "phi", 40)))  # a run of -2, then one of 2
+@example(digits, list(eta_module._pass_terms(1, "cube", 40)))  # distinct coefficients, runs of one
+@example(digits, list(eta_module._pass_terms(1, "pentagonal", 40)))  # +-1 alone
+@example([5, -7, 2], [(1, 2), (2, 1), (1, 2), (2, -2), (1, 0), (1, -2)])  # +-1 and 0 inside runs
+def test_multiply_pass_matches_one_step_per_term(g, terms):
+    """The same (value, size), bit for bit, as the pass that scales and adds
+    every term on its own, and the list loop's product."""
+    size = slot_bytes(max(map(abs, g)))
+    state = (pack([*g, 0], size), size)
+    value, wide = multiply_pass(state, terms)
+    assert (value, wide) == reference_packed_multiply_pass(state, terms)
+    assert unpack(value, wide, len(g) + 1, len(g)) == reference_multiply_pass(g, terms)
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 8, 9])
+def test_multiply_pass_widens_a_run_as_one_step_per_term_does(size):
+    """g at the top of its slots and a run of 2s whose sum cannot fit: both
+    passes widen to the same slots and return the same int."""
+    top = 2 ** (8 * size - 1) - 1
+    g, terms = alternating(top, 12), [(k, 2) for k in range(1, 12)]
+    state = (pack([*g, 0], size), size)
+    value, wide = multiply_pass(state, terms)
+    assert wide > size and (value, wide) == reference_packed_multiply_pass(state, terms)
+    assert unpack(value, wide, 13, 12) == reference_multiply_pass(g, terms)
 
 
 def cleared(row: list) -> tuple[list[int], int]:

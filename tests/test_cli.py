@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -18,7 +20,8 @@ from divconv.cli import main
 from divconv.convolution import derive_formula, verify_formula
 from divconv.eta import search_eta_quotients
 from divconv.modforms import SEARCH_CAP, Unsolvable
-from divconv.representations import octonary_convolution
+from divconv.representations import SUPPORTED_PAIRS, octonary_convolution
+from reference import reference_csv
 
 A2_QUOTIENT = '{"level": 14, "exponents": {"1": 2, "2": 2, "7": 2, "14": 2}}'
 LONG = "1" * 5000  # more digits than int reads by default (4300)
@@ -532,7 +535,8 @@ def test_startup_loads_no_expand_only_module():
     """Importing the CLI loads what table, verify, derive and rep run, and
     not the expand-only cache (with hashlib, and so OpenSSL), QSeries or
     dataclasses; expand imports them when it runs. Nor does it load click or
-    the modules click brings (inspect, uuid, platform, datetime)."""
+    the modules click brings (inspect, uuid, platform, datetime), nor csv,
+    since the CSV commands join their rows as text."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = "import divconv.cli, sys; print(' '.join(sorted(sys.modules)))"
@@ -541,7 +545,7 @@ def test_startup_loads_no_expand_only_module():
     loaded = set(result.stdout.split())
     assert "divconv.convolution" in loaded
     assert loaded & {"hashlib", "_hashlib", "dataclasses", "divconv.cache", "divconv.qseries"} == set()
-    assert loaded & {"click", "inspect", "uuid", "platform", "datetime"} == set()
+    assert loaded & {"click", "inspect", "uuid", "platform", "datetime", "csv", "_csv"} == set()
 
 
 def test_closed_stdout_is_not_an_error():
@@ -584,6 +588,57 @@ def test_csv_commands_write_the_same_bytes(args, sha256):
     assert result.returncode == 0, result.stderr
     assert b"\r\n" in result.stdout
     assert hashlib.sha256(result.stdout).hexdigest() == sha256
+
+
+def table_rows(pairs):
+    """The rows of table for the pairs, as tuples of the values the csv module formats."""
+    rows = [("alpha", "beta", "term", "coefficient")]
+    for alpha, beta in pairs:
+        terms = derive_formula(alpha, beta).rendered_terms()
+        rows += [(alpha, beta, f"sigma3(n/{d})", c) for d, c in terms["sigma3"].items()]
+        for d, (c0, c1) in terms["sigma"].items():
+            rows += [(alpha, beta, f"sigma(n/{d}).const", c0), (alpha, beta, f"sigma(n/{d}).linear", c1)]
+        rows += [(alpha, beta, f"cusp.{eid}", c) for eid, c in terms["cusp"]]
+    return rows
+
+
+def rep_rows(a, b, nmax):
+    """The rows of rep, from the two tables that the command reads."""
+    formula = representations_module.octonary_formula_table(a, b, nmax)
+    oracle = representations_module.octonary_count_table(a, b, nmax)
+    return [("n", "formula_value", "oracle_value", "match")] + [
+        (n, formula[n], oracle[n], str(formula[n] == oracle[n]).lower()) for n in range(1, nmax + 1)
+    ]
+
+
+def assert_writes_csv(args, rows, code=0):
+    """The command exits with code and prints what csv.writer makes of the
+    rows, none of whose fields holds a character that it would quote."""
+    assert not any(set(str(field)) & set(',"\r\n') for row in rows for field in row), args
+    out = io.StringIO()  # no newline translation, so the "\r\n" stay as written
+    with contextlib.redirect_stdout(out):
+        assert main(args, standalone_mode=False) == code, args
+    assert out.getvalue() == reference_csv(rows), args
+
+
+def test_csv_commands_write_what_the_csv_module_writes(monkeypatch):
+    """table and rep join their rows as text; what they print, "\\r\\n" line
+    ends included, is what csv.writer makes of the same rows, and no field
+    holds a character (, " \\r \\n) that the csv module would quote, so the
+    join never needs quoting. table is checked with the default pairs, one
+    pair and a repeated pair; rep at --nmax 1, 2 and 50, and with a formula
+    value put off by one, which writes a false row."""
+    assert_writes_csv(["table"], table_rows([(2, 7), (1, 22), (2, 11), (1, 26), (2, 13)]))
+    assert_writes_csv(["table", "--pairs", "2,7"], table_rows([(2, 7)]))
+    assert_writes_csv(["table", "--pairs", "2,7;1,26;2,7"], table_rows([(2, 7), (1, 26), (2, 7)]))
+    for a, b in SUPPORTED_PAIRS:
+        for nmax in (1, 2, 50):
+            assert_writes_csv(["rep", "--a", str(a), "--b", str(b), "--nmax", str(nmax)], rep_rows(a, b, nmax))
+    formula = representations_module.octonary_formula_table
+    monkeypatch.setattr(representations_module, "octonary_formula_table", lambda a, b, n: formula(a, b, n)[:7] + [0])
+    rows = rep_rows(1, 3, 7)
+    assert [row[3] for row in rows[1:]] == ["true"] * 6 + ["false"]
+    assert_writes_csv(["rep", "--a", "1", "--b", "3", "--nmax", "7"], rows, code=1)
 
 
 def test_exponent_past_the_ceiling_is_refused_by_its_divisor():

@@ -332,6 +332,15 @@ def test_theta_terms_equal_gauss_quotients_of_euler_F():
         assert eta_module._pass_terms(3, kind, 40) == tuple((3 * n, c) for n, c in eta_module._pass_terms(1, kind, 40))
 
 
+def test_phi_pass_terms_come_in_one_run_per_coefficient():
+    """phi(-q^d)'s terms, -2 at the odd k and 2 at the even k, come as two
+    runs, so that arith.multiply_pass scales each run once."""
+    for m in (1, 3, 4, 9, 99, 100):
+        terms = eta_module._pass_terms(2, "phi", m)
+        odd, even = range(1, isqrt(m) + 1, 2), range(2, isqrt(m) + 1, 2)
+        assert terms == tuple((2 * k * k, -2) for k in odd) + tuple((2 * k * k, 2) for k in even), m
+
+
 @st.composite
 def level16_quotients(draw):
     """A level-16 quotient with r_2..r_16 in [-6, 6] and r_1 in [-6, 6]
