@@ -1,9 +1,9 @@
-"""Dedekind eta quotients: expansion to integer lists (multiply passes on
-closed-form terms by arith.multiply_pass, then divides by F(q^d)^3) or to
-one packed weighted sum from the same walk over the passes, admissibility
-checks, search. Only expand_eta_quotient (expand, the cache) and euler_F
-(perfbench/micro.py, the tests) return a QSeries; both import qseries on
-the call.
+"""Dedekind eta quotients: expansion to integer lists (the log-derivative
+recurrence, or multiply passes on closed-form terms by arith.multiply_pass
+and divides by F(q^d)^3, whichever is measured faster) or to one packed
+weighted sum by the passes, admissibility checks, search. Only
+expand_eta_quotient (expand, the cache) and euler_F (perfbench/micro.py,
+the tests) return a QSeries; both import qseries on the call.
 
 An eta quotient at level N is a product over divisors d | N of powers of
 eta(d z). The admissibility checker evaluates the classical congruence,
@@ -17,15 +17,16 @@ without scanning the exponent box.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm, sqrt
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import MAX_TRUNCATION, divisors, euler_phi, gamma0_index, insert_row, multiply_pass, pack
-from .arith import prime_factorization, rational_to_str, reduce_row, slot_bits, slot_bytes, slot_unit, unpack, widen
+from .arith import MAX_TRUNCATION, divisors, euler_phi, gamma0_index, insert_row, multiply_pass, pack, reduce_row
+from .arith import prime_factorization, rational_to_str, sigma_sieve, slot_bits, slot_bytes, slot_unit, unpack, widen
 
 if TYPE_CHECKING:
     from .qseries import QSeries
@@ -305,9 +306,13 @@ def expand_eta_quotients(quotients, truncation: int) -> list[list[int]]:
     to be a non-negative integer, which holds for every cusp candidate; one
     with e0 > truncation expands to zero.
 
-    Method: prod F(q^d)^(r_d) is built by the sparse passes that _passes
-    plans, each reading closed-form terms (_pass_terms), so no dense series
-    product is ever formed and every coefficient is an exact Python int.
+    Method: prod F(q^d)^(r_d) on q^0..q^n, n = truncation - e0, takes the
+    log-derivative recurrence (_log_derivative, n^2/2 steps whatever the
+    exponents) where it was measured faster, with a margin, before any
+    plan: short rows, n < 16 (the Sturm-bound rows of levels 14, 22, 26),
+    and steep exponents, sum |r_d| isqrt(n/d) > 16 n (over about 7 n pass
+    terms of n slots). Else it takes the passes that _passes plans, on
+    closed-form terms (_pass_terms).
     The multiply passes run on one int packed by arith's signed Kronecker
     codec, each term one big-int shift-and-add (a run of terms that share
     a coefficient other than +-1 is scaled once), after an exact check of its
@@ -326,33 +331,74 @@ def expand_eta_quotients(quotients, truncation: int) -> list[list[int]]:
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    results = [None] * len(quotients)
-    for i, e0, state, divide in _walk(quotients, truncation):
-        results[i] = _series(state, e0, divide, truncation)
+    results, passes = [None] * len(quotients), []
+    for i, f in enumerate(quotients):
+        n = truncation - _leading_exponent(f)
+        if 0 <= n and (n < 16 or sum(abs(r) * isqrt(n // d) for d, r in f.exponents) > 16 * n):
+            results[i] = [0] * (truncation - n) + _log_derivative(f, _sigma(truncation), n)
+        else:
+            passes.append(i)
+    for j, e0, state, divide in _walk([quotients[i] for i in passes], truncation):
+        results[passes[j]] = _series(state, e0, divide, truncation)
     return [g or [0] * (truncation + 1) for g in results]
+
+
+@lru_cache(maxsize=4)
+def _sigma(n: int) -> list[int]:
+    """sigma(k) for k = 0..n, sieved once per truncation, not once per row."""
+    return sigma_sieve((1,), n)[0]
+
+
+def _log_derivative(f: EtaQuotient, sigma: Sequence[int], n: int) -> list[int]:
+    """prod F(q^d)^(r_d) = sum a_m q^m on q^0..q^n, by the recurrence m a_m =
+    sum_(j<=m) b_j a_(m-j), b_j = -sum_(d|j) d r_d sigma(j/d) (Apostol,
+    ch. 14): q d/dq of log F(q^d) is -sum_k d sigma(k) q^(dk). n^2 / 2
+    steps whatever the exponents; sigma holds sigma(k) for k <= n. Every
+    division by m is checked to be exact."""
+    b = [0] * (n + 1)
+    for d, r in f.exponents:
+        b[d::d] = [x - d * r * s for x, s in zip(b[d::d], sigma[1:])]
+    a = [1]
+    for m in range(1, n + 1):
+        am, rest = divmod(sum(map(mul, b[1 : m + 1], reversed(a))), m)
+        if rest:
+            raise ArithmeticError(f"the recurrence of {f} leaves {rest} mod {m} at q^{m}")
+        a.append(am)
+    return a
 
 
 def sum_eta_quotients(quotients, weights, truncation: int) -> tuple[int, int, int]:
     """(value, size, bound): sum weights[i] quotients[i] to q^truncation,
-    packed as _walk yields each product, every slot at most bound < 2^(8
-    size - 1) in absolute value. arith.slot_bits bounds a product with no
-    divide on the packed int, first at the bits of the one before; one with
-    cube divides is unpacked, divided and packed at the width of the sum."""
-    value, size, bound, bits = 0, 1, 0, 1
-    for i, e0, (product, width), divide in _walk(quotients, truncation):
-        if divide:
-            g = _series((product, width), e0, divide, truncation)
-            most, width = max(map(abs, g)), 1
-        else:
-            bits = slot_bits(product, width, bits)
-            most = 1 << bits - 1
-        bound += abs(weights[i]) * most
-        if (wide := max(slot_bytes(bound), width)) > size:
-            value, size = widen(value, size, wide), wide
-        if divide:
-            product, width = pack(g + [0], size), size
-        value += weights[i] * (widen(product, width, size) if width < size else product)
-    return value, size, bound
+    packed, every slot at most bound < 2^(8 size - 1) in absolute value (arith.slot_bits
+    bounds each product). Divides are linear, so the products with divides take a common
+    denominator, cube passes for the union's divides they lack; their sum is unpacked once
+    to run the union's divides, then added to the sum of those with none."""
+    union = Counter()
+    for f in quotients:
+        if _leading_exponent(f) <= truncation and (divide := _passes(f)[1]):
+            union |= Counter(divide)
+    sums, bits = [(0, 1, 0), (0, 1, 0)], 1  # (value, size, bound) of the products without and with divides
+    for i, _, state, divide in _walk(quotients, truncation):
+        for d in (union - Counter(divide)).elements() if divide else ():
+            state = multiply_pass(state, _pass_terms(d, "cube", truncation // d))
+        bits = slot_bits(*state, bits)
+        sums[bool(divide)] = _add(sums[bool(divide)], state, weights[i], abs(weights[i]) << bits - 1)
+    if not union:
+        return sums[0]
+    g = unpack(*sums[1][:2], truncation + 2, truncation + 1)
+    for d in union.elements():
+        g = _divide_pass(g, _pass_terms(d, "cube", truncation // d))
+    size = slot_bytes(most := max(map(abs, g)))
+    return _add(sums[0], (pack(g + [0], size), size), 1, most)
+
+
+def _add(total: tuple[int, int, int], state: tuple[int, int], weight: int, most: int) -> tuple[int, int, int]:
+    """(value, size, bound) total plus weight * state, its slots at most most, in slots that hold both."""
+    value, size, bound = total
+    product, width = state
+    if (wide := max(slot_bytes(bound := bound + most), width)) > size:
+        value, size = widen(value, size, wide), wide
+    return value + weight * (widen(product, width, size) if width < size else product), size, bound
 
 
 def _series(state: tuple[int, int], e0: int, divide: Sequence[int], truncation: int) -> list[int]:

@@ -127,21 +127,20 @@ def octonary_formula_table(a: int, b: int, n_max: int) -> list[int]:
         + 64 W(a,b)(n) + 1024 W(a,b)(n/4) - 256 [W(4a,b)(n) + W(a,4b)(n)]
 
     with sigma and W zero at non-integer arguments. So (2, 3) needs W(2,3),
-    W(3,8) and W(2,12), not the W(1,3)/W(1,12) of the (1, 3) case. The
-    three W tables over the whole range start the column, and each term
-    c f(n/t) is then added onto the slice of multiples of t, so
-    W(a,b)(n/4) is the W(a,b) table added at every fourth n.
+    W(3,8) and W(2,12), not the W(1,3)/W(1,12) of the (1, 3) case, and
+    (1, 1) needs W(4,1) alone, as W(1,4) = W(4,1). The W tables over the
+    whole range start the column, and each term c f(n/t) is then added onto
+    the slice of multiples of t, so W(a,b)(n/4) is the W(a,b) table added at
+    every fourth n.
     """
     if (a, b) not in SUPPORTED_PAIRS:
         raise ValueError(f"no formula for (a, b) = ({a}, {b})")
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     sigma1 = sigma_table(1, n_max)
-    w = brute_force_W_table(a, b, n_max)
-    values = [
-        64 * wab - 256 * (w4ab + wa4b)
-        for wab, w4ab, wa4b in zip(w, brute_force_W_table(4 * a, b, n_max), brute_force_W_table(a, 4 * b, n_max))
-    ]
+    w, w4ab = brute_force_W_table(a, b, n_max), brute_force_W_table(4 * a, b, n_max)
+    wa4b = w4ab if a == b else brute_force_W_table(a, 4 * b, n_max)
+    values = [64 * wab - 256 * (x + y) for wab, x, y in zip(w, w4ab, wa4b)]
     for t, c in ((a, 8), (b, 8), (4 * a, -32), (4 * b, -32)):
         values[t::t] = [v + c * s for v, s in zip(values[t::t], sigma1[1:])]
     values[::4] = [v + 1024 * x for v, x in zip(values[::4], w)]

@@ -5,9 +5,9 @@ import io
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from divconv.arith import rational_to_str, series_product, sigma, slot_bits, slot_bytes, widen
+from divconv.arith import pack, rational_to_str, series_product, sigma, slot_bits, slot_bytes, widen
 from divconv.convolution import VerificationReport, brute_force_W_table
-from divconv.eta import EtaQuotient, expand_eta_quotients
+from divconv.eta import EtaQuotient, _series, _walk, expand_eta_quotients
 
 
 def sigma_at(k: int, n: int, delta: int) -> int:
@@ -85,6 +85,29 @@ def reference_packed_multiply_pass(state: tuple[int, int], terms) -> tuple[int, 
     for k, c in terms:
         out += c * (value >> 8 * size * k)
     return out, size
+
+
+def reference_sum_eta_quotients(quotients, weights, truncation: int) -> tuple[int, int, int]:
+    """The per-quotient sum that eta.sum_eta_quotients replaced, kept as its
+    oracle: (value, size, bound) of sum weights[i] quotients[i], packed as
+    _walk yields each product; a product with no divide is bounded by
+    slot_bits on the packed int, and one with cube divides is unpacked,
+    divided on its own and packed again at the width of the sum."""
+    value, size, bound, bits = 0, 1, 0, 1
+    for i, e0, (product, width), divide in _walk(quotients, truncation):
+        if divide:
+            g = _series((product, width), e0, divide, truncation)
+            most, width = max(map(abs, g)), 1
+        else:
+            bits = slot_bits(product, width, bits)
+            most = 1 << bits - 1
+        bound += abs(weights[i]) * most
+        if (wide := max(slot_bytes(bound), width)) > size:
+            value, size = widen(value, size, wide), wide
+        if divide:
+            product, width = pack(g + [0], size), size
+        value += weights[i] * (widen(product, width, size) if width < size else product)
+    return value, size, bound
 
 
 def reference_csv(rows) -> str:

@@ -339,6 +339,24 @@ def test_evaluation_reads_no_oracle_sieve(formula27, monkeypatch):
         assert {pair: brute_force_W_table(*pair, 300) for pair in PAPER_PAIRS} == tables
 
 
+def test_paper_derivation_runs_no_pass(monkeypatch):
+    """The basis rows of levels 14, 22 and 26 end at the Sturm bound, so
+    every row is shorter than 16 coefficients and takes the log-derivative
+    recurrence: with the passes made to raise, the paper pairs derive the
+    same formulas."""
+    formulas = {pair: derive_formula(*pair) for pair in PAPER_PAIRS}
+
+    def refuse(*args):
+        raise AssertionError("derivation ran a pass")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(eta_module, "multiply_pass", refuse)
+        patch.setattr(eta_module, "_divide_pass", refuse)
+        modforms_module.level_basis.cache_clear()  # the bases are built again under the patch
+        assert {pair: derive_formula(*pair) for pair in PAPER_PAIRS} == formulas
+    modforms_module.level_basis.cache_clear()
+
+
 def test_evaluation_skips_zero_cusp_coefficients(monkeypatch):
     formula = derive_formula(1, 26)
     expanded = []

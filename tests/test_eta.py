@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import ceil, gcd, isqrt, sqrt
@@ -9,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import divconv.eta as eta_module
-from divconv.arith import divisors, multiply_pass, pack, slot_bytes, unpack
+from divconv.arith import divisors, multiply_pass, pack, sigma, slot_bytes, unpack
 from divconv.convolution import derive_formula
 from divconv.eta import (
     AdmissibilityReport,
@@ -24,7 +25,8 @@ from divconv.eta import (
 )
 from divconv.modforms import registered_cusp_quotients
 from divconv.qseries import QSeries
-from reference import reference_multiply_pass
+from conftest import run_cli
+from reference import reference_multiply_pass, reference_sum_eta_quotients
 
 
 def naive_euler_product(truncation):
@@ -654,9 +656,113 @@ def test_shared_expansion_matches_reference_on_level12_lists(quotients, truncati
     assert [QSeries(g, truncation) for g in got] == [expand_eta_quotient(q, truncation) for q in quotients]
 
 
+def walked(quotients, truncation):
+    """expand_eta_quotients through the pass walk alone, whatever the kernel
+    choice would pick: each quotient's product as _walk yields it, its
+    divides run by _series."""
+    out = [[0] * (truncation + 1) for _ in quotients]
+    for i, e0, state, divide in eta_module._walk(quotients, truncation):
+        out[i] = eta_module._series(state, e0, divide, truncation)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(level12_quotients(), min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=8)
+    ),
+    st.integers(1, 60),
+)
+@example([EtaQuotient.from_dict(12, {12: 2}), EtaQuotient.from_dict(12, {1: 24})], 1)
+@example([EtaQuotient.from_dict(12, {1: 3, 3: 3, 6: 2}), EtaQuotient.from_dict(12, {1: 3, 2: 3, 3: 1, 12: 1})], 50)
+def test_pass_walk_matches_reference_on_level12_lists(quotients, truncation):
+    """The pass kernel on its own, at truncations up to 60, where the kernel
+    choice sends every row shorter than 16 coefficients to the recurrence."""
+    assert walked(quotients, truncation) == [reference_expand_eta_quotient(q, truncation) for q in quotients]
+
+
+@st.composite
+def steep_quotients(draw):
+    """A level-2 or level-6 quotient with exponents up to 300 in absolute
+    value and an integral, non-negative leading exponent."""
+    level = draw(st.sampled_from([2, 6]))
+    tail = draw(st.lists(st.integers(-300, 300), min_size=len(divisors(level)) - 1, max_size=len(divisors(level)) - 1))
+    rest = sum(d * r for d, r in zip(divisors(level)[1:], tail))
+    r1 = draw(st.integers(-300, 300).map(lambda r: r - (r + rest) % 24))
+    assume(rest + r1 >= 0 and (r1 or any(tail)))
+    return EtaQuotient.from_dict(level, dict(zip(divisors(level), [r1, *tail])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(level16_quotients() | level12_quotients() | steep_quotients(), st.integers(0, 40))
+@example(EtaQuotient.from_dict(1, {1: 24}), 10)  # Delta, the tau function
+@example(EtaQuotient.from_dict(2, {1: -288, 2: 144}), 40)
+def test_recurrence_matches_reference(quotient, n):
+    """The log-derivative recurrence on its own, fed sigma by trial
+    division, against every pass of the quotient run on one list."""
+    e0 = quotient.leading_exponent_numerator // 24
+    got = eta_module._log_derivative(quotient, [sigma(1, k) for k in range(n + 1)], n)
+    assert [0] * e0 + got == reference_expand_eta_quotient(quotient, e0 + n)
+
+
+def test_recurrence_checks_each_division():
+    """eta(z) with sigma(2) read as 4: 2 a_2 = b_1 a_1 + b_2 a_0 = 1 - 4 is odd."""
+    with pytest.raises(ArithmeticError, match="leaves 1 mod 2 at q\\^2"):
+        eta_module._log_derivative(EtaQuotient.from_dict(1, {1: 1}), [0, 1, 4, 4], 3)
+
+
+def test_wide_slot_quotient_agrees_in_both_kernels():
+    """eta(z)^240 / eta(2z)^120 to q^1000 takes the passes, whose slots grow
+    from 16 bits to over 400; the recurrence gives the same list."""
+    quotient = EtaQuotient.from_dict(2, {1: 240, 2: -120})
+    expected = eta_module._log_derivative(quotient, eta_module._sigma(1000), 1000)
+    assert expand_eta_quotients([quotient], 1000) == walked([quotient], 1000) == [expected]
+
+
+@pytest.mark.parametrize(
+    "level,exponents,truncation,recurrence",
+    [
+        (26, {1: 1, 2: 1, 13: 3, 26: 3}, 20, True),  # n = 15: a short row
+        (26, {1: 1, 2: 1, 13: 3, 26: 3}, 21, False),  # n = 16, small exponents
+        (2, {1: 24, 2: -12}, 1500, False),  # twelve phi passes, 1 ms against 37 ms
+        (14, {1: 5, 2: -1, 7: 5, 14: -1}, 290, False),
+        (2, {1: 12, 2: 6}, 300, False),
+        (2, {1: 240, 2: -120}, 1000, False),  # sum |r_d| isqrt(n/d) = 10080 <= 16000
+        (2, {1: 660, 2: -330}, 1000, True),  # 27720 > 16000
+        (2, {1: 2400, 2: -1200}, 1000, True),
+    ],
+)
+def test_kernel_choice(monkeypatch, level, exponents, truncation, recurrence):
+    """Short rows and steep exponents take the recurrence; quotients of small
+    exponents at mid truncations, where the passes were measured faster, keep them."""
+    ran = []
+    monkeypatch.setattr(eta_module, "_log_derivative", lambda f, sigma, n: ran.append("recurrence") or [0] * (n + 1))
+    monkeypatch.setattr(eta_module, "_walk", lambda quotients, t: ran.extend(["passes"] * len(quotients)) or iter(()))
+    expand_eta_quotients([EtaQuotient.from_dict(level, exponents)], truncation)
+    assert ran == ["recurrence" if recurrence else "passes"]
+
+
+def test_steep_expand_takes_the_recurrence(monkeypatch):
+    """expand of eta(z)^2400 / eta(2z)^1200 to q^1000 runs no pass, and
+    prints what the passes printed (sha256 of its 470442 bytes)."""
+
+    def refuse(*args):
+        raise AssertionError("a steep quotient ran a pass")
+
+    for name in ("multiply_pass", "_divide_pass"):
+        monkeypatch.setattr(eta_module, name, refuse)
+    result = run_cli("--truncation", "1000", "expand", '{"level": 2, "exponents": {"1": 2400, "2": -1200}}')
+    assert result.exit_code == 0 and len(result.stdout) == 470442
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+        "b316aee821acaf81a22667fa1df41c07e406fc6717372be1562970b45e251c1a"
+    )
+
+
 def test_shared_expansion_runs_each_shared_pass_once(monkeypatch):
     """Each multiply prefix that the quotients share runs once, however many
-    copies of the family are expanded; each cube divide runs once per copy."""
+    copies of the family go through the pass walk; each cube divide runs
+    once per copy. The walk is called directly, so the count does not rest
+    on which quotients the kernel choice sends to the recurrence."""
     ran = []
     for name in ("multiply_pass", "_divide_pass"):
         kernel = getattr(eta_module, name)
@@ -666,7 +772,7 @@ def test_shared_expansion_runs_each_shared_pass_once(monkeypatch):
         plans = [eta_module._passes(q) for q in registered_cusp_quotients(level)]
         prefixes = {multiply[:i] for multiply, _ in plans for i in range(1, len(multiply) + 1)}
         assert sum(len(divide) for _, divide in plans) == divides
-        expand_eta_quotients(registered_cusp_quotients(level) * 2, 500)
+        walked(registered_cusp_quotients(level) * 2, 500)
         assert len(ran) == len(prefixes) + 2 * divides
         assert len(prefixes) < sum(len(multiply) for multiply, _ in plans)
 
@@ -682,10 +788,10 @@ def test_shared_expansion_validates_every_quotient():
 
 
 def _traced_peak(quotient, truncation):
-    expand_eta_quotient(quotient, truncation)  # fill the pass-term cache first
+    walked([quotient], truncation)  # fill the pass-term cache first
     tracemalloc.start()
     try:
-        expand_eta_quotient(quotient, truncation)
+        walked([quotient], truncation)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -693,7 +799,8 @@ def _traced_peak(quotient, truncation):
 
 def test_expansion_memory_does_not_grow_with_the_passes():
     """A quotient with 30 passes keeps no product it does not resume from,
-    so its peak stays within a few times that of a 3-pass quotient (keeping
+    so its peak in the pass walk (called directly, whichever kernel the
+    choice picks) stays within a few times that of a 3-pass quotient (keeping
     every intermediate product costs about 16 times)."""
     many = _traced_peak(EtaQuotient.from_dict(2, {1: 60, 2: -30}), 200)
     few = _traced_peak(EtaQuotient.from_dict(2, {1: 6, 2: -3}), 200)
@@ -716,3 +823,72 @@ def test_weighted_sum_matches_the_lists(level, truncation):
         assert slots[:-1] == expected
         assert max(map(abs, slots)) <= bound < 2 ** (8 * size - 1)
     assert sum_eta_quotients([], [], truncation) == (0, 1, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(level16_quotients() | level12_quotients(), min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(
+            st.tuples(st.sampled_from(pool), (st.integers(-9, 9) | st.integers(-(10**30), 10**30)).filter(bool)),
+            max_size=8,
+        )
+    ),
+    st.integers(1, 80),
+)
+@example([(EtaQuotient.from_dict(20, {2: -3, 4: 3, 10: 7, 20: 1}), 5)], 60)  # one quotient, its own divides
+# the second starts at q^7, past the truncation
+@example([(EtaQuotient.from_dict(16, {1: -4, 2: -2, 8: 1}), 3), (EtaQuotient.from_dict(16, {2: -12, 16: 12}), 10**30)], 6)
+def test_common_denominator_sum_matches_the_per_quotient_sum(terms, truncation):
+    """sum_eta_quotients over one common denominator against the per-quotient
+    sum it replaced, on lists that share and lack divides, with quotients
+    past the truncation too; the spare slot is within the bound as well.
+    Weights are nonzero, as _scaled_values passes only live terms."""
+    quotients, weights = [q for q, _ in terms], [w for _, w in terms]
+    value, size, bound = sum_eta_quotients(quotients, weights, truncation)
+    expected, width, _ = reference_sum_eta_quotients(quotients, weights, truncation)
+    slots = unpack(value, size, truncation + 2, truncation + 2)
+    assert slots[:-1] == unpack(expected, width, truncation + 2, truncation + 1)
+    assert max(map(abs, slots)) <= bound < 2 ** (8 * size - 1)
+
+
+def test_cusp_sum_divides_once_per_factor_of_the_union(monkeypatch):
+    """The 15 live quotients of the (1,36) formula have 35 cube divides, at
+    d = 4, 6, 12 and 36 and at most one of each; their weighted sum runs
+    those four divides once each, and equals the per-quotient sum."""
+    formula = derive_formula(1, 36)
+    live = [(g, c.numerator) for g, c in formula.terms if c and isinstance(g, EtaQuotient)]
+    quotients, weights = [g for g, _ in live], [a for _, a in live]
+    assert sum(len(eta_module._passes(q)[1]) for q in quotients) == 35
+    divided = []
+    divide = eta_module._divide_pass
+    monkeypatch.setattr(eta_module, "_divide_pass", lambda g, terms: divided.append(terms[0][0]) or divide(g, terms))
+    value, size, _ = sum_eta_quotients(quotients, weights, 300)
+    assert sorted(divided) == [4, 6, 12, 36]
+    expected, width, _ = reference_sum_eta_quotients(quotients, weights, 300)
+    assert unpack(value, size, 302, 301) == unpack(expected, width, 302, 301)
+
+
+def test_cusp_sum_multiplies_only_the_divided_products(monkeypatch):
+    """Of the seven live quotients of the (1,22) formula, two have one cube
+    divide at d = 2 and five have none. Only products with a divide take
+    the union's divides that they lack as cube passes, so the sum runs the
+    walk's multiply passes and no more, and equals the per-quotient sum."""
+    formula = derive_formula(1, 22)
+    live = [(g, c.numerator) for g, c in formula.terms if c and isinstance(g, EtaQuotient)]
+    quotients, weights = [g for g, _ in live], [a for _, a in live]
+    plans = [eta_module._passes(q)[1] for q in quotients]
+    union = Counter()
+    for divide in plans:
+        union |= Counter(divide)
+    lacking = [sum((union - Counter(divide)).values()) for divide in plans]
+    lacked = sum(n for n, divide in zip(lacking, plans) if divide)
+    assert (lacked, sum(lacking)) == (0, 5)
+    ran = []
+    kernel = eta_module.multiply_pass
+    monkeypatch.setattr(eta_module, "multiply_pass", lambda *args: ran.append(args[1]) or kernel(*args))
+    walked(quotients, 200)
+    walk_passes = len(ran)
+    value, size, _ = sum_eta_quotients(quotients, weights, 200)
+    assert len(ran) == 2 * walk_passes + lacked
+    expected, width, _ = reference_sum_eta_quotients(quotients, weights, 200)
+    assert unpack(value, size, 202, 201) == unpack(expected, width, 202, 201)

@@ -63,6 +63,18 @@ def test_formula_table_matches_count_table(a, b):
         assert octonary_formula_table(a, b, n_max) == octonary_count_table(a, b, n_max), n_max
 
 
+@pytest.mark.parametrize("a,b,tables", [(1, 1, 2), (1, 3, 3), (2, 3, 3)])
+def test_formula_table_builds_each_W_table_once(monkeypatch, a, b, tables):
+    """For a == b, W(4a,b) and W(a,4b) are one table (swap l and m), built once."""
+    built = []
+    table = representations_module.brute_force_W_table
+    monkeypatch.setattr(
+        representations_module, "brute_force_W_table", lambda *args: built.append(args[:2]) or table(*args)
+    )
+    assert octonary_formula_table(a, b, 300) == octonary_count_table(a, b, 300)
+    assert len(built) == len(set(built)) == tables
+
+
 def test_formula_table_matches_1_1_closed_form():
     table = octonary_formula_table(1, 1, 500)
     assert table[:3] == [1, 16, 112]
