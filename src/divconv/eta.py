@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm, sqrt
@@ -65,7 +65,26 @@ class EtaQuotient(NamedTuple):
         return {"level": self.level, "exponents": {str(d): r for d, r in self.exponents}}
 
     def expand(self, n_max: int) -> list[int]:
-        return expand_eta_quotients([self], n_max)[0]
+        """The coefficients of q^0..q^n_max. The q-prefactor exponent e0 =
+        (sum of d*r_d)/24 must be a non-negative integer, as for every cusp
+        candidate; past n_max the expansion is zero.
+
+        prod F(q^d)^(r_d) on q^0..q^n, n = n_max - e0, takes the log-derivative
+        recurrence (_log_derivative, n^2/2 steps whatever the exponents) where
+        it was measured faster, with a margin: short rows, n < 16 (the
+        Sturm-bound rows of levels 14, 22, 26), and steep exponents, sum |r_d|
+        isqrt(n/d) > 16 n (over about 7 n pass terms of n slots). Else _walk
+        runs the multiply passes that _passes plans, on closed-form terms
+        (_pass_terms), on one packed int (arith.multiply_pass), and _series
+        unpacks it once and runs the cube divides by the forward recurrence."""
+        if n_max < 1:
+            raise ValueError("truncation must be >= 1")
+        if (n := n_max - _leading_exponent(self)) < 0:
+            return [0] * (n_max + 1)
+        if n < 16 or sum(abs(r) * isqrt(n // d) for d, r in self.exponents) > 16 * n:
+            return [0] * (n_max - n) + _log_derivative(self, _sigma(n_max), n)
+        ((_, e0, state, divide),) = _walk(_plans([self], n_max), n_max)
+        return _series(state, e0, divide, n_max)
 
     @classmethod
     def from_json(cls, text: str) -> "EtaQuotient":
@@ -219,8 +238,8 @@ def _divide_pass(g: list[int], terms: Sequence[tuple[int, int]]) -> list[int]:
 
 
 def expand_eta_quotient(f: EtaQuotient, truncation: int) -> QSeries:
-    """The one-element case of expand_eta_quotients, which documents the
-    method, as the QSeries that expand prints and the cache stores."""
+    """EtaQuotient.expand, which documents the method, as the QSeries that
+    expand prints and the cache stores."""
     from .qseries import QSeries
 
     return QSeries(f.expand(truncation), truncation)
@@ -298,51 +317,6 @@ def _pass_terms(d: int, kind: str, m: int) -> tuple[tuple[int, int], ...]:
     return tuple((d * e, c) for e, c in base if e <= m)
 
 
-def expand_eta_quotients(quotients, truncation: int) -> list[list[int]]:
-    """q-expansions of the quotients up to the given truncation, in the
-    order given, each the integer list of its coefficients q^0..q^truncation.
-
-    Every quotient needs its q-prefactor exponent e0 = (sum of d*r_d)/24
-    to be a non-negative integer, which holds for every cusp candidate; one
-    with e0 > truncation expands to zero.
-
-    Method: prod F(q^d)^(r_d) on q^0..q^n, n = truncation - e0, takes the
-    log-derivative recurrence (_log_derivative, n^2/2 steps whatever the
-    exponents) where it was measured faster, with a margin, before any
-    plan: short rows, n < 16 (the Sturm-bound rows of levels 14, 22, 26),
-    and steep exponents, sum |r_d| isqrt(n/d) > 16 n (over about 7 n pass
-    terms of n slots). Else it takes the passes that _passes plans, on
-    closed-form terms (_pass_terms).
-    The multiply passes run on one int packed by arith's signed Kronecker
-    codec, each term one big-int shift-and-add (a run of terms that share
-    a coefficient other than +-1 is scaled once), after an exact check of its
-    slots that widens them only when the product could outgrow them
-    (arith.multiply_pass). Each quotient then unpacks its q^0..q^truncation
-    once and runs its cube divides on that list by the forward recurrence
-    (_series).
-
-    The quotients' multiply passes form a prefix tree, walked depth first
-    by taking them in sorted order (_walk), so a multiply pass that several
-    quotients start with runs once. Only the packed products that a later
-    quotient resumes from are kept, so memory does not grow with the
-    passes. Every multiply pass runs on q^0..q^top with top = truncation -
-    min e0; a quotient with a larger e0 reads a prefix, since truncated
-    products agree on it, shifted down to its own q^e0.
-    """
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
-    results, passes = [None] * len(quotients), []
-    for i, f in enumerate(quotients):
-        n = truncation - _leading_exponent(f)
-        if 0 <= n and (n < 16 or sum(abs(r) * isqrt(n // d) for d, r in f.exponents) > 16 * n):
-            results[i] = [0] * (truncation - n) + _log_derivative(f, _sigma(truncation), n)
-        else:
-            passes.append(i)
-    for j, e0, state, divide in _walk([quotients[i] for i in passes], truncation):
-        results[passes[j]] = _series(state, e0, divide, truncation)
-    return [g or [0] * (truncation + 1) for g in results]
-
-
 @lru_cache(maxsize=4)
 def _sigma(n: int) -> list[int]:
     """sigma(k) for k = 0..n, sieved once per truncation, not once per row."""
@@ -373,21 +347,19 @@ def sum_eta_quotients(quotients, weights, truncation: int) -> tuple[int, int, in
     bounds each product). Divides are linear, so the products with divides take a common
     denominator, cube passes for the union's divides they lack; their sum is unpacked once
     to run the union's divides, then added to the sum of those with none."""
-    union = Counter()
-    for f in quotients:
-        if _leading_exponent(f) <= truncation and (divide := _passes(f)[1]):
+    jobs, union = _plans(quotients, truncation), Counter()
+    for _, divide, *_ in jobs:
+        if divide:
             union |= Counter(divide)
     sums, bits = [(0, 1, 0), (0, 1, 0)], 1  # (value, size, bound) of the products without and with divides
-    for i, _, state, divide in _walk(quotients, truncation):
+    for i, _, state, divide in _walk(jobs, truncation):
         for d in (union - Counter(divide)).elements() if divide else ():
             state = multiply_pass(state, _pass_terms(d, "cube", truncation // d))
         bits = slot_bits(*state, bits)
         sums[bool(divide)] = _add(sums[bool(divide)], state, weights[i], abs(weights[i]) << bits - 1)
     if not union:
         return sums[0]
-    g = unpack(*sums[1][:2], truncation + 2, truncation + 1)
-    for d in union.elements():
-        g = _divide_pass(g, _pass_terms(d, "cube", truncation // d))
+    g = _series(sums[1][:2], 0, union.elements(), truncation)
     size = slot_bytes(most := max(map(abs, g)))
     return _add(sums[0], (pack(g + [0], size), size), 1, most)
 
@@ -401,7 +373,7 @@ def _add(total: tuple[int, int, int], state: tuple[int, int], weight: int, most:
     return value + weight * (widen(product, width, size) if width < size else product), size, bound
 
 
-def _series(state: tuple[int, int], e0: int, divide: Sequence[int], truncation: int) -> list[int]:
+def _series(state: tuple[int, int], e0: int, divide: Iterable[int], truncation: int) -> list[int]:
     """A quotient's q^0..q^truncation from its product as _walk yields it,
     divided by F(q^d)^3 for each d in divide (_divide_pass)."""
     g = unpack(*state, truncation + 2, truncation + 1)
@@ -411,13 +383,22 @@ def _series(state: tuple[int, int], e0: int, divide: Sequence[int], truncation: 
     return g
 
 
-def _walk(quotients, truncation: int) -> Iterator[tuple[int, int, tuple[int, int], tuple[int, ...]]]:
-    """(i, e0, (value, size), divide) for each quotient i with e0 <=
-    truncation, in walk order (see expand_eta_quotients): value packs its
-    multiply product shifted right by e0 - min e0 slots, q^0..q^truncation
-    and a spare slot that takes the shift's floor; divide is still to run."""
-    e0s = [_leading_exponent(f) for f in quotients]
-    jobs = sorted((*_passes(f), e0, i) for i, (f, e0) in enumerate(zip(quotients, e0s)) if e0 <= truncation)
+def _plans(quotients, truncation: int) -> list[tuple[tuple[tuple[int, str], ...], tuple[int, ...], int, int]]:
+    """The sorted jobs (multiply, divide, e0, i) that _walk takes: the plan
+    (_passes) and q-prefactor exponent e0 of each quotient i with e0 <= truncation."""
+    return sorted((*_passes(f), e0, i) for i, f in enumerate(quotients) if (e0 := _leading_exponent(f)) <= truncation)
+
+
+def _walk(jobs, truncation: int) -> Iterator[tuple[int, int, tuple[int, int], tuple[int, ...]]]:
+    """(i, e0, (value, size), divide) for each job of _plans, in order: value
+    packs quotient i's multiply product shifted right by e0 - min e0 slots,
+    q^0..q^truncation and a spare slot that takes the shift's floor; divide
+    is still to run. The multiply passes form a prefix tree, walked depth
+    first, so a pass that several jobs start with runs once; only the
+    products that a later job resumes from are kept, so memory does not grow
+    with the passes. Every pass runs on q^0..q^top, top = truncation - min
+    e0; a job with a larger e0 reads a prefix, since truncated products
+    agree on it, shifted to its own q^e0."""
     if not jobs:
         return
     top = truncation - (low := min(e0 for *_, e0, _ in jobs))

@@ -7,7 +7,7 @@ from math import gcd, isqrt, lcm
 
 from divconv.arith import pack, rational_to_str, series_product, sigma, slot_bits, slot_bytes, widen
 from divconv.convolution import VerificationReport, brute_force_W_table
-from divconv.eta import EtaQuotient, _series, _walk, expand_eta_quotients
+from divconv.eta import EtaQuotient, _plans, _series, _walk
 
 
 def sigma_at(k: int, n: int, delta: int) -> int:
@@ -94,7 +94,7 @@ def reference_sum_eta_quotients(quotients, weights, truncation: int) -> tuple[in
     slot_bits on the packed int, and one with cube divides is unpacked,
     divided on its own and packed again at the width of the sum."""
     value, size, bound, bits = 0, 1, 0, 1
-    for i, e0, (product, width), divide in _walk(quotients, truncation):
+    for i, e0, (product, width), divide in _walk(_plans(quotients, truncation), truncation):
         if divide:
             g = _series((product, width), e0, divide, truncation)
             most, width = max(map(abs, g)), 1
@@ -200,9 +200,10 @@ def reference_scaled_values(formula, n_max: int) -> tuple[int, list[int]]:
     for t, c in formula.sigma3_terms.items():
         a = int(c * scale)
         values[t::t] = [v + a * s for v, s in zip(values[t::t], sigma3[1:])]
-    live = [(g, int(c * scale)) for g, c in formula.terms if c and isinstance(g, EtaQuotient)]
-    for (_, a), series in zip(live, expand_eta_quotients([g for g, _ in live], n_max)):
-        values = [v + a * x for v, x in zip(values, series)]
+    for g, c in formula.terms:
+        if c and isinstance(g, EtaQuotient):
+            a = int(c * scale)
+            values = [v + a * x for v, x in zip(values, g.expand(n_max))]
     values[0] = 0
     return scale, values
 

@@ -19,11 +19,10 @@ from divconv.eta import (
     check_admissibility,
     euler_F,
     expand_eta_quotient,
-    expand_eta_quotients,
     search_eta_quotients,
     sum_eta_quotients,
 )
-from divconv.modforms import registered_cusp_quotients
+from divconv.modforms import level_basis, registered_cusp_quotients, sturm_bound
 from divconv.qseries import QSeries
 from conftest import run_cli
 from reference import reference_multiply_pass, reference_sum_eta_quotients
@@ -563,8 +562,8 @@ def test_packed_chain_crosses_every_width():
 
 
 def reference_expand_eta_quotient(quotient, truncation):
-    """The one-quotient kernel that expand_eta_quotients replaced, kept as
-    its reference: every pass of the quotient in turn, on one list."""
+    """The one-list kernel that the planned passes replaced, kept as their
+    reference: every pass of the quotient in turn, on one list."""
     e0 = quotient.leading_exponent_numerator // 24
     if e0 > truncation:
         return [0] * (truncation + 1)
@@ -592,11 +591,11 @@ def reference_expand_eta_quotient(quotient, truncation):
 def test_shared_expansion_matches_reference_on_registered_families(level):
     family = registered_cusp_quotients(level)
     expected = [reference_expand_eta_quotient(q, 3000) for q in family]
-    assert expand_eta_quotients(family, 3000) == expected
+    assert [q.expand(3000) for q in family] == expected
     assert [expand_eta_quotient(q, 3000) for q in family] == [QSeries(e, 3000) for e in expected]
 
 
-# sha256 of repr(expand_eta_quotients(quotients, 3000)), taken with the
+# sha256 of repr([q.expand(3000) for q in quotients]), taken with the
 # list-in/list-out multiply pass, for the registered families and for the
 # quotients of derive_formula(1, 36), whose walk-order picks carry larger
 # exponents and so wider slots
@@ -614,8 +613,19 @@ def test_shared_expansion_is_unchanged_to_3000(level):
         quotients = [g for g, _ in derive_formula(1, 36).terms if isinstance(g, EtaQuotient)]
     else:
         quotients = registered_cusp_quotients(level)
-    digest = hashlib.sha256(repr(expand_eta_quotients(quotients, 3000)).encode()).hexdigest()
+    digest = hashlib.sha256(repr([q.expand(3000) for q in quotients]).encode()).hexdigest()
     assert digest == SHARED_EXPANSION_3000_SHA256[level]
+
+
+@pytest.mark.parametrize("level", [36, 60])
+def test_expand_matches_reference_on_searched_bases(level):
+    """EtaQuotient.expand on every quotient of the level's basis, at the
+    Sturm bound, where level 36 sends rows to both kernels, and at q^200,
+    where every row takes the passes."""
+    quotients = [e.generator for e in level_basis(level).elements if isinstance(e.generator, EtaQuotient)]
+    for truncation in (sturm_bound(level), 200):
+        expected = [reference_expand_eta_quotient(q, truncation) for q in quotients]
+        assert [q.expand(truncation) for q in quotients] == expected
 
 
 LEVEL12_DIVISORS = (1, 2, 3, 4, 6, 12)
@@ -650,18 +660,18 @@ def level12_quotients(draw):
 @example([EtaQuotient.from_dict(12, {1: 2, 2: 2, 3: 2, 6: 2})] * 3, 40)
 @example([EtaQuotient.from_dict(12, {1: 3, 3: 3, 6: 2}), EtaQuotient.from_dict(12, {1: 3, 2: 3, 3: 1, 12: 1})], 50)
 def test_shared_expansion_matches_reference_on_level12_lists(quotients, truncation):
-    # drawn from a small pool, so lists repeat quotients and share prefixes
-    got = expand_eta_quotients(quotients, truncation)
+    # drawn from a small pool, so lists repeat quotients
+    got = [q.expand(truncation) for q in quotients]
     assert got == [reference_expand_eta_quotient(q, truncation) for q in quotients]
     assert [QSeries(g, truncation) for g in got] == [expand_eta_quotient(q, truncation) for q in quotients]
 
 
 def walked(quotients, truncation):
-    """expand_eta_quotients through the pass walk alone, whatever the kernel
-    choice would pick: each quotient's product as _walk yields it, its
-    divides run by _series."""
+    """The quotients' expansions through one pass walk alone, whatever the
+    kernel choice would pick: each quotient's product as _walk yields it
+    from the jobs of _plans, its divides run by _series."""
     out = [[0] * (truncation + 1) for _ in quotients]
-    for i, e0, state, divide in eta_module._walk(quotients, truncation):
+    for i, e0, state, divide in eta_module._walk(eta_module._plans(quotients, truncation), truncation):
         out[i] = eta_module._series(state, e0, divide, truncation)
     return out
 
@@ -716,7 +726,7 @@ def test_wide_slot_quotient_agrees_in_both_kernels():
     from 16 bits to over 400; the recurrence gives the same list."""
     quotient = EtaQuotient.from_dict(2, {1: 240, 2: -120})
     expected = eta_module._log_derivative(quotient, eta_module._sigma(1000), 1000)
-    assert expand_eta_quotients([quotient], 1000) == walked([quotient], 1000) == [expected]
+    assert [quotient.expand(1000)] == walked([quotient], 1000) == [expected]
 
 
 @pytest.mark.parametrize(
@@ -737,8 +747,9 @@ def test_kernel_choice(monkeypatch, level, exponents, truncation, recurrence):
     exponents at mid truncations, where the passes were measured faster, keep them."""
     ran = []
     monkeypatch.setattr(eta_module, "_log_derivative", lambda f, sigma, n: ran.append("recurrence") or [0] * (n + 1))
-    monkeypatch.setattr(eta_module, "_walk", lambda quotients, t: ran.extend(["passes"] * len(quotients)) or iter(()))
-    expand_eta_quotients([EtaQuotient.from_dict(level, exponents)], truncation)
+    walk = eta_module._walk
+    monkeypatch.setattr(eta_module, "_walk", lambda jobs, t: ran.extend(["passes"] * len(jobs)) or walk(jobs, t))
+    EtaQuotient.from_dict(level, exponents).expand(truncation)
     assert ran == ["recurrence" if recurrence else "passes"]
 
 
@@ -778,13 +789,17 @@ def test_shared_expansion_runs_each_shared_pass_once(monkeypatch):
 
 
 def test_shared_expansion_validates_every_quotient():
+    """Each expansion, and the plan of a list wherever the bad quotient sits in it."""
     good = EtaQuotient.from_dict(14, {1: 5, 2: -1, 7: 5, 14: -1})
-    with pytest.raises(ValueError, match="is not divisible by 24"):
-        expand_eta_quotients([good, EtaQuotient.from_dict(1, {1: 1})], 10)
-    with pytest.raises(ValueError, match="leading exponent -1 is negative"):
-        expand_eta_quotients([EtaQuotient.from_dict(1, {1: -24}), good], 10)
+    for bad, message in (
+        (EtaQuotient.from_dict(1, {1: 1}), "is not divisible by 24"),
+        (EtaQuotient.from_dict(1, {1: -24}), "leading exponent -1 is negative"),
+    ):
+        for call in (lambda: bad.expand(10), lambda: walked([good, bad], 10), lambda: walked([bad, good], 10)):
+            with pytest.raises(ValueError, match=message):
+                call()
     with pytest.raises(ValueError):
-        expand_eta_quotients([good], 0)
+        good.expand(0)
 
 
 def _traced_peak(quotient, truncation):
@@ -815,7 +830,7 @@ def test_weighted_sum_matches_the_lists(level, truncation):
     over the level-22 quotients with a cube divide too, and at a truncation
     below some quotients' e0; the spare slot is within the bound as well."""
     family = registered_cusp_quotients(level)
-    lists = expand_eta_quotients(family, truncation)
+    lists = [q.expand(truncation) for q in family]
     for weights in ([1 - 2 * i for i in range(len(family))], [(-3) ** (40 + i) for i in range(len(family))]):
         value, size, bound = sum_eta_quotients(family, weights, truncation)
         expected = [sum(a * g[n] for a, g in zip(weights, lists)) for n in range(truncation + 1)]
@@ -892,3 +907,16 @@ def test_cusp_sum_multiplies_only_the_divided_products(monkeypatch):
     assert len(ran) == 2 * walk_passes + lacked
     expected, width, _ = reference_sum_eta_quotients(quotients, weights, 200)
     assert unpack(value, size, 202, 201) == unpack(expected, width, 202, 201)
+
+
+@pytest.mark.parametrize("alpha,beta", [(1, 22), (1, 36)])
+def test_cusp_sum_plans_each_quotient_once(monkeypatch, alpha, beta):
+    """sum_eta_quotients reads the union of divides from the jobs that it
+    walks, so each live quotient of the formula is planned once."""
+    formula = derive_formula(alpha, beta)
+    live = [(g, c.numerator) for g, c in formula.terms if c and isinstance(g, EtaQuotient)]
+    planned = []
+    passes = eta_module._passes
+    monkeypatch.setattr(eta_module, "_passes", lambda f: planned.append(f) or passes(f))
+    sum_eta_quotients([g for g, _ in live], [a for _, a in live], 200)
+    assert planned == [g for g, _ in live]

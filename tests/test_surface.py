@@ -21,9 +21,14 @@ The slot format of a series packed into one int is decided in arith alone:
 no other module imports struct or calls int.from_bytes or int.to_bytes.
 
 Every name that a module in src/divconv or tests imports is read in it.
+
+Every name of code that README.md gives in backticks exists: a
+`module.name` or `Class.name` of src/divconv, a file, or a snake_case name
+defined in src/divconv or tests/reference.py.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -153,3 +158,70 @@ def test_every_import_is_read():
     ]
     unread = [f"{path.name}:{at}" for path in SOURCES + TESTS for at in _unread_imports(ast.parse(path.read_text()))]
     assert unread == [], f"imported names that the module never reads: {unread}"
+
+
+# backticked README words in the shape of a snake_case name that name no code: math symbols
+README_SYMBOLS = {"a_m", "b_j", "r_d"}
+
+
+def _definitions(path: Path) -> tuple[set[str], dict[str, set[str]]]:
+    """(every name that the file defines: functions, classes, methods,
+    assigned names, class fields and the string keys of dict literals, which
+    are the JSON keys the commands write; {scope: names defined at its top
+    level} for the module, by its stem, and for each class)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names, scopes = set(), {}
+    classes = [(node.name, node.body) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    for scope, body in [(path.stem, tree.body), *classes]:
+        scopes[scope] = set()
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                scopes[scope].add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                scopes[scope] |= {target.id for target in targets if isinstance(target, ast.Name)}
+        names |= scopes[scope]
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Dict):
+            names |= {key.value for key in node.keys if isinstance(key, ast.Constant) and isinstance(key.value, str)}
+    return names, scopes
+
+
+def _unknown_readme_names(text: str, names: set[str], scopes: dict[str, set[str]]) -> list[str]:
+    """The backticked spans outside code blocks that name code that does not
+    exist: `scope.name` or `scope.name(...)` with scope a divconv module or
+    class, `divconv.m` with no module m, a file `stem.py` or `stem.json`
+    found neither at the root of the repository nor in a folder of code,
+    and a snake_case `name` or `name(...)` that no file defines."""
+    text = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    unknown = []
+    for span in re.findall(r"`([^`]+)`", text):
+        if not (match := re.fullmatch(r"(?:(\w+)\.)?(\w+)(?:\(.*\))?", span, flags=re.S)):
+            continue
+        scope, name = match.groups()
+        if name in ("py", "json"):
+            known = any((ROOT / folder / span).exists() for folder in ("", "src/divconv", "tests", "perfbench"))
+        elif scope == "divconv":
+            known = name in {path.stem for path in SOURCES}
+        elif scope is not None:
+            known = scope not in scopes or name in scopes[scope]
+        else:
+            known = not re.fullmatch(r"_?[a-z][a-z0-9]*(_[A-Za-z0-9]+)+", name) or name in names | README_SYMBOLS
+        if not known:
+            unknown.append(span)
+    return unknown
+
+
+def test_readme_names_only_what_exists():
+    names, scopes = set(), {}
+    for path in SOURCES + [ROOT / "tests" / "reference.py"]:
+        defined, scoped = _definitions(path)
+        names |= defined
+        scopes |= scoped
+    sample = "`eta.gone` `eta.walk_eta_quotients` `divconv.nothing` `gone.py` `eta.py` `gone_name(n)` `r_d`"
+    sample += "\n```\n`gone_too`\n```"
+    assert _unknown_readme_names(sample, names, scopes) == ["eta.gone", "divconv.nothing", "gone.py", "gone_name(n)"]
+    unknown = _unknown_readme_names((ROOT / "README.md").read_text(), names, scopes)
+    assert unknown == [], f"README.md names code that does not exist: {unknown}"
