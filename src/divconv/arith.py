@@ -129,8 +129,8 @@ def sigma_sieve(ks, n_max: int) -> list[list[int]]:
     n_max), built once for every k: with p = spf(n) and p^e the power of p
     in n, sigma_k(n) is sigma_k(n/p) + n^k when n = p^e, else sigma_k(p^e)
     sigma_k(n/p^e). It shares no code with sigma_table, so the formula side
-    (derivation and evaluation) reads this, independent of the oracles,
-    which read that.
+    (derivation, evaluation and rep's r4 series) reads this, independent of
+    the oracles, which read that.
     """
     if min(ks, default=0) < 0 or n_max < 0:
         raise ValueError("sigma_sieve requires every k >= 0 and n_max >= 0")

@@ -2,14 +2,13 @@
 a(x1^2+..+x4^2) + b(x5^2+..+x8^2), with independent lattice-count oracles.
 
 Both columns of a whole-range comparison are whole-range tables.
-octonary_formula_table evaluates the quaternary identity from the oracle
-side's divisor sums, brute_force_W_table and sigma_table, adding each term
-onto the multiples of its divisor; octonary_count_table is the lattice
-count theta(q^a)^4 theta(q^b)^4 with theta = 1 + 2 sum q^(m^2), formed by
-eight sparse multiply passes on one packed int (arith.multiply_pass), each
-of whose terms has the coefficient 2, so a pass sums its shifted values
-and adds the sum doubled once; it reads no divisor sum and shares no
-product code with the formula column.
+octonary_formula_table is Jacobi's r4 series R = 1 + sum r4(m) q^m, read
+from the formula side's sigma_sieve, as one product R(q^a) R(q^b);
+octonary_count_table is the lattice count theta(q^a)^4 theta(q^b)^4 with
+theta = 1 + 2 sum q^(m^2), formed by eight sparse multiply passes on one
+packed int (arith.multiply_pass), each of whose terms has the coefficient
+2, so a pass sums its shifted values and adds the sum doubled once; it
+reads no divisor sum and shares no product code with the formula column.
 The per-n references octonary_convolution, r4 (by trial-division sigma)
 and octonary_lattice stay. A pair outside SUPPORTED_PAIRS, or a lattice
 count past its bound, raises ValueError."""
@@ -19,8 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import isqrt
 
-from .arith import multiply_pass, pack, sigma, sigma_table, unpack
-from .convolution import brute_force_W_table
+from .arith import multiply_pass, pack, series_product, sigma, sigma_sieve, unpack
 
 #: direct 4-square lattice counts are only sensible at desk scale
 R4_LATTICE_BOUND = 200
@@ -117,33 +115,16 @@ def octonary_count_table(a: int, b: int, n_max: int) -> list[int]:
 
 def octonary_formula_table(a: int, b: int, n_max: int) -> list[int]:
     """Closed formula for the octonary count at n = 0..n_max (index 0 holds
-    the count 1 of n = 0), with every convolution sum it consumes taken
-    from the brute-force brute_force_W_table.
-
-    Substituting r4(m) = 8 sigma(m) - 32 sigma(m/4) (m >= 1) into
-    octonary_convolution gives, for n >= 1,
-
-        8 sigma(n/a) - 32 sigma(n/4a) + 8 sigma(n/b) - 32 sigma(n/4b)
-        + 64 W(a,b)(n) + 1024 W(a,b)(n/4) - 256 [W(4a,b)(n) + W(a,4b)(n)]
-
-    with sigma and W zero at non-integer arguments. So (2, 3) needs W(2,3),
-    W(3,8) and W(2,12), not the W(1,3)/W(1,12) of the (1, 3) case, and
-    (1, 1) needs W(4,1) alone, as W(1,4) = W(4,1). The W tables over the
-    whole range start the column, and each term c f(n/t) is then added onto
-    the slice of multiples of t, so W(a,b)(n/4) is the W(a,b) table added at
-    every fourth n.
-    """
+    the count 1 of n = 0): octonary_convolution(a, b, n) is the q^n
+    coefficient of R(q^a) R(q^b) for Jacobi's series R = 1 + sum r4(m) q^m,
+    r4(m) = 8 sigma(m) - 32 sigma(m/4) (the second term only when 4 | m).
+    R is one list to q^(n_max // min(a, b)) from sigma_sieve, and the
+    product one series_product, which squares R when a == b."""
     if (a, b) not in SUPPORTED_PAIRS:
         raise ValueError(f"no formula for (a, b) = ({a}, {b})")
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    sigma1 = sigma_table(1, n_max)
-    w, w4ab = brute_force_W_table(a, b, n_max), brute_force_W_table(4 * a, b, n_max)
-    wa4b = w4ab if a == b else brute_force_W_table(a, 4 * b, n_max)
-    values = [64 * wab - 256 * (x + y) for wab, x, y in zip(w, w4ab, wa4b)]
-    for t, c in ((a, 8), (b, 8), (4 * a, -32), (4 * b, -32)):
-        values[t::t] = [v + c * s for v, s in zip(values[t::t], sigma1[1:])]
-    values[::4] = [v + 1024 * x for v, x in zip(values[::4], w)]
-    values[0] = 1
-    return values
-
+    (sigma1,) = sigma_sieve((1,), n_max // min(a, b))
+    series = [1] + [8 * s for s in sigma1[1:]]
+    series[4::4] = [v - 32 * s for v, s in zip(series[4::4], sigma1[1:])]
+    return series_product(series, a, series, b, n_max)

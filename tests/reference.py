@@ -5,6 +5,7 @@ import io
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
+from divconv import arith
 from divconv.arith import pack, rational_to_str, series_product, sigma, slot_bits, slot_bytes, widen
 from divconv.convolution import VerificationReport, brute_force_W_table
 from divconv.eta import EtaQuotient, _plans, _series, _walk
@@ -139,6 +140,36 @@ def reference_octonary_count_table(a: int, b: int, n_max: int) -> list[int]:
     theta2 = series_product(theta, 1, theta, 1, m_max)
     theta4 = series_product(theta2, 1, theta2, 1, m_max)
     return series_product(theta4, a, theta4, b, n_max)
+
+
+def reference_octonary_formula_table(a: int, b: int, n_max: int) -> list[int]:
+    """The paper's W identity that representations.octonary_formula_table
+    replaced, kept as its reference, with every convolution sum it consumes
+    taken from the brute-force brute_force_W_table.
+
+    Substituting r4(m) = 8 sigma(m) - 32 sigma(m/4) (m >= 1) into
+    octonary_convolution gives, for n >= 1,
+
+        8 sigma(n/a) - 32 sigma(n/4a) + 8 sigma(n/b) - 32 sigma(n/4b)
+        + 64 W(a,b)(n) + 1024 W(a,b)(n/4) - 256 [W(4a,b)(n) + W(a,4b)(n)]
+
+    with sigma and W zero at non-integer arguments. So (2, 3) needs W(2,3),
+    W(3,8) and W(2,12), not the W(1,3)/W(1,12) of the (1, 3) case, and
+    (1, 1) needs W(4,1) alone, as W(1,4) = W(4,1). The W tables over the
+    whole range start the column, and each term c f(n/t) is then added onto
+    the slice of multiples of t, so W(a,b)(n/4) is the W(a,b) table added at
+    every fourth n. The oracle's sieve is read through its module, so that
+    no per-n reference here binds a sieve name.
+    """
+    sigma1 = arith.sigma_table(1, n_max)
+    w, w4ab = brute_force_W_table(a, b, n_max), brute_force_W_table(4 * a, b, n_max)
+    wa4b = w4ab if a == b else brute_force_W_table(a, 4 * b, n_max)
+    values = [64 * wab - 256 * (x + y) for wab, x, y in zip(w, w4ab, wa4b)]
+    for t, c in ((a, 8), (b, 8), (4 * a, -32), (4 * b, -32)):
+        values[t::t] = [v + c * s for v, s in zip(values[t::t], sigma1[1:])]
+    values[::4] = [v + 1024 * x for v, x in zip(values[::4], w)]
+    values[0] = 1
+    return values
 
 
 def reference_reduce_row(echelon: list[tuple[list, int]], row: list) -> list:

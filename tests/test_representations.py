@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,7 +18,8 @@ from divconv.representations import (
     r4,
     r4_lattice,
 )
-from reference import octonary_1_1_closed_form, reference_octonary_count_table
+from reference import octonary_1_1_closed_form, reference_octonary_count_table, reference_octonary_formula_table
+from test_convolution import forbid
 
 
 @pytest.mark.parametrize("n,expected", [(0, 1), (1, 8), (2, 24), (4, 24), (7, 64)])
@@ -58,21 +64,27 @@ def test_count_table_matches_per_n_counts(a, b):
 
 @pytest.mark.parametrize("a,b", SUPPORTED_PAIRS)
 def test_formula_table_matches_count_table(a, b):
-    # below 4a and 4b some of the formula's slices of multiples are empty
-    for n_max in (0, 1, 2, 3, 4, 5, 7, 500):
-        assert octonary_formula_table(a, b, n_max) == octonary_count_table(a, b, n_max), n_max
+    # below 4 (and below a and b) the Jacobi list and the W identity's
+    # slices of multiples are short or empty
+    for n_max in (0, 1, 2, 3, 4, 5, 7, 8, 500):
+        table = octonary_formula_table(a, b, n_max)
+        assert table == octonary_count_table(a, b, n_max), n_max
+        assert table == reference_octonary_formula_table(a, b, n_max), n_max
 
 
-@pytest.mark.parametrize("a,b,tables", [(1, 1, 2), (1, 3, 3), (2, 3, 3)])
-def test_formula_table_builds_each_W_table_once(monkeypatch, a, b, tables):
-    """For a == b, W(4a,b) and W(a,4b) are one table (swap l and m), built once."""
-    built = []
-    table = representations_module.brute_force_W_table
-    monkeypatch.setattr(
-        representations_module, "brute_force_W_table", lambda *args: built.append(args[:2]) or table(*args)
-    )
-    assert octonary_formula_table(a, b, 300) == octonary_count_table(a, b, 300)
-    assert len(built) == len(set(built)) == tables
+def test_formula_table_reads_only_sigma_sieve(monkeypatch):
+    """The formula column is one series_product of Jacobi's r4 list from
+    sigma_sieve: it reads no W table, no oracle sieve and no per-n sigma,
+    and its module loads nothing of convolution."""
+    expected = {pair: reference_octonary_count_table(*pair, 300) for pair in SUPPORTED_PAIRS}
+    forbid(monkeypatch, "brute_force_W_table", "sigma_table", "sigma", "r4", "multiply_pass")
+    assert {pair: octonary_formula_table(*pair, 300) for pair in SUPPORTED_PAIRS} == expected
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = "import divconv.representations, sys; print(' '.join(sorted(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    loaded = {name for name in result.stdout.split() if name.startswith("divconv")}
+    assert loaded == {"divconv", "divconv.arith", "divconv.representations"}
 
 
 def test_formula_table_matches_1_1_closed_form():
@@ -94,9 +106,9 @@ def test_count_table_matches_the_dense_theta_products(a, b, n_max):
 
 def test_count_table_reads_no_sigma_table(monkeypatch):
     # the count column is the lattice count itself: it reads no divisor sum,
-    # neither the formula column's sigma_table nor the per-n r4
+    # neither the formula column's sigma_sieve and series_product nor the per-n r4
     expected = [octonary_convolution(2, 3, n) for n in range(1, 61)]
-    for name in ("sigma_table", "sigma", "r4"):
+    for name in ("sigma_sieve", "series_product", "sigma", "r4"):
 
         def forbidden(*args, name=name):
             raise AssertionError(f"octonary_count_table read {name}")
