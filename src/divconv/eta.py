@@ -21,12 +21,13 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm, sqrt
-from operator import itemgetter, mul
+from itertools import accumulate
+from math import gcd, isqrt, lcm, prod, sqrt
+from operator import add, itemgetter, mul
 from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import MAX_TRUNCATION, divisors, euler_phi, gamma0_index, insert_row, multiply_pass, pack, reduce_row
-from .arith import prime_factorization, rational_to_str, sigma_sieve, slot_bits, slot_bytes, slot_unit, unpack, widen
+from .arith import MAX_TRUNCATION, divisors, euler_phi, gamma0_index, multiply_pass, pack, prime_factorization
+from .arith import rational_to_str, sigma_sieve, slot_bits, slot_bytes, slot_unit, unpack, widen
 
 if TYPE_CHECKING:
     from .qseries import QSeries
@@ -159,10 +160,6 @@ class AdmissibilityReport(NamedTuple):
     cond_v: bool
     cond_v_prime: bool
 
-    @property
-    def is_modular_form(self) -> bool:
-        return self.cond_i and self.cond_ii and self.cond_iii and self.cond_iv and self.cond_v
-
     def to_json_dict(self) -> dict:
         orders = {str(d): rational_to_str(o) for d, o in self.orders.items()}
         return {**self._asdict(), "weight": rational_to_str(self.weight), "orders": orders}
@@ -195,32 +192,37 @@ def _admissibility_columns(level: int) -> tuple[list[int], dict[int, list[int]]]
     }
 
 
-def check_admissibility(f: EtaQuotient) -> AdmissibilityReport:
-    """Evaluate all admissibility conditions; nothing raises, the report tells.
-
-    All five are decided on integers, from one sum of the level's cached
-    columns weighted by the exponents. It holds the n v_d, whose rows
-    d = n and d = 1 are n sum d r_d and sum (n/d) r_d, for conditions (i),
-    (ii) and (v), and the prime exponents of prod d^r_d, a rational square
-    iff they are all even (iii), so the huge powers are never formed; (iv)
-    reads the exponent sum 2k (k even)."""
-    n = f.level
-    divs, columns = _admissibility_columns(n)
+def _conditions(f: EtaQuotient) -> tuple[list[int], int, tuple[bool, ...]]:
+    """(the n v_d by divisor d, n the level; the exponent sum 2k; conditions
+    (i)-(v)), on integers, from one sum of the level's cached columns
+    weighted by the exponents. It holds the n v_d, whose rows d = n and
+    d = 1 are n sum d r_d and sum (n/d) r_d, for conditions (i), (ii) and
+    (v), and the prime exponents of prod d^r_d, a rational square iff they
+    are all even (iii), so the huge powers are never formed; (iv) reads the
+    exponent sum 2k (k even)."""
+    divs, columns = _admissibility_columns(f.level)
     sums = [0] * len(columns[1])
     for delta, r in f.exponents:
         sums = [s + r * c for s, c in zip(sums, columns[delta])]
-    orders, prime_exps = sums[: len(divs)], sums[len(divs) :]
-    total = sum(r for _, r in f.exponents)
-    return AdmissibilityReport(
-        cond_i=orders[-1] % (24 * n) == 0,
-        cond_ii=orders[0] % 24 == 0,
-        cond_iii=all(e % 2 == 0 for e in prime_exps),
-        weight=Fraction(total, 2),
-        cond_iv=total % 4 == 0,
-        orders={d: Fraction(v, n) for d, v in zip(divs, orders)},
-        cond_v=min(orders) >= 0,
-        cond_v_prime=min(orders) > 0,
-    )
+    orders, total = sums[: len(divs)], sum(r for _, r in f.exponents)
+    square = all(e % 2 == 0 for e in sums[len(divs) :])
+    conditions = (orders[-1] % (24 * f.level) == 0, orders[0] % 24 == 0, square, total % 4 == 0, min(orders) >= 0)
+    return orders, total, conditions
+
+
+def modular_weight(f: EtaQuotient) -> int | None:
+    """The weight k if conditions (i)-(v) of check_admissibility hold, so
+    that the quotient is a modular form, else None; no Fraction is built."""
+    _, total, conditions = _conditions(f)
+    return total // 2 if all(conditions) else None
+
+
+def check_admissibility(f: EtaQuotient) -> AdmissibilityReport:
+    """Evaluate all admissibility conditions on the integer sums of
+    _conditions; nothing raises, the report tells."""
+    orders, total, (i, ii, iii, iv, v) = _conditions(f)
+    by_divisor = {d: Fraction(o, f.level) for d, o in zip(divisors(f.level), orders)}
+    return AdmissibilityReport(i, ii, iii, Fraction(total, 2), iv, by_divisor, v, min(orders) > 0)
 
 
 def _divide_pass(g: list[int], terms: Sequence[tuple[int, int]]) -> list[int]:
@@ -424,24 +426,6 @@ def _walk(jobs, truncation: int) -> Iterator[tuple[int, int, tuple[int, int], tu
         yield i, e0, (state[0] >> 8 * state[1] * (e0 - low), state[1]), divide
 
 
-def _inverse(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a nonsingular square matrix A, by the tag trick of
-    arith.reduce_row: with the rows of the integer matrix D A inserted
-    tagged, D the lcm of A's denominators, e_i reduces to (0 | -c) / m with
-    e_i = c D A, so -D c / m is row i of A^-1."""
-    n = len(matrix)
-    den = lcm(*(x.denominator for row in matrix for x in row))
-    unit = [[int(i == j) for j in range(n)] for i in range(n)]
-    echelon: list[tuple[list[int], int]] = []
-    for row, tag in zip(matrix, unit):
-        insert_row(echelon, [int(x * den) for x in row] + tag, n)
-    inverse = []
-    for e in unit:
-        rest, m = reduce_row(echelon, e + [0] * n)
-        inverse.append([Fraction(-den * x, m) for x in rest[n:]])
-    return inverse
-
-
 def _lower_triangular_basis(rows: list[list[int]], n: int) -> list[list[int]]:
     """Basis of the full-rank lattice spanned by the integer rows: row j of
     the result ends in a positive entry at column j. Euclid on each column,
@@ -461,24 +445,58 @@ def _lower_triangular_basis(rows: list[list[int]], n: int) -> list[list[int]]:
     return basis
 
 
+def _scaled_inverse(lower: list[list[int]], den: int) -> list[list[int]]:
+    """den * L^-1 for a lower-triangular integer matrix L with a nonzero
+    diagonal, row by row by forward substitution; a division that leaves a
+    remainder raises ArithmeticError."""
+    inverse = []
+    for i, row in enumerate(lower):
+        acc = [den * (i == j) for j in range(len(lower))]
+        for k, c in enumerate(row[:i]):
+            if c:
+                acc = [a - c * x for a, x in zip(acc, inverse[k])]
+        if any(a % row[i] for a in acc):
+            raise ArithmeticError(f"{den} * L^-1 is not integral in row {i}")
+        inverse.append([a // row[i] for a in acc])
+    return inverse
+
+
 def _order_lattice(level: int) -> tuple:
-    """What the walk needs of the level alone: the order matrix A, den, the
-    columns of den * A^-1, the lattice basis and phi(gcd(d, N/d)) by d."""
-    divs = divisors(level)
+    """What the walk needs of the level alone, by divisor d: den, the
+    columns of den * A^-1, the lattice basis, phi(g_d), g_d = gcd(d, N/d),
+    and (R_d, 24 g_d d), R_d / (24 g_d d) the sum of row d of A.
+
+    A[d][delta] = N gcd(d,delta)^2 / (24 g_d d delta) is (N/24) D^-1 (x)_p
+    M_p, D = diag(g_d), M_p[x][y] = p^-|x-y| over the exponents of p in d
+    and delta: a Kac-Murdock-Szego matrix, whose inverse is tridiagonal
+    (Kac, Murdock & Szego, 1953): (p^2 - 1) M_p^-1 has p^2 in the two
+    corners, p^2 + 1 on the rest of the diagonal and -p beside it. So
+    A^-1 = 24 B / (N P), P = prod (p^2 - 1), B[delta][d] = g_d times the
+    product of those integers, and den = N P / gcd(N P, 24 gcd(B))."""
+    divs, columns = _admissibility_columns(level)
     n = len(divs)
-    orders = [[Fraction(level * gcd(d, e) ** 2, 24 * gcd(d, level // d) * d * e) for e in divs] for d in divs]
-    inverse = _inverse(orders)
-    den = lcm(*(x.denominator for row in inverse for x in row))
-    scaled = [[int(x * den) for x in row] for row in inverse]  # den * A^-1
+    primes = prime_factorization(level).items()
+    g = [gcd(d, level // d) for d in divs]
+    exps = [columns[d][n:] for d in divs]  # the exponent of each prime of the level in d
+    tri = [[gd * prod(p * p + (0 < x < a) if x == y else -p * (abs(x - y) == 1) for (p, a), x, y in zip(primes, ex, ey))
+            for ex, gd in zip(exps, g)] for ey in exps]
+    big = level * prod(p * p - 1 for p, _ in primes)
+    common = gcd(big, 24 * gcd(*(b for row in tri for b in row)))
+    den = big // common
+    scaled = [[24 * b // common for b in row] for row in tri]  # den * A^-1
     # r is integral iff v lies on the lattice {v : scaled v = 0 mod den}.
     # Its dual, times den, is spanned by the rows of scaled and den*I; the
     # lattice then has the basis den * dual^-T, whose row i starts at
     # column i, so lattice[j][j] is the step of v_j once v_0..v_{j-1} are set
     dual = _lower_triangular_basis(scaled + [[den * (i == j) for j in range(n)] for i in range(n)], n)
-    dual_inverse = _inverse(dual)
-    lattice = [[int(dual_inverse[j][i] * den) for j in range(n)] for i in range(n)]
-    phi = [euler_phi(gcd(d, level // d)) for d in divs]
-    return orders, den, list(zip(*scaled)), lattice, phi
+    lattice = list(zip(*_scaled_inverse(dual, den)))
+    row_sums = [(sum(columns[e][i] for e in divs), 24 * g[i] * d) for i, d in enumerate(divs)]
+    return den, list(zip(*scaled)), lattice, [euler_phi(x) for x in g], row_sums
+
+
+def _suffixes(items: list, f, initial=None) -> list:
+    """f folded over items[j:] for each j, then initial if given."""
+    return list(accumulate(reversed(items), f, initial=initial))[::-1]
 
 
 def walk_eta_quotients(level: int, bound: int) -> Iterator[EtaQuotient]:
@@ -502,38 +520,41 @@ def walk_eta_quotients(level: int, bound: int) -> Iterator[EtaQuotient]:
     soon as some r_delta must leave [-bound, bound] whatever the remaining
     coordinates are. Conditions
     (i), (ii), (iv) and (v) then hold by construction; every survivor
-    still goes through check_admissibility, which also decides (iii).
+    still goes through modular_weight, which also decides (iii).
     Every admissible quotient in the box has such a v, so none is missed.
+    The setup is in integers: A is (N/24) D^-1 times a Kronecker product of
+    Kac-Murdock-Szego matrices, whose tridiagonal inverses give den * A^-1
+    (_order_lattice), and each bound is a row sum or suffix min, max or sum.
     The arguments are checked on the call; the walk runs as far as pulled.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    total = Fraction(gamma0_index(level), 3)
-    if total.denominator != 1:
+    if gamma0_index(level) % 3:
         return iter(())
     divs = divisors(level)
     n = len(divs)
-    orders, den, columns, lattice, phi = _order_lattice(level)
+    den, columns, lattice, phi, row_sums = _order_lattice(level)
     low = [int(d == level) for d in divs]
     # A has positive entries, so |r| <= bound caps v_d at bound * (row sum)
-    top = [int(bound * sum(row)) for row in orders]
+    top = [bound * s // t for s, t in row_sums]
     # spend on coordinates j..: at least reserved[j], at most room[j]
-    reserved = [sum(phi[i] * low[i] for i in range(j, n)) for j in range(n + 1)]
-    room = [sum(phi[i] * top[i] for i in range(j, n)) for j in range(n + 1)]
+    reserved = _suffixes([p * x for p, x in zip(phi, low)], add, 0)
+    room = _suffixes([p * x for p, x in zip(phi, top)], add, 0)
     # with slack = rem - reserved[j] still free, den * r_k moves by
     # floor[j][k] + slack * [least[j][k], most[j][k]] / common
     common = lcm(*phi)
     cap = common * bound * den
-    least = [[min(common * columns[i][k] // phi[i] for i in range(j, n)) for k in range(n)] for j in range(n)]
-    most = [[max(common * columns[i][k] // phi[i] for i in range(j, n)) for k in range(n)] for j in range(n)]
-    floor = [[sum(columns[i][k] * low[i] for i in range(j, n)) for k in range(n)] for j in range(n)]
+    weighted = [[common * c // p for c in column] for p, column in zip(phi, columns)]
+    least = _suffixes(weighted, lambda a, b: list(map(min, a, b)))
+    most = _suffixes(weighted, lambda a, b: list(map(max, a, b)))
+    floor = _suffixes([[c * x for c in column] for x, column in zip(low, columns)], lambda a, b: list(map(add, a, b)))
 
     def walk(j: int, partial: list[int], offset: list[int], rem: int) -> Iterator[EtaQuotient]:
         # partial = den * (r of v_0..v_{j-1}); offset = the lattice point
         # fixed so far, which pins v_j modulo lattice[j][j]
         if j == n:
             quotient = EtaQuotient.from_dict(level, {d: a // den for d, a in zip(divs, partial)})
-            if check_admissibility(quotient).is_modular_form:
+            if modular_weight(quotient) is not None:
                 yield quotient
             return
         step, cost, column, basis_row = lattice[j][j], phi[j], columns[j], lattice[j]
@@ -557,7 +578,7 @@ def walk_eta_quotients(level: int, bound: int) -> Iterator[EtaQuotient]:
             offset = [a + b for a, b in zip(offset, basis_row)]
             partial = [a + b for a, b in zip(partial, jump)]
 
-    return walk(0, [0] * n, [0] * n, int(total))
+    return walk(0, [0] * n, [0] * n, gamma0_index(level) // 3)
 
 
 def search_eta_quotients(level: int, bound: int) -> list[EtaQuotient]:

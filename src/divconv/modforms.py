@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from .arith import divisors, euler_phi, gamma0_index, insert_row, prime_factorization, reduce_row
 from .arith import sigma_sieve, spread
-from .eta import EtaQuotient, check_admissibility, walk_eta_quotients
+from .eta import EtaQuotient, modular_weight, walk_eta_quotients
 
 
 class Unsolvable(ArithmeticError):
@@ -224,8 +224,7 @@ def build_basis(level: int, quotients) -> Basis:
         if isinstance(g, EtaQuotient):
             if g.level != level:
                 raise ValueError(f"cusp quotient level {g.level} != {level}")
-            report = check_admissibility(g)
-            if not (report.is_modular_form and report.weight == 4):
+            if modular_weight(g) != 4:
                 raise ValueError(f"cusp quotient {g} is not a weight-4 modular form")
             if g.leading_exponent_numerator == 0:
                 raise ValueError(f"cusp quotient {g} has nonzero constant term")

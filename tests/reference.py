@@ -6,9 +6,10 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from divconv import arith
-from divconv.arith import pack, rational_to_str, series_product, sigma, slot_bits, slot_bytes, widen
+from divconv.arith import divisors, euler_phi, insert_row, pack, rational_to_str, reduce_row, series_product, sigma
+from divconv.arith import slot_bits, slot_bytes, widen
 from divconv.convolution import VerificationReport, brute_force_W_table
-from divconv.eta import EtaQuotient, _plans, _series, _walk
+from divconv.eta import EtaQuotient, _lower_triangular_basis, _plans, _series, _walk
 
 
 def sigma_at(k: int, n: int, delta: int) -> int:
@@ -250,3 +251,46 @@ def reference_verify(formula, n_max: int) -> VerificationReport:
         if values[n] % scale or values[n] // scale != oracles[n] or values[n] < 0
     )
     return VerificationReport(formula.alpha, formula.beta, formula.certificate(), n_max, mismatches)
+
+
+def elimination_inverse(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Exact inverse of a nonsingular square matrix A, by the tag trick of
+    arith.reduce_row: with the rows of the integer matrix D A inserted
+    tagged, D the lcm of A's denominators, e_i reduces to (0 | -c) / m with
+    e_i = c D A, so -D c / m is row i of A^-1. The route by which
+    eta._order_lattice inverted the cusp-order matrix and the dual lattice
+    basis before their closed form, kept as its reference."""
+    n = len(matrix)
+    den = lcm(*(x.denominator for row in matrix for x in row))
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    echelon: list[tuple[list[int], int]] = []
+    for row, tag in zip(matrix, unit):
+        insert_row(echelon, [int(x * den) for x in row] + tag, n)
+    inverse = []
+    for e in unit:
+        rest, m = reduce_row(echelon, e + [0] * n)
+        inverse.append([Fraction(-den * x, m) for x in rest[n:]])
+    return inverse
+
+
+def cusp_order_matrix(level: int) -> list[list[Fraction]]:
+    """A[d][delta] = N gcd(d,delta)^2 / (24 gcd(d,N/d) d delta) over the sorted divisors, as Fractions."""
+    divs = divisors(level)
+    return [[Fraction(level * gcd(d, e) ** 2, 24 * gcd(d, level // d) * d * e) for e in divs] for d in divs]
+
+
+def reference_order_lattice(level: int) -> tuple:
+    """eta._order_lattice by elimination over Q: (A, den, the columns of
+    den * A^-1, the lattice basis den * dual^-T, phi(gcd(d, N/d)) by d),
+    both inverses by elimination_inverse."""
+    divs = divisors(level)
+    n = len(divs)
+    orders = cusp_order_matrix(level)
+    inverse = elimination_inverse(orders)
+    den = lcm(*(x.denominator for row in inverse for x in row))
+    scaled = [[int(x * den) for x in row] for row in inverse]
+    dual = _lower_triangular_basis(scaled + [[den * (i == j) for j in range(n)] for i in range(n)], n)
+    dual_inverse = elimination_inverse(dual)
+    lattice = [[int(dual_inverse[j][i] * den) for j in range(n)] for i in range(n)]
+    phi = [euler_phi(gcd(d, level // d)) for d in divs]
+    return orders, den, list(zip(*scaled)), lattice, phi

@@ -161,7 +161,8 @@ def test_criterion_6_search_rediscovery():
             # strictly positive order at infinity (two registered level-22
             # elements have order sum exactly 0 at d = 1, so the literal
             # all-orders-strictly-positive condition cannot hold for them)
-            assert report.is_modular_form and report.weight == 4
+            assert report.cond_i and report.cond_ii and report.cond_iii and report.cond_iv and report.cond_v
+            assert report.weight == 4
             assert quotient.leading_exponent_numerator > 0
     _ok(6, "searches at bound 9 rediscover all registered families")
 

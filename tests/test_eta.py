@@ -2,7 +2,7 @@ import hashlib
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import ceil, gcd, isqrt, sqrt
 
 import pytest
@@ -15,17 +15,23 @@ from divconv.convolution import derive_formula
 from divconv.eta import (
     AdmissibilityReport,
     EtaQuotient,
-    _inverse,
+    _order_lattice,
+    _scaled_inverse,
     check_admissibility,
     euler_F,
     expand_eta_quotient,
+    modular_weight,
     search_eta_quotients,
     sum_eta_quotients,
+    walk_eta_quotients,
 )
-from divconv.modforms import level_basis, registered_cusp_quotients, sturm_bound
+import divconv.modforms as modforms
+from divconv.modforms import build_basis, cusp_quotients_for_level, level_basis, registered_cusp_quotients
+from divconv.modforms import sturm_bound
 from divconv.qseries import QSeries
 from conftest import run_cli
-from reference import reference_multiply_pass, reference_sum_eta_quotients
+from reference import cusp_order_matrix, elimination_inverse, reference_multiply_pass, reference_order_lattice
+from reference import reference_sum_eta_quotients
 
 
 def naive_euler_product(truncation):
@@ -63,17 +69,22 @@ def test_quotient_construction_validates():
     assert check_admissibility(q).weight == 4
 
 
+def modular_form(report: AdmissibilityReport) -> bool:
+    """Conditions (i)-(v) of the report all hold."""
+    return report.cond_i and report.cond_ii and report.cond_iii and report.cond_iv and report.cond_v
+
+
 def test_admissibility_level14_first_family_member():
     q = EtaQuotient.from_dict(14, {1: 5, 2: -1, 7: 5, 14: -1})
     report = check_admissibility(q)
-    assert report.is_modular_form and report.cond_v_prime
+    assert modular_form(report) and report.cond_v_prime
     assert report.weight == 4
     assert all(report.orders[d] > 0 for d in (1, 2, 7, 14))
 
 
 def test_admissibility_discriminant_quotient():
     report = check_admissibility(EtaQuotient.from_dict(1, {1: 24}))
-    assert report.is_modular_form and report.cond_v_prime and report.weight == 12
+    assert modular_form(report) and report.cond_v_prime and report.weight == 12
     assert report.orders[1] == 24  # raw order sum; vanishing order is this / 24
 
 
@@ -90,7 +101,7 @@ def test_known_level22_edge_cases_have_zero_order_sum():
         report = check_admissibility(EtaQuotient.from_dict(22, exps))
         assert report.orders[1] == 0
         assert report.cond_v and not report.cond_v_prime
-        assert report.is_modular_form
+        assert modular_form(report)
 
 
 def reference_admissibility(f: EtaQuotient) -> AdmissibilityReport:
@@ -132,6 +143,22 @@ def any_quotients(draw):
 @example(EtaQuotient.from_dict(6, {1: -5, 2: -5, 3: -1, 6: -1}))
 def test_admissibility_matches_definitions(quotient):
     assert check_admissibility(quotient) == reference_admissibility(quotient)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 60).flatmap(
+        lambda level: st.lists(st.integers(-12, 12), min_size=len(divisors(level)), max_size=len(divisors(level)))
+        .filter(any)
+        .map(lambda exponents: EtaQuotient.from_dict(level, dict(zip(divisors(level), exponents))))
+    )
+)
+@example(EtaQuotient.from_dict(22, {1: -5, 2: 9, 11: 7, 22: -3}))  # a modular form with order 0 at d = 1
+@example(EtaQuotient.from_dict(1, {1: 24}))  # weight 12
+@example(EtaQuotient.from_dict(4, {1: 4, 2: 2, 4: 4}))  # fails (iii) alone
+def test_modular_weight_is_the_reports_decision(quotient):
+    report = check_admissibility(quotient)
+    assert modular_weight(quotient) == (report.weight if modular_form(report) else None)
 
 
 @pytest.mark.parametrize(
@@ -180,7 +207,7 @@ def reference_box_search(level, bound):
         if sum(d * r for d, r in exps.items()) % 24:
             continue
         candidate = EtaQuotient.from_dict(level, exps)
-        if check_admissibility(candidate).is_modular_form and candidate.leading_exponent_numerator > 0:
+        if modular_form(check_admissibility(candidate)) and candidate.leading_exponent_numerator > 0:
             found.append(candidate)
     return found
 
@@ -202,8 +229,8 @@ def test_search_equals_box_scan_at_bound_3(level):
 
 
 def reference_inverse(matrix):
-    """Gauss-Jordan over Q, kept as the reference for eta._inverse; None
-    for a singular matrix."""
+    """Gauss-Jordan over Q, kept as the reference for the elimination and
+    closed-form inverses; None for a singular matrix."""
     n = len(matrix)
     rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
     for c in range(n):
@@ -227,14 +254,61 @@ def reference_inverse(matrix):
 def test_inverse_matches_gauss_jordan(matrix):
     expected = reference_inverse(matrix)
     assume(expected is not None)
-    assert _inverse(matrix) == expected
+    assert elimination_inverse(matrix) == expected
 
 
 @pytest.mark.parametrize("level", [30, 36])
 def test_inverse_of_cusp_order_matrix(level):
-    divs = divisors(level)
-    orders = [[Fraction(level * gcd(d, e) ** 2, 24 * gcd(d, level // d) * d * e) for e in divs] for d in divs]
-    assert _inverse(orders) == reference_inverse(orders)
+    orders = cusp_order_matrix(level)
+    assert elimination_inverse(orders) == reference_inverse(orders)
+
+
+def test_order_lattice_closed_form_matches_elimination():
+    """The closed-form den * A^-1 is den times the Gauss-Jordan inverse,
+    and den, its columns, the lattice, phi and the integer row sums of A
+    are those of the elimination route, at every level 1..300."""
+    for level in range(1, 301):
+        orders, den, columns, lattice, phi = reference_order_lattice(level)
+        got_den, got_columns, got_lattice, got_phi, row_sums = _order_lattice(level)
+        inverse = reference_inverse(orders)
+        assert [list(column) for column in got_columns] == [[den * row[i] for row in inverse] for i in range(len(phi))]
+        assert (got_den, got_columns, got_phi) == (den, columns, phi), level
+        assert [list(row) for row in got_lattice] == lattice, level
+        assert [Fraction(s, t) for s, t in row_sums] == [sum(row) for row in orders], level
+
+
+def test_scaled_inverse_refuses_a_fractional_solve():
+    # 6 * [[2, 0], [1, 3]]^-1 = [[3, 0], [-1, 2]]; with 1 in place of 6, 1/2 is not an integer
+    assert _scaled_inverse([[2, 0], [1, 3]], 6) == [[3, 0], [-1, 2]]
+    with pytest.raises(ArithmeticError, match="not integral"):
+        _scaled_inverse([[2, 0], [1, 3]], 1)
+    with pytest.raises(ArithmeticError, match="not integral"):
+        _scaled_inverse([[1, 0], [1, 2]], 1)  # row 0 solves, row 1 leaves -1/2
+
+
+# sha256 of "level exponents" lines of the first 40 quotients of
+# walk_eta_quotients(level, 9), levels 1..120, as the elimination route walked them
+WALK_40_SHA256 = "87bc1f176621bbea867443551ccb691241e43e139dfa6f324b2a7a1154f077ca"
+
+
+def test_walk_order_is_unchanged():
+    digest = hashlib.sha256()
+    for level in range(1, 121):
+        for quotient in islice(walk_eta_quotients(level, 9), 40):
+            digest.update(f"{quotient.level} {quotient.exponents}\n".encode())
+    assert digest.hexdigest() == WALK_40_SHA256
+
+
+def test_walk_and_basis_build_no_fraction(monkeypatch):
+    basis, walked = build_basis(20, cusp_quotients_for_level(20)), list(walk_eta_quotients(36, 4))
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was built")
+
+    for module in (eta_module, modforms):
+        monkeypatch.setattr(module, "Fraction", refuse)
+    assert build_basis(20, cusp_quotients_for_level(20)) == basis
+    assert list(walk_eta_quotients(36, 4)) == walked
 
 
 def test_search_without_integral_order_sum_is_empty():

@@ -133,10 +133,11 @@ def test_build_basis_keeps_candidates_greedily_in_given_order():
     [
         (14, {1: 5, 2: -1, 7: 5, 14: -1}, "level 14 != 6"),
         (6, {1: 24}, "is not a weight-4 modular form"),
+        (6, {1: 8}, "is not a weight-4 modular form"),  # weight 4, but sum d r_d = 8 fails condition (i)
         # eta(z)^16 / eta(2z)^8 is a weight-4 form on Gamma_0(2) with constant term 1
         (6, {1: 16, 2: -8}, "has nonzero constant term"),
     ],
-    ids=["other-level", "weight-12", "constant-term"],
+    ids=["other-level", "weight-12", "weight-4-not-modular", "constant-term"],
 )
 def test_build_basis_refuses_a_quotient_that_cannot_be_a_cusp_candidate(level, exponents, message):
     with pytest.raises(ValueError, match=message):
@@ -327,10 +328,10 @@ def test_each_basis_row_is_eliminated_once(monkeypatch):
     "alpha,beta,walked,pulled", [(3, 4, 3, 3), (4, 5, 12, 6), (3, 5, 9, 4), (1, 36, 29, 29), (1, 60, 61, 30)]
 )
 def test_derive_walks_once_and_only_as_far_as_it_pulls(monkeypatch, alpha, beta, walked, pulled):
-    # walked: survivors the cusp-order walk checks; pulled: candidates
-    # build_basis checks. A walk listed in full checks thousands at level 36.
+    # walked: survivors the cusp-order walk decides; pulled: candidates
+    # build_basis decides. A walk listed in full decides thousands at level 36.
     walks, checked = [], []
-    walk, check = modforms.walk_eta_quotients, eta.check_admissibility
+    walk, check = modforms.walk_eta_quotients, eta.modular_weight
 
     def recording_walk(*args):
         walks.append(args)
@@ -338,7 +339,7 @@ def test_derive_walks_once_and_only_as_far_as_it_pulls(monkeypatch, alpha, beta,
 
     monkeypatch.setattr(modforms, "walk_eta_quotients", recording_walk)
     for module in (eta, modforms):
-        monkeypatch.setattr(module, "check_admissibility", lambda q, module=module: checked.append(module) or check(q))
+        monkeypatch.setattr(module, "modular_weight", lambda q, module=module: checked.append(module) or check(q))
     derive_formula(alpha, beta)
     assert walks == [(alpha * beta, modforms.SEARCH_CAP)]
     assert (checked.count(eta), checked.count(modforms)) == (walked, pulled)
