@@ -25,7 +25,6 @@ from __future__ import annotations
 import struct
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -101,25 +100,22 @@ def sigma(k: int, n: int) -> int:
     return sum(d**k for d in divisors(n))
 
 
-@lru_cache(maxsize=16)
-def sigma_table(k: int, n_max: int) -> tuple[int, ...]:
-    """sigma_k(n) for n = 0..n_max as a tuple (index 0 holds 0).
+def sigma_table(n_max: int) -> list[int]:
+    """sigma(n) for n = 0..n_max (index 0 holds 0).
 
     Divisor-pair sieve: each n = d m with d <= m is reached once, from its
-    smaller divisor d <= isqrt(n_max), which adds d^k + m^k onto the slice
-    of multiples d m, m >= d, and takes d^k back once at d^2, where d = m.
+    smaller divisor d <= isqrt(n_max), which adds d + m onto the slice of
+    multiples d m, m >= d, and takes d back once at d^2, where d = m.
     That is isqrt(n_max) slice updates; the brute-force oracle tables read
     it, and nothing on the formula side does.
     """
-    if k < 0 or n_max < 0:
-        raise ValueError("sigma_table requires k >= 0 and n_max >= 0")
+    if n_max < 0:
+        raise ValueError("sigma_table requires n_max >= 0")
     table = [0] * (n_max + 1)
     for d in range(1, isqrt(n_max) + 1):
-        dk = d**k
-        pairs = range(d + dk, n_max // d + dk + 1) if k == 1 else [dk + m**k for m in range(d, n_max // d + 1)]
-        table[d * d :: d] = [t + s for t, s in zip(table[d * d :: d], pairs)]
-        table[d * d] -= dk
-    return tuple(table)
+        table[d * d :: d] = [t + s for t, s in zip(table[d * d :: d], range(2 * d, n_max // d + d + 1))]
+        table[d * d] -= d
+    return table
 
 
 def sigma_sieve(ks, n_max: int) -> list[list[int]]:
@@ -199,20 +195,15 @@ def unpack(value: int, size: int, slots: int, count: int) -> list[int]:
     return [int.from_bytes(data[i : i + size], "big", signed=True) for i in range(0, size * count, size)]
 
 
-def slot_unit(size: int, slots: int) -> int:
-    """1 in each of slots slots of 8 * size bits: the unit slot_bits reads."""
-    return int.from_bytes((bytes(size - 1) + b"\x01") * slots, "big")
-
-
-def slot_bits(value: int, size: int, bits: int, unit: int = 0) -> int:
+def slot_bits(value: int, size: int, bits: int) -> int:
     """The least b >= max(bits, 1) with every slot of value, packed at w =
     8 * size bits, in [-2^(b-1), 2^(b-1)): exactly when a = value + 2^(b-1)
     per slot is >= 0 with no slot's bits b..w-1 set. Every b >= w holds;
-    max(bits, 1) is checked first, then the least b is bisected. unit is
-    slot_unit(size, s) for any s >= value.bit_length() // w + 2, past which
-    no slot is nonzero, built here when not given."""
+    max(bits, 1) is checked first, then the least b is bisected. unit is 1
+    in each of the lowest value.bit_length() // w + 2 slots, which cover
+    every nonzero slot of value."""
     w = 8 * size
-    unit = unit or slot_unit(size, value.bit_length() // w + 2)
+    unit = int.from_bytes((bytes(size - 1) + b"\x01") * (value.bit_length() // w + 2), "big")
     low, high = max(bits, 1) - 1, max(bits, 1, w)  # the least b that holds is in (low, high]
     b = low + 1
     while high - low > 1:
@@ -237,7 +228,7 @@ def widen(value: int, size: int, wide: int) -> int:
     return int.from_bytes(new, "big") - int.from_bytes((bytes(wide - size) + off) * slots, "big")
 
 
-def multiply_pass(state: tuple[int, int], terms: Sequence[tuple[int, int]], unit: int = 0) -> tuple[int, int]:
+def multiply_pass(state: tuple[int, int], terms: Sequence[tuple[int, int]]) -> tuple[int, int]:
     """The packed state (value, size) of g times (1 + sum c q^k) truncated to
     len(g), every k >= 1. value holds g and a spare slot below it as
     pack writes them, w = 8 * size bits each, q^0 on top, so q^k is a
@@ -248,11 +239,10 @@ def multiply_pass(state: tuple[int, int], terms: Sequence[tuple[int, int]], unit
     callers list the terms that share a c together. With S = 1 + sum |c|,
     slots in [-2^(v-1), 2^(v-1)) stay within (2^(v-1) + 1) S: slot_bits
     checks v = w - 1 - bitlen(S) exactly, else finds the least v that
-    holds, and widen moves the slots to slot_bytes of that bound. unit, if
-    given, is slot_bits's unit for state."""
+    holds, and widen moves the slots to slot_bytes of that bound."""
     value, size = state
     total = 1 + sum(abs(c) for _, c in terms)
-    bits = slot_bits(value, size, 8 * size - 1 - total.bit_length(), unit)
+    bits = slot_bits(value, size, 8 * size - 1 - total.bit_length())
     if (wide := slot_bytes(((1 << bits - 1) + 1) * total)) != size:  # not when the first check holds
         value, size = widen(value, size, wide), wide
     out, w = value, 8 * size

@@ -1,7 +1,7 @@
 """Dedekind eta quotients: expansion to integer lists (the log-derivative
 recurrence, or multiply passes on closed-form terms by arith.multiply_pass
-and divides by F(q^d)^3, whichever is measured faster) or to one packed
-weighted sum by the passes, admissibility checks, search. Only
+and divides by F(q^d)^3, whichever is measured faster) or to one
+weighted sum of lists by the passes, admissibility checks, search. Only
 expand_eta_quotient (expand, the cache) and euler_F (perfbench/micro.py,
 the tests) return a QSeries; both import qseries on the call.
 
@@ -27,7 +27,7 @@ from operator import add, itemgetter, mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import MAX_TRUNCATION, divisors, euler_phi, gamma0_index, multiply_pass, pack, prime_factorization
-from .arith import rational_to_str, sigma_sieve, slot_bits, slot_bytes, slot_unit, unpack, widen
+from .arith import rational_to_str, sigma_sieve, slot_bits, slot_bytes, unpack, widen
 
 if TYPE_CHECKING:
     from .qseries import QSeries
@@ -343,12 +343,13 @@ def _log_derivative(f: EtaQuotient, sigma: Sequence[int], n: int) -> list[int]:
     return a
 
 
-def sum_eta_quotients(quotients, weights, truncation: int) -> tuple[int, int, int]:
-    """(value, size, bound): sum weights[i] quotients[i] to q^truncation,
-    packed, every slot at most bound < 2^(8 size - 1) in absolute value (arith.slot_bits
-    bounds each product). Divides are linear, so the products with divides take a common
-    denominator, cube passes for the union's divides they lack; their sum is unpacked once
-    to run the union's divides, then added to the sum of those with none."""
+def sum_eta_quotients(quotients, weights, truncation: int) -> list[int]:
+    """sum weights[i] quotients[i] on q^0..q^truncation. Divides are linear,
+    so the products with divides take a common denominator, cube passes for
+    the union's divides they lack. Each group is summed packed, every slot
+    at most its bound (arith.slot_bits bounds each product), and unpacked
+    once by _series, which runs the union's divides on the divided group's
+    sum; the two lists are then added."""
     jobs, union = _plans(quotients, truncation), Counter()
     for _, divide, *_ in jobs:
         if divide:
@@ -359,11 +360,12 @@ def sum_eta_quotients(quotients, weights, truncation: int) -> tuple[int, int, in
             state = multiply_pass(state, _pass_terms(d, "cube", truncation // d))
         bits = slot_bits(*state, bits)
         sums[bool(divide)] = _add(sums[bool(divide)], state, weights[i], abs(weights[i]) << bits - 1)
-    if not union:
-        return sums[0]
-    g = _series(sums[1][:2], 0, union.elements(), truncation)
-    size = slot_bytes(most := max(map(abs, g)))
-    return _add(sums[0], (pack(g + [0], size), size), 1, most)
+    total = None
+    for (value, size, bound), divide in zip(sums, ((), union.elements())):
+        if bound:  # a group with no product is 0
+            g = _series((value, size), 0, divide, truncation)
+            total = g if total is None else list(map(add, total, g))
+    return total or [0] * (truncation + 1)
 
 
 def _add(total: tuple[int, int, int], state: tuple[int, int], weight: int, most: int) -> tuple[int, int, int]:
@@ -411,16 +413,13 @@ def _walk(jobs, truncation: int) -> Iterator[tuple[int, int, tuple[int, int], tu
         for (p, *_), (q, *_) in zip(jobs, jobs[1:])
     ]
     saved = [(0, (pack([1] + [0] * (top + 1), 1), 1))]
-    unit = (0, 0)  # (size, its arith.slot_unit), built once per run of passes at one size
     for k, (multiply, divide, e0, i) in enumerate(jobs):
         while saved[-1][0] > resume[k]:
             saved.pop()
         depth, state = saved[-1]
         for j, (d, kind) in enumerate(multiply[depth:], start=depth + 1):
             if m := top // d:
-                if unit[0] != state[1]:
-                    unit = state[1], slot_unit(state[1], top + 3)
-                state = multiply_pass(state, _pass_terms(d, kind, m), unit[1])
+                state = multiply_pass(state, _pass_terms(d, kind, m))
             if j in resume[k + 1 :]:
                 saved.append((j, state))
         yield i, e0, (state[0] >> 8 * state[1] * (e0 - low), state[1]), divide

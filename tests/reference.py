@@ -162,7 +162,7 @@ def reference_octonary_formula_table(a: int, b: int, n_max: int) -> list[int]:
     every fourth n. The oracle's sieve is read through its module, so that
     no per-n reference here binds a sieve name.
     """
-    sigma1 = arith.sigma_table(1, n_max)
+    sigma1 = arith.sigma_table(n_max)
     w, w4ab = brute_force_W_table(a, b, n_max), brute_force_W_table(4 * a, b, n_max)
     wa4b = w4ab if a == b else brute_force_W_table(a, 4 * b, n_max)
     values = [64 * wab - 256 * (x + y) for wab, x, y in zip(w, w4ab, wa4b)]

@@ -170,12 +170,11 @@ def test_criterion_6_search_rediscovery():
 def test_criterion_7_square_of_weight2_series():
     series = QSeries(eisenstein_L(NMAX))
     square = series * series
-    from divconv.arith import sigma_table
+    from divconv.arith import sigma, sigma_table
 
-    table1 = sigma_table(1, NMAX)
-    table3 = sigma_table(3, NMAX)
+    table1 = sigma_table(NMAX)
     for n in range(1, NMAX + 1):
-        assert square.coeffs[n] == 240 * table3[n] - 288 * n * table1[n]
+        assert square.coeffs[n] == 240 * sigma(3, n) - 288 * n * table1[n]
     _ok(7, f"L^2 coefficient identity holds for n <= {NMAX}")
 
 

@@ -76,8 +76,7 @@ def test_sigma_multiplicative_on_coprime_pairs():
 def test_sigma_table_matches_pointwise():
     # each n = d m is reached from its divisor pairs d <= m; at a perfect square d = m once
     for n_max in (0, 1, 2, 3, 4, 8, 9, 10, 300, 5000):
-        for k in range(4):
-            assert sigma_table(k, n_max) == tuple(sigma(k, n) for n in range(n_max + 1)), (k, n_max)
+        assert sigma_table(n_max) == [sigma(1, n) for n in range(n_max + 1)], n_max
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 2, 5000])

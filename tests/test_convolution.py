@@ -21,7 +21,6 @@ from divconv.convolution import (
     target_series,
     verify_formula,
 )
-from divconv.arith import unpack
 from divconv.eta import EtaQuotient
 from divconv.modforms import (
     E4,
@@ -48,9 +47,8 @@ def formula27():
 
 
 def scaled(formula, n_max):
-    """(L, [L * value(n) for n = 0..n_max]), unpacked from the packed scaled integers verify_formula reads."""
-    scale, size, value = _scaled_values(formula, n_max)
-    return scale, unpack(value, size, n_max + 1, n_max + 1)
+    """(L, [L * value(n) for n = 0..n_max]), the scaled integers verify_formula reads."""
+    return _scaled_values(formula, n_max)
 
 
 def evaluate(formula, n_max):
@@ -335,7 +333,6 @@ def test_evaluation_reads_no_oracle_sieve(formula27, monkeypatch):
             assert values[1:] == [scale * w for w in tables[pair][1:]]
     with monkeypatch.context() as patch:
         forbid(patch, "sigma_sieve")
-        arith_module.sigma_table.cache_clear()
         assert {pair: brute_force_W_table(*pair, 300) for pair in PAPER_PAIRS} == tables
 
 
@@ -488,15 +485,29 @@ def test_packed_verification_matches_the_list_reference(pair, index, delta, n_ma
 def test_wide_perturbation_of_a_divided_quotient_is_reported_exactly(pair):
     formula = cached_formula(*pair)
     formula = perturbed(formula, first_divided(formula), Fraction(10**30, 7))
-    assert _scaled_values(formula, 80)[1] > 8  # wider than any struct slot
+    assert max(map(abs, _scaled_values(formula, 80)[1])) >= 2**63  # wider than any struct slot
     report = verify_formula(formula, 80)
     assert report == reference_verify(formula, 80) and not report.ok
 
 
-def test_passing_deep_verify_unpacks_no_quotient(monkeypatch):
-    formula = derive_formula(1, 26)
-    unpacked = []
-    for module in (eta_module, convolution_module):
-        monkeypatch.setattr(module, "unpack", lambda *args, f=module.unpack: unpacked.append(args[1:]) or f(*args))
+@pytest.mark.parametrize("pair,accumulators", [((1, 26), 1), ((1, 22), 2)], ids=["1-26", "1-22"])
+def test_passing_deep_verify_unpacks_each_cusp_accumulator_once(monkeypatch, pair, accumulators):
+    """The cusp sum unpacks each of its packed accumulators once: (1,26)
+    has no quotient with a divide, (1,22) has both kinds. A passing verify
+    compares whole lists, so the per-n loop does not run: it renders no
+    value, and the only Fractions built are the sigma coefficients that
+    _scaled_values reads. A perturbed formula still reaches the loop."""
+    formula = derive_formula(*pair)
+    unpacked, rendered, built = [], [], []
+    unpack, render = eta_module.unpack, convolution_module.rational_to_str
+    monkeypatch.setattr(eta_module, "unpack", lambda *args: unpacked.append(args[1:]) or unpack(*args))
+    monkeypatch.setattr(convolution_module, "rational_to_str", lambda x: rendered.append(x) or render(x))
+    monkeypatch.setattr(convolution_module, "Fraction", lambda *args: built.append(args) or Fraction(*args))
+    _scaled_values(formula, 3000)
+    assert len(unpacked) == accumulators
+    unpacked.clear()
+    sigma_fractions, built[:] = list(built), []
     assert verify_formula(formula, 3000).ok
-    assert unpacked == []
+    assert len(unpacked) == accumulators and rendered == [] and built == sigma_fractions
+    report = verify_formula(perturbed(formula, 0, Fraction(1, 7)), 3000)
+    assert not report.ok and len(report.mismatches) == len(rendered) > 0

@@ -1,9 +1,11 @@
 import hashlib
 import tracemalloc
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice, product
 from math import ceil, gcd, isqrt, sqrt
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -896,22 +898,44 @@ def test_expansion_memory_does_not_grow_with_the_passes():
     assert many < 4 * few
 
 
+@contextmanager
+def recorded_sums():
+    """Every (value, size, bound) that eta._add returns while the context is open."""
+    sums, add = [], eta_module._add
+    with mock.patch.object(eta_module, "_add", lambda *args: sums.append(add(*args)) or sums[-1]):
+        yield sums
+
+
+def assert_within_bounds(sums, truncation):
+    """Each packed partial sum, spare slot included, is at most its bound, which its slots hold."""
+    for value, size, bound in sums:
+        slots = unpack(value, size, truncation + 2, truncation + 2)
+        assert max(map(abs, slots)) <= bound < 2 ** (8 * size - 1)
+
+
+def per_quotient_sum(quotients, weights, truncation):
+    """reference_sum_eta_quotients as a list."""
+    value, size, _ = reference_sum_eta_quotients(quotients, weights, truncation)
+    return unpack(value, size, truncation + 2, truncation + 1)
+
+
 @pytest.mark.parametrize("level", [22, 26])
 @pytest.mark.parametrize("truncation", [3, 300])
 def test_weighted_sum_matches_the_lists(level, truncation):
-    """sum_eta_quotients packs sum a_i quotient_i exactly, with weights
-    that keep 4-byte slots and with weights that need more than 8 bytes,
-    over the level-22 quotients with a cube divide too, and at a truncation
-    below some quotients' e0; the spare slot is within the bound as well."""
+    """sum_eta_quotients sums a_i quotient_i exactly, with weights that
+    keep 4-byte slots and with weights that need more than 8 bytes, over
+    the level-22 quotients with a cube divide too, and at a truncation
+    below some quotients' e0; every packed partial sum, spare slot
+    included, is within its bound as well."""
     family = registered_cusp_quotients(level)
     lists = [q.expand(truncation) for q in family]
     for weights in ([1 - 2 * i for i in range(len(family))], [(-3) ** (40 + i) for i in range(len(family))]):
-        value, size, bound = sum_eta_quotients(family, weights, truncation)
-        expected = [sum(a * g[n] for a, g in zip(weights, lists)) for n in range(truncation + 1)]
-        slots = unpack(value, size, truncation + 2, truncation + 2)
-        assert slots[:-1] == expected
-        assert max(map(abs, slots)) <= bound < 2 ** (8 * size - 1)
-    assert sum_eta_quotients([], [], truncation) == (0, 1, 0)
+        with recorded_sums() as sums:
+            total = sum_eta_quotients(family, weights, truncation)
+        assert total == [sum(a * g[n] for a, g in zip(weights, lists)) for n in range(truncation + 1)]
+        assert len(sums) == len([q for q in family if q.leading_exponent_numerator <= 24 * truncation])
+        assert_within_bounds(sums, truncation)
+    assert sum_eta_quotients([], [], truncation) == [0] * (truncation + 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -930,14 +954,13 @@ def test_weighted_sum_matches_the_lists(level, truncation):
 def test_common_denominator_sum_matches_the_per_quotient_sum(terms, truncation):
     """sum_eta_quotients over one common denominator against the per-quotient
     sum it replaced, on lists that share and lack divides, with quotients
-    past the truncation too; the spare slot is within the bound as well.
-    Weights are nonzero, as _scaled_values passes only live terms."""
+    past the truncation too; every packed partial sum, spare slot included,
+    is within its bound as well. Weights are nonzero, as _scaled_values
+    passes only live terms."""
     quotients, weights = [q for q, _ in terms], [w for _, w in terms]
-    value, size, bound = sum_eta_quotients(quotients, weights, truncation)
-    expected, width, _ = reference_sum_eta_quotients(quotients, weights, truncation)
-    slots = unpack(value, size, truncation + 2, truncation + 2)
-    assert slots[:-1] == unpack(expected, width, truncation + 2, truncation + 1)
-    assert max(map(abs, slots)) <= bound < 2 ** (8 * size - 1)
+    with recorded_sums() as sums:
+        assert sum_eta_quotients(quotients, weights, truncation) == per_quotient_sum(quotients, weights, truncation)
+    assert_within_bounds(sums, truncation)
 
 
 def test_cusp_sum_divides_once_per_factor_of_the_union(monkeypatch):
@@ -951,10 +974,9 @@ def test_cusp_sum_divides_once_per_factor_of_the_union(monkeypatch):
     divided = []
     divide = eta_module._divide_pass
     monkeypatch.setattr(eta_module, "_divide_pass", lambda g, terms: divided.append(terms[0][0]) or divide(g, terms))
-    value, size, _ = sum_eta_quotients(quotients, weights, 300)
+    total = sum_eta_quotients(quotients, weights, 300)
     assert sorted(divided) == [4, 6, 12, 36]
-    expected, width, _ = reference_sum_eta_quotients(quotients, weights, 300)
-    assert unpack(value, size, 302, 301) == unpack(expected, width, 302, 301)
+    assert total == per_quotient_sum(quotients, weights, 300)
 
 
 def test_cusp_sum_multiplies_only_the_divided_products(monkeypatch):
@@ -977,10 +999,9 @@ def test_cusp_sum_multiplies_only_the_divided_products(monkeypatch):
     monkeypatch.setattr(eta_module, "multiply_pass", lambda *args: ran.append(args[1]) or kernel(*args))
     walked(quotients, 200)
     walk_passes = len(ran)
-    value, size, _ = sum_eta_quotients(quotients, weights, 200)
+    total = sum_eta_quotients(quotients, weights, 200)
     assert len(ran) == 2 * walk_passes + lacked
-    expected, width, _ = reference_sum_eta_quotients(quotients, weights, 200)
-    assert unpack(value, size, 202, 201) == unpack(expected, width, 202, 201)
+    assert total == per_quotient_sum(quotients, weights, 200)
 
 
 @pytest.mark.parametrize("alpha,beta", [(1, 22), (1, 36)])

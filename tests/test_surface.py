@@ -19,6 +19,9 @@ in src/divconv is read by its own module.
 
 The slot format of a series packed into one int is decided in arith alone:
 no other module imports struct or calls int.from_bytes or int.to_bytes.
+Packed ints stay inside the kernels that need them: only arith, eta and
+representations import the codec names pack, unpack, widen, slot_bytes and
+slot_bits; every other module trades lists.
 
 Every name that a module in src/divconv or tests imports is read in it.
 
@@ -137,6 +140,28 @@ def test_only_arith_packs_integers_into_bytes():
             elif isinstance(node, ast.Attribute) and node.attr in ("from_bytes", "to_bytes"):
                 offenders.append(f"{path.name}:{node.lineno} uses .{node.attr}")
     assert offenders == [], f"slot packing outside arith: {offenders}"
+
+
+CODEC = {"pack", "unpack", "widen", "slot_bytes", "slot_bits"}
+PACKED_KERNELS = {"arith", "eta", "representations"}
+
+
+def _codec_imports(tree) -> list[str]:
+    """The codec names (CODEC) that the module's imports bind or that it reads as an attribute."""
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names]
+    read = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    return sorted(name for name in imported + read if name in CODEC)
+
+
+def test_only_the_packed_kernels_import_the_codec():
+    sample = "from .arith import pack, sigma_table\nfrom divconv.arith import widen as w\nimport struct\narith.unpack(v)"
+    assert _codec_imports(ast.parse(sample)) == ["pack", "unpack", "widen"]
+    offenders = {
+        path.stem: names
+        for path in SOURCES
+        if path.stem not in PACKED_KERNELS and (names := _codec_imports(ast.parse(path.read_text())))
+    }
+    assert offenders == {}, f"packed ints outside arith, eta and representations: {offenders}"
 
 
 def _unread_imports(tree) -> list[str]:
