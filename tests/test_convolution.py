@@ -46,14 +46,9 @@ def formula27():
     return derive_formula(2, 7)
 
 
-def scaled(formula, n_max):
-    """(L, [L * value(n) for n = 0..n_max]), the scaled integers verify_formula reads."""
-    return _scaled_values(formula, n_max)
-
-
 def evaluate(formula, n_max):
     """The closed form at n = 0..n_max."""
-    scale, values = scaled(formula, n_max)
+    scale, values = _scaled_values(formula, n_max)
     return [Fraction(v, scale) for v in values]
 
 
@@ -329,7 +324,7 @@ def test_evaluation_reads_no_oracle_sieve(formula27, monkeypatch):
         assert evaluate(formula27, 60) == reference_evaluate(formula27, 60)
         for pair in PAPER_PAIRS:
             assert derive_formula(*pair) == formulas[pair]
-            scale, values = scaled(formulas[pair], 300)
+            scale, values = _scaled_values(formulas[pair], 300)
             assert values[1:] == [scale * w for w in tables[pair][1:]]
     with monkeypatch.context() as patch:
         forbid(patch, "sigma_sieve")
