@@ -1,10 +1,13 @@
 """Exact integer and rational arithmetic, divisor-sum functions, the
 package's one signed Kronecker codec (slot_bytes, pack, unpack: every
-series multiplied as one big int is packed by it; slot_bits and widen
-check and widen the slots of a packed int without unpacking), the sparse
-multiply pass on a packed series (multiply_pass, one shift-and-add per
-term, each run of terms that share a coefficient scaled once; eta's
-multiply passes and the octonary count's theta passes run on it), the
+series multiplied as one big int is packed by it, each slot the whole
+bytes of its proven bound and a sign bit; slot_bits measures and widen
+widens the slots of a packed int without unpacking), the sparse multiply
+pass on a packed series (multiply_pass, one shift-and-add per term, the
+shifted values summed smallest first, each run of terms that share a
+coefficient scaled once, the slots measured only when the bound it
+carries cannot prove the product fits; eta's multiply passes and the
+octonary count's theta passes run on it), the
 product x(q^a) y(q^b) of two integer series (series_product, one big-int
 multiplication per residue class, its slots sized by the lesser of a
 product bound and the Cauchy-Schwarz bound; spread substitutes q -> q^t),
@@ -158,27 +161,42 @@ def spread(series, t: int, n_max: int) -> list[int]:
 
 
 _STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+# 255 for a top byte with its sign bit set, else 0: the sign-extension byte
+_SIGN_BYTES = bytes(128) + b"\xff" * 128
+# the bit length of each byte, and of a top-column byte of slot_bits' pair
+# differences with bit 7 dropped (it pairs with the slot above) and bit 6
+# flipped (offset binary's top bit)
+_LENGTHS = bytes(t.bit_length() for t in range(256))
+_TOP_LENGTHS = bytes(((t ^ 0x40) & 0x7F).bit_length() for t in range(256))
 
 
 def slot_bytes(bound: int) -> int:
     """Bytes per signed slot that holds every integer of absolute value at
-    most bound with a sign bit to spare: 1, 2, 4 or 8, else whole bytes."""
-    size = bound.bit_length() // 8 + 1
-    return 1 << (size - 1).bit_length() if size <= 8 else size
+    most bound with a sign bit to spare: the bit length of bound plus one,
+    rounded up to whole bytes, so 16 bits take 3 and 64 bits take 9."""
+    return bound.bit_length() // 8 + 1
 
 
 def pack(series, size: int) -> int:
     """sum series[i] 2^(w (n - 1 - i)), w = 8 * size, n = len(series): q^0
-    in the top slot. Each slot is written in two's complement, by struct,
-    else at a narrower struct width that holds max|series| and widened, else
-    int by int; XOR with off = 2^(w-1) per slot adds 2^(w-1) to each."""
-    code = _STRUCT_CODES.get(size)
-    if not code and (narrow := slot_bytes(max(map(abs, series), default=0))) < min(size, 9):
-        return widen(pack(series, narrow), narrow, size)
-    if code:
-        raw = struct.pack(f">{len(series)}{code}", *series)
-    else:
+    in the top slot, each series[i] in [-2^(w-1), 2^(w-1)). Up to 8 bytes
+    each slot is written in two's complement by struct at the next width
+    it has (1, 2, 4 or 8 bytes), whose low size bytes a strided copy per
+    byte keeps; past 8 bytes at a struct width that holds max|series| and
+    widened, else int by int. XOR with off = 2^(w-1) per slot adds 2^(w-1)
+    to each."""
+    if size > 8:
+        if (narrow := slot_bytes(max(map(abs, series), default=0))) <= 8:
+            narrow = 1 << (narrow - 1).bit_length()
+            return widen(pack(series, narrow), narrow, size)
         raw = b"".join([a.to_bytes(size, "big", signed=True) for a in series])
+    elif (wide := 1 << (size - 1).bit_length()) == size:
+        raw = struct.pack(f">{len(series)}{_STRUCT_CODES[size]}", *series)
+    else:
+        full = struct.pack(f">{len(series)}{_STRUCT_CODES[wide]}", *series)
+        raw = bytearray(size * len(series))
+        for b in range(size):
+            raw[b::size] = full[wide - size + b :: wide]
     off = int.from_bytes((b"\x80" + bytes(size - 1)) * len(series), "big")
     return (int.from_bytes(raw, "big") ^ off) - off
 
@@ -186,34 +204,41 @@ def pack(series, size: int) -> int:
 def unpack(value: int, size: int, slots: int, count: int) -> list[int]:
     """c_0..c_(count-1) of value = sum c_i 2^(w (slots - 1 - i)), |c_i| <
     2^(w-1): each slot of value + off is in [0, 2^w), so none borrows, and
-    XOR with off leaves each its value in two's complement (see pack)."""
+    XOR with off leaves each its value in two's complement (see pack). Up
+    to 8 bytes struct reads them at the next width it has, each slot copied
+    into its low bytes and its sign byte, 0 or 255 by the slot's top bit,
+    into the others; past 8 bytes int by int."""
     off = int.from_bytes((b"\x80" + bytes(size - 1)) * slots, "big")
     data = ((value + off) ^ off).to_bytes(size * slots, "big")
-    code = _STRUCT_CODES.get(size)
-    if code:
-        return list(struct.unpack_from(f">{count}{code}", data))
-    return [int.from_bytes(data[i : i + size], "big", signed=True) for i in range(0, size * count, size)]
+    if size > 8:
+        return [int.from_bytes(data[i : i + size], "big", signed=True) for i in range(0, size * count, size)]
+    if (wide := 1 << (size - 1).bit_length()) > size:
+        raw, sign = bytearray(wide * count), data[: size * count : size].translate(_SIGN_BYTES)
+        for b in range(wide):
+            raw[b::wide] = sign if b < wide - size else data[b - wide + size : size * count : size]
+        data = raw
+    return list(struct.unpack_from(f">{count}{_STRUCT_CODES[wide]}", data))
 
 
-def slot_bits(value: int, size: int, bits: int) -> int:
-    """The least b >= max(bits, 1) with every slot of value, packed at w =
-    8 * size bits, in [-2^(b-1), 2^(b-1)): exactly when a = value + 2^(b-1)
-    per slot is >= 0 with no slot's bits b..w-1 set. Every b >= w holds;
-    max(bits, 1) is checked first, then the least b is bisected. unit is 1
-    in each of the lowest value.bit_length() // w + 2 slots, which cover
-    every nonzero slot of value."""
-    w = 8 * size
-    unit = int.from_bytes((bytes(size - 1) + b"\x01") * (value.bit_length() // w + 2), "big")
-    low, high = max(bits, 1) - 1, max(bits, 1, w)  # the least b that holds is in (low, high]
-    b = low + 1
-    while high - low > 1:
-        a = value + (unit << b - 1)
-        if a < 0 or a & (unit << w) - (unit << b):
-            low = b
-        else:
-            high = b
-        b = (low + high) // 2
-    return high
+def slot_bits(value: int, size: int) -> int:
+    """The least b >= 1 with every slot of value, packed at w = 8 * size
+    bits, in [-2^(b-1), 2^(b-1)): a slot x takes b bits exactly when its
+    bits b-1..w-1 are equal, so b is 2 more than the highest bit i <= w-2
+    with bits i and i+1 of some slot unequal (1 if none). One pass reads
+    them all: u = value + 2^(w-1) per slot is offset binary (x's top bit
+    flipped, no borrow), u ^ (u >> 1) holds each pair's difference at bit
+    i, and its bytes give, column by column from the top, the first with a
+    nonzero byte and the greatest bit length there, each byte's read from
+    a table. value.bit_length() // w + 2 slots cover every nonzero slot of
+    value."""
+    slots = value.bit_length() // (8 * size) + 2
+    u = value + int.from_bytes((b"\x80" + bytes(size - 1)) * slots, "big")
+    data = (u ^ u >> 1).to_bytes(size * slots, "big")
+    for j in range(size):
+        lengths = data[j::size].translate(_TOP_LENGTHS if j == 0 else _LENGTHS)
+        if top := next((h for h in range(8, 0, -1) if h in lengths), 0):
+            return 8 * (size - 1 - j) + top + 1
+    return 1
 
 
 def widen(value: int, size: int, wide: int) -> int:
@@ -228,26 +253,32 @@ def widen(value: int, size: int, wide: int) -> int:
     return int.from_bytes(new, "big") - int.from_bytes((bytes(wide - size) + off) * slots, "big")
 
 
-def multiply_pass(state: tuple[int, int], terms: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """The packed state (value, size) of g times (1 + sum c q^k) truncated to
-    len(g), every k >= 1. value holds g and a spare slot below it as
-    pack writes them, w = 8 * size bits each, q^0 on top, so q^k is a
-    right shift by w*k, out += c * (value >> w*k), whose floor subtracts 0
-    or 1 in the spare slot alone, carried and bounded like the rest. A term
-    with c = +-1 is one shift-and-add; the others are taken in runs of one
-    c, each run's shifted values summed, then scaled and added once, so
-    callers list the terms that share a c together. With S = 1 + sum |c|,
-    slots in [-2^(v-1), 2^(v-1)) stay within (2^(v-1) + 1) S: slot_bits
-    checks v = w - 1 - bitlen(S) exactly, else finds the least v that
-    holds, and widen moves the slots to slot_bytes of that bound."""
-    value, size = state
+def multiply_pass(state: tuple[int, int, int], terms: Sequence[tuple[int, int]]) -> tuple[int, int, int]:
+    """The packed state (value, size, bound) of g times (1 + sum c q^k)
+    truncated to len(g), every k >= 1. value holds g and a spare slot below
+    it as pack writes them, w = 8 * size bits each, q^0 on top, every slot
+    at most bound in absolute value, so q^k is a right shift by w*k, out +=
+    c * (value >> w*k), whose floor subtracts 0 or 1 in the spare slot
+    alone, carried and bounded like the rest. With S = 1 + sum |c|, no slot
+    of the product exceeds (bound + 1) S, the bound returned. Only when
+    that takes more than size bytes does slot_bits measure the slots, at
+    most 2^(b-1) for their b bits, bound becomes the lesser of the two, and
+    widen moves the slots to slot_bytes of (bound + 1) S if that is still
+    wider. The shifted values are summed
+    from the largest shift down, each add on the shortest ints first, and
+    added to value once. A term with c = +-1 is one shift-and-add; the
+    others are taken in runs of one c, each run's shifted values summed,
+    then scaled and added once, so callers list the terms that share a c
+    together."""
+    value, size, bound = state
     total = 1 + sum(abs(c) for _, c in terms)
-    bits = slot_bits(value, size, 8 * size - 1 - total.bit_length())
-    if (wide := slot_bytes(((1 << bits - 1) + 1) * total)) != size:  # not when the first check holds
-        value, size = widen(value, size, wide), wide
-    out, w = value, 8 * size
-    run, shifted = 0, 0  # the coefficient of the run being summed, and its shifted values' sum
-    for k, c in terms:
+    if slot_bytes(most := (bound + 1) * total) > size:
+        most = (min(bound, 1 << slot_bits(value, size) - 1) + 1) * total
+        if (wide := slot_bytes(most)) > size:
+            value, size = widen(value, size, wide), wide
+    w = 8 * size
+    out, run, shifted = 0, 0, 0  # the shifted values' sum, the coefficient of the run being summed, and its sum
+    for k, c in reversed(terms):
         if c == 1:
             out += value >> w * k
         elif c == -1:
@@ -260,7 +291,7 @@ def multiply_pass(state: tuple[int, int], terms: Sequence[tuple[int, int]]) -> t
             run, shifted = c, value >> w * k
     if run:
         out += run * shifted
-    return out, size
+    return value + out, size, most
 
 
 def series_product(x, a: int, y, b: int, n_max: int) -> list[int]:

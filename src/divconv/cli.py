@@ -117,12 +117,15 @@ def verify(opts):
 
 def rep(opts):
     """Octonary representation counts: formula vs oracle as CSV."""
-    formula_values = representations.octonary_formula_table(opts.a, opts.b, opts.nmax)
-    oracle_values = representations.octonary_count_table(opts.a, opts.b, opts.nmax)
-    pairs = zip(formula_values[1:], oracle_values[1:])
-    rows = [f"{n},{f},{o},{'true' if f == o else 'false'}" for n, (f, o) in enumerate(pairs, 1)]
+    formula_values = representations.octonary_formula_table(opts.a, opts.b, opts.nmax)[1:]
+    oracle_values = representations.octonary_count_table(opts.a, opts.b, opts.nmax)[1:]
+    if agree := formula_values == oracle_values:  # each row shows its one value in both columns
+        rows = [f"{n},{v},{v},true" for n, v in enumerate(formula_values, 1)]
+    else:
+        pairs = zip(formula_values, oracle_values)
+        rows = [f"{n},{f},{o},{'true' if f == o else 'false'}" for n, (f, o) in enumerate(pairs, 1)]
     _emit_csv(["n,formula_value,oracle_value,match", *rows])
-    return 0 if formula_values[1:] == oracle_values[1:] else EXIT_MISMATCH
+    return 0 if agree else EXIT_MISMATCH
 
 
 def _parse_pair(entry: str) -> tuple[int, int]:

@@ -347,40 +347,45 @@ def sum_eta_quotients(quotients, weights, truncation: int) -> list[int]:
     """sum weights[i] quotients[i] on q^0..q^truncation. Divides are linear,
     so the products with divides take a common denominator, cube passes for
     the union's divides they lack. Each group is summed packed, every slot
-    at most its bound (arith.slot_bits bounds each product), and unpacked
-    once by _series, which runs the union's divides on the divided group's
-    sum; the two lists are then added."""
+    at most its bound (_add), and unpacked once by _series, which runs the
+    union's divides on the divided group's sum; the two lists are then
+    added."""
     jobs, union = _plans(quotients, truncation), Counter()
     for _, divide, *_ in jobs:
         if divide:
             union |= Counter(divide)
-    sums, bits = [(0, 1, 0), (0, 1, 0)], 1  # (value, size, bound) of the products without and with divides
+    sums = [(0, 1, 0), (0, 1, 0)]  # (value, size, bound) of the products without and with divides
     for i, _, state, divide in _walk(jobs, truncation):
         for d in (union - Counter(divide)).elements() if divide else ():
             state = multiply_pass(state, _pass_terms(d, "cube", truncation // d))
-        bits = slot_bits(*state, bits)
-        sums[bool(divide)] = _add(sums[bool(divide)], state, weights[i], abs(weights[i]) << bits - 1)
+        sums[bool(divide)] = _add(sums[bool(divide)], state, weights[i])
     total = None
-    for (value, size, bound), divide in zip(sums, ((), union.elements())):
-        if bound:  # a group with no product is 0
-            g = _series((value, size), 0, divide, truncation)
+    for state, divide in zip(sums, ((), union.elements())):
+        if state[2]:  # a group with no product is 0
+            g = _series(state, 0, divide, truncation)
             total = g if total is None else list(map(add, total, g))
     return total or [0] * (truncation + 1)
 
 
-def _add(total: tuple[int, int, int], state: tuple[int, int], weight: int, most: int) -> tuple[int, int, int]:
-    """(value, size, bound) total plus weight * state, its slots at most most, in slots that hold both."""
+def _add(total: tuple[int, int, int], state: tuple[int, int, int], weight: int) -> tuple[int, int, int]:
+    """The packed (value, size, bound) total plus weight * state, in slots
+    that hold both. The product's slots are at most its carried bound;
+    only when that bound cannot prove the sum fits the wider of the two
+    widths does arith.slot_bits measure them, at most 2^(b-1) for b bits."""
     value, size, bound = total
-    product, width = state
-    if (wide := max(slot_bytes(bound := bound + most), width)) > size:
+    product, width, most = state
+    if slot_bytes(bound + abs(weight) * most) > max(size, width):
+        most = 1 << slot_bits(product, width) - 1
+    if (wide := max(slot_bytes(bound := bound + abs(weight) * most), width)) > size:
         value, size = widen(value, size, wide), wide
     return value + weight * (widen(product, width, size) if width < size else product), size, bound
 
 
-def _series(state: tuple[int, int], e0: int, divide: Iterable[int], truncation: int) -> list[int]:
-    """A quotient's q^0..q^truncation from its product as _walk yields it,
-    divided by F(q^d)^3 for each d in divide (_divide_pass)."""
-    g = unpack(*state, truncation + 2, truncation + 1)
+def _series(state: tuple[int, int, int], e0: int, divide: Iterable[int], truncation: int) -> list[int]:
+    """A quotient's q^0..q^truncation from its packed product as _walk yields
+    it, divided by F(q^d)^3 for each d in divide (_divide_pass)."""
+    value, size, _ = state
+    g = unpack(value, size, truncation + 2, truncation + 1)
     for d in divide:
         if m := (truncation - e0) // d:
             g[e0:] = _divide_pass(g[e0:], _pass_terms(d, "cube", m))
@@ -393,11 +398,12 @@ def _plans(quotients, truncation: int) -> list[tuple[tuple[tuple[int, str], ...]
     return sorted((*_passes(f), e0, i) for i, f in enumerate(quotients) if (e0 := _leading_exponent(f)) <= truncation)
 
 
-def _walk(jobs, truncation: int) -> Iterator[tuple[int, int, tuple[int, int], tuple[int, ...]]]:
-    """(i, e0, (value, size), divide) for each job of _plans, in order: value
-    packs quotient i's multiply product shifted right by e0 - min e0 slots,
-    q^0..q^truncation and a spare slot that takes the shift's floor; divide
-    is still to run. The multiply passes form a prefix tree, walked depth
+def _walk(jobs, truncation: int) -> Iterator[tuple[int, int, tuple[int, int, int], tuple[int, ...]]]:
+    """(i, e0, (value, size, bound), divide) for each job of _plans, in
+    order: value packs quotient i's multiply product shifted right by e0 -
+    min e0 slots, q^0..q^truncation and a spare slot that takes the shift's
+    floor, so bound is the passes' carried bound plus 1; divide is still to
+    run. The multiply passes form a prefix tree, walked depth
     first, so a pass that several jobs start with runs once; only the
     products that a later job resumes from are kept, so memory does not grow
     with the passes. Every pass runs on q^0..q^top, top = truncation - min
@@ -412,7 +418,7 @@ def _walk(jobs, truncation: int) -> Iterator[tuple[int, int, tuple[int, int], tu
         next((j for j, (a, b) in enumerate(zip(p, q)) if a != b), min(len(p), len(q)))
         for (p, *_), (q, *_) in zip(jobs, jobs[1:])
     ]
-    saved = [(0, (pack([1] + [0] * (top + 1), 1), 1))]
+    saved = [(0, (pack([1] + [0] * (top + 1), 1), 1, 1))]
     for k, (multiply, divide, e0, i) in enumerate(jobs):
         while saved[-1][0] > resume[k]:
             saved.pop()
@@ -422,7 +428,8 @@ def _walk(jobs, truncation: int) -> Iterator[tuple[int, int, tuple[int, int], tu
                 state = multiply_pass(state, _pass_terms(d, kind, m))
             if j in resume[k + 1 :]:
                 saved.append((j, state))
-        yield i, e0, (state[0] >> 8 * state[1] * (e0 - low), state[1]), divide
+        value, size, bound = state
+        yield i, e0, (value >> 8 * size * (e0 - low), size, bound + 1), divide
 
 
 def _lower_triangular_basis(rows: list[list[int]], n: int) -> list[list[int]]:

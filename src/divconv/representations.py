@@ -107,10 +107,11 @@ def octonary_count_table(a: int, b: int, n_max: int) -> list[int]:
         raise ValueError("a and b must be positive")
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    state = (pack([1] + [0] * (n_max + 1), 1), 1)
+    state = (pack([1] + [0] * (n_max + 1), 1), 1, 1)
     for t in (a, a, a, a, b, b, b, b):
         state = multiply_pass(state, [(t * m * m, 2) for m in range(1, isqrt(n_max // t) + 1)])
-    return unpack(*state, n_max + 2, n_max + 1)
+    value, size, _ = state
+    return unpack(value, size, n_max + 2, n_max + 1)
 
 
 def octonary_formula_table(a: int, b: int, n_max: int) -> list[int]:

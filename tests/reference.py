@@ -74,19 +74,21 @@ def reference_multiply_pass(g: list[int], terms) -> list[int]:
     return out
 
 
-def reference_packed_multiply_pass(state: tuple[int, int], terms) -> tuple[int, int]:
+def reference_packed_multiply_pass(state: tuple[int, int, int], terms) -> tuple[int, int, int]:
     """The packed multiply pass before runs of one coefficient were summed
-    first, kept as the reference of arith.multiply_pass: the same exact
-    slot check and widening, then one shift, scale and add per term."""
-    value, size = state
+    first and the shifted values summed smallest first, kept as the
+    reference of arith.multiply_pass: the same carried bound, slot check
+    and widening, then one shift, scale and add per term, in order."""
+    value, size, bound = state
     total = 1 + sum(abs(c) for _, c in terms)
-    bits = slot_bits(value, size, 8 * size - 1 - total.bit_length())
-    if (wide := slot_bytes(((1 << bits - 1) + 1) * total)) != size:
-        value, size = widen(value, size, wide), wide
+    if slot_bytes(most := (bound + 1) * total) > size:
+        most = (min(bound, 1 << slot_bits(value, size) - 1) + 1) * total
+        if (wide := slot_bytes(most)) > size:
+            value, size = widen(value, size, wide), wide
     out = value
     for k, c in terms:
         out += c * (value >> 8 * size * k)
-    return out, size
+    return out, size, most
 
 
 def reference_sum_eta_quotients(quotients, weights, truncation: int) -> tuple[int, int, int]:
@@ -95,14 +97,14 @@ def reference_sum_eta_quotients(quotients, weights, truncation: int) -> tuple[in
     _walk yields each product; a product with no divide is bounded by
     slot_bits on the packed int, and one with cube divides is unpacked,
     divided on its own and packed again at the width of the sum."""
-    value, size, bound, bits = 0, 1, 0, 1
-    for i, e0, (product, width), divide in _walk(_plans(quotients, truncation), truncation):
+    value, size, bound = 0, 1, 0
+    for i, e0, state, divide in _walk(_plans(quotients, truncation), truncation):
+        product, width, _ = state
         if divide:
-            g = _series((product, width), e0, divide, truncation)
+            g = _series(state, e0, divide, truncation)
             most, width = max(map(abs, g)), 1
         else:
-            bits = slot_bits(product, width, bits)
-            most = 1 << bits - 1
+            most = 1 << slot_bits(product, width) - 1
         bound += abs(weights[i]) * most
         if (wide := max(slot_bytes(bound), width)) > size:
             value, size = widen(value, size, wide), wide

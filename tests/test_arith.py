@@ -326,7 +326,7 @@ def test_series_product_reads_a_negative_coefficient_up_to_q_n_max():
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 8, 9, 16])
 def test_pack_unpack_round_trip_at_the_sign_edge(size):
-    # 1, 2, 4 and 8 bytes go through struct, 3, 9 and 16 int by int
+    # 1, 2, 4 and 8 bytes go through struct, 3 through struct at 4 bytes, 9 and 16 int by int
     edge = 2 ** (8 * size - 1) - 1
     s = [0, edge, -edge, 0, -edge, -edge, edge, edge, 0]
     packed = pack(s, size)
@@ -345,7 +345,7 @@ def test_pack_past_8_bytes_matches_the_per_slot_path(size):
     assert pack([], size) == reference_pack([], size) == 0
 
 
-@pytest.mark.parametrize("bits,size", [(7, 1), (8, 2), (15, 2), (16, 4), (31, 4), (32, 8), (63, 8), (64, 9)])
+@pytest.mark.parametrize("bits,size", [(7, 1), (8, 2), (15, 2), (16, 3), (31, 4), (32, 5), (63, 8), (64, 9)])
 def test_slot_bytes_keeps_a_sign_bit(bits, size):
     # every bound of that bit length takes the same width, and fits it with either sign
     assert slot_bytes(2 ** (bits - 1)) == slot_bytes(2**bits - 1) == size
@@ -353,6 +353,38 @@ def test_slot_bytes_keeps_a_sign_bit(bits, size):
     assert unpack(pack([bound, -bound], size), size, 2, 2) == [bound, -bound]
     assert slot_bytes(0) == 1
 
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(
+        lambda size: st.tuples(
+            st.just(size),
+            st.lists(
+                st.sampled_from([-(2 ** (8 * size - 1)), 2 ** (8 * size - 1) - 1, 0])
+                | st.integers(-(2 ** (8 * size - 1)), 2 ** (8 * size - 1) - 1),
+                min_size=1,
+                max_size=30,
+            ),
+            st.integers(size, 10),
+        )
+    )
+)
+@example((3, [-(2**23), 2**23 - 1, 0], 3))  # both sign edges and 0 at a width with no struct code
+@example((5, [0, -1, 2**39 - 1, -(2**39)], 9))
+def test_codec_round_trips_at_every_width(case):
+    """pack, unpack, widen and slot_bits at every slot width from 1 to 9
+    bytes, struct widths or not, the slots at either sign edge of the width
+    and at 0 included: the packed int is the sum of the slots, unpack reads
+    them all back or a prefix, widen matches packing at any wider width, and
+    slot_bits is the least bit count that holds them."""
+    size, series, wide = case
+    packed = pack(series, size)
+    assert packed == sum(c << 8 * size * (len(series) - 1 - i) for i, c in enumerate(series))
+    assert unpack(packed, size, len(series), len(series)) == series
+    assert unpack(packed, size, len(series), len(series) // 2) == series[: len(series) // 2]
+    assert widen(packed, size, wide) == pack(series, wide)
+    assert unpack(widen(packed, size, wide), wide, len(series), len(series)) == series
+    assert slot_bits(packed, size) == max(1, *((c if c >= 0 else ~c).bit_length() + 1 for c in series))
 
 
 @pytest.mark.parametrize("size", [1, 2, 4, 8, 9])
@@ -368,10 +400,10 @@ def test_slot_bits_is_exact_at_each_edge(size, position):
             series = [(-1) ** i * (2 ** (v - 2) if v > 1 else 0) for i in range(9)]
             series[position] = edge
             value = pack(series, size)
-            assert slot_bits(value, size, v) == need, (v, edge)
-            assert slot_bits(value, size, 1) == max(1, *((c if c >= 0 else ~c).bit_length() + 1 for c in series))
-    assert slot_bits(pack([0, 2 ** (w - 1) - 1, 0], size), size, 1) == w  # the whole slot
-    assert slot_bits(0, size, -5) == 1
+            assert slot_bits(value, size) == need, (v, edge)
+            assert need == max(1, *((c if c >= 0 else ~c).bit_length() + 1 for c in series))
+    assert slot_bits(pack([0, 2 ** (w - 1) - 1, 0], size), size) == w  # the whole slot
+    assert slot_bits(0, size) == 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -412,13 +444,15 @@ digits = [3, -1, 4, 1, -5, 9, -2, 6] * 5
 @example(digits, list(eta_module._pass_terms(1, "pentagonal", 40)))  # +-1 alone
 @example([5, -7, 2], [(1, 2), (2, 1), (1, 2), (2, -2), (1, 0), (1, -2)])  # +-1 and 0 inside runs
 def test_multiply_pass_matches_one_step_per_term(g, terms):
-    """The same (value, size), bit for bit, as the pass that scales and adds
-    every term on its own, and the list loop's product."""
+    """The same (value, size, bound), bit for bit, as the pass that scales
+    and adds every term on its own, in order, and the list loop's product,
+    whether the state carries g's own bound or only its width's."""
     size = slot_bytes(max(map(abs, g)))
-    state = (pack([*g, 0], size), size)
-    value, wide = multiply_pass(state, terms)
-    assert (value, wide) == reference_packed_multiply_pass(state, terms)
-    assert unpack(value, wide, len(g) + 1, len(g)) == reference_multiply_pass(g, terms)
+    for bound in max(map(abs, g)), 1 << 8 * size - 1:
+        state = (pack([*g, 0], size), size, bound)
+        value, wide, most = multiply_pass(state, terms)
+        assert (value, wide, most) == reference_packed_multiply_pass(state, terms)
+        assert unpack(value, wide, len(g) + 1, len(g)) == reference_multiply_pass(g, terms)
 
 
 @pytest.mark.parametrize("size", [1, 2, 4, 8, 9])
@@ -427,9 +461,9 @@ def test_multiply_pass_widens_a_run_as_one_step_per_term_does(size):
     passes widen to the same slots and return the same int."""
     top = 2 ** (8 * size - 1) - 1
     g, terms = alternating(top, 12), [(k, 2) for k in range(1, 12)]
-    state = (pack([*g, 0], size), size)
-    value, wide = multiply_pass(state, terms)
-    assert wide > size and (value, wide) == reference_packed_multiply_pass(state, terms)
+    state = (pack([*g, 0], size), size, top)
+    value, wide, most = multiply_pass(state, terms)
+    assert wide > size and (value, wide, most) == reference_packed_multiply_pass(state, terms)
     assert unpack(value, wide, 13, 12) == reference_multiply_pass(g, terms)
 
 

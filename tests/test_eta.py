@@ -545,9 +545,10 @@ def test_registered_families_keep_few_divide_passes(level, divides):
 
 def packed_pass(g, terms):
     """arith.multiply_pass on g packed by arith with a spare zero slot, at the
-    narrowest width that holds g, and read back: (product, slot bytes)."""
-    size = slot_bytes(max(map(abs, g)))
-    value, size = multiply_pass((pack([*g, 0], size), size), terms)
+    narrowest width that holds g, with g's own bound, and read back:
+    (product, slot bytes)."""
+    size = slot_bytes(bound := max(map(abs, g)))
+    value, size, _ = multiply_pass((pack([*g, 0], size), size, bound), terms)
     return unpack(value, size, len(g) + 1, len(g)), size
 
 
@@ -571,16 +572,22 @@ def test_multiply_pass_matches_list_reference(g, terms):
 def test_multiply_pass_reaches_its_slot_bound(bits, sign):
     """g's slots take exactly `bits` bits and the last coefficient of the
     product comes within 2 of (max|g| + 1) * (1 + sum |c|), which has
-    `bits` bits too. The packed width is then arith.slot_bytes of the
-    check's bound (2^(bits-1) + 1) * (1 + sum |c|), with bits + 1 bits: 7
-    bits of g take 16-bit slots, 15 and 31 bits the next width up, and 63
-    bits and up take slots wider than 64 bits."""
+    `bits` bits too. The packed width is then arith.slot_bytes of that
+    carried bound, bits // 8 + 1: a product of 7, 15, 31 or 63 bits keeps
+    g's width, one of 8, 16, 32 or 64 bits takes one byte more, and 64
+    bits and up take slots wider than 64 bits. When only the width's bound
+    is carried, the pass measures g's slots, and the width is
+    arith.slot_bytes of the measured bound (2^(bits-1) + 1) * (1 + sum
+    |c|), with bits + 1 bits."""
     m = 2 ** (bits - 1) - 2
     g, terms = [sign * m] * 5, [(4, 1)]
     out, size = packed_pass(g, terms)
     assert out == reference_multiply_pass(g, terms)
     assert out[-1] == sign * 2 * m and (2 * (m + 1)).bit_length() == bits
-    assert size == slot_bytes(2**bits + 2)
+    assert size == slot_bytes(2 * (m + 1)) == bits // 8 + 1
+    width = slot_bytes(m)
+    value, measured, _ = multiply_pass((pack([*g, 0], width), width, 1 << 8 * width - 1), terms)
+    assert unpack(value, measured, 6, 5) == out and measured == slot_bytes(2**bits + 2)
     alternating = [(-1) ** i * m for i in range(5)]
     assert packed_pass(alternating, terms) == (reference_multiply_pass(alternating, terms), size)
 
@@ -599,8 +606,10 @@ def test_multiply_pass_keeps_its_width_up_to_the_edge(size, position):
     for edge, bits in ((low, v), (high, v), (low - 1, v + 1), (high + 1, v + 1), (-(2 ** (w - 2)) - 1, w)):
         slots = [(-1) ** i * 2 ** (v - 2) for i in range(7)]
         slots[position] = edge
-        value, out = multiply_pass((pack(slots, size), size), terms)
-        assert out == slot_bytes(((1 << bits - 1) + 1) * 4) and (out == size) is (bits < w), edge
+        # only the width's bound is carried, so the pass measures the slots
+        value, out, most = multiply_pass((pack(slots, size), size, 1 << w - 1), terms)
+        assert most == ((1 << bits - 1) + 1) * 4, edge
+        assert out == slot_bytes(most) and (out == size) is (bits < w), edge
         assert unpack(value, out, 7, 6) == reference_multiply_pass(slots[:6], terms)
 
 
@@ -617,24 +626,27 @@ def test_multiply_pass_keeps_its_width_up_to_the_edge(size, position):
 def test_packed_chain_matches_the_list_reference_in_sequence(g, chain):
     """One packed state through a chain of passes, the spare slot carried
     from pass to pass as the expansion does, read back after every pass."""
-    size = slot_bytes(max(map(abs, g)))
-    state = (pack([*g, 0], size), size)
+    size = slot_bytes(bound := max(map(abs, g)))
+    state = (pack([*g, 0], size), size, bound)
     for terms in chain:
         state = multiply_pass(state, terms)
         g = reference_multiply_pass(g, terms)
-        assert unpack(*state, len(g) + 1, len(g)) == g
+        value, size, bound = state
+        slots = unpack(value, size, len(g) + 1, len(g) + 1)
+        assert slots[:-1] == g and max(map(abs, slots)) <= bound
 
 
 def test_packed_chain_crosses_every_width():
-    """From 1-byte slots through 2, 4 and 8 to more than 8 bytes, exact after every pass."""
+    """From 1-byte slots through every width from 2 to 9 bytes and past it,
+    exact after every pass."""
     g, terms = [1] + [0] * 39, [(1, 7), (2, -3)]
-    state, sizes = (pack([*g, 0], 1), 1), [1]
+    state, sizes = (pack([*g, 0], 1), 1, 1), [1]
     for _ in range(24):
         state = multiply_pass(state, terms)
         g = reference_multiply_pass(g, terms)
-        assert unpack(*state, 41, 40) == g
+        assert unpack(state[0], state[1], 41, 40) == g
         sizes.append(state[1])
-    assert {1, 2, 4, 8} < set(sizes) and sizes[-1] > 8 and sizes == sorted(sizes)
+    assert set(range(1, 10)) < set(sizes) and sizes == sorted(sizes)
 
 
 def reference_expand_eta_quotient(quotient, truncation):
